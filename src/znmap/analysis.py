@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TWO_PI, Point, from_polar, rotate, to_polar
-from .maps import MapSpec, eval_map, jac_map, step_batch
+from .maps import MapSpec, _jac_f4_entries, _jac_g4_entries, eval_map, jac_map, step_batch
 
 DEFAULT_SEED = 0x5EED
 
@@ -123,20 +123,6 @@ _KIND_NAMES = {0: UNDECIDED, 1: CONVERGED, 2: ESCAPED}
 def classify_orbit(spec, p0: Point, budget: int = 10_000,
                    eps_in: float = 1e-8, r_escape: float = 1e6) -> ConvergenceVerdict:
     """Classify a single start; see classify_batch for the semantics."""
-    if callable(spec):
-        if not eps_in < r_escape:
-            raise ValueError("eps_in must be below r_escape")
-        p = (float(p0[0]), float(p0[1]))
-        for t in range(budget + 1):
-            r = math.hypot(*p)
-            if r < eps_in:
-                return ConvergenceVerdict(CONVERGED, t, budget, eps_in, r_escape)
-            if r > r_escape or not math.isfinite(r):
-                return ConvergenceVerdict(ESCAPED, t, budget, eps_in, r_escape)
-            if t == budget:
-                break
-            p = eval_map(spec, p)
-        return ConvergenceVerdict(UNDECIDED, None, budget, eps_in, r_escape)
     kinds, steps = classify_batch(spec, [p0[0]], [p0[1]], budget, eps_in, r_escape)
     kind = _KIND_NAMES[int(kinds[0])]
     return ConvergenceVerdict(kind, int(steps[0]) if kind != UNDECIDED else None,
@@ -382,22 +368,13 @@ def _eig_max_modulus(a, b, c, d):
     return np.where(disc >= 0.0, real, cplx)
 
 
-def _jac_f4_parts(x, y, k):
-    x2 = x * x
-    y2 = y * y
-    d2 = (1.0 + x2 + y2) ** 2
-    a = 2.0 * k * x * y * y2 / d2
-    b = -k * (3.0 * y2 + 3.0 * x2 * y2 + y2 * y2) / d2
-    c = k * (3.0 * x2 + x2 * x2 + 3.0 * x2 * y2) / d2
-    d = -2.0 * k * x * x2 * y / d2
-    return a, b, c, d
-
-
 def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
     """Max Jacobian eigenvalue modulus over an inclusive rectangular grid.
 
-    Vectorized for f4/g4; other families fall back to per-point Jacobians.
-    Deterministic, and the max-reduction is order-independent.
+    Vectorized for f4/g4: the Jacobian entries of jac_f4/jac_g4 are
+    evaluated on the whole grid at once.  Other families fall back to
+    per-point Jacobians.  Deterministic, and the max-reduction is
+    order-independent.
     """
     xmin, xmax, ymin, ymax = region
     nx, ny = (grid, grid) if isinstance(grid, int) else grid
@@ -407,13 +384,10 @@ def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
     ys = np.linspace(ymin, ymax, ny)
     if not callable(spec) and spec.family in ("f4", "g4"):
         gx, gy = np.meshgrid(xs, ys)
-        a, b, c, d = _jac_f4_parts(gx, gy, spec.k)
-        if spec.family == "g4":
-            w = spec.beta + spec.delta * (gx * gx + gy * gy)
-            a = a + spec.alpha - 2.0 * spec.delta * gx * gy
-            b = b - w - 2.0 * spec.delta * gy * gy
-            c = c + w + 2.0 * spec.delta * gx * gx
-            d = d + spec.alpha + 2.0 * spec.delta * gx * gy
+        if spec.family == "f4":
+            a, b, c, d = _jac_f4_entries(gx, gy, spec.k)
+        else:
+            a, b, c, d = _jac_g4_entries(gx, gy, spec.k, spec.alpha, spec.beta, spec.delta)
         mods = _eig_max_modulus(a, b, c, d)
         flat = int(np.argmax(mods))
         iy, ix = np.unravel_index(flat, mods.shape)

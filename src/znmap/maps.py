@@ -14,13 +14,18 @@ Families (all fix the origin):
   the origin and periodic orbit but pull far points inward, so infinity
   repels.
 
-Evaluators take ``(x, y)`` tuples; Jacobians are 2x2 numpy arrays
-``[[a, b], [c, d]]``.  ``step_batch`` evaluates one step on coordinate
-arrays for raster/scan workloads.
+Evaluators take ``(x, y)`` pairs of floats or of numpy arrays and run the
+same arithmetic on both: ``+ - * /`` in one fixed order, and the few other
+functions (trig, ``hypot``, ``expm1``, ``floor``, ``minimum`` and a select)
+from ``math`` for floats and from ``numpy`` for arrays, picked by the input
+type.  Jacobians are 2x2 numpy arrays ``[[a, b], [c, d]]``.
+``step_batch`` is ``eval_map`` on coordinate arrays, for raster/scan
+workloads.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,10 +42,28 @@ def validate_k(k: float) -> None:
         raise ValueError(f"k must lie in (1, 2/sqrt(3)) ~ (1, {K_MAX:.8f}); got {k}")
 
 
-def _cube(v: float) -> float:
+def _cube(v):
     # explicit product keeps (-v)^3 == -(v^3) bitwise, which the exact
     # quarter-turn dispatch relies on
     return v * v * v
+
+
+# the functions the formulas need beyond + - * /, for floats and for arrays
+_MATH = SimpleNamespace(cos=math.cos, sin=math.sin, hypot=math.hypot, atan2=math.atan2,
+                        expm1=math.expm1, floor=math.floor,
+                        minimum=lambda a, b: b if b < a else a,  # builtin min is slower
+                        where=lambda cond, a, b: a if cond else b)
+_NUMPY = SimpleNamespace(cos=np.cos, sin=np.sin, hypot=np.hypot, atan2=np.arctan2,
+                         expm1=np.expm1, floor=np.floor, minimum=np.minimum, where=np.where)
+_NAMESPACE = {np.ndarray: _NUMPY}  # looked up by exact type: the float path is hot
+
+
+def _angle(xp, y, x):
+    """atan2(y, x) normalized to [0, 2*pi)."""
+    theta = xp.atan2(y, x)
+    theta = xp.where(theta < 0.0, theta + TWO_PI, theta)
+    # a tiny negative atan2 result can round up to exactly 2*pi
+    return xp.where(theta >= TWO_PI, 0.0, theta)
 
 
 @dataclass(frozen=True)
@@ -67,14 +90,17 @@ def default_profile(k: float) -> RadialProfile:
     return RadialProfile(r0, r0)
 
 
-def radial_u(s: float, prof: RadialProfile) -> float:
-    """Evaluate the saturating radial response at s >= 0."""
-    if s < 0.0:
-        raise ValueError("radial response undefined for negative radius")
-    if s <= prof.r0:
-        return s
+def radial_u(s, prof: RadialProfile):
+    """Evaluate the saturating radial response at s >= 0 (float or array)."""
+    xp = _NAMESPACE.get(type(s), _MATH)
+    if xp is _MATH:
+        if s < 0.0:
+            raise ValueError("radial response undefined for negative radius")
+        if s <= prof.r0:  # arrays take this branch through the select below
+            return s
     w = s - prof.r0
-    return prof.r0 + 0.5 * w + 0.5 * prof.r_half * (-math.expm1(-w / prof.r_half))
+    tail = prof.r0 + 0.5 * w + 0.5 * prof.r_half * (-xp.expm1(-w / prof.r_half))
+    return xp.where(s <= prof.r0, s, tail)
 
 
 @dataclass(frozen=True)
@@ -116,7 +142,7 @@ class MapSpec:
 
 
 # ---------------------------------------------------------------------------
-# scalar evaluation
+# evaluation (floats or arrays)
 # ---------------------------------------------------------------------------
 
 def eval_f4(p: Point, k: float) -> Point:
@@ -130,28 +156,34 @@ def eval_f4_polar(q: tuple[float, float], k: float) -> tuple[float, float]:
     (-sin^3, cos^3).  Agrees with the Cartesian evaluator through the
     polar/Cartesian conversions."""
     r, theta = q
-    if r == 0.0:
+    xp = _NAMESPACE.get(type(r), _MATH)
+    if xp is _MATH and r == 0.0:
         return 0.0, 0.0
-    c3 = _cube(math.cos(theta))
-    s3 = _cube(math.sin(theta))
-    psi = k * _cube(r) / (1.0 + r * r) * math.hypot(c3, s3)
-    phi = math.atan2(c3, -s3)
-    if phi < 0.0:
-        phi += TWO_PI
-    if phi >= TWO_PI:
-        phi = 0.0
-    return psi, phi
+    return _f4_polar(xp, r, theta, k)
 
 
-def jac_f4(p: Point, k: float) -> np.ndarray:
-    x, y = p
+def _f4_polar(xp, r, theta, k: float):
+    c = xp.cos(theta)
+    s = xp.sin(theta)
+    c3 = c * c * c
+    s3 = s * s * s
+    psi = k * (r * r * r) / (1.0 + r * r) * xp.hypot(c3, s3)
+    return psi, _angle(xp, c3, -s3)
+
+
+def _jac_f4_entries(x, y, k: float):
     x2 = x * x
     y2 = y * y
     d2 = (1.0 + x2 + y2) ** 2
-    a = 2.0 * k * x * _cube(y) / d2
+    a = 2.0 * k * x * y * y2 / d2
     b = -k * (3.0 * y2 + 3.0 * x2 * y2 + y2 * y2) / d2
     c = k * (3.0 * x2 + x2 * x2 + 3.0 * x2 * y2) / d2
-    d = -2.0 * k * _cube(x) * y / d2
+    d = -2.0 * k * x * x2 * y / d2
+    return a, b, c, d
+
+
+def jac_f4(p: Point, k: float) -> np.ndarray:
+    a, b, c, d = _jac_f4_entries(p[0], p[1], k)
     return np.array([[a, b], [c, d]])
 
 
@@ -180,48 +212,69 @@ def eval_g4(p: Point, k: float, alpha: float, beta: float, delta: float) -> Poin
     return f1 + alpha * x - w * y, f2 + alpha * y + w * x
 
 
-def jac_g4(p: Point, k: float, alpha: float, beta: float, delta: float) -> np.ndarray:
-    x, y = p
+def _jac_g4_entries(x, y, k: float, alpha: float, beta: float, delta: float):
+    a, b, c, d = _jac_f4_entries(x, y, k)
     w = beta + delta * (x * x + y * y)
-    jac = jac_f4(p, k)
-    jac[0, 0] += alpha - 2.0 * delta * x * y
-    jac[0, 1] += -w - 2.0 * delta * y * y
-    jac[1, 0] += w + 2.0 * delta * x * x
-    jac[1, 1] += alpha + 2.0 * delta * x * y
-    return jac
+    return (a + alpha - 2.0 * delta * x * y,
+            b - w - 2.0 * delta * y * y,
+            c + w + 2.0 * delta * x * x,
+            d + alpha + 2.0 * delta * x * y)
 
 
-def _dispatch_polar(p: Point, n: int, radius_map) -> Point:
-    """Shared sector dispatcher for the order-n transplants.
+def jac_g4(p: Point, k: float, alpha: float, beta: float, delta: float) -> np.ndarray:
+    a, b, c, d = _jac_g4_entries(p[0], p[1], k, alpha, beta, delta)
+    return np.array([[a, b], [c, d]])
+
+
+def _sector_chart(xp, p: Point, n: int):
+    """Source chart of the order-n transplant at a nonzero point.
+
+    Returns (r, theta, m, theta4): polar coordinates with theta in
+    [0, 2*pi), the 0-based sector index m (as in geometry.sector_of), and
+    the angle rotated back to sector 0 and rescaled to the base map's
+    quarter turn.
+    """
+    x, y = p
+    if xp is _MATH and not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite point {p!r}")
+    theta = _angle(xp, y, x)
+    m = xp.minimum(xp.floor(theta * n / TWO_PI), n - 1)  # theta*n/(2*pi) may round to n
+    return xp.hypot(x, y), theta, m, (theta - TWO_PI * m / n) * n / 4.0
+
+
+def _sector_image(xp, r, theta4, m, k: float, n: int, prof: RadialProfile | None):
+    """Image radius and angle of a chart point under the base map, rescaled
+    back to sector m+1 (the sector after the source sector m)."""
+    psi, phi = _f4_polar(xp, r, theta4, k)
+    if prof is not None:
+        psi = radial_u(psi, prof)
+    return psi, 4.0 * phi / n + TWO_PI * m / n
+
+
+def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None) -> Point:
+    """Order-n transplant of f4, radially saturated by prof when given.
 
     Composes rotate(-m) -> angular rescale -> base map -> rescale back ->
     rotate(+m) in angle space, so a boundary point whose local angle rounds
     to -ulp is never re-wrapped to 2*pi (which the n/4 rescale would blow
-    up into a genuine jump).
+    up into a genuine jump).  For n = 4 the rescales are identities and the
+    quarter-turn rotations exact, so the evaluation reduces to eval_f4 or
+    eval_h (bitwise).
     """
     x, y = p
-    if x == 0.0 and y == 0.0:
+    xp = _NAMESPACE.get(type(x), _MATH)
+    if xp is _MATH and x == 0.0 and y == 0.0:
         return 0.0, 0.0
-    r, theta = to_polar(p)
-    m = sector_of(p, n) - 1
-    theta4 = (theta - TWO_PI * m / n) * n / 4.0
-    psi, phi = radius_map(r, theta4)
-    theta_out = 4.0 * phi / n + TWO_PI * m / n
-    return from_polar((psi, theta_out))
+    if n == 4:
+        return eval_f4(p, k) if prof is None else eval_h(p, k, prof)
+    r, _, m, theta4 = _sector_chart(xp, p, n)
+    psi, theta_out = _sector_image(xp, r, theta4, m, k, n, prof)
+    return psi * xp.cos(theta_out), psi * xp.sin(theta_out)
 
 
 def eval_fn(p: Point, k: float, n: int) -> Point:
-    """Sector dispatcher transplanting the base map to order-n symmetry.
-
-    For n = 4 the rescales are identities and the quarter-turn rotations
-    exact, so the evaluation reduces to eval_f4 (bitwise).
-    """
-    if n == 4:
-        x, y = p
-        if x == 0.0 and y == 0.0:
-            return 0.0, 0.0
-        return eval_f4(p, k)
-    return _dispatch_polar(p, n, lambda r, th: eval_f4_polar((r, th), k))
+    """Sector dispatcher transplanting the base map to order-n symmetry."""
+    return _transplant(p, k, n, None)
 
 
 def jac_fn(p: Point, k: float, n: int) -> np.ndarray:
@@ -235,15 +288,12 @@ def jac_fn(p: Point, k: float, n: int) -> np.ndarray:
     x, y = p
     if x == 0.0 and y == 0.0:
         return np.zeros((2, 2))
-    r, theta = to_polar(p)
-    m = sector_of(p, n) - 1
-    theta4 = (theta - TWO_PI * m / n) * n / 4.0
+    r, theta, m, theta4 = _sector_chart(_MATH, p, n)
     inner = jac_f4_polar((r, theta4), k)
     a_n = np.array([[1.0, 0.0], [0.0, 4.0 / n]])
     b_n = np.array([[1.0, 0.0], [0.0, n / 4.0]])
     d_polar = a_n @ inner @ b_n
-    psi, phi = eval_f4_polar((r, theta4), k)
-    theta_out = 4.0 * phi / n + TWO_PI * m / n
+    psi, theta_out = _sector_image(_MATH, r, theta4, m, k, n, None)
     ci, si = math.cos(theta), math.sin(theta)
     co, so = math.cos(theta_out), math.sin(theta_out)
     chart_in_inv = np.array([[ci, si], [-si / r, ci / r]])
@@ -253,29 +303,24 @@ def jac_fn(p: Point, k: float, n: int) -> np.ndarray:
 
 def eval_h(p: Point, k: float, prof: RadialProfile) -> Point:
     w1, w2 = eval_f4(p, k)
-    s = math.hypot(w1, w2)
-    if s <= prof.r0:  # identity branch, exact
+    xp = _NAMESPACE.get(type(w1), _MATH)
+    s = xp.hypot(w1, w2)
+    if xp is _MATH and s <= prof.r0:  # identity branch, exact
         return w1, w2
-    scale = radial_u(s, prof) / s
+    # for arrays, u = s = 0 at the origin, where any finite scale will do
+    scale = radial_u(s, prof) / xp.where(s > 0.0, s, 1.0)
     return scale * w1, scale * w2
 
 
 def eval_hn(p: Point, k: float, n: int, prof: RadialProfile) -> Point:
-    if n == 4:
-        x, y = p
-        if x == 0.0 and y == 0.0:
-            return 0.0, 0.0
-        return eval_h(p, k, prof)
-
-    def saturated(r, th):
-        psi, phi = eval_f4_polar((r, th), k)
-        return radial_u(psi, prof), phi
-
-    return _dispatch_polar(p, n, saturated)
+    return _transplant(p, k, n, prof)
 
 
 def eval_map(spec, p: Point) -> Point:
-    """Evaluate one step of the map named by spec (or any callable)."""
+    """Evaluate one step of the map named by spec (or any callable).
+
+    For a MapSpec, p may hold floats or numpy arrays of coordinates.
+    """
     if callable(spec):
         return spec(p)
     if spec.family == "f4":
@@ -317,53 +362,18 @@ def jac_map(spec, p: Point) -> np.ndarray:
     return _jac_fd(fun, p, 1e-7 * (1.0 + math.hypot(*p)))
 
 
-# ---------------------------------------------------------------------------
-# vectorized stepping (rasters, orbit-batch classification, spectral scans)
-# ---------------------------------------------------------------------------
-
-def _radial_u_arr(s: np.ndarray, prof: RadialProfile) -> np.ndarray:
-    w = s - prof.r0
-    tail = prof.r0 + 0.5 * w + 0.5 * prof.r_half * (-np.expm1(-w / prof.r_half))
-    return np.where(s <= prof.r0, s, tail)
-
-
-def step_batch(spec: MapSpec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One map step applied elementwise to coordinate arrays.
+def step_batch(spec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One map step applied elementwise to coordinate arrays: eval_map on
+    arrays for a MapSpec, a callable mapped point by point.
 
     Elementwise-deterministic: results do not depend on how the arrays are
     partitioned, so raster work can be split arbitrarily.
     """
-    k = spec.k
-    if spec.family in ("f4", "g4", "h"):
-        d = 1.0 + (x * x + y * y)
-        f1 = -k * (y * y * y) / d
-        f2 = k * (x * x * x) / d
-        if spec.family == "g4":
-            w = spec.beta + spec.delta * (x * x + y * y)
-            return f1 + spec.alpha * x - w * y, f2 + spec.alpha * y + w * x
-        if spec.family == "h":
-            s = np.hypot(f1, f2)
-            u = _radial_u_arr(s, spec.profile)
-            scale = np.divide(u, s, out=np.ones_like(s), where=s > 0.0)
-            return scale * f1, scale * f2
-        return f1, f2
-    # fn / hn: polar dispatch
-    n = spec.n
-    r = np.hypot(x, y)
-    theta = np.arctan2(y, x)
-    theta = np.where(theta < 0.0, theta + TWO_PI, theta)
-    theta = np.where(theta >= TWO_PI, 0.0, theta)
-    m = np.minimum(np.floor(theta * n / TWO_PI), n - 1)
-    theta4 = (theta - TWO_PI * m / n) * n / 4.0
-    c3 = np.cos(theta4) ** 3
-    s3 = np.sin(theta4) ** 3
-    psi = k * r ** 3 / (1.0 + r * r) * np.hypot(c3, s3)
-    if spec.family == "hn":
-        psi = _radial_u_arr(psi, spec.profile)
-    phi = np.arctan2(c3, -s3)
-    phi = np.where(phi < 0.0, phi + TWO_PI, phi)
-    theta_out = 4.0 * phi / n + TWO_PI * m / n
-    return psi * np.cos(theta_out), psi * np.sin(theta_out)
+    if not callable(spec):
+        return eval_map(spec, (x, y))
+    pts = [spec(p) for p in zip(np.ravel(x).tolist(), np.ravel(y).tolist())]
+    fx, fy = np.array(pts, dtype=float).reshape(-1, 2).T
+    return fx.reshape(np.shape(x)), fy.reshape(np.shape(y))
 
 
 # ---------------------------------------------------------------------------

@@ -503,10 +503,6 @@ def _row_from_decomposition(name: str, coeffs: dict) -> list:
     return row
 
 
-def _greedy_rank(rows) -> int:
-    return rank_exact(rows)
-
-
 def build_Q() -> TangentMatrixQ:
     """Reduce the tangent-space candidates against the degree-5 module
     generators.

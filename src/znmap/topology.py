@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import TWO_PI, Point, angle_lift, from_polar, to_polar
+from .geometry import TWO_PI, Point, angle_lift, from_polar, sector_of, to_polar
 from .maps import MapSpec, eval_map
 from .analysis import classify_batch
 
@@ -136,14 +136,11 @@ def _sector_snapped(p: Point, n: int) -> int:
     """Sector index with boundary grace: an angle within 1e-12 below a ray
     counts as on the ray, hence in the sector above it (the half-open
     dispatch convention, applied with the standard angle tolerance)."""
+    j = sector_of(p, n)
     _, theta = to_polar(p)
-    j0 = int(theta * n / TWO_PI)
-    if j0 >= n:
-        j0 = n - 1
-    upper = TWO_PI * (j0 + 1) / n
-    if upper - theta <= 1e-12:
-        j0 = (j0 + 1) % n
-    return j0 + 1
+    if TWO_PI * j / n - theta <= 1e-12:
+        j = j % n + 1
+    return j
 
 
 def sector_cycle_check(spec, n: int, p0: Point, iters: int = 50) -> dict:

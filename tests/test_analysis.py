@@ -17,7 +17,7 @@ from znmap.analysis import (
     spectral_scan,
 )
 from znmap.geometry import from_polar, rotate
-from znmap.maps import MapSpec
+from znmap.maps import MapSpec, eval_map, jac_map
 
 K = 1.1
 P = (1.0 / math.sqrt(K - 1.0), 0.0)
@@ -72,6 +72,15 @@ def test_classify_orbit_examples():
 def test_classify_orbit_rejects_bad_thresholds():
     with pytest.raises(ValueError):
         classify_orbit(F4, (1.0, 0.0), eps_in=1.0, r_escape=0.5)
+
+
+@pytest.mark.parametrize("start, kind", [((0.5, 0.5), "converged"),
+                                         ((10.0, 0.0), "escaped"), (P, "undecided")])
+def test_classify_orbit_callable_matches_spec(start, kind):
+    by_spec = classify_orbit(F4, start, budget=300)
+    by_callable = classify_orbit(lambda p: eval_map(F4, p), start, budget=300)
+    assert by_spec.kind == by_callable.kind == kind
+    assert by_spec.steps == by_callable.steps
 
 
 def test_classify_batch_matches_single_calls():
@@ -228,6 +237,14 @@ def test_spectral_scan_pointwise_fallback_consistent():
     fast = spectral_scan(F4, (-3.0, 3.0, -3.0, 3.0), 21)
     slow = spectral_scan(MapSpec("fn", k=K, n=4), (-3.0, 3.0, -3.0, 3.0), 21)
     assert abs(fast.max_modulus - slow.max_modulus) <= 1e-9
+
+
+def test_spectral_scan_g4_matches_pointwise_jacobian():
+    spec = MapSpec("g4", k=K, alpha=0.1, beta=0.05, delta=0.01)
+    scan = spectral_scan(spec, (-3.0, 3.0, -2.0, 2.0), (13, 9))
+    pointwise = max(np.abs(np.linalg.eigvals(jac_map(spec, (x, y)))).max()
+                    for y in np.linspace(-2.0, 2.0, 9) for x in np.linspace(-3.0, 3.0, 13))
+    assert abs(scan.max_modulus - pointwise) <= 1e-12
 
 
 def test_spectral_scan_rejects_tiny_grid():

@@ -80,6 +80,13 @@ def test_f4_polar_matches_examples():
     assert abs(phi - math.pi / 2) <= 1e-15
 
 
+def test_f4_polar_angle_below_two_pi_for_caller_angles():
+    # (-sin^3, cos^3) at 3*pi/2 sits a hair below the positive x-axis, so the
+    # wrapped atan2 rounds up to exactly 2*pi and must fold back to 0
+    _, phi = eval_f4_polar((1.0, 1.5 * math.pi), K)
+    assert 0.0 <= phi < TWO_PI
+
+
 def test_f4_polar_consistent_with_cartesian():
     rng = np.random.default_rng(0)
     for _ in range(300):
@@ -253,6 +260,15 @@ def test_polar_chart_derivative_same_on_both_boundary_charts():
         assert np.abs(lhs - rhs).max() <= 1e-12 * (1.0 + r * r)
 
 
+@pytest.mark.parametrize("p", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                               (1.0, math.inf), (-math.inf, 1.0), (1.0, -math.inf)])
+def test_polar_dispatch_rejects_non_finite_points(p):
+    with pytest.raises(ValueError):
+        eval_fn(p, K, 5)
+    with pytest.raises(ValueError):
+        eval_hn(p, K, 5, default_profile(K))
+
+
 # ---------------------------------------------------------------------------
 # radial profile and saturated families
 # ---------------------------------------------------------------------------
@@ -397,6 +413,16 @@ def test_step_batch_matches_scalar():
         for i, (x, y) in enumerate(pts):
             sx, sy = eval_map(spec, (x, y))
             assert math.hypot(bx[i] - sx, by[i] - sy) <= 1e-12 * (1.0 + math.hypot(x, y) ** 3)
+
+
+def test_step_batch_bitwise_equal_to_eval_map_for_rational_families():
+    # f4 and g4 use only + - * /, so array and float evaluation round alike
+    rng = np.random.default_rng(13)
+    pts = rng.normal(0.0, 5.0, (5000, 2))
+    for spec in (MapSpec("f4", k=K), MapSpec("g4", k=K, alpha=0.1, beta=0.05, delta=0.01)):
+        bx, by = step_batch(spec, pts[:, 0].copy(), pts[:, 1].copy())
+        scalar = np.array([eval_map(spec, (x, y)) for x, y in pts.tolist()])
+        assert np.array_equal(bx, scalar[:, 0]) and np.array_equal(by, scalar[:, 1])
 
 
 # ---------------------------------------------------------------------------
