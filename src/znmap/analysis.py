@@ -19,6 +19,13 @@ CONVERGED = "converged"
 ESCAPED = "escaped"
 UNDECIDED = "undecided"
 
+# Largest step gap between the repeat-detection snapshots of classify_batch.
+# A cycle of period up to this is caught at most two gaps after it is
+# entered; longer cycles run to the budget.  Uncapped doubling spaces the
+# snapshots so far apart that the period-n cycle of h/hn, entered around
+# step 150, is caught much later.
+_SNAPSHOT_GAP = 32
+
 
 @dataclass
 class Orbit:
@@ -89,30 +96,50 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
     Returns (kinds, steps) arrays; steps is -1 for undecided entries.
     Thresholds are tested before each step, so a start already inside
     eps_in classifies at step 0.
+
+    ``spec`` must be pure: one step maps each point by a deterministic
+    function of that point's (x, y) bits alone, with no state carried
+    between calls or between points (every MapSpec is; a callable spec
+    must be too).  A point whose state repeats, bit for bit, a state it
+    had at an earlier step then cycles forever through states that all
+    passed both tests, so it is retired at once as undecided: the same
+    kind and steps the full budget would give, without spending it.
+    Repeats are found by comparing every step with a per-point snapshot
+    of the state retaken at steps 0, 1, 2, 4, ... (Brent's schedule), at
+    most _SNAPSHOT_GAP steps apart.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     if not eps_in < r_escape:
         raise ValueError("eps_in must be below r_escape")
-    x = np.asarray(xs, dtype=float).copy()
-    y = np.asarray(ys, dtype=float).copy()
+    x = np.asarray(xs, dtype=float).ravel()  # never written in place
+    y = np.asarray(ys, dtype=float).ravel()
     npts = x.size
     kinds = np.zeros(npts, dtype=np.uint8)
     steps = np.full(npts, -1, dtype=np.int64)
     idx = np.arange(npts)
     eps2 = eps_in * eps_in
-    esc2 = r_escape * r_escape
+    # Clamped so that an infinite radius (r2 = inf) always escapes.
+    esc2 = min(r_escape * r_escape, np.finfo(float).max)
+    sx, sy, snap_at = x, y, 1
     for t in range(budget + 1):
         r2 = x * x + y * y
-        conv = r2 < eps2
-        esc = (r2 > esc2) | ~np.isfinite(r2)
-        done = conv | esc
-        if done.any():
-            kinds[idx[conv]] = 1
-            kinds[idx[esc]] = 2
-            steps[idx[done]] = t
-            keep = ~done
-            x, y, idx = x[keep], y[keep], idx[keep]
+        keep = (r2 >= eps2) & (r2 <= esc2)  # NaN fails both tests: escaped
+        if not keep.all():
+            fin = np.flatnonzero(~keep)
+            kinds[idx[fin]] = np.where(r2[fin] <= esc2, 1, 2)
+            steps[idx[fin]] = t
+        if t:  # at t = 0 the snapshot is the state itself
+            # A repeat keeps kind 0 and steps -1; y is compared only
+            # where the x bits already match.
+            rep = np.flatnonzero(x.view(np.int64) == sx.view(np.int64))
+            keep[rep[y[rep].view(np.int64) == sy[rep].view(np.int64)]] = False
+        if not keep.all():
+            x, y, idx, sx, sy = x[keep], y[keep], idx[keep], sx[keep], sy[keep]
         if idx.size == 0 or t == budget:
             break
+        if t == snap_at:
+            sx, sy, snap_at = x, y, t + min(t, _SNAPSHOT_GAP)
         x, y = step_batch(spec, x, y)
     return kinds, steps
 

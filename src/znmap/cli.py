@@ -232,9 +232,12 @@ def _cmd_verify(parser, args) -> int:
 
 def _cmd_basin(parser, args) -> int:
     spec = _spec_from_args(parser, args)
-    raster = basin_raster(spec, tuple(args.window), args.res, args.res,
-                          budget=args.budget, eps_in=args.eps_in,
-                          r_escape=args.r_escape)
+    try:
+        raster = basin_raster(spec, tuple(args.window), args.res, args.res,
+                              budget=args.budget, eps_in=args.eps_in,
+                              r_escape=args.r_escape)
+    except ValueError as exc:
+        parser.error(str(exc))
     with open(args.out, "wb") as fh:
         fh.write(raster_to_pgm(raster))
     counts = raster.counts()

@@ -61,6 +61,8 @@ def basin_raster(spec: MapSpec, window: tuple, width: int, height: int,
     if width < 1 or height < 1:
         raise ValueError("raster dimensions must be positive")
     xmin, xmax, ymin, ymax = window
+    if not (all(map(math.isfinite, window)) and xmin < xmax and ymin < ymax):
+        raise ValueError("window must be finite with xmin < xmax and ymin < ymax")
     xs = xmin + (np.arange(width) + 0.5) * (xmax - xmin) / width
     ys = ymax - (np.arange(height) + 0.5) * (ymax - ymin) / height
     gx, gy = np.meshgrid(xs, ys)
@@ -114,16 +116,19 @@ def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate
         raise ValueError("rotation undefined for the origin orbit")
     angles = []
     p = (x, y)
+    cause = f"max_iters={max_iters} leaves too few angles"
     for _ in range(max_iters + 1):
         r, th = to_polar(p)
         if r <= 1e-12:
+            cause = "orbit reached origin too fast"
             break
         angles.append(th)
         p = eval_map(spec, p)
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            cause = f"orbit overflowed after {len(angles)} iterates, too fast"
             break
     if len(angles) < 8:
-        raise RuntimeError("orbit reached origin too fast for a rotation estimate")
+        raise RuntimeError(f"{cause} for a rotation estimate")
     lift = angle_lift(angles)
     slope = (lift[-1] - lift[0]) / (TWO_PI * (len(lift) - 1))
     slope %= 1.0

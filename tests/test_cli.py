@@ -123,6 +123,21 @@ def test_basin_deterministic(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--res", "0"],
+    ["--eps-in", "2", "--r-escape", "1"],
+    ["--window", "1", "-1", "-1", "1"],
+    ["--budget", "-1"],
+])
+def test_basin_usage_error_for_bad_values(tmp_path, capsys, flags):
+    argv = ["basin", "--family", "f4", "--window", "-1", "1", "-1", "1",
+            "--res", "8", "--budget", "50", "--out", str(tmp_path / "x.pgm")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.pgm").exists()
+
+
 def test_basin_io_failure_exit_code(tmp_path, capsys):
     code, _, err = run(["basin", "--family", "f4", "--window", "-1", "1", "-1", "1",
                         "--res", "8", "--budget", "50",

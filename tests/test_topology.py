@@ -50,6 +50,19 @@ def test_basin_partition_invariance():
     assert (stitched == full.kinds).all()
 
 
+@pytest.mark.parametrize("window", [
+    (1.0, 1.0, -1.0, 1.0),  # zero width
+    (-1.0, 1.0, 2.0, 2.0),  # zero height
+    (1.0, -1.0, -1.0, 1.0),  # inverted
+    (-1.0, 1.0, 1.0, -1.0),
+    (-math.inf, 1.0, -1.0, 1.0),
+    (-1.0, 1.0, -1.0, math.nan),
+])
+def test_basin_rejects_degenerate_window(window):
+    with pytest.raises(ValueError, match="window"):
+        basin_raster(F4, window, 4, 4, budget=10)
+
+
 def test_basin_row_zero_is_top_of_window():
     # window straddling the contraction disk: top row far from origin
     raster = basin_raster(F4, (-0.2, 0.2, -8.0, 8.0), 4, 64, budget=40,
@@ -165,6 +178,11 @@ def test_rotation_rejects_origin_and_fast_collapse():
         estimate_rotation(F4, (0.0, 0.0))
     with pytest.raises(RuntimeError, match="too fast"):
         estimate_rotation(F4, (0.01, 0.01))
+
+
+def test_rotation_names_overflow():
+    with pytest.raises(RuntimeError, match="overflowed"):
+        estimate_rotation(lambda p: (p[0] * 1e200, p[1] * 1e200), (1.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
