@@ -56,7 +56,9 @@ def basin_raster(spec: MapSpec, window: tuple, width: int, height: int,
 
     Row 0 is the top of the window (max y); pixel centers are sampled, not
     corners.  The stepping is elementwise, so the grid may be partitioned
-    arbitrarily with bit-identical results.
+    arbitrarily with bit-identical results: a raster of at least
+    2 * 16,384 pixels runs on one thread per CPU available to the process
+    (see classify_batch), with kinds bitwise those of the serial loop.
     """
     if width < 1 or height < 1:
         raise ValueError("raster dimensions must be positive")

@@ -1,13 +1,15 @@
 """classify_batch against the plain stepping loop it replaces.
 
 classify_batch retires a point as undecided once its state repeats a
-floating-point state bit for bit.  That may change only the work done, never
-the kinds or steps, so every test here compares against ``plain_classify``:
+floating-point state bit for bit, and splits large batches across threads.
+Both may change only the work done, never the kinds or steps, so the tests
+here compare against ``plain_classify``:
 the loop that steps every live point until it converges, escapes or uses the
 whole budget.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,9 +43,12 @@ def plain_classify(spec, xs, ys, budget, eps_in=1e-8, r_escape=1e6):
     eps2 = eps_in * eps_in
     esc2 = r_escape * r_escape
     for t in range(budget + 1):
-        r2 = x * x + y * y
-        conv = r2 < eps2
-        esc = (r2 > esc2) | ~np.isfinite(r2)
+        with np.errstate(over="ignore"):
+            r2 = x * x + y * y
+            # x*x + y*y overflows above |p| ~ 1.34e154: use the radius there.
+            over = np.isinf(r2) & np.isfinite(x) & np.isfinite(y)
+            conv = r2 < eps2
+            esc = np.where(over, np.hypot(x, y) > r_escape, (r2 > esc2) | ~np.isfinite(r2))
         done = conv | esc
         if done.any():
             kinds[idx[conv]] = 1
@@ -73,9 +78,17 @@ def assert_same(spec, xs, ys, budget, eps_in=1e-8, r_escape=1e6):
     return kinds
 
 
+def edge_starts(eps_in, r_escape):
+    xs = [0.0, eps_in, -eps_in, 0.5, math.nan, math.inf, -math.inf, 1e300,
+          r_escape, 1e5, 1e160, 11.16, 3.1622776601683795]
+    ys = [0.0, 0.0, 0.0, -0.0, 1.0, 0.0, 1.0, 1e300, 0.0, 0.0, 0.0, 0.1, 0.0]
+    return xs, ys
+
+
 @pytest.fixture
 def step_calls(monkeypatch):
-    """Count the step_batch calls classify_batch makes."""
+    """Count the step_batch calls classify_batch makes.  The count is not
+    thread-safe: use it only on batches that classify_batch keeps serial."""
     calls = [0]
     step = znmap.analysis.step_batch
 
@@ -104,9 +117,7 @@ def test_matches_plain_loop_across_budgets(family, r_escape):
     (-1e7, 1e3),  # eps_in^2 > r_escape^2: escaping wins where both hold
 ])
 def test_matches_plain_loop_on_edge_starts(eps_in, r_escape):
-    xs = [0.0, eps_in, -eps_in, 0.5, math.nan, math.inf, -math.inf, 1e300,
-          r_escape, 1e5, 1e160, 11.16, 3.1622776601683795]
-    ys = [0.0, 0.0, 0.0, -0.0, 1.0, 0.0, 1.0, 1e300, 0.0, 0.0, 0.0, 0.1, 0.0]
+    xs, ys = edge_starts(eps_in, r_escape)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the point
         for spec in FAMILIES.values():
             assert_same(spec, xs, ys, 300, eps_in=eps_in, r_escape=r_escape)
@@ -174,3 +185,121 @@ def test_rejects_negative_budget():
         classify_batch(FAMILIES["f4"], [1.0], [0.0], budget=-1)
     kinds, steps = classify_batch(FAMILIES["f4"], [1.0], [0.0], budget=0)
     assert kinds.tolist() == [0] and steps.tolist() == [-1]
+
+
+def test_overflowing_radius_is_decided_by_hypot():
+    # x*x + y*y overflows here; the radius itself is 1.414e160.
+    h = FAMILIES["h"]
+    for r_escape, kind in [(1e6, 2), (1.4e160, 2), (1.5e160, 0), (math.inf, 0)]:
+        kinds, steps = classify_batch(h, [1e160], [1e160], budget=0, r_escape=r_escape)
+        assert kinds.tolist() == [kind]
+        assert steps.tolist() == [0 if kind else -1]
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Force classify_batch to split small batches: ``split(cpus, min_part)``
+    makes min(cpus, starts // min_part) parts.  Returns the list that the
+    size of each part classified is appended to."""
+    sizes = []
+    part = znmap.analysis._classify_part
+
+    def recorded(spec, x, *args):
+        sizes.append(x.size)  # list.append is atomic
+        return part(spec, x, *args)
+
+    def force(cpus, min_part=50):
+        monkeypatch.setattr(znmap.analysis, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(znmap.analysis, "_MIN_PART", min_part)
+        monkeypatch.setattr(znmap.analysis, "_classify_part", recorded)
+        return sizes
+    return force
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_split_matches_plain_loop(family, split):
+    spec = FAMILIES[family]
+    xs, ys = grid(WINDOW, 24)
+    xs, ys = xs[:-1], ys[:-1]  # 575 starts: no part count divides them
+    for budget in (0, 1, 261, 600):
+        ref_kinds, ref_steps = plain_classify(spec, xs, ys, budget)
+        for cpus in (1, 2, 3, 7):
+            sizes = split(cpus)
+            sizes.clear()
+            kinds, steps = classify_batch(spec, xs, ys, budget)
+            np.testing.assert_array_equal(kinds, ref_kinds)
+            np.testing.assert_array_equal(steps, ref_steps)
+            assert sorted(sizes) == sorted([575 * (i + 1) // cpus - 575 * i // cpus
+                                            for i in range(cpus)])
+
+
+def test_split_under_frequent_thread_switches(split):
+    # More parts than cores, switching threads every few microseconds: a
+    # part writing outside its own slice would show as a mismatch.
+    spec = FAMILIES["g4"]
+    xs, ys = grid(WINDOW, 24)
+    ref_kinds, ref_steps = plain_classify(spec, xs, ys, 261)
+    sizes = split(7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        kinds, steps = classify_batch(spec, xs, ys, 261)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(kinds, ref_kinds)
+    np.testing.assert_array_equal(steps, ref_steps)
+    assert len(sizes) == 7
+
+
+def test_split_needs_two_full_parts(split):
+    n = znmap.analysis._MIN_PART
+    for cpus, npts, want in [(8, 2 * n - 1, [2 * n - 1]), (1, 2 * n, [2 * n]),
+                             (2, 2 * n, [n, n]), (3, 5 * n, [27306, 27307, 27307])]:
+        sizes = split(cpus, n)
+        sizes.clear()
+        xs = np.linspace(1.0, 1e7, npts)
+        kinds, steps = classify_batch(FAMILIES["f4"], xs, np.zeros(npts), budget=0)
+        assert sorted(sizes) == want
+        np.testing.assert_array_equal(kinds, np.where(xs > 1e6, 2, 0))
+        np.testing.assert_array_equal(steps, np.where(xs > 1e6, 0, -1))
+
+
+class PartError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad", [(0.0, 50.0), (250.0, 300.0)])  # first / last part
+def test_split_reraises_a_part_exception(split, bad):
+    def step(p):
+        if bad[0] <= p[0] < bad[1]:
+            raise PartError(p)
+        return p[0], p[1] + 1.0
+
+    sizes = split(3)
+    with pytest.raises(PartError):
+        classify_batch(step, np.arange(300.0) + 0.5, np.zeros(300), budget=5, r_escape=1e3)
+    assert sorted(sizes) == [100, 100, 100]
+
+
+def test_split_keeps_the_callers_errstate(split):
+    # The repo's pytest setting turns RuntimeWarning into an error, so an
+    # overflow warning in a part that lost the caller's errstate would fail.
+    xs, ys = edge_starts(1e-8, math.inf)
+    sizes = split(3, min_part=4)  # 13 starts: parts of 4, 4 and 5
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec in FAMILIES.values():
+            assert_same(spec, xs, ys, 300, r_escape=math.inf)
+    assert len(sizes) == 3 * len(FAMILIES)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_only_the_threshold_test_ignores_overflow(split, cpus):
+    # |p| = 1.414e160 overflows x*x + y*y; 1e120 overflows f4's cubic step.
+    split(cpus, min_part=1)
+    with np.errstate(over="raise"):
+        kinds, _ = classify_batch(FAMILIES["f4"], [0.5, 1.0, 1e160], [0.0, 0.0, 1e160],
+                                  budget=0)
+        assert kinds.tolist() == [0, 0, 2]
+        with pytest.raises(FloatingPointError):
+            classify_batch(FAMILIES["f4"], [0.5, 1.0, 1e120], [0.0, 0.0, 0.0],
+                           budget=1, r_escape=math.inf)
