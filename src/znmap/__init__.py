@@ -9,8 +9,6 @@ computation for the order-4 singularity.
 from .geometry import (
     angle_lift,
     from_polar,
-    h_inv,
-    h_map,
     rotate,
     sector_of,
     to_polar,
@@ -20,13 +18,11 @@ from .maps import (
     RadialProfile,
     default_profile,
     eval_f4,
-    eval_f4_polar,
     eval_fn,
     eval_g4,
     eval_h,
     eval_hn,
     eval_map,
-    invert_map,
     jac_f4,
     jac_f4_polar,
     jac_fn,
@@ -47,8 +43,6 @@ from .analysis import (
     find_periodic,
     iterate,
     properness_check,
-    ray_image_check,
-    sector_map_check,
     spectral_scan,
 )
 from .topology import (
@@ -58,9 +52,7 @@ from .topology import (
     basin_raster,
     estimate_rotation,
     image_curve,
-    sector_cycle_check,
     transversality_det,
-    transversality_det_numeric,
 )
 from .verify import CheckResult, VerificationReport, run_suite
 

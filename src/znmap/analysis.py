@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, Point, from_polar, rotate, to_polar
+from .geometry import TWO_PI, Point, from_polar, rotate
 from .maps import MapSpec, _jac_f4_entries, _jac_g4_entries, eval_map, jac_map, step_batch
 
 DEFAULT_SEED = 0x5EED
@@ -103,9 +103,10 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
 
     Returns (kinds, steps) arrays; steps is -1 for undecided entries.
     Thresholds are tested before each step, so a start already inside
-    eps_in classifies at step 0.  Where x*x + y*y overflows (|p| above
-    about 1.34e154) with finite coordinates, escape is decided by
-    hypot(x, y) > r_escape instead.
+    eps_in classifies at step 0; eps_in must square to a finite normal
+    float, else the test against it would underflow or overflow.  Where
+    x*x + y*y overflows (|p| above about 1.34e154) with finite
+    coordinates, escape is decided by hypot(x, y) > r_escape instead.
 
     ``spec`` must be pure: one step maps each point by a deterministic
     function of that point's (x, y) bits alone, with no state carried
@@ -131,6 +132,10 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
         raise ValueError("budget must be nonnegative")
     if not eps_in < r_escape:
         raise ValueError("eps_in must be below r_escape")
+    eps2 = eps_in * eps_in
+    if not (eps2 >= np.finfo(float).tiny and math.isfinite(eps2)):
+        raise ValueError("eps_in squared must be a finite normal float "
+                         f"(|eps_in| in about [1.5e-154, 1.3e154]); got {eps_in!r}")
     x = np.asarray(xs, dtype=float).ravel()  # never written in place
     y = np.asarray(ys, dtype=float).ravel()
     npts = x.size
@@ -327,67 +332,6 @@ def equivariance_residual(spec, n: int, samples: int = 10_000, radius: float = 1
             res /= 1.0 + math.hypot(px, py) ** 3
         worst = max(worst, res)
     return worst
-
-
-def ray_image_check(spec, directions: int = 64, radii=None,
-                    spread_tol: float = 1e-10) -> dict:
-    """Check that each ray through the origin maps into a single ray with
-    strictly increasing image radius."""
-    if radii is None:
-        radii = [0.25 * 2 ** i for i in range(7)]  # 0.25 .. 16
-    max_spread = 0.0
-    monotone = True
-    for i in range(directions):
-        th = TWO_PI * i / directions
-        vx, vy = math.cos(th), math.sin(th)
-        angles = []
-        rads = []
-        for t in radii:
-            img = eval_map(spec, (t * vx, t * vy))
-            r_im, a_im = to_polar(img)
-            angles.append(a_im)
-            rads.append(r_im)
-        base = angles[0]
-        spread = max(abs(math.remainder(a - base, TWO_PI)) for a in angles)
-        max_spread = max(max_spread, spread)
-        if any(rads[j + 1] <= rads[j] for j in range(len(rads) - 1)):
-            monotone = False
-    return {
-        "max_angle_spread": max_spread,
-        "radii_increasing": monotone,
-        "passed": monotone and max_spread <= spread_tol,
-    }
-
-
-def sector_map_check(spec, n: int, samples: int = 200, seed: int = DEFAULT_SEED,
-                     boundary_tol: float = 1e-10) -> dict:
-    """Check that sector j maps into sector j+1 and boundary rays onto
-    boundary rays (image angle 2*pi*j/n within boundary_tol)."""
-    rng = np.random.default_rng(seed)
-    interior_bad = 0
-    for j in range(1, n + 1):
-        lo = TWO_PI * (j - 1) / n
-        for _ in range(samples):
-            th = lo + TWO_PI / n * (0.01 + 0.98 * rng.random())
-            r = 0.1 + 5.0 * rng.random()
-            img = eval_map(spec, from_polar((r, th)))
-            a_im = to_polar(img)[1]
-            target_lo = TWO_PI * (j % n) / n
-            gap = math.remainder(a_im - target_lo, TWO_PI)
-            if not (-boundary_tol <= gap <= TWO_PI / n + boundary_tol):
-                interior_bad += 1
-    boundary_err = 0.0
-    for j in range(1, n + 1):
-        for r in (0.5, 1.0, 2.0, 5.0):
-            p = from_polar((r, TWO_PI * (j - 1) / n))
-            a_im = to_polar(eval_map(spec, p))[1]
-            gap = abs(math.remainder(a_im - TWO_PI * (j % n) / n, TWO_PI))
-            boundary_err = max(boundary_err, gap)
-    return {
-        "interior_violations": interior_bad,
-        "boundary_angle_error": boundary_err,
-        "passed": interior_bad == 0 and boundary_err <= boundary_tol,
-    }
 
 
 def _one_sided_jacobian(fun, xi: Point, e_r, e_t, sign: float, h: float,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import singularity as sg
 from .analysis import DEFAULT_SEED, find_periodic, iterate
-from .maps import MapSpec, RadialProfile
+from .maps import FAMILIES, MapSpec, RadialProfile
 from .topology import basin_raster, estimate_rotation, image_curve
 from .verify import ALL_CHECKS, TOOL_VERSION, run_suite
 
@@ -39,8 +39,8 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _add_family_flags(sub, families=("f4", "g4", "fn", "h", "hn")):
-    sub.add_argument("--family", choices=families, default="f4")
+def _add_family_flags(sub):
+    sub.add_argument("--family", choices=FAMILIES, default="f4")
     sub.add_argument("--k", type=float, default=1.1)
     sub.add_argument("--n", type=int, default=None,
                      help="symmetry order (fn/hn only)")

@@ -81,28 +81,6 @@ def sector_of(p: Point, n: int) -> int:
     return j0 + 1
 
 
-def h_map(p: Point, n: int) -> Point:
-    """Norm-preserving angular rescale theta -> 4*theta/n (identity for n=4)."""
-    _check_order(n)
-    if n == 4:
-        return p[0], p[1]
-    r, theta = to_polar(p)
-    return from_polar((r, 4.0 * theta / n))
-
-
-def h_inv(p: Point, n: int) -> Point:
-    """Inverse rescale theta -> n*theta/4, applied verbatim to any input.
-
-    Only inverts h_map on angles in [0, 2*pi/n); the sector dispatchers in
-    the map families guarantee that restriction.
-    """
-    _check_order(n)
-    if n == 4:
-        return p[0], p[1]
-    r, theta = to_polar(p)
-    return from_polar((r, n * theta / 4.0))
-
-
 def angle_lift(thetas) -> list[float]:
     """Continuous lift of an angle sequence.
 

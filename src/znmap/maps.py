@@ -29,7 +29,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import TWO_PI, Point, from_polar, sector_of, to_polar
+# unused here, but perfbench/spans.py rebinds from_polar, sector_of, to_polar on this module
+from .geometry import TWO_PI, Point, from_polar, sector_of, to_polar  # noqa: F401
 
 K_MIN = 1.0
 K_MAX = 2.0 / math.sqrt(3.0)
@@ -151,18 +152,9 @@ def eval_f4(p: Point, k: float) -> Point:
     return -k * _cube(y) / d, k * _cube(x) / d
 
 
-def eval_f4_polar(q: tuple[float, float], k: float) -> tuple[float, float]:
-    """Polar form: radius k*r^3/(1+r^2)*sqrt(cos^6 + sin^6), image angle of
-    (-sin^3, cos^3).  Agrees with the Cartesian evaluator through the
-    polar/Cartesian conversions."""
-    r, theta = q
-    xp = _NAMESPACE.get(type(r), _MATH)
-    if xp is _MATH and r == 0.0:
-        return 0.0, 0.0
-    return _f4_polar(xp, r, theta, k)
-
-
 def _f4_polar(xp, r, theta, k: float):
+    """Polar form of f4: radius k*r^3/(1+r^2)*sqrt(cos^6 + sin^6), image
+    angle of (-sin^3, cos^3) in [0, 2*pi)."""
     c = xp.cos(theta)
     s = xp.sin(theta)
     c3 = c * c * c
@@ -375,90 +367,3 @@ def step_batch(spec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     fx, fy = np.array(pts, dtype=float).reshape(-1, 2).T
     return fx.reshape(np.shape(x)), fy.reshape(np.shape(y))
 
-
-# ---------------------------------------------------------------------------
-# inversion (families with the exact ray-to-ray property)
-# ---------------------------------------------------------------------------
-
-_INVERTIBLE = ("f4", "fn", "h", "hn")
-
-
-def _wrap_pm_pi(d: float) -> float:
-    w = math.remainder(d, TWO_PI)
-    if w == -math.pi:
-        w = math.pi
-    return w
-
-
-def invert_map(spec: MapSpec, q: Point, tol: float = 1e-12) -> Point:
-    """Invert one of the ray-preserving families at q.
-
-    The image angle depends only on the source angle and is monotone across
-    each sector, so the angle is found by bisection on the preimage sector;
-    the radius then solves a strictly increasing scalar equation, again by
-    bisection.  Raises if the residual cannot be brought below
-    tol*(1+|q|).
-    """
-    if callable(spec) or spec.family not in _INVERTIBLE:
-        raise ValueError("inversion supported for the f4/fn/h/hn families only")
-    qx, qy = q
-    if not (math.isfinite(qx) and math.isfinite(qy)):
-        raise ValueError(f"non-finite target {q!r}")
-    if qx == 0.0 and qy == 0.0:
-        return 0.0, 0.0
-    n = spec.n
-    rq, theta_q = to_polar(q)
-    jq = sector_of(q, n)
-    jp = jq - 1 if jq > 1 else n
-    lo = TWO_PI * (jp - 1) / n
-    hi = TWO_PI * jp / n
-
-    def angle_gap(th: float) -> float:
-        img = eval_map(spec, from_polar((1.0, th)))
-        return _wrap_pm_pi(to_polar(img)[1] - theta_q)
-
-    g_lo = angle_gap(lo)
-    g_hi = angle_gap(hi)
-    if abs(g_lo) <= 1e-13:
-        th = lo
-    elif abs(g_hi) <= 1e-13:
-        th = hi
-    else:
-        if not (g_lo < 0.0 < g_hi):
-            raise RuntimeError("did not converge: no angle bracket for target")
-        a, b = lo, hi
-        for _ in range(90):
-            mid = 0.5 * (a + b)
-            if angle_gap(mid) < 0.0:
-                a = mid
-            else:
-                b = mid
-        th = 0.5 * (a + b)
-
-    direction = from_polar((1.0, th))
-
-    def radius_of(t: float) -> float:
-        return math.hypot(*eval_map(spec, (t * direction[0], t * direction[1])))
-
-    t_hi = 1.0
-    grew = 0
-    while radius_of(t_hi) < rq:
-        t_hi *= 2.0
-        grew += 1
-        if grew > 500:
-            raise RuntimeError("no preimage: target radius not attained")
-    t_lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        if radius_of(mid) < rq:
-            t_lo = mid
-        else:
-            t_hi = mid
-        if t_hi - t_lo <= 1e-16 * (1.0 + t_hi):
-            break
-    t = 0.5 * (t_lo + t_hi)
-    p = (t * direction[0], t * direction[1])
-    img = eval_map(spec, p)
-    if math.hypot(img[0] - qx, img[1] - qy) > tol * (1.0 + rq):
-        raise RuntimeError("did not converge: inverse residual above tolerance")
-    return p

@@ -125,25 +125,6 @@ class Poly2:
         res.terms = {(i, j - 1): c * j for (i, j), c in self.terms.items() if j > 0}
         return res
 
-    def subs_rot90(self) -> "Poly2":
-        """Substitute (x, y) -> (-y, x): x^i y^j -> (-1)^i x^j y^i."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            key = (j, i)
-            s = out.get(key, F0) + (c if i % 2 == 0 else -c)
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        res = Poly2()
-        res.terms = out
-        return res
-
-    def evaluate(self, xv, yv) -> Fraction:
-        xv, yv = Fraction(xv), Fraction(yv)
-        return sum((c * xv ** i * yv ** j for (i, j), c in self.terms.items()),
-                   start=F0)
-
     def homogeneous_parts(self) -> dict:
         parts = {}
         for (i, j), c in self.terms.items():
@@ -202,9 +183,6 @@ class VecEq:
     def truncate(self, max_degree: int) -> "VecEq":
         return VecEq(self.u.truncate(max_degree), self.v.truncate(max_degree))
 
-    def evaluate(self, xv, yv):
-        return self.u.evaluate(xv, yv), self.v.evaluate(xv, yv)
-
 
 @dataclass(frozen=True)
 class MatrixGerm:
@@ -217,21 +195,6 @@ class MatrixGerm:
 
     def apply(self, w: VecEq) -> VecEq:
         return VecEq(self.a * w.u + self.b * w.v, self.c * w.u + self.d * w.v)
-
-
-def check_equivariance(f: VecEq) -> bool:
-    """Exact identity f(-y, x) = (-v(x, y), u(x, y))."""
-    return f.u.subs_rot90() == -f.v and f.v.subs_rot90() == f.u
-
-
-def check_matrix_equivariance(s: MatrixGerm) -> bool:
-    """Exact identity S(R x) R = R S(x) for the quarter turn R = [[0,-1],[1,0]]."""
-    ar, br, cr, dr = (p.subs_rot90() for p in (s.a, s.b, s.c, s.d))
-    # S(Rx) * R:  [[br*1... columns: [[0,-1],[1,0]] on the right swaps/negates columns
-    lhs = (br, -ar, dr, -cr)
-    # R * S(x): row mix
-    rhs = (-s.c, -s.d, s.a, s.b)
-    return all(l == r for l, r in zip(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -417,33 +380,23 @@ def _decompose_homogeneous(vec: VecEq, d: int) -> dict:
     return {labels[ci]: b[ri] for ci, ri in pivot_row.items() if b[ri]}
 
 
-def module_decompose(vec: VecEq, max_degree: int = 7) -> dict:
+def module_decompose(vec: VecEq) -> dict:
     """Canonical decomposition over invariant-monomial times generator labels.
 
     Returns {label: Fraction} with label = ((a, b, c), i) standing for
-    N^a A^b B^c X_i.  Input degrees above max_degree (capped at 7) are
-    rejected; re-expanding the result reproduces the input exactly.
-    Raises ValueError for pairs outside the module span (non-equivariant
-    input).
+    N^a A^b B^c X_i.  Input degrees above 7, where the decomposition stops
+    being canonical, are rejected; re-expanding the result reproduces the
+    input exactly.  Raises ValueError for pairs outside the module span
+    (non-equivariant input).
     """
-    if max_degree > 7:
-        raise ValueError("decomposition is canonical only up to degree 7")
-    if vec.degree() > max_degree:
-        raise ValueError(f"input degree {vec.degree()} exceeds max_degree {max_degree}")
+    if vec.degree() > 7:
+        raise ValueError(f"input degree {vec.degree()} exceeds 7")
     parts_u = vec.u.homogeneous_parts()
     parts_v = vec.v.homogeneous_parts()
     out = {}
     for d in sorted(set(parts_u) | set(parts_v)):
         part = VecEq(parts_u.get(d, Poly2()), parts_v.get(d, Poly2()))
         out.update(_decompose_homogeneous(part, d))
-    return out
-
-
-def recompose(coeffs: dict) -> VecEq:
-    """Expand a {label: coefficient} decomposition back into a pair."""
-    out = VecEq(Poly2(), Poly2())
-    for lab, c in coeffs.items():
-        out = out + label_field(lab).scale(c)
     return out
 
 
@@ -540,7 +493,7 @@ def build_Q() -> TangentMatrixQ:
     rows = []
     names = []
     for name, vec in candidates:
-        coeffs = module_decompose(vec, max_degree=7)
+        coeffs = module_decompose(vec)
         rows.append(_row_from_decomposition(name, coeffs))
         names.append(name)
 
@@ -666,7 +619,7 @@ def codimension_check() -> CodimensionReport:
             vec = g.scale(mult).truncate(7)
             if vec.is_zero():
                 continue
-            coeffs = module_decompose(vec, max_degree=7)
+            coeffs = module_decompose(vec)
             rows.append(_label18_vector(coeffs, name))
     for _, coeffs, _ in generator_relations():
         rows.append(_label18_vector(coeffs, "relation"))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import TWO_PI, Point, angle_lift, from_polar, sector_of, to_polar
+from .geometry import TWO_PI, Point, angle_lift, from_polar, to_polar
 from .maps import MapSpec, eval_map
 from .analysis import classify_batch
 
@@ -93,19 +93,6 @@ def transversality_det(k: float, theta: float) -> float:
     return 0.75 * k * k * (s * c) ** 2
 
 
-def transversality_det_numeric(k: float, theta: float, h: float = 1e-6) -> float:
-    """Same determinant with gamma' from central finite differences."""
-    def gamma(t):
-        s, c = math.sin(t), math.cos(t)
-        return (-0.5 * k * s ** 3, 0.5 * k * c ** 3)
-
-    g = gamma(theta)
-    gp = gamma(theta + h)
-    gm = gamma(theta - h)
-    d1 = ((gp[0] - gm[0]) / (2 * h), (gp[1] - gm[1]) / (2 * h))
-    return g[0] * d1[1] - g[1] * d1[0]
-
-
 def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate:
     """Average angular advance per iterate, as a fraction of a full turn.
 
@@ -137,33 +124,3 @@ def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate
     frac = Fraction(slope).limit_denominator(64)
     return RotationEstimate(slope=slope, rational=(frac.numerator, frac.denominator),
                             iterates_used=len(angles))
-
-
-def _sector_snapped(p: Point, n: int) -> int:
-    """Sector index with boundary grace: an angle within 1e-12 below a ray
-    counts as on the ray, hence in the sector above it (the half-open
-    dispatch convention, applied with the standard angle tolerance)."""
-    j = sector_of(p, n)
-    _, theta = to_polar(p)
-    if TWO_PI * j / n - theta <= 1e-12:
-        j = j % n + 1
-    return j
-
-
-def sector_cycle_check(spec, n: int, p0: Point, iters: int = 50) -> dict:
-    """Check that the orbit advances sector index by exactly +1 (mod n).
-
-    Orbits hugging the boundary rays (the periodic orbit does exactly
-    that) are assigned sectors with 1e-12 angle grace.
-    """
-    p = (float(p0[0]), float(p0[1]))
-    sectors = []
-    for _ in range(iters + 1):
-        if math.hypot(*p) <= 1e-12:
-            break
-        sectors.append(_sector_snapped(p, n))
-        p = eval_map(spec, p)
-        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
-            break
-    advances_ok = all(sectors[i + 1] == sectors[i] % n + 1 for i in range(len(sectors) - 1))
-    return {"sectors": sectors, "passed": advances_ok and len(sectors) >= 2}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from znmap.analysis import (
+    DEFAULT_SEED,
     boundary_smoothness_check,
     classify_batch,
     classify_orbit,
@@ -11,12 +12,10 @@ from znmap.analysis import (
     find_periodic,
     iterate,
     properness_check,
-    ray_image_check,
-    sector_map_check,
     seeded_points,
     spectral_scan,
 )
-from znmap.geometry import from_polar, rotate
+from znmap.geometry import TWO_PI, from_polar, rotate, to_polar
 from znmap.maps import MapSpec, eval_map, jac_map
 
 K = 1.1
@@ -109,6 +108,18 @@ def test_find_periodic_f4_orbit():
                           / (1 + P[0] ** 2) ** 2) ** 4) <= 1e-6
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_find_periodic_fn_multipliers_match_closed_form(n):
+    # On the axes fn is the radial map psi(r) = k r^3/(1+r^2) followed by an
+    # exact 1/n turn, with psi'(P) = (3k-2)/k; the angular derivative
+    # vanishes on the boundary rays, so the other multiplier is 0.
+    orb = find_periodic(MapSpec("fn", k=K, n=n), (3.0, 0.1), n)
+    small, big = sorted(abs(m) for m in orb.multipliers)
+    expected = ((3.0 * K - 2.0) / K) ** n
+    assert abs(big - expected) <= 1e-12 * expected
+    assert small <= 1e-12 * expected
+
+
 def test_find_periodic_is_idempotent():
     orb = find_periodic(F4, (3.0, 0.1), 4, tol=1e-12)
     again = find_periodic(F4, orb.point, 4, tol=1e-12)
@@ -162,6 +173,67 @@ def test_equivariance_residual_values():
     assert equivariance_residual(F4, 2, samples=500, radius=10.0) <= 1e-12
     probe = equivariance_residual(MapSpec("fn", k=K, n=5), 4, samples=100, radius=5.0)
     assert probe >= 0.1
+
+
+def ray_image_check(spec, directions: int = 64, radii=None,
+                    spread_tol: float = 1e-10) -> dict:
+    """Check that each ray through the origin maps into a single ray with
+    strictly increasing image radius."""
+    if radii is None:
+        radii = [0.25 * 2 ** i for i in range(7)]  # 0.25 .. 16
+    max_spread = 0.0
+    monotone = True
+    for i in range(directions):
+        th = TWO_PI * i / directions
+        vx, vy = math.cos(th), math.sin(th)
+        angles = []
+        rads = []
+        for t in radii:
+            img = eval_map(spec, (t * vx, t * vy))
+            r_im, a_im = to_polar(img)
+            angles.append(a_im)
+            rads.append(r_im)
+        base = angles[0]
+        spread = max(abs(math.remainder(a - base, TWO_PI)) for a in angles)
+        max_spread = max(max_spread, spread)
+        if any(rads[j + 1] <= rads[j] for j in range(len(rads) - 1)):
+            monotone = False
+    return {
+        "max_angle_spread": max_spread,
+        "radii_increasing": monotone,
+        "passed": monotone and max_spread <= spread_tol,
+    }
+
+
+def sector_map_check(spec, n: int, samples: int = 200, seed: int = DEFAULT_SEED,
+                     boundary_tol: float = 1e-10) -> dict:
+    """Check that sector j maps into sector j+1 and boundary rays onto
+    boundary rays (image angle 2*pi*j/n within boundary_tol)."""
+    rng = np.random.default_rng(seed)
+    interior_bad = 0
+    for j in range(1, n + 1):
+        lo = TWO_PI * (j - 1) / n
+        for _ in range(samples):
+            th = lo + TWO_PI / n * (0.01 + 0.98 * rng.random())
+            r = 0.1 + 5.0 * rng.random()
+            img = eval_map(spec, from_polar((r, th)))
+            a_im = to_polar(img)[1]
+            target_lo = TWO_PI * (j % n) / n
+            gap = math.remainder(a_im - target_lo, TWO_PI)
+            if not (-boundary_tol <= gap <= TWO_PI / n + boundary_tol):
+                interior_bad += 1
+    boundary_err = 0.0
+    for j in range(1, n + 1):
+        for r in (0.5, 1.0, 2.0, 5.0):
+            p = from_polar((r, TWO_PI * (j - 1) / n))
+            a_im = to_polar(eval_map(spec, p))[1]
+            gap = abs(math.remainder(a_im - TWO_PI * (j % n) / n, TWO_PI))
+            boundary_err = max(boundary_err, gap)
+    return {
+        "interior_violations": interior_bad,
+        "boundary_angle_error": boundary_err,
+        "passed": interior_bad == 0 and boundary_err <= boundary_tol,
+    }
 
 
 def test_ray_image_check_families():

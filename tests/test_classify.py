@@ -187,6 +187,19 @@ def test_rejects_negative_budget():
     assert kinds.tolist() == [0] and steps.tolist() == [-1]
 
 
+@pytest.mark.parametrize("eps_in, ok_eps_in, r_escape, x", [
+    (1e-170, 1e-150, 1e6, 1e-200),  # eps_in^2 underflows to 0: nothing converges
+    (1e200, 1e150, 1e300, 1e140),  # eps_in^2 overflows: starts inside eps_in escape
+])
+def test_rejects_eps_in_whose_square_is_not_normal(eps_in, ok_eps_in, r_escape, x):
+    f4 = FAMILIES["f4"]
+    with pytest.raises(ValueError, match="eps_in"):
+        classify_batch(f4, [0.0, x], [0.0, 0.0], budget=10, eps_in=eps_in, r_escape=r_escape)
+    kinds, steps = classify_batch(f4, [0.0, x], [0.0, 0.0], budget=10, eps_in=ok_eps_in,
+                                  r_escape=r_escape)
+    assert kinds.tolist() == [1, 1] and steps.tolist() == [0, 0]
+
+
 def test_overflowing_radius_is_decided_by_hypot():
     # x*x + y*y overflows here; the radius itself is 1.414e160.
     h = FAMILIES["h"]

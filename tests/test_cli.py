@@ -128,6 +128,7 @@ def test_basin_deterministic(tmp_path, capsys):
     ["--eps-in", "2", "--r-escape", "1"],
     ["--window", "1", "-1", "-1", "1"],
     ["--budget", "-1"],
+    ["--eps-in", "1e-170"],
 ])
 def test_basin_usage_error_for_bad_values(tmp_path, capsys, flags):
     argv = ["basin", "--family", "f4", "--window", "-1", "1", "-1", "1",

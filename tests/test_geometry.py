@@ -7,8 +7,6 @@ from znmap.geometry import (
     TWO_PI,
     angle_lift,
     from_polar,
-    h_inv,
-    h_map,
     rotate,
     sector_of,
     to_polar,
@@ -71,23 +69,6 @@ def test_sector_of_examples():
         sector_of((0.0, 0.0), 4)
 
 
-def test_h_map_identity_for_order_four():
-    for p in [(1.0, 2.0), (-0.3, 0.4), (5.0, 0.0)]:
-        assert h_map(p, 4) == p
-        assert h_inv(p, 4) == p
-
-
-def test_h_map_examples():
-    assert close(h_map((0.0, 1.0), 6), (0.5, 0.8660254037844386))
-    assert close(h_map((1.0, 0.0), 2), (1.0, 0.0))
-    assert close(h_map((0.0, 1.0), 2), (-1.0, 0.0))
-
-
-def test_h_inv_examples():
-    assert close(h_inv((0.5, 0.8660254037844386), 6), (0.0, 1.0))
-    assert h_inv((1.0, 0.0), 8) == (1.0, 0.0)
-
-
 def test_angle_lift_examples():
     lift = angle_lift([0.1, 6.2])
     assert abs(lift[0] - 0.1) == 0.0
@@ -129,15 +110,6 @@ def test_rotate_full_turn_is_identity(x, y, n):
     for _ in range(n):
         q = rotate(q, 1, n)
     assert close(q, p, 1e-12 * (1.0 + math.hypot(x, y)))
-
-
-@given(st.floats(min_value=1e-6, max_value=1e3), st.floats(min_value=0.0, max_value=0.999),
-       st.integers(2, 12))
-def test_h_round_trip_inside_first_sector(r, frac, n):
-    theta = frac * TWO_PI / n
-    p = from_polar((r, theta))
-    back = h_inv(h_map(p, n), n)
-    assert close(back, p, 1e-12 * (1.0 + r))
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3),

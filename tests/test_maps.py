@@ -6,18 +6,18 @@ from hypothesis import given, strategies as st
 
 from znmap.geometry import TWO_PI, from_polar, rotate, sector_of, to_polar
 from znmap.maps import (
+    _MATH,
     K_MAX,
     MapSpec,
     RadialProfile,
+    _f4_polar,
     default_profile,
     eval_f4,
-    eval_f4_polar,
     eval_fn,
     eval_g4,
     eval_h,
     eval_hn,
     eval_map,
-    invert_map,
     jac_f4,
     jac_f4_polar,
     jac_fn,
@@ -71,11 +71,10 @@ def test_f4_maps_periodic_point_to_its_quarter_turn():
 
 
 def test_f4_polar_matches_examples():
-    psi, phi = eval_f4_polar((1.0, math.pi / 4), K)
+    psi, phi = _f4_polar(_MATH, 1.0, math.pi / 4, K)
     assert abs(psi - 0.275) <= 1e-15
     assert abs(phi - 3 * math.pi / 4) <= 1e-12
-    assert eval_f4_polar((0.0, 0.0), K) == (0.0, 0.0)
-    psi, phi = eval_f4_polar((2.0, 0.0), K)
+    psi, phi = _f4_polar(_MATH, 2.0, 0.0, K)
     assert abs(psi - 1.76) <= 1e-14
     assert abs(phi - math.pi / 2) <= 1e-15
 
@@ -83,7 +82,7 @@ def test_f4_polar_matches_examples():
 def test_f4_polar_angle_below_two_pi_for_caller_angles():
     # (-sin^3, cos^3) at 3*pi/2 sits a hair below the positive x-axis, so the
     # wrapped atan2 rounds up to exactly 2*pi and must fold back to 0
-    _, phi = eval_f4_polar((1.0, 1.5 * math.pi), K)
+    _, phi = _f4_polar(_MATH, 1.0, 1.5 * math.pi, K)
     assert 0.0 <= phi < TWO_PI
 
 
@@ -94,7 +93,7 @@ def test_f4_polar_consistent_with_cartesian():
         th = TWO_PI * rng.random()
         p = from_polar((r, th))
         direct = eval_f4(p, K)
-        via_polar = from_polar(eval_f4_polar((r, th), K))
+        via_polar = from_polar(_f4_polar(_MATH, r, th, K))
         assert close(direct, via_polar, 1e-12 * (1.0 + r ** 3))
 
 
@@ -424,31 +423,3 @@ def test_step_batch_bitwise_equal_to_eval_map_for_rational_families():
         scalar = np.array([eval_map(spec, (x, y)) for x, y in pts.tolist()])
         assert np.array_equal(bx, scalar[:, 0]) and np.array_equal(by, scalar[:, 1])
 
-
-# ---------------------------------------------------------------------------
-# inversion
-# ---------------------------------------------------------------------------
-
-def test_invert_map_examples():
-    spec = MapSpec("f4", k=K)
-    p = invert_map(spec, (0.0, 1.76), 1e-12)
-    assert close(p, (2.0, 0.0), 1e-8)
-    p = invert_map(spec, (0.0, P_RADIUS), 1e-12)
-    assert close(p, (P_RADIUS, 0.0), 1e-8)
-    assert invert_map(spec, (0.0, 0.0)) == (0.0, 0.0)
-
-
-def test_invert_map_round_trip_random():
-    rng = np.random.default_rng(12)
-    for spec in (MapSpec("f4", k=K), MapSpec("fn", k=K, n=6),
-                 MapSpec("h", k=K), MapSpec("hn", k=K, n=3)):
-        for _ in range(40):
-            q = tuple(rng.normal(0.0, 5.0, 2))
-            p = invert_map(spec, q, 1e-11)
-            img = eval_map(spec, p)
-            assert close(img, q, 1e-11 * (1.0 + math.hypot(*q)))
-
-
-def test_invert_map_rejects_g4():
-    with pytest.raises(ValueError):
-        invert_map(MapSpec("g4", k=K, beta=0.05), (1.0, 0.0))

