@@ -32,13 +32,11 @@ from .maps import (
     step_batch,
 )
 from .analysis import (
-    ConvergenceVerdict,
     Orbit,
     PeriodicOrbit,
     SpectralSample,
     boundary_smoothness_check,
     classify_batch,
-    classify_orbit,
     equivariance_residual,
     find_periodic,
     iterate,

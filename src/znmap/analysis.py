@@ -18,10 +18,6 @@ from .maps import MapSpec, _jac_f4_entries, _jac_g4_entries, eval_map, jac_map, 
 
 DEFAULT_SEED = 0x5EED
 
-CONVERGED = "converged"
-ESCAPED = "escaped"
-UNDECIDED = "undecided"
-
 # Largest step gap between the repeat-detection snapshots of classify_batch.
 # A cycle of period up to this is caught at most two gaps after it is
 # entered; longer cycles run to the budget.  Uncapped doubling spaces the
@@ -41,15 +37,6 @@ class Orbit:
     start: Point
     points: list
     escaped: bool = False  # truncated due to coordinate overflow
-
-
-@dataclass
-class ConvergenceVerdict:
-    kind: str  # converged | escaped | undecided
-    steps: int | None
-    budget: int
-    eps_in: float
-    r_escape: float
 
 
 @dataclass
@@ -227,18 +214,6 @@ def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape):
             if t == snap_at:
                 sx, sy, snap_at = x, y, t + min(t, _SNAPSHOT_GAP)
             x, y = caller.run(step_batch, spec, x, y)
-
-
-_KIND_NAMES = {0: UNDECIDED, 1: CONVERGED, 2: ESCAPED}
-
-
-def classify_orbit(spec, p0: Point, budget: int = 10_000,
-                   eps_in: float = 1e-8, r_escape: float = 1e6) -> ConvergenceVerdict:
-    """Classify a single start; see classify_batch for the semantics."""
-    kinds, steps = classify_batch(spec, [p0[0]], [p0[1]], budget, eps_in, r_escape)
-    kind = _KIND_NAMES[int(kinds[0])]
-    return ConvergenceVerdict(kind, int(steps[0]) if kind != UNDECIDED else None,
-                              budget, eps_in, r_escape)
 
 
 def _compose(spec, p: Point, q: int) -> Point:
@@ -424,8 +399,9 @@ def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
 
     Vectorized for f4/g4: the Jacobian entries of jac_f4/jac_g4 are
     evaluated on the whole grid at once.  Other families fall back to
-    per-point Jacobians.  Deterministic, and the max-reduction is
-    order-independent.
+    per-point jac_map Jacobians, stacked in row-major order and sent
+    through one np.linalg.eigvals call.  Deterministic; ties go to the
+    first grid point in row-major order (y outer, x inner).
     """
     xmin, xmax, ymin, ymax = region
     nx, ny = (grid, grid) if isinstance(grid, int) else grid
@@ -440,23 +416,13 @@ def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
         else:
             a, b, c, d = _jac_g4_entries(gx, gy, spec.k, spec.alpha, spec.beta, spec.delta)
         mods = _eig_max_modulus(a, b, c, d)
-        flat = int(np.argmax(mods))
-        iy, ix = np.unravel_index(flat, mods.shape)
-        return SpectralSample(max_modulus=float(mods[iy, ix]),
-                              argmax=(float(gx[iy, ix]), float(gy[iy, ix])),
-                              samples=nx * ny, region=tuple(region))
-    best = -1.0
-    arg = (xs[0], ys[0])
-    for yv in ys:
-        for xv in xs:
-            jac = jac_map(spec, (xv, yv))
-            mods = np.abs(np.linalg.eigvals(jac))
-            m = float(mods.max())
-            if m > best:
-                best = m
-                arg = (float(xv), float(yv))
-    return SpectralSample(max_modulus=best, argmax=arg, samples=nx * ny,
-                          region=tuple(region))
+    else:
+        jacs = np.array([jac_map(spec, (xv, yv)) for yv in ys for xv in xs])
+        mods = np.abs(np.linalg.eigvals(jacs)).max(axis=1).reshape(ny, nx)
+    iy, ix = np.unravel_index(int(np.argmax(mods)), mods.shape)
+    return SpectralSample(max_modulus=float(mods[iy, ix]),
+                          argmax=(float(xs[ix]), float(ys[iy])),
+                          samples=nx * ny, region=tuple(region))
 
 
 def properness_check(k: float, beta: float, radii=(2.0, 10.0, 100.0),

@@ -343,21 +343,36 @@ def _labels_of_degree(d: int):
     return out
 
 
-def _decompose_homogeneous(vec: VecEq, d: int) -> dict:
+def _coords(vec: VecEq) -> dict:
+    """The pair as {(component, i, j): coeff} over the coefficient space."""
+    return ({(0,) + key: c for key, c in vec.u.terms.items()}
+            | {(1,) + key: c for key, c in vec.v.terms.items()})
+
+
+_SOLVER_CACHE: dict = {}
+
+
+def _degree_solver(d: int):
+    """Gauss-Jordan elimination of the degree-d label columns, run once.
+
+    The pivot order is canonical (labels in _labels_of_degree order, the
+    first unused coordinate row with a nonzero entry).  The row operations
+    are recorded on an identity and kept sparse, as rows {coord: Fraction}
+    to apply to a right-hand side.  Returns (coords, pivots, checks): the
+    coordinates the labels reach, the (label, row) pairs whose products
+    give the pivot labels' coefficients, and the rows whose products must
+    vanish for a right-hand side in the span.
+    """
+    if d in _SOLVER_CACHE:
+        return _SOLVER_CACHE[d]
     labels = _labels_of_degree(d)
     if not labels:
         raise ValueError(f"not in module span: no equivariant labels of degree {d}")
-    cols = []
-    for lab in labels:
-        f = label_field(lab)
-        cols.append({(0,) + key: c for key, c in f.u.terms.items()}
-                    | {(1,) + key: c for key, c in f.v.terms.items()})
-    rhs = ({(0,) + key: c for key, c in vec.u.terms.items()}
-           | {(1,) + key: c for key, c in vec.v.terms.items()})
-    coords = sorted(set().union(*cols, rhs.keys()))
+    cols = [_coords(label_field(lab)) for lab in labels]
+    coords = sorted(set().union(*cols))
     mat = [[col.get(cd, F0) for col in cols] for cd in coords]
-    b = [rhs.get(cd, F0) for cd in coords]
     nrows, ncols = len(coords), len(labels)
+    ops = [[F1 if ri == rj else F0 for rj in range(nrows)] for ri in range(nrows)]
     used = [False] * nrows
     pivot_row = {}
     for ci in range(ncols):
@@ -368,16 +383,35 @@ def _decompose_homogeneous(vec: VecEq, d: int) -> dict:
         pivot_row[ci] = piv
         inv = F1 / mat[piv][ci]
         mat[piv] = [v * inv for v in mat[piv]]
-        b[piv] *= inv
+        ops[piv] = [v * inv for v in ops[piv]]
         for ri in range(nrows):
             if ri != piv and mat[ri][ci]:
                 f = mat[ri][ci]
                 mat[ri] = [v - f * w for v, w in zip(mat[ri], mat[piv])]
-                b[ri] -= f * b[piv]
-    for ri in range(nrows):
-        if not used[ri] and b[ri] != 0:
-            raise ValueError("not in module span: inconsistent coefficient system")
-    return {labels[ci]: b[ri] for ci, ri in pivot_row.items() if b[ri]}
+                ops[ri] = [v - f * w for v, w in zip(ops[ri], ops[piv])]
+
+    def sparse(row):
+        return {cd: v for cd, v in zip(coords, row) if v}
+
+    solver = (frozenset(coords),
+              [(labels[ci], sparse(ops[ri])) for ci, ri in pivot_row.items()],
+              [sparse(ops[ri]) for ri in range(nrows) if not used[ri]])
+    _SOLVER_CACHE[d] = solver
+    return solver
+
+
+def _decompose_homogeneous(vec: VecEq, d: int) -> dict:
+    coords, pivots, checks = _degree_solver(d)
+    rhs = _coords(vec)
+
+    def apply(row):
+        return sum((row[cd] * c for cd, c in rhs.items() if cd in row), F0)
+
+    # A coordinate no label reaches keeps its nonzero right-hand side through
+    # the elimination, like any unused row that does not reduce to zero.
+    if not rhs.keys() <= coords or any(apply(row) for row in checks):
+        raise ValueError("not in module span: inconsistent coefficient system")
+    return {lab: c for lab, row in pivots if (c := apply(row))}
 
 
 def module_decompose(vec: VecEq) -> dict:
@@ -388,6 +422,10 @@ def module_decompose(vec: VecEq) -> dict:
     being canonical, are rejected; re-expanding the result reproduces the
     input exactly.  Raises ValueError for pairs outside the module span
     (non-equivariant input).
+
+    Each homogeneous part is solved by its degree's solver: the label
+    system is eliminated once per degree and cached (_degree_solver), and
+    each call applies the recorded row operations to its right-hand side.
     """
     if vec.degree() > 7:
         raise ValueError(f"input degree {vec.degree()} exceeds 7")
@@ -530,15 +568,13 @@ def rank_exact(matrix) -> int:
     rows = []
     width = None
     for row in matrix:
-        fr = [Fraction(v) for v in row]
+        fr = [v if isinstance(v, Fraction) else Fraction(v) for v in row]
         if width is None:
             width = len(fr)
         elif len(fr) != width:
             raise ValueError("ragged matrix")
-        lcm = 1
-        for v in fr:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        rows.append([int(v * lcm) for v in fr])
+        lcm = math.lcm(*(v.denominator for v in fr))
+        rows.append([v.numerator * (lcm // v.denominator) for v in fr])
     if not rows or width == 0:
         return 0
     nrows = len(rows)

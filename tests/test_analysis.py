@@ -7,7 +7,6 @@ from znmap.analysis import (
     DEFAULT_SEED,
     boundary_smoothness_check,
     classify_batch,
-    classify_orbit,
     equivariance_residual,
     find_periodic,
     iterate,
@@ -57,40 +56,46 @@ def test_iterate_truncates_on_overflow():
     assert len(orb.points) < 101
 
 
+KIND = {0: "undecided", 1: "converged", 2: "escaped"}
+
+
+def classify_one(spec, p0, **kwargs):
+    """Kind name and steps of one orbit, classified as a batch of one
+    start (steps -1 when undecided)."""
+    kinds, steps = classify_batch(spec, [p0[0]], [p0[1]], **kwargs)
+    return KIND[int(kinds[0])], int(steps[0])
+
+
 def test_classify_orbit_examples():
-    v = classify_orbit(F4, (0.5, 0.5), budget=200)
-    assert v.kind == "converged" and v.steps <= 60
-    v = classify_orbit(F4, P, budget=100)
-    assert v.kind == "undecided" and v.steps is None
+    kind, steps = classify_one(F4, (0.5, 0.5), budget=200)
+    assert kind == "converged" and steps <= 60
+    kind, steps = classify_one(F4, P, budget=100)
+    assert kind == "undecided" and steps == -1
     # saturated family never escapes a generous threshold
     hn = MapSpec("hn", k=K, n=4)
-    v = classify_orbit(hn, (100.0, 0.0), budget=400, r_escape=1e3)
-    assert v.kind != "escaped"
+    kind, _ = classify_one(hn, (100.0, 0.0), budget=400, r_escape=1e3)
+    assert kind != "escaped"
 
 
 def test_classify_orbit_rejects_bad_thresholds():
     with pytest.raises(ValueError):
-        classify_orbit(F4, (1.0, 0.0), eps_in=1.0, r_escape=0.5)
+        classify_one(F4, (1.0, 0.0), eps_in=1.0, r_escape=0.5)
 
 
 @pytest.mark.parametrize("start, kind", [((0.5, 0.5), "converged"),
                                          ((10.0, 0.0), "escaped"), (P, "undecided")])
 def test_classify_orbit_callable_matches_spec(start, kind):
-    by_spec = classify_orbit(F4, start, budget=300)
-    by_callable = classify_orbit(lambda p: eval_map(F4, p), start, budget=300)
-    assert by_spec.kind == by_callable.kind == kind
-    assert by_spec.steps == by_callable.steps
+    by_spec = classify_one(F4, start, budget=300)
+    by_callable = classify_one(lambda p: eval_map(F4, p), start, budget=300)
+    assert by_spec == by_callable
+    assert by_spec[0] == kind
 
 
 def test_classify_batch_matches_single_calls():
     pts = seeded_points(50, 4.0, seed=123)
     kinds, steps = classify_batch(F4, pts[:, 0], pts[:, 1], budget=300)
-    names = {0: "undecided", 1: "converged", 2: "escaped"}
     for i, (x, y) in enumerate(pts):
-        v = classify_orbit(F4, (x, y), budget=300)
-        assert v.kind == names[int(kinds[i])]
-        if v.kind != "undecided":
-            assert v.steps == int(steps[i])
+        assert classify_one(F4, (x, y), budget=300) == (KIND[int(kinds[i])], int(steps[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +322,42 @@ def test_spectral_scan_g4_matches_pointwise_jacobian():
     pointwise = max(np.abs(np.linalg.eigvals(jac_map(spec, (x, y)))).max()
                     for y in np.linspace(-2.0, 2.0, 9) for x in np.linspace(-3.0, 3.0, 13))
     assert abs(scan.max_modulus - pointwise) <= 1e-12
+
+
+def pointwise_scan(spec, region, nx, ny):
+    """Reference scan: one eigvals call per grid point, row-major, and a
+    strict > so that the first of tied maxima wins."""
+    best, arg = -1.0, None
+    for yv in np.linspace(region[2], region[3], ny):
+        for xv in np.linspace(region[0], region[1], nx):
+            m = float(np.abs(np.linalg.eigvals(jac_map(spec, (xv, yv)))).max())
+            if m > best:
+                best, arg = m, (float(xv), float(yv))
+    return best, arg
+
+
+@pytest.mark.parametrize("spec", [
+    MapSpec("fn", k=K, n=5), MapSpec("h", k=K), MapSpec("hn", k=K, n=5),
+    lambda p: (p[0] * p[0] - p[1] * p[1] + 0.5 * p[1], 2.0 * p[0] * p[1] - 0.3 * p[0]),
+], ids=["fn", "h", "hn", "callable"])
+def test_spectral_scan_fallback_matches_pointwise_loop(spec):
+    region = (-3.0, 4.0, -2.5, 2.0)
+    scan = spectral_scan(spec, region, (7, 5))
+    assert scan.samples == 35
+    assert (scan.max_modulus, scan.argmax) == pointwise_scan(spec, region, 7, 5)
+
+
+def test_spectral_scan_fallback_ties_go_to_first_in_row_major_order():
+    # On this symmetric window the maximum of fn at n = 4 is taken bit for
+    # bit at (-2, 2) and at (2, 2), both in the last row; (-2, 2) comes first.
+    spec = MapSpec("fn", k=K, n=4)
+    region = (-2.0, 2.0, -2.0, 2.0)
+    scan = spectral_scan(spec, region, 5)
+    tied = [float(np.abs(np.linalg.eigvals(jac_map(spec, p))).max())
+            for p in ((-2.0, 2.0), (2.0, 2.0))]
+    assert tied[0] == tied[1] == scan.max_modulus
+    assert scan.argmax == (-2.0, 2.0)
+    assert (scan.max_modulus, scan.argmax) == pointwise_scan(spec, region, 5, 5)
 
 
 def test_spectral_scan_rejects_tiny_grid():

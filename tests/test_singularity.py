@@ -7,6 +7,8 @@ from znmap.singularity import (
     MatrixGerm,
     Poly2,
     VecEq,
+    _decompose_homogeneous,
+    _labels_of_degree,
     build_Q,
     cleared_tangent_generators,
     codimension_check,
@@ -22,6 +24,7 @@ from znmap.singularity import (
     verify_invariant_relation,
     base_numerator,
 )
+import znmap.singularity as sg
 
 F = Fraction
 
@@ -58,6 +61,57 @@ def recompose(coeffs: dict) -> VecEq:
     out = VecEq(Poly2(), Poly2())
     for lab, c in coeffs.items():
         out = out + label_field(lab).scale(c)
+    return out
+
+
+def eliminate_per_call(vec: VecEq, d: int) -> dict:
+    """Oracle for one homogeneous part: Gauss-Jordan elimination of the
+    degree-d label columns against this right-hand side alone, with the
+    canonical pivot order, redone on every call."""
+    labels = _labels_of_degree(d)
+    if not labels:
+        raise ValueError(f"not in module span: no equivariant labels of degree {d}")
+    cols = []
+    for lab in labels:
+        f = label_field(lab)
+        cols.append({(0,) + key: c for key, c in f.u.terms.items()}
+                    | {(1,) + key: c for key, c in f.v.terms.items()})
+    rhs = ({(0,) + key: c for key, c in vec.u.terms.items()}
+           | {(1,) + key: c for key, c in vec.v.terms.items()})
+    coords = sorted(set().union(*cols, rhs.keys()))
+    mat = [[col.get(cd, F(0)) for col in cols] for cd in coords]
+    b = [rhs.get(cd, F(0)) for cd in coords]
+    nrows, ncols = len(coords), len(labels)
+    used = [False] * nrows
+    pivot_row = {}
+    for ci in range(ncols):
+        piv = next((ri for ri in range(nrows) if not used[ri] and mat[ri][ci] != 0), None)
+        if piv is None:
+            continue
+        used[piv] = True
+        pivot_row[ci] = piv
+        inv = 1 / mat[piv][ci]
+        mat[piv] = [v * inv for v in mat[piv]]
+        b[piv] *= inv
+        for ri in range(nrows):
+            if ri != piv and mat[ri][ci]:
+                f = mat[ri][ci]
+                mat[ri] = [v - f * w for v, w in zip(mat[ri], mat[piv])]
+                b[ri] -= f * b[piv]
+    for ri in range(nrows):
+        if not used[ri] and b[ri] != 0:
+            raise ValueError("not in module span: inconsistent coefficient system")
+    return {labels[ci]: b[ri] for ci, ri in pivot_row.items() if b[ri]}
+
+
+def decompose_per_call(vec: VecEq) -> dict:
+    """Oracle for module_decompose: eliminate_per_call on each degree."""
+    parts_u = vec.u.homogeneous_parts()
+    parts_v = vec.v.homogeneous_parts()
+    out = {}
+    for d in sorted(set(parts_u) | set(parts_v)):
+        part = VecEq(parts_u.get(d, Poly2()), parts_v.get(d, Poly2()))
+        out.update(eliminate_per_call(part, d))
     return out
 
 
@@ -171,6 +225,53 @@ def test_decompose_rejects_non_equivariant():
         module_decompose(bad)
 
 
+def test_decompose_matches_per_call_elimination(monkeypatch):
+    # every vector that build_Q and codimension_check decompose, starting
+    # from an empty solver cache, in the same order and with the same dicts
+    seen = []
+    solve = sg.module_decompose
+
+    def recording(vec):
+        out = solve(vec)
+        seen.append((vec, out))
+        return out
+
+    monkeypatch.setattr(sg, "_SOLVER_CACHE", {})
+    monkeypatch.setattr(sg, "module_decompose", recording)
+    build_Q()
+    codimension_check()
+    assert len(seen) == 56
+    for vec, out in seen:
+        expected = decompose_per_call(vec)
+        assert list(out.items()) == list(expected.items())
+        assert all(type(c) is Fraction for c in out.values())
+
+
+@pytest.mark.parametrize("vec, d", [
+    (VecEq(Poly2.monomial(1, 0), Poly2({(0, 1): -1})), 1),   # (x, -y): inconsistent
+    (VecEq(Poly2.monomial(5, 0), Poly2()), 5),                # (x^5, 0): inconsistent
+    (VecEq(Poly2.monomial(1, 0), Poly2.monomial(0, 1)), 3),   # degree-1 coordinates
+    (VecEq(Poly2.monomial(3, 0), Poly2.monomial(2, 1)), 5),   # outside every degree-d field
+])
+def test_decompose_rejection_routes_match_per_call_elimination(vec, d):
+    with pytest.raises(ValueError, match="not in module span: inconsistent") as oracle:
+        eliminate_per_call(vec, d)
+    with pytest.raises(ValueError, match="not in module span: inconsistent") as solver:
+        _decompose_homogeneous(vec, d)
+    assert str(solver.value) == str(oracle.value)
+
+
+def test_decompose_result_is_a_fresh_dict():
+    p = base_numerator()
+    first = module_decompose(p)
+    expected = dict(first)
+    first[((1, 0, 0), 2)] = F(99)
+    first[((0, 0, 0), 1)] = F(1)
+    del first[((0, 0, 0), 4)]
+    assert module_decompose(p) == expected
+    assert module_decompose(p) is not module_decompose(p)
+
+
 def test_decompose_rejects_large_degree():
     n, _, _ = make_invariants()
     x1 = make_equivariants()[0]
@@ -250,6 +351,21 @@ def test_rank_exact_identity_and_deficient():
     assert rank_exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
     assert rank_exact([[1, 2], [2, 4], [3, 6]]) == 1
     assert rank_exact([[F(1, 3), F(1, 7)], [F(2, 3), F(2, 7)]]) == 1
+
+
+def test_rank_exact_mixed_entry_types():
+    # ints, binary floats (converted exactly) and Fractions in one matrix
+    assert rank_exact([[1, 0.5, F(1, 3)], [2, 1.0, F(2, 3)], [0, 0.25, 1]]) == 2
+    assert rank_exact([[0.1, F(1, 3)], [0.2, F(2, 3)]]) == 1
+    assert rank_exact([[0.1, F(1, 10)], [1, 1]]) == 2  # 0.1 is not 1/10
+    assert rank_exact([[F(-3, 4), 0], [0, -2.5]]) == 2
+
+
+def test_rank_exact_zero_width_and_empty():
+    assert rank_exact([[], [], []]) == 0
+    assert rank_exact([]) == 0
+    with pytest.raises(ValueError, match="ragged"):
+        rank_exact([[], [1]])
 
 
 def test_rank_exact_invariant_under_scaling_and_permutation():
