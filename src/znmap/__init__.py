@@ -6,13 +6,6 @@ spectra, rotation numbers, basins), and the exact tangent-space/codimension
 computation for the order-4 singularity.
 """
 
-from .geometry import (
-    angle_lift,
-    from_polar,
-    rotate,
-    sector_of,
-    to_polar,
-)
 from .maps import (
     MapSpec,
     RadialProfile,
@@ -23,13 +16,17 @@ from .maps import (
     eval_h,
     eval_hn,
     eval_map,
+    from_polar,
     jac_f4,
     jac_f4_polar,
     jac_fn,
     jac_g4,
     jac_map,
     radial_u,
+    rotate,
+    sector_of,
     step_batch,
+    to_polar,
 )
 from .analysis import (
     Orbit,
@@ -47,6 +44,7 @@ from .topology import (
     BasinRaster,
     CurveSample,
     RotationEstimate,
+    angle_lift,
     basin_raster,
     estimate_rotation,
     image_curve,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, Point, from_polar, rotate
-from .maps import MapSpec, _jac_f4_entries, _jac_g4_entries, eval_map, jac_map, step_batch
+from .maps import (TWO_PI, MapSpec, Point, _jac_f4_entries, _jac_g4_entries, eval_map,
+                   from_polar, jac_map, rotate, step_batch)
 
 DEFAULT_SEED = 0x5EED
 
@@ -243,13 +243,18 @@ def find_periodic(spec, guess: Point, period: int, tol: float = 1e-12,
     composite (works across sector charts); multipliers come from chaining
     the per-point Jacobians along the refined orbit.  Minimality is probed
     on every proper divisor with threshold 10*tol and reported as a flag.
+    The orbit, the probes and the residual all come from the iterates of
+    the last residual evaluation: nothing is re-evaluated after convergence.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     p = (float(guess[0]), float(guess[1]))
     residual = math.inf
     for _ in range(max_iter):
-        fp = _compose(spec, p, period)
+        orbit = [p]
+        for _ in range(period):
+            orbit.append(eval_map(spec, orbit[-1]))
+        fp = orbit.pop()
         gx, gy = fp[0] - p[0], fp[1] - p[1]
         residual = math.hypot(gx, gy)
         if residual <= tol:
@@ -268,23 +273,12 @@ def find_periodic(spec, guess: Point, period: int, tol: float = 1e-12,
         raise RuntimeError(f"no convergence after {max_iter} Newton iterations "
                            f"(residual {residual:.3e})")
 
-    orbit = [p]
-    for _ in range(period - 1):
-        orbit.append(eval_map(spec, orbit[-1]))
     prod = np.eye(2)
     for pt in orbit:
         prod = jac_map(spec, pt) @ prod
     mults = tuple(np.linalg.eigvals(prod))
-
-    minimal = True
-    for d in range(1, period):
-        if period % d == 0:
-            fd = _compose(spec, p, d)
-            if math.hypot(fd[0] - p[0], fd[1] - p[1]) <= 10.0 * tol:
-                minimal = False
-                break
-    fp = _compose(spec, p, period)
-    residual = math.hypot(fp[0] - p[0], fp[1] - p[1])
+    minimal = not any(math.hypot(orbit[d][0] - p[0], orbit[d][1] - p[1]) <= 10.0 * tol
+                      for d in range(1, period) if period % d == 0)
     return PeriodicOrbit(point=p, period=period, orbit=orbit,
                          multipliers=mults, residual=residual, minimal=minimal)
 

@@ -62,22 +62,21 @@ def _spec_from_args(parser, args) -> MapSpec:
         parser.error("--alpha/--beta/--delta apply to the g4 family only")
     if fam not in ("h", "hn") and (args.r0 is not None or args.r_half is not None):
         parser.error("--r0/--r-half apply to the h/hn families only")
+    if args.r_half is not None and args.r0 is None:
+        parser.error("--r-half requires --r0")
     profile = None
     if args.r0 is not None:
         profile = RadialProfile(args.r0, args.r_half if args.r_half is not None
                                 else args.r0)
-    try:
-        return MapSpec(
-            family=fam,
-            k=args.k,
-            n=args.n if args.n is not None else 4,
-            alpha=args.alpha or 0.0,
-            beta=args.beta or 0.0,
-            delta=args.delta or 0.0,
-            profile=profile,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    return MapSpec(
+        family=fam,
+        k=args.k,
+        n=args.n if args.n is not None else 4,
+        alpha=args.alpha or 0.0,
+        beta=args.beta or 0.0,
+        delta=args.delta or 0.0,
+        profile=profile,
+    )
 
 
 def _spec_echo(spec: MapSpec) -> dict:
@@ -214,11 +213,10 @@ def _cmd_verify(parser, args) -> int:
         names = [n for n, _ in ALL_CHECKS]
     else:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
+        if not names:
+            parser.error("--suite names no checks")
     seed = _resolve_seed(args)
-    try:
-        report = run_suite(names, k=args.k, seed=seed, spec_echo=_spec_echo(spec))
-    except ValueError as exc:
-        parser.error(str(exc))
+    report = run_suite(names, k=args.k, seed=seed, spec_echo=_spec_echo(spec))
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         sys.stdout.write(f"{status} {c.name}: statistic={c.statistic:.6g} "
@@ -232,12 +230,8 @@ def _cmd_verify(parser, args) -> int:
 
 def _cmd_basin(parser, args) -> int:
     spec = _spec_from_args(parser, args)
-    try:
-        raster = basin_raster(spec, tuple(args.window), args.res, args.res,
-                              budget=args.budget, eps_in=args.eps_in,
-                              r_escape=args.r_escape)
-    except ValueError as exc:
-        parser.error(str(exc))
+    raster = basin_raster(spec, tuple(args.window), args.res, args.res,
+                          budget=args.budget, eps_in=args.eps_in, r_escape=args.r_escape)
     with open(args.out, "wb") as fh:
         fh.write(raster_to_pgm(raster))
     counts = raster.counts()
@@ -278,11 +272,7 @@ def _cmd_unfold_scan(parser, args) -> int:
     for v in scan_values:
         params = dict(fixed)
         params[scan_name] = float(v)
-        try:
-            spec = MapSpec("g4", k=args.k, **params)
-        except ValueError as exc:
-            parser.error(str(exc))
-        orb = find_periodic(spec, warm, 4, tol=1e-12)
+        orb = find_periodic(MapSpec("g4", k=args.k, **params), warm, 4, tol=1e-12)
         warm = orb.point
         m1, m2 = (abs(m) for m in orb.multipliers)
         rows.append((float(v), float(orb.point[0]), float(orb.point[1]),
@@ -338,6 +328,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](parser, args)
+    except ValueError as exc:  # a bad value that argparse's types let through
+        parser.error(f"{args.command}: {exc}")
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3

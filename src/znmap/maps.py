@@ -21,6 +21,13 @@ from ``math`` for floats and from ``numpy`` for arrays, picked by the input
 type.  Jacobians are 2x2 numpy arrays ``[[a, b], [c, d]]``.
 ``step_batch`` is ``eval_map`` on coordinate arrays, for raster/scan
 workloads.
+
+Points are plain ``(x, y)`` tuples; polar pairs are ``(r, theta)`` with
+``r >= 0`` and ``theta`` normalized to ``[0, 2*pi)`` (the origin gets
+``theta = 0``).  Sectors of order ``n`` are indexed ``1..n`` with the
+half-open convention ``theta in [2*pi*(j-1)/n, 2*pi*j/n)``, so every
+nonzero point belongs to exactly one sector and boundary rays belong to
+the sector above them.
 """
 
 import math
@@ -29,8 +36,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-# unused here, but perfbench/spans.py rebinds from_polar, sector_of, to_polar on this module
-from .geometry import TWO_PI, Point, from_polar, sector_of, to_polar  # noqa: F401
+Point = tuple[float, float]
+
+TWO_PI = 2.0 * math.pi
 
 K_MIN = 1.0
 K_MAX = 2.0 / math.sqrt(3.0)
@@ -41,6 +49,11 @@ FAMILIES = ("f4", "g4", "fn", "h", "hn")
 def validate_k(k: float) -> None:
     if not (K_MIN < k < K_MAX):
         raise ValueError(f"k must lie in (1, 2/sqrt(3)) ~ (1, {K_MAX:.8f}); got {k}")
+
+
+def _check_order(n: int) -> None:
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"symmetry order must be an integer >= 2, got {n!r}")
 
 
 def _cube(v):
@@ -65,6 +78,48 @@ def _angle(xp, y, x):
     theta = xp.where(theta < 0.0, theta + TWO_PI, theta)
     # a tiny negative atan2 result can round up to exactly 2*pi
     return xp.where(theta >= TWO_PI, 0.0, theta)
+
+
+def to_polar(p: Point) -> tuple[float, float]:
+    """Convert (x, y) to (r, theta) with theta in [0, 2*pi)."""
+    x, y = p
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite point {p!r}")
+    r = math.hypot(x, y)
+    if r == 0.0:
+        return 0.0, 0.0
+    return r, _angle(_MATH, y, x)
+
+
+def from_polar(q: tuple[float, float]) -> Point:
+    """Convert (r, theta) to (r*cos(theta), r*sin(theta))."""
+    r, theta = q
+    return r * math.cos(theta), r * math.sin(theta)
+
+
+def rotate(p: Point, m: int, n: int) -> Point:
+    """Rotate p by 2*pi*m/n about the origin.
+
+    Multiples of a quarter turn are applied as exact component
+    swaps/negations, so e.g. the order-4 generator maps (x, y) to (-y, x)
+    with no rounding at all.
+    """
+    _check_order(n)
+    mm = m % n
+    x, y = p
+    if (4 * mm) % n == 0:
+        q = (4 * mm // n) % 4
+        if q == 0:
+            return x, y
+        if q == 1:
+            return -y, x
+        if q == 2:
+            return -x, -y
+        return y, -x
+    ang = TWO_PI * mm / n
+    c = math.cos(ang)
+    s = math.sin(ang)
+    return c * x - s * y, s * x + c * y
 
 
 @dataclass(frozen=True)
@@ -127,8 +182,7 @@ class MapSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         validate_k(self.k)
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"symmetry order must be an integer >= 2, got {self.n!r}")
+        _check_order(self.n)
         if self.family in ("f4", "g4", "h") and self.n != 4:
             raise ValueError(f"family {self.family!r} has symmetry order 4, got n={self.n}")
         if self.family != "g4" and (self.alpha or self.beta or self.delta):
@@ -222,7 +276,7 @@ def _sector_chart(xp, p: Point, n: int):
     """Source chart of the order-n transplant at a nonzero point.
 
     Returns (r, theta, m, theta4): polar coordinates with theta in
-    [0, 2*pi), the 0-based sector index m (as in geometry.sector_of), and
+    [0, 2*pi), the 0-based sector index m (sector_of minus one), and
     the angle rotated back to sector 0 and rescaled to the base map's
     quarter turn.
     """
@@ -232,6 +286,15 @@ def _sector_chart(xp, p: Point, n: int):
     theta = _angle(xp, y, x)
     m = xp.minimum(xp.floor(theta * n / TWO_PI), n - 1)  # theta*n/(2*pi) may round to n
     return xp.hypot(x, y), theta, m, (theta - TWO_PI * m / n) * n / 4.0
+
+
+def sector_of(p: Point, n: int) -> int:
+    """1-based sector index j with theta(p) in [2*pi*(j-1)/n, 2*pi*j/n)."""
+    _check_order(n)
+    x, y = p
+    if x == 0.0 and y == 0.0:
+        raise ValueError("sector undefined at origin")
+    return _sector_chart(_MATH, p, n)[2] + 1
 
 
 def _sector_image(xp, r, theta4, m, k: float, n: int, prof: RadialProfile | None):

@@ -477,20 +477,20 @@ class TangentMatrixQ:
     folded: dict  # row index -> relation name folded into that row
 
 
-def _row_from_decomposition(name: str, coeffs: dict) -> list:
-    row = [F0] * len(GEN12)
-    index = {lab: i for i, lab in enumerate(GEN12)}
+def _label_row(coeffs: dict, columns: tuple, min_dropped: int, context: str) -> list:
+    """A decomposition {label: coeff} as a row over the given label columns.
+
+    A label outside the columns is higher-filtration content and is dropped
+    when its invariant part has an N factor and its degree is at least
+    min_dropped; any other label outside them raises RuntimeError.
+    """
+    index = {lab: i for i, lab in enumerate(columns)}
+    row = [F0] * len(columns)
     for lab, c in coeffs.items():
         if lab in index:
             row[index[lab]] = c
-        elif label_degree(lab) < 5:
-            raise RuntimeError(f"row not in E5: candidate {name} has surviving "
-                               f"low-order term {label_name(lab)}")
-        else:
-            # higher-filtration content (invariant part divisible by N): dropped
-            if lab[0][0] < 1:
-                raise RuntimeError(f"unexpected kept-degree label {label_name(lab)} "
-                                   f"in candidate {name}")
+        elif lab[0][0] < 1 or label_degree(lab) < min_dropped:
+            raise RuntimeError(f"unexpected label {label_name(lab)} in {context}")
     return row
 
 
@@ -528,21 +528,10 @@ def build_Q() -> TangentMatrixQ:
         ("T4.F", gens["T4.F"]),
         ("A*S1.F", gens["S1.F"].scale(a)),
     ]
-    rows = []
-    names = []
-    for name, vec in candidates:
-        coeffs = module_decompose(vec)
-        rows.append(_row_from_decomposition(name, coeffs))
-        names.append(name)
-
+    names = [name for name, _ in candidates]
+    rows = [_label_row(module_decompose(vec), GEN12, 5, name) for name, vec in candidates]
     relations = generator_relations()
-    rel_rows = []
-    index = {lab: i for i, lab in enumerate(GEN12)}
-    for _, coeffs, _ in relations:
-        row = [F0] * len(GEN12)
-        for lab, c in coeffs.items():
-            row[index[lab]] = c
-        rel_rows.append(row)
+    rel_rows = [_label_row(coeffs, GEN12, 5, name) for name, coeffs, _ in relations]
 
     fold_targets = [names.index(nm) for nm in ("N*S1.F", "T3.F", "T4.F", "A*S1.F")]
     keep = [rows[i] for i in range(len(rows)) if i not in fold_targets]
@@ -622,19 +611,6 @@ class CodimensionReport:
     passed: bool
 
 
-def _label18_vector(coeffs: dict, context: str) -> list:
-    index = {lab: i for i, lab in enumerate(LABELS18)}
-    row = [F0] * len(LABELS18)
-    for lab, c in coeffs.items():
-        if lab in index:
-            row[index[lab]] = c
-        else:
-            (a, _, _), _ = lab
-            if a < 1 or label_degree(lab) < 7:
-                raise RuntimeError(f"unexpected dropped label {label_name(lab)} in {context}")
-    return row
-
-
 def codimension_check() -> CodimensionReport:
     """Verify that the tangent space misses exactly three directions.
 
@@ -656,9 +632,9 @@ def codimension_check() -> CodimensionReport:
             if vec.is_zero():
                 continue
             coeffs = module_decompose(vec)
-            rows.append(_label18_vector(coeffs, name))
+            rows.append(_label_row(coeffs, LABELS18, 7, name))
     for _, coeffs, _ in generator_relations():
-        rows.append(_label18_vector(coeffs, "relation"))
+        rows.append(_label_row(coeffs, LABELS18, 7, "relation"))
 
     dim_tangent = rank_exact(rows)
 
@@ -670,11 +646,11 @@ def codimension_check() -> CodimensionReport:
     }
     memberships = {}
     for name, vec in targets.items():
-        vrow = _label18_vector(module_decompose(vec), name)
+        vrow = _label_row(module_decompose(vec), LABELS18, 7, name)
         memberships[name] = rank_exact(rows + [vrow]) == dim_tangent
 
     def adjoin(fields):
-        extra = [_label18_vector(module_decompose(f), "complement") for f in fields]
+        extra = [_label_row(module_decompose(f), LABELS18, 7, "complement") for f in fields]
         return rank_exact(rows + extra)
 
     dim_v2 = adjoin([x1, x2, x2.scale(n)])

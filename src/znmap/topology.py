@@ -12,8 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import TWO_PI, Point, angle_lift, from_polar, to_polar
-from .maps import MapSpec, eval_map
+from .maps import TWO_PI, MapSpec, Point, eval_map, from_polar, to_polar
 from .analysis import classify_batch
 
 
@@ -91,6 +90,28 @@ def transversality_det(k: float, theta: float) -> float:
     s = math.sin(theta)
     c = math.cos(theta)
     return 0.75 * k * k * (s * c) ** 2
+
+
+def angle_lift(thetas) -> list[float]:
+    """Continuous lift of an angle sequence.
+
+    The first value is kept; each successive jump is wrapped into
+    (-pi, pi] before accumulating, so rigid rotations lift to straight
+    lines and sector-advancing orbits lift monotonically.
+    """
+    thetas = list(thetas)
+    if not thetas:
+        raise ValueError("empty angle sequence")
+    out = [float(thetas[0])]
+    prev = float(thetas[0])
+    for th in thetas[1:]:
+        th = float(th)
+        d = math.remainder(th - prev, TWO_PI)
+        if d == -math.pi:
+            d = math.pi
+        out.append(out[-1] + d)
+        prev = th
+    return out
 
 
 def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate:

@@ -23,8 +23,8 @@ from .analysis import (
     seeded_points,
     spectral_scan,
 )
-from .geometry import TWO_PI, from_polar
-from .maps import MapSpec, default_profile, eval_map, jac_f4, jac_fn, jac_g4
+from .maps import (TWO_PI, MapSpec, default_profile, eval_map, from_polar, jac_f4, jac_fn,
+                   jac_g4)
 from .topology import basin_raster, estimate_rotation, image_curve, transversality_det
 
 TOOL_VERSION = "znmap 0.1.0"

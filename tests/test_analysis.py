@@ -14,8 +14,7 @@ from znmap.analysis import (
     seeded_points,
     spectral_scan,
 )
-from znmap.geometry import TWO_PI, from_polar, rotate, to_polar
-from znmap.maps import MapSpec, eval_map, jac_map
+from znmap.maps import TWO_PI, MapSpec, eval_map, from_polar, jac_map, rotate, to_polar
 
 K = 1.1
 P = (1.0 / math.sqrt(K - 1.0), 0.0)
@@ -169,6 +168,47 @@ def test_find_periodic_reports_non_minimal_period():
     assert not orb.minimal
 
 
+@pytest.mark.parametrize("period", [5, 10])  # minimal, and twice the true period
+def test_find_periodic_orbit_residual_and_minimal_match_recomputation(period):
+    spec = MapSpec("fn", k=K, n=5)
+    tol = 1e-12
+    orb = find_periodic(spec, (3.0, 0.1), period, tol=tol)
+    p = orb.point
+    images = [p]
+    for _ in range(period):
+        images.append(eval_map(spec, images[-1]))
+    assert orb.orbit == images[:period]
+    assert orb.residual == math.hypot(images[period][0] - p[0], images[period][1] - p[1])
+    assert orb.residual <= tol
+    assert orb.minimal == all(math.hypot(images[d][0] - p[0], images[d][1] - p[1]) > 10 * tol
+                              for d in range(1, period) if period % d == 0)
+    assert orb.minimal == (period == 5)
+
+
+@pytest.mark.parametrize("period", [1, 4, 8])
+def test_find_periodic_evaluates_nothing_after_convergence(period):
+    # A callable's multipliers take 4 finite-difference calls per orbit
+    # point; every other call belongs to a Newton iteration (period calls
+    # for the residual, 4*period for the composite's Jacobian) or to the
+    # residual evaluation that converged (period calls).
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return eval_map(F4, p)
+
+    guess = (0.01, 0.01) if period == 1 else (3.0, 0.1)
+    orb = find_periodic(f, guess, period, tol=1e-12)
+    assert len(calls) % (5 * period) == 0
+    assert calls[-5 * period:-4 * period] == orb.orbit
+    # restarted on the converged point: one residual evaluation, then the
+    # multipliers, and nothing else
+    calls.clear()
+    again = find_periodic(f, orb.point, period, tol=1e-12)
+    assert len(calls) == 5 * period
+    assert again.orbit == orb.orbit and again.residual == orb.residual
+
+
 # ---------------------------------------------------------------------------
 # property checks
 # ---------------------------------------------------------------------------
@@ -275,8 +315,7 @@ def test_boundary_smoothness_order_four_single_formula():
 
 def test_jac_fn_on_boundary_matches_one_sided_differences():
     from znmap.analysis import _one_sided_jacobian
-    from znmap.geometry import TWO_PI, from_polar
-    from znmap.maps import eval_fn, jac_fn
+    from znmap.maps import TWO_PI, eval_fn, from_polar, jac_fn
 
     n, r = 6, 1.0
     phi = TWO_PI / n

@@ -48,6 +48,38 @@ def test_usage_error_unknown_flag(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, env_seed", [
+    (["unfold-scan", "--beta", "abc"], None),
+    (["orbit", "--x0", "1", "--y0", "0", "--steps", "-1"], None),
+    (["curve", "--samples", "2"], None),
+    (["rotation", "--x0", "0", "--y0", "0"], None),
+    (["eval", "--family", "fn", "--n", "5", "--x0", "nan", "--y0", "0"], None),
+    (["verify", "--suite", "properness"], "abc"),
+], ids=["unfold-scan-beta", "orbit-steps", "curve-samples", "rotation-origin",
+        "eval-nan", "verify-seed-env"])
+def test_usage_error_for_bad_values_names_the_command(capsys, monkeypatch, argv, env_seed):
+    if env_seed is not None:
+        monkeypatch.setenv("ZNMAP_SEED", env_seed)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"znmap: error: {argv[0]}: " in capsys.readouterr().err
+
+
+def test_usage_error_for_empty_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", ","])
+    assert exc.value.code == 2
+    assert "--suite names no checks" in capsys.readouterr().err
+
+
+def test_usage_error_for_r_half_without_r0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--family", "h", "--x0", "20", "--y0", "0", "--r-half", "1"])
+    assert exc.value.code == 2
+    assert "--r-half requires --r0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval / orbit / curve / rotation
 # ---------------------------------------------------------------------------

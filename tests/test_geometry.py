@@ -3,14 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from znmap.geometry import (
-    TWO_PI,
-    angle_lift,
-    from_polar,
-    rotate,
-    sector_of,
-    to_polar,
-)
+from znmap.maps import TWO_PI, from_polar, rotate, sector_of, to_polar
+from znmap.topology import angle_lift
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6,
                          allow_nan=False, allow_infinity=False)

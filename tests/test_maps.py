@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from znmap.geometry import TWO_PI, from_polar, rotate, sector_of, to_polar
 from znmap.maps import (
     _MATH,
     K_MAX,
+    TWO_PI,
     MapSpec,
     RadialProfile,
     _f4_polar,
@@ -18,13 +18,17 @@ from znmap.maps import (
     eval_h,
     eval_hn,
     eval_map,
+    from_polar,
     jac_f4,
     jac_f4_polar,
     jac_fn,
     jac_g4,
     jac_map,
     radial_u,
+    rotate,
+    sector_of,
     step_batch,
+    to_polar,
 )
 
 K = 1.1

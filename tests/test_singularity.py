@@ -4,10 +4,12 @@ import pytest
 
 from znmap.singularity import (
     GEN12,
+    LABELS18,
     MatrixGerm,
     Poly2,
     VecEq,
     _decompose_homogeneous,
+    _label_row,
     _labels_of_degree,
     build_Q,
     cleared_tangent_generators,
@@ -403,3 +405,23 @@ def test_label_helpers():
     assert label_degree(((2, 0, 0), 1)) == 5
     assert label_degree(((0, 1, 0), 4)) == 7
     assert len(GEN12) == 12
+
+
+@pytest.mark.parametrize("columns, min_dropped", [(GEN12, 5), (LABELS18, 7)])
+def test_label_row_drops_only_high_filtration_labels(columns, min_dropped):
+    kept = ((0, 0, 1), 4)  # B*X4, a column of both sets
+    n3x1 = ((3, 0, 0), 1)  # N^3*X1: N factor, degree 7, in neither set
+    row = _label_row({kept: F(2), n3x1: F(5)}, columns, min_dropped, "test")
+    assert row == [F(2) if lab == kept else F(0) for lab in columns]
+    # no N factor, outside the columns: never dropped
+    with pytest.raises(RuntimeError, match=r"A\^2\*X1 in test"):
+        _label_row({((0, 2, 0), 1): F(1)}, columns, min_dropped, "test")
+    # the same N^3*X1 raises once min_dropped is above its degree
+    with pytest.raises(RuntimeError, match=r"N\^3\*X1"):
+        _label_row({n3x1: F(1)}, columns, 9, "test")
+
+
+def test_label_row_rejects_low_degree_label_outside_gen12():
+    assert ((1, 0, 0), 1) not in GEN12  # N*X1, degree 3
+    with pytest.raises(RuntimeError, match=r"N\*X1 in candidate"):
+        _label_row({((1, 0, 0), 1): F(1)}, GEN12, 5, "candidate")

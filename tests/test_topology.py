@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from znmap.geometry import TWO_PI, from_polar, rotate, sector_of, to_polar
-from znmap.maps import MapSpec, eval_map
+from znmap.maps import TWO_PI, MapSpec, eval_map, from_polar, rotate, sector_of, to_polar
 from znmap.topology import basin_raster, estimate_rotation, image_curve, transversality_det
 
 K = 1.1
