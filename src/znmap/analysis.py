@@ -14,15 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import (TWO_PI, MapSpec, Point, _jac_f4_entries, _jac_g4_entries, eval_map,
-                   from_polar, jac_map, rotate, step_batch)
+                   from_polar, jac_map, rotate, step_batch, trapping_region)
 
 DEFAULT_SEED = 0x5EED
 
 # Largest step gap between the repeat-detection snapshots of classify_batch.
 # A cycle of period up to this is caught at most two gaps after it is
 # entered; longer cycles run to the budget.  Uncapped doubling spaces the
-# snapshots so far apart that the period-n cycle of h/hn, entered around
-# step 150, is caught much later.
+# snapshots so far apart that a cycle entered late, such as the period-n
+# cycle of h/hn (repeated from step 134 on at k = 1.1 by the orbits that do
+# not retire earlier in its trapping region), is caught much later.
 _SNAPSHOT_GAP = 32
 
 # Fewest starts per thread when classify_batch splits a batch.  Smaller
@@ -105,7 +106,12 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
     the full budget would give, without spending it.  Repeats are found by
     comparing every step with a per-point snapshot of the state retaken at
     steps 0, 1, 2, 4, ... (Brent's schedule), at most _SNAPSHOT_GAP steps
-    apart.
+    apart.  For h/hn a point is also retired as undecided as soon as it
+    lies in the closed-form trapping region of the outer period-n cycle
+    (maps.trapping_region, built once per call from eps_in and r_escape):
+    the region maps into itself with margins far above the rounding of a
+    step and lies strictly between eps_in and r_escape, so the plain loop
+    would give such a point kind 0 and steps -1 at every budget.
 
     A batch of at least 2 * _MIN_PART starts is split into contiguous
     parts, one thread per CPU available to the process (at most one part
@@ -128,9 +134,10 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
     npts = x.size
     kinds = np.zeros(npts, dtype=np.uint8)
     steps = np.full(npts, -1, dtype=np.int64)
+    trap = trapping_region(spec, eps_in, r_escape)
     parts = min(_available_cpus(), npts // _MIN_PART)
     if parts <= 1:
-        _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape)
+        _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, trap)
         return kinds, steps
     cuts = [npts * i // parts for i in range(parts + 1)]
     errors = [None] * parts
@@ -138,7 +145,7 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
     def run(i):
         lo, hi = cuts[i], cuts[i + 1]
         _classify_part(spec, x[lo:hi], y[lo:hi], kinds[lo:hi], steps[lo:hi],
-                       budget, eps_in, r_escape)
+                       budget, eps_in, r_escape, trap)
 
     def work(i):
         try:
@@ -172,9 +179,10 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape):
+def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, trap):
     """The serial loop of classify_batch: classify the starts (x, y),
-    writing into kinds and steps (the same length, kinds 0, steps -1)."""
+    writing into kinds and steps (the same length, kinds 0, steps -1).
+    Points in trap (a TrappingRegion, or None) are retired as undecided."""
     idx = np.arange(x.size)
     eps2 = eps_in * eps_in
     # Clamped so that an infinite radius (r2 = inf) always escapes.
@@ -207,6 +215,8 @@ def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape):
                 # where the x bits already match.
                 rep = np.flatnonzero(x.view(np.int64) == sx.view(np.int64))
                 keep[rep[y[rep].view(np.int64) == sy[rep].view(np.int64)]] = False
+            if trap is not None:  # trapped points also keep kind 0 and steps -1
+                keep[trap.contains(x, y)] = False
             if not keep.all():
                 x, y, idx, sx, sy = x[keep], y[keep], idx[keep], sx[keep], sy[keep]
             if idx.size == 0 or t == budget:
@@ -292,7 +302,7 @@ def equivariance_residual(spec, n: int, samples: int = 10_000, radius: float = 1
     """
     pts = seeded_points(samples, radius, seed)
     worst = 0.0
-    for px, py in pts:
+    for px, py in pts.tolist():  # Python floats: the scalar path is faster on them
         rp = rotate((px, py), 1, n)
         f_rp = eval_map(spec, rp)
         r_fp = rotate(eval_map(spec, (px, py)), 1, n)

@@ -297,6 +297,63 @@ def sector_of(p: Point, n: int) -> int:
     return _sector_chart(_MATH, p, n)[2] + 1
 
 
+@dataclass(frozen=True)
+class TrappingRegion:
+    """Annular cones about the sector boundary rays of an h/hn map:
+    r_lo <= |p| <= r_hi with chart angle theta4 (see _sector_chart) within
+    cone of 0 or of pi/2.  Built by trapping_region."""
+
+    r_lo: float
+    r_hi: float
+    cone: float
+    n: int
+
+    def contains(self, x, y):
+        """Whether (x, y) lies in the region (floats or arrays)."""
+        xp = _NAMESPACE.get(type(x), _MATH)
+        if xp is _MATH and not (math.isfinite(x) and math.isfinite(y)):
+            return False
+        r, _, _, theta4 = _sector_chart(xp, (x, y), self.n)
+        near_axis = (theta4 <= self.cone) | (theta4 >= 0.5 * math.pi - self.cone)
+        return (r >= self.r_lo) & (r <= self.r_hi) & near_axis
+
+
+def trapping_region(spec, eps_in: float, r_escape: float) -> TrappingRegion | None:
+    """The trapping region of the outer period-n cycle of an h/hn map, or None.
+
+    The region holds the points with chart angle theta4 (see _sector_chart)
+    within a = atan(eps), eps = min(0.1, sqrt((k-1)/(3k))), of 0 or pi/2,
+    and radius in [r_lo, r_hi].  One step maps chart (r, theta4) to radius
+    u(psi(r)*m(theta4)) and chart angle atan(tan^3 theta4), or its mirror
+    image about pi/2, where psi(r) = k r^3/(1+r^2), m(t) = hypot(cos^3 t,
+    sin^3 t) and u is the radial response.  On the cones m >= m_a = m(a)
+    and the image angle is at most atan(eps^3) < a.  r_lo solves
+    psi(r)*m_a = (1+margin)*r and must lie below r0, where u is the
+    identity; r_hi = min(r_escape/2, 1e100) must satisfy
+    u(psi(r_hi)) <= (1-margin)*r_hi.  As psi and u increase, image radii
+    lie in [(1+margin)*r_lo, (1-margin)*r_hi].  The margins (1e-6 relative
+    in radius, a - atan(eps^3) in angle) dwarf the rounding of one computed
+    step, so computed orbits stay inside as well: with |eps_in| < r_lo they
+    never converge and never escape.  None for callables and f4/g4/fn, and
+    whenever one of these conditions fails.
+    """
+    if callable(spec) or spec.family not in ("h", "hn"):
+        return None
+    k, prof, d = spec.k, spec.profile, 1e-6  # d: the radial margin
+    eps = min(0.1, math.sqrt((k - 1.0) / (3.0 * k)))
+    m_a = math.sqrt((1.0 + eps ** 6) / (1.0 + eps * eps) ** 3)
+    if not k * m_a > 1.0 + d:
+        return None
+    r_lo = math.sqrt((1.0 + d) / (k * m_a - 1.0 - d))
+    # k*r^3 overflows near r = 5.6e102
+    r_hi = min(0.5 * r_escape, 1e100)
+    if not (r_lo * (1.0 + d) <= prof.r0 and abs(eps_in) < r_lo < r_hi
+            and radial_u(k * (r_hi * r_hi * r_hi) / (1.0 + r_hi * r_hi), prof)
+            <= (1.0 - d) * r_hi):
+        return None
+    return TrappingRegion(r_lo, r_hi, math.atan(eps), spec.n)
+
+
 def _sector_image(xp, r, theta4, m, k: float, n: int, prof: RadialProfile | None):
     """Image radius and angle of a chart point under the base map, rescaled
     back to sector m+1 (the sector after the source sector m)."""

@@ -90,7 +90,9 @@ def check_equivariance(k: float = K_DEFAULT, seed: int = DEFAULT_SEED,
 
 
 def check_periodic_orbit(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Newton from (3.0, 0.1) with q = n recovers ((k-1)^(-1/2), 0)."""
+    """Newton from (3.0, 0.1) with q = n recovers ((k-1)^(-1/2), 0), a
+    saddle with multipliers ((3k-2)/k)^n (to 1e-10 relative) and 0 (below
+    1e-12)."""
     target = (1.0 / math.sqrt(k - 1.0), 0.0)
     worst_pos = 0.0
     worst_gap = math.inf
@@ -101,9 +103,12 @@ def check_periodic_orbit(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Chec
         orb = find_periodic(spec, (3.0, 0.1), n, tol=1e-12)
         pos_err = math.hypot(orb.point[0] - target[0], orb.point[1] - target[1])
         gap = min(abs(abs(m) - 1.0) for m in orb.multipliers)
+        small, big = sorted(abs(m) for m in orb.multipliers)
+        unstable = ((3.0 * k - 2.0) / k) ** n
         worst_pos = max(worst_pos, pos_err)
         worst_gap = min(worst_gap, gap)
-        ok = ok and orb.minimal and pos_err <= 1e-10 and gap > 1e-6
+        ok = (ok and orb.minimal and pos_err <= 1e-10 and gap > 1e-6
+              and abs(big - unstable) <= 1e-10 * unstable and small < 1e-12)
         lines.append(f"n={n}: |p-P|={pos_err:.2e} minimal={orb.minimal} "
                      f"min||mu|-1|={gap:.2e}")
     return CheckResult("periodic-orbit", {"k": k, "n": "2..8", "guess": [3.0, 0.1],
@@ -300,7 +305,7 @@ def check_dissipativity(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Check
         spec = MapSpec("hn", k=k, n=n)
         radii = 2.0 * prof.r0 + (100.0 - 2.0 * prof.r0) * rng.random(1000)
         angles = TWO_PI * rng.random(1000)
-        for r, th in zip(radii, angles):
+        for r, th in zip(radii.tolist(), angles.tolist()):
             p = from_polar((r, th))
             img = eval_map(spec, p)
             ratio = math.hypot(*img) / r

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from znmap import verify
 from znmap.verify import (
     K_DEFAULT,
     check_astroid,
@@ -51,8 +52,24 @@ def test_criterion_01_equivariance():
 
 def test_criterion_02_periodic_orbit():
     # Newton from (3.0, 0.1) recovers ((k-1)^(-1/2), 0) to 1e-10 with minimal
-    # period n and multipliers bounded away from the unit circle
+    # period n and multipliers ((3k-2)/k)^n and 0
     _report(2, check_periodic_orbit())
+
+
+def test_criterion_02_fails_on_inexact_multipliers(monkeypatch):
+    # 1e-8 relative keeps every multiplier far from the unit circle, but not
+    # within 1e-10 of the closed form
+    solve = verify.find_periodic
+
+    def perturbed(*args, **kwargs):
+        orb = solve(*args, **kwargs)
+        orb.multipliers = tuple(m * (1.0 + 1e-8) for m in orb.multipliers)
+        return orb
+
+    monkeypatch.setattr(verify, "find_periodic", perturbed)
+    result = check_periodic_orbit()
+    assert not result.passed
+    assert result.statistic <= result.tolerance  # the orbit itself is found
 
 
 def test_criterion_03_local_attractor():

@@ -1,9 +1,10 @@
 """classify_batch against the plain stepping loop it replaces.
 
 classify_batch retires a point as undecided once its state repeats a
-floating-point state bit for bit, and splits large batches across threads.
-Both may change only the work done, never the kinds or steps, so the tests
-here compare against ``plain_classify``:
+floating-point state bit for bit or, for h/hn, once it enters the trapping
+region of the outer cycle; it also splits large batches across threads.
+All three may change only the work done, never the kinds or steps, so the
+tests here compare against ``plain_classify``:
 the loop that steps every live point until it converges, escapes or uses the
 whole budget.
 """
@@ -13,11 +14,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import znmap.analysis
 from znmap.analysis import classify_batch
-from znmap.maps import MapSpec, step_batch
+from znmap.maps import (K_MAX, TWO_PI, MapSpec, RadialProfile, eval_map, step_batch,
+                        trapping_region)
 from znmap.topology import basin_raster
 
 K = 1.1
@@ -87,13 +89,15 @@ def edge_starts(eps_in, r_escape):
 
 @pytest.fixture
 def step_calls(monkeypatch):
-    """Count the step_batch calls classify_batch makes.  The count is not
-    thread-safe: use it only on batches that classify_batch keeps serial."""
-    calls = [0]
+    """Count the step_batch calls classify_batch makes, and the points they
+    step, as [calls, point_steps].  The count is not thread-safe: use it
+    only on batches that classify_batch keeps serial."""
+    calls = [0, 0]
     step = znmap.analysis.step_batch
 
     def counted(spec, x, y):
         calls[0] += 1
+        calls[1] += x.size
         return step(spec, x, y)
 
     monkeypatch.setattr(znmap.analysis, "step_batch", counted)
@@ -103,8 +107,9 @@ def step_calls(monkeypatch):
 @pytest.mark.parametrize("r_escape", [1e3, 1e6])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_matches_plain_loop_across_budgets(family, r_escape):
-    # The h/hn orbits in the outer cycle repeat a state from step 134 to 217
-    # on, so these budgets fall before, between and after the retirements.
+    # The h/hn orbits caught by the outer cycle enter its trapping region
+    # within a few steps, and would repeat a state from step 134 to 217 on,
+    # so these budgets fall before, between and after the retirements.
     xs, ys = grid(WINDOW, 24)
     for budget in (0, 1, 133, 260, 261, 600):
         kinds = assert_same(FAMILIES[family], xs, ys, budget, r_escape=r_escape)
@@ -160,9 +165,83 @@ def test_hn_partition_invariance():
 
 def test_outer_cycle_retires_early(step_calls):
     # Without retirement every undecided pixel runs all 10,000 steps.
+    # Retiring repeats alone takes 142,064 point-steps here; the trapping
+    # region retires nearly all of them within a few steps.
     raster = basin_raster(FAMILIES["hn"], WINDOW, 32, 32, budget=10_000)
     assert raster.counts()["undecided"] > 800
     assert step_calls[0] < 400
+    assert step_calls[1] < 10_000
+
+
+# k near both ends of its range, four profiles (r0, r_half) in units of the
+# radius P of the inner orbit, and r_escape from 30 P up, cycled so that
+# each appears with every family.  r0 = 1.02 P lies below every r_lo.
+PROFILES = [(2.0, 2.0), (1.02, 1.0), (1.5, 0.3), (4.0, 10.0)]
+SWEEP = [(k, family, n, PROFILES[i % 4], (30.0, 1e3, None)[i % 3])
+         for i, (k, (family, n)) in enumerate(
+             (k, fn) for k in (1.0005, 1.01, 1.1, 1.15)
+             for fn in (("h", 4), ("hn", 2), ("hn", 3), ("hn", 5), ("hn", 8)))]
+
+
+@pytest.mark.parametrize("k, family, n, profile, escape", SWEEP)
+def test_matches_plain_loop_across_trapping_regions(k, family, n, profile, escape):
+    p = 1.0 / math.sqrt(k - 1.0)
+    spec = MapSpec(family, k=k, n=n, profile=RadialProfile(profile[0] * p, profile[1] * p))
+    r_escape = 1e6 if escape is None else escape * p
+    assert (trapping_region(spec, 1e-8, r_escape) is None) == (profile[0] == 1.02)
+    # A grid over the inner orbit and the outer cycle, and rays from inside
+    # P out past r_escape: on a boundary ray, at both sides of the cone edge
+    # by either ray, and on the sector bisector (chart angles).
+    xs, ys = grid((-4.0 * p, 4.0 * p, -4.0 * p, 4.0 * p), 7)
+    radii = p * np.array([0.5, 0.999, 1.001, 1.3, 1.45, 2.0, 3.5, 10.0, 30.0, 1e3, 1e5])
+    cone = math.atan(min(0.1, math.sqrt((k - 1.0) / (3.0 * k))))
+    for theta4 in (0.0, 0.9 * cone, 1.1 * cone, 0.25 * math.pi, 0.5 * math.pi - 0.9 * cone):
+        xs = np.append(xs, radii * math.cos(4.0 * theta4 / n))
+        ys = np.append(ys, radii * math.sin(4.0 * theta4 / n))
+    assert_same(spec, xs, ys, 700, r_escape=r_escape)
+
+
+def _trap_start(trap, s, c, mirror, m):
+    # log-uniform radius in [r_lo, r_hi], chart angle within the cone
+    r = trap.r_lo * (trap.r_hi / trap.r_lo) ** s
+    theta4 = 0.5 * math.pi - c * trap.cone if mirror else c * trap.cone
+    theta = TWO_PI * (m % trap.n) / trap.n + 4.0 * theta4 / trap.n
+    return r * math.cos(theta), r * math.sin(theta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.floats(1.0, K_MAX, exclude_min=True, exclude_max=True),
+       r0=st.floats(1.0, 4.0, exclude_min=True), r_half=st.floats(0.05, 20.0),
+       n=st.integers(2, 8), saturate_base=st.booleans(),
+       starts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                                 st.booleans(), st.integers(0, 7)), min_size=1, max_size=8))
+def test_trapping_region_is_forward_invariant(k, r0, r_half, n, saturate_base, starts):
+    p = 1.0 / math.sqrt(k - 1.0)
+    family = "h" if saturate_base and n == 4 else "hn"
+    spec = MapSpec(family, k=k, n=n, profile=RadialProfile(r0 * p, r_half * p))
+    trap = trapping_region(spec, 1e-8, 1e6)
+    assume(trap is not None)
+    pts = [_trap_start(trap, *start) for start in starts]
+    assume(all(trap.contains(*q) for q in pts))
+    x, y = np.array(pts).T
+    for _ in range(50):
+        pts = [eval_map(spec, q) for q in pts]
+        x, y = step_batch(spec, x, y)
+        assert all(trap.contains(*q) for q in pts)
+        assert trap.contains(x, y).all()
+
+
+@pytest.mark.parametrize("spec, eps_in, r_escape", [
+    (FAMILIES["f4"], 1e-8, 1e6), (FAMILIES["g4"], 1e-8, 1e6), (FAMILIES["fn"], 1e-8, 1e6),
+    (lambda p: p, 1e-8, 1e6),
+    (MapSpec("h", k=1.000001), 1e-8, 1e6),  # k*m_a does not clear 1 + 1e-6
+    (MapSpec("hn", n=5, profile=RadialProfile(3.3, 3.3)), 1e-8, 1e6),  # r0 below r_lo
+    (FAMILIES["hn"], 3.5, 1e6),  # eps_in above r_lo
+    (FAMILIES["hn"], -3.5, 1e6),  # so is |eps_in|
+    (FAMILIES["h"], 1e-8, 20.0),  # r_hi = 10 lies inside the outer cycle
+])
+def test_no_trapping_region(spec, eps_in, r_escape):
+    assert trapping_region(spec, eps_in, r_escape) is None
 
 
 def test_fixed_points_of_identity_retire_at_once(step_calls):
