@@ -3,24 +3,16 @@
 Map families whose origin is a local but not global attractor, numerical
 verification of their dynamic properties (equivariance, periodic orbits,
 spectra, rotation numbers, basins), and the exact tangent-space/codimension
-computation for the order-4 singularity.
+computation for the order-4 singularity.  A map is named by a MapSpec and
+evaluated with eval_map, jac_map and step_batch.
 """
 
 from .maps import (
     MapSpec,
     RadialProfile,
     default_profile,
-    eval_f4,
-    eval_fn,
-    eval_g4,
-    eval_h,
-    eval_hn,
     eval_map,
     from_polar,
-    jac_f4,
-    jac_f4_polar,
-    jac_fn,
-    jac_g4,
     jac_map,
     radial_u,
     rotate,

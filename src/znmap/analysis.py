@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import (TWO_PI, MapSpec, Point, _jac_f4_entries, _jac_g4_entries, eval_map,
-                   from_polar, jac_map, rotate, step_batch, trapping_region)
+from .maps import (TWO_PI, MapSpec, Point, _jac_entries, eval_map, from_polar, jac_map,
+                   rotate, step_batch, trapping_region)
 
 DEFAULT_SEED = 0x5EED
 
@@ -352,13 +352,12 @@ def boundary_smoothness_check(k: float, n: int, r: float,
     1e-6*(1+r^2).  The origin ratio sup|f(p)|/|p| on circles |p| = h
     vanishes like h^2.
     """
-    from .maps import eval_fn
-
+    spec = MapSpec("fn", k=k, n=n)
     phi = TWO_PI / n
     xi = from_polar((r, phi))
     e_r = (math.cos(phi), math.sin(phi))
     e_t = (-math.sin(phi), math.cos(phi))
-    fun = lambda p: eval_fn(p, k, n)
+    fun = lambda p: eval_map(spec, p)
 
     def mismatch(h, order):
         j_hi = _one_sided_jacobian(fun, xi, e_r, e_t, +1.0, h, order)
@@ -372,7 +371,7 @@ def boundary_smoothness_check(k: float, n: int, r: float,
         sup = 0.0
         for i in range(64):
             th = TWO_PI * i / 64
-            img = eval_fn(from_polar((h, th)), k, n)
+            img = eval_map(spec, from_polar((h, th)))
             sup = max(sup, math.hypot(*img) / h)
         origin_ratios.append(sup)
     decreasing = all(mismatches[i + 1] < mismatches[i] for i in range(len(mismatches) - 1))
@@ -401,8 +400,8 @@ def _eig_max_modulus(a, b, c, d):
 def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
     """Max Jacobian eigenvalue modulus over an inclusive rectangular grid.
 
-    Vectorized for f4/g4: the Jacobian entries of jac_f4/jac_g4 are
-    evaluated on the whole grid at once.  Other families fall back to
+    Vectorized for f4/g4: their analytic Jacobian entries are evaluated
+    on the whole grid at once.  Other families fall back to
     per-point jac_map Jacobians, stacked in row-major order and sent
     through one np.linalg.eigvals call.  Deterministic; ties go to the
     first grid point in row-major order (y outer, x inner).
@@ -414,12 +413,7 @@ def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
     if not callable(spec) and spec.family in ("f4", "g4"):
-        gx, gy = np.meshgrid(xs, ys)
-        if spec.family == "f4":
-            a, b, c, d = _jac_f4_entries(gx, gy, spec.k)
-        else:
-            a, b, c, d = _jac_g4_entries(gx, gy, spec.k, spec.alpha, spec.beta, spec.delta)
-        mods = _eig_max_modulus(a, b, c, d)
+        mods = _eig_max_modulus(*_jac_entries(spec, *np.meshgrid(xs, ys)))
     else:
         jacs = np.array([jac_map(spec, (xv, yv)) for yv in ys for xv in xs])
         mods = np.abs(np.linalg.eigvals(jacs)).max(axis=1).reshape(ny, nx)
@@ -432,8 +426,7 @@ def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
 def properness_check(k: float, beta: float, radii=(2.0, 10.0, 100.0),
                      theta_samples: int = 360) -> dict:
     """Lower bound |g| >= (k/4)*r on circles r > 1 for the beta deformation."""
-    from .maps import eval_g4
-
+    spec = MapSpec("g4", k=k, beta=beta)
     rows = []
     passed = True
     for r in radii:
@@ -442,7 +435,7 @@ def properness_check(k: float, beta: float, radii=(2.0, 10.0, 100.0),
         lo = math.inf
         for i in range(theta_samples):
             th = TWO_PI * i / theta_samples
-            img = eval_g4(from_polar((r, th)), k, 0.0, beta, 0.0)
+            img = eval_map(spec, from_polar((r, th)))
             lo = min(lo, math.hypot(*img))
         bound = 0.25 * k * r
         ok = lo >= bound

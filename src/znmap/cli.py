@@ -21,7 +21,7 @@ import numpy as np
 
 from . import singularity as sg
 from .analysis import DEFAULT_SEED, find_periodic, iterate
-from .maps import FAMILIES, MapSpec, RadialProfile
+from .maps import FAMILIES, MapSpec, RadialProfile, eval_map
 from .topology import basin_raster, estimate_rotation, image_curve
 from .verify import ALL_CHECKS, TOOL_VERSION, run_suite
 
@@ -42,50 +42,34 @@ def _resolve_seed(args) -> int:
 def _add_family_flags(sub):
     sub.add_argument("--family", choices=FAMILIES, default="f4")
     sub.add_argument("--k", type=float, default=1.1)
-    sub.add_argument("--n", type=int, default=None,
-                     help="symmetry order (fn/hn only)")
-    sub.add_argument("--alpha", type=float, default=None, help="g4 only")
-    sub.add_argument("--beta", type=float, default=None, help="g4 only")
-    sub.add_argument("--delta", type=float, default=None, help="g4 only")
+    sub.add_argument("--n", type=int, default=4, help="symmetry order of fn/hn")
+    sub.add_argument("--alpha", type=float, default=None, help="g4 radial deformation")
+    sub.add_argument("--beta", type=float, default=None, help="g4 rotational deformation")
+    sub.add_argument("--delta", type=float, default=None, help="g4 twist deformation")
     sub.add_argument("--r0", type=float, default=None,
-                     help="radial saturation onset (h/hn only)")
+                     help="radial saturation onset of h/hn")
     sub.add_argument("--r-half", type=float, default=None,
-                     help="radial excess halving scale (h/hn only)")
+                     help="radial excess halving scale of h/hn")
 
 
-def _spec_from_args(parser, args) -> MapSpec:
-    fam = args.family
-    if args.n is not None and fam not in ("fn", "hn"):
-        parser.error("--n applies to the fn/hn families only")
-    if fam not in ("g4",) and any(getattr(args, f) is not None
-                                  for f in ("alpha", "beta", "delta")):
-        parser.error("--alpha/--beta/--delta apply to the g4 family only")
-    if fam not in ("h", "hn") and (args.r0 is not None or args.r_half is not None):
-        parser.error("--r0/--r-half apply to the h/hn families only")
+def _spec_from_args(args) -> MapSpec:
+    """The MapSpec the family flags name.  MapSpec checks which parameters
+    each family takes; main reports its ValueError as a usage error."""
     if args.r_half is not None and args.r0 is None:
-        parser.error("--r-half requires --r0")
+        raise ValueError("--r-half requires --r0")
     profile = None
     if args.r0 is not None:
         profile = RadialProfile(args.r0, args.r_half if args.r_half is not None
                                 else args.r0)
     return MapSpec(
-        family=fam,
+        family=args.family,
         k=args.k,
-        n=args.n if args.n is not None else 4,
+        n=args.n,
         alpha=args.alpha or 0.0,
         beta=args.beta or 0.0,
         delta=args.delta or 0.0,
         profile=profile,
     )
-
-
-def _spec_echo(spec: MapSpec) -> dict:
-    echo = {"family": spec.family, "k": spec.k, "n": spec.n}
-    if spec.family == "g4":
-        echo.update(alpha=spec.alpha, beta=spec.beta, delta=spec.delta)
-    if spec.profile is not None:
-        echo.update(r0=spec.profile.r0, r_half=spec.profile.r_half)
-    return echo
 
 
 def _write_text(path, text) -> None:
@@ -144,7 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
 
-    p = subs.add_parser("verify", help="run verification checks")
+    p = subs.add_parser(
+        "verify", help="run verification checks",
+        description="Run verification checks.  Each check chooses its own map "
+                    "families; the family flags only fill the spec echoed in the "
+                    "JSON report (--k also sets the checks' k).")
     _add_family_flags(p)
     p.add_argument("--suite", default="all",
                    help="'all' or comma-separated check names")
@@ -189,16 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(parser, args) -> int:
-    spec = _spec_from_args(parser, args)
-    from .maps import eval_map
-
+    spec = _spec_from_args(args)
     x, y = eval_map(spec, (args.x0, args.y0))
     sys.stdout.write(f"x={_fmt(x)} y={_fmt(y)}\n")
     return 0
 
 
 def _cmd_orbit(parser, args) -> int:
-    spec = _spec_from_args(parser, args)
+    spec = _spec_from_args(args)
     orb = iterate(spec, (args.x0, args.y0), args.steps)
     rows = [(i, float(p[0]), float(p[1])) for i, p in enumerate(orb.points)]
     _write_text(args.out, _csv(("step", "x", "y"), rows))
@@ -208,7 +194,7 @@ def _cmd_orbit(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    spec = _spec_from_args(parser, args)
+    spec = _spec_from_args(args)
     if args.suite == "all":
         names = [n for n, _ in ALL_CHECKS]
     else:
@@ -216,7 +202,7 @@ def _cmd_verify(parser, args) -> int:
         if not names:
             parser.error("--suite names no checks")
     seed = _resolve_seed(args)
-    report = run_suite(names, k=args.k, seed=seed, spec_echo=_spec_echo(spec))
+    report = run_suite(names, k=args.k, seed=seed, spec_echo=spec.echo())
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         sys.stdout.write(f"{status} {c.name}: statistic={c.statistic:.6g} "
@@ -229,7 +215,7 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _cmd_basin(parser, args) -> int:
-    spec = _spec_from_args(parser, args)
+    spec = _spec_from_args(args)
     raster = basin_raster(spec, tuple(args.window), args.res, args.res,
                           budget=args.budget, eps_in=args.eps_in, r_escape=args.r_escape)
     with open(args.out, "wb") as fh:
@@ -241,7 +227,7 @@ def _cmd_basin(parser, args) -> int:
 
 
 def _cmd_curve(parser, args) -> int:
-    spec = _spec_from_args(parser, args)
+    spec = _spec_from_args(args)
     curve = image_curve(spec, args.radius, args.samples)
     rows = [(float(t), float(p[0]), float(p[1]))
             for t, p in zip(curve.thetas, curve.points)]
@@ -250,7 +236,7 @@ def _cmd_curve(parser, args) -> int:
 
 
 def _cmd_rotation(parser, args) -> int:
-    spec = _spec_from_args(parser, args)
+    spec = _spec_from_args(args)
     est = estimate_rotation(spec, (args.x0, args.y0), max_iters=args.iters)
     sys.stdout.write(f"slope={est.slope:.6f} "
                      f"rational={est.rational[0]}/{est.rational[1]}\n")

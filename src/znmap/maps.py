@@ -14,13 +14,15 @@ Families (all fix the origin):
   the origin and periodic orbit but pull far points inward, so infinity
   repels.
 
-Evaluators take ``(x, y)`` pairs of floats or of numpy arrays and run the
-same arithmetic on both: ``+ - * /`` in one fixed order, and the few other
-functions (trig, ``hypot``, ``expm1``, ``floor``, ``minimum`` and a select)
-from ``math`` for floats and from ``numpy`` for arrays, picked by the input
-type.  Jacobians are 2x2 numpy arrays ``[[a, b], [c, d]]``.
-``step_batch`` is ``eval_map`` on coordinate arrays, for raster/scan
-workloads.
+A ``MapSpec`` names a map and checks its parameters; ``eval_map``,
+``jac_map`` and ``step_batch`` evaluate it, and the per-family functions
+behind them are private.  Evaluators take ``(x, y)`` pairs of floats or of
+numpy arrays and run the same arithmetic on both: ``+ - * /`` in one fixed
+order, and the few other functions (trig, ``hypot``, ``expm1``, ``floor``,
+``minimum`` and a select) from ``math`` for floats and from ``numpy`` for
+arrays, picked by the input type.  Jacobians are 2x2 numpy arrays
+``[[a, b], [c, d]]``.  ``step_batch`` is ``eval_map`` on coordinate arrays,
+for raster/scan workloads.
 
 Points are plain ``(x, y)`` tuples; polar pairs are ``(r, theta)`` with
 ``r >= 0`` and ``theta`` normalized to ``[0, 2*pi)`` (the origin gets
@@ -161,7 +163,8 @@ def radial_u(s, prof: RadialProfile):
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Immutable handle naming one map: family plus its parameters.
+    """Immutable handle naming one map: family plus its parameters.  It is
+    the one place that states which parameters each family takes.
 
     ``n`` is the rotation-symmetry order (fixed at 4 for f4/g4/h).  The
     deformation parameters alpha/beta/delta apply only to g4; the radial
@@ -195,12 +198,22 @@ class MapSpec:
         elif self.profile is not None:
             raise ValueError("radial profile applies to the h/hn families only")
 
+    def echo(self) -> dict:
+        """The parameters that select this map: family, k and n, plus
+        alpha/beta/delta for g4 and r0/r_half for h/hn."""
+        echo = {"family": self.family, "k": self.k, "n": self.n}
+        if self.family == "g4":
+            echo.update(alpha=self.alpha, beta=self.beta, delta=self.delta)
+        if self.profile is not None:
+            echo.update(r0=self.profile.r0, r_half=self.profile.r_half)
+        return echo
+
 
 # ---------------------------------------------------------------------------
 # evaluation (floats or arrays)
 # ---------------------------------------------------------------------------
 
-def eval_f4(p: Point, k: float) -> Point:
+def _eval_f4(p: Point, k: float) -> Point:
     x, y = p
     d = 1.0 + (x * x + y * y)
     return -k * _cube(y) / d, k * _cube(x) / d
@@ -228,12 +241,7 @@ def _jac_f4_entries(x, y, k: float):
     return a, b, c, d
 
 
-def jac_f4(p: Point, k: float) -> np.ndarray:
-    a, b, c, d = _jac_f4_entries(p[0], p[1], k)
-    return np.array([[a, b], [c, d]])
-
-
-def jac_f4_polar(q: tuple[float, float], k: float) -> np.ndarray:
+def _jac_f4_polar(q: tuple[float, float], k: float) -> np.ndarray:
     """Derivative in polar charts (source and target): upper triangular,
     with angle derivative 3*sin^2*cos^2/(cos^6+sin^6)."""
     r, theta = q
@@ -251,9 +259,9 @@ def jac_f4_polar(q: tuple[float, float], k: float) -> np.ndarray:
     return np.array([[a11, a12], [0.0, a22]])
 
 
-def eval_g4(p: Point, k: float, alpha: float, beta: float, delta: float) -> Point:
+def _eval_g4(p: Point, k: float, alpha: float, beta: float, delta: float) -> Point:
     x, y = p
-    f1, f2 = eval_f4(p, k)
+    f1, f2 = _eval_f4(p, k)
     w = beta + delta * (x * x + y * y)
     return f1 + alpha * x - w * y, f2 + alpha * y + w * x
 
@@ -267,9 +275,12 @@ def _jac_g4_entries(x, y, k: float, alpha: float, beta: float, delta: float):
             d + alpha + 2.0 * delta * x * y)
 
 
-def jac_g4(p: Point, k: float, alpha: float, beta: float, delta: float) -> np.ndarray:
-    a, b, c, d = _jac_g4_entries(p[0], p[1], k, alpha, beta, delta)
-    return np.array([[a, b], [c, d]])
+def _jac_entries(spec, x, y):
+    """Analytic Jacobian entries (a, b, c, d) of an f4 or g4 MapSpec at
+    floats or coordinate arrays."""
+    if spec.family == "f4":
+        return _jac_f4_entries(x, y, spec.k)
+    return _jac_g4_entries(x, y, spec.k, spec.alpha, spec.beta, spec.delta)
 
 
 def _sector_chart(xp, p: Point, n: int):
@@ -370,27 +381,22 @@ def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None) -> Point
     rotate(+m) in angle space, so a boundary point whose local angle rounds
     to -ulp is never re-wrapped to 2*pi (which the n/4 rescale would blow
     up into a genuine jump).  For n = 4 the rescales are identities and the
-    quarter-turn rotations exact, so the evaluation reduces to eval_f4 or
-    eval_h (bitwise).
+    quarter-turn rotations exact, so the evaluation reduces to _eval_f4 or
+    _eval_h (bitwise).
     """
     x, y = p
     xp = _NAMESPACE.get(type(x), _MATH)
     if xp is _MATH and x == 0.0 and y == 0.0:
         return 0.0, 0.0
     if n == 4:
-        return eval_f4(p, k) if prof is None else eval_h(p, k, prof)
+        return _eval_f4(p, k) if prof is None else _eval_h(p, k, prof)
     r, _, m, theta4 = _sector_chart(xp, p, n)
     psi, theta_out = _sector_image(xp, r, theta4, m, k, n, prof)
     return psi * xp.cos(theta_out), psi * xp.sin(theta_out)
 
 
-def eval_fn(p: Point, k: float, n: int) -> Point:
-    """Sector dispatcher transplanting the base map to order-n symmetry."""
-    return _transplant(p, k, n, None)
-
-
-def jac_fn(p: Point, k: float, n: int) -> np.ndarray:
-    """Cartesian Jacobian of eval_fn via the polar chain rule.
+def _jac_fn(p: Point, k: float, n: int) -> np.ndarray:
+    """Cartesian Jacobian of the order-n transplant via the polar chain rule.
 
     The angular rescales contribute the constant diagonal factors
     diag(1, 4/n) and diag(1, n/4) around the polar-chart derivative of the
@@ -401,7 +407,7 @@ def jac_fn(p: Point, k: float, n: int) -> np.ndarray:
     if x == 0.0 and y == 0.0:
         return np.zeros((2, 2))
     r, theta, m, theta4 = _sector_chart(_MATH, p, n)
-    inner = jac_f4_polar((r, theta4), k)
+    inner = _jac_f4_polar((r, theta4), k)
     a_n = np.array([[1.0, 0.0], [0.0, 4.0 / n]])
     b_n = np.array([[1.0, 0.0], [0.0, n / 4.0]])
     d_polar = a_n @ inner @ b_n
@@ -413,8 +419,8 @@ def jac_fn(p: Point, k: float, n: int) -> np.ndarray:
     return chart_out @ d_polar @ chart_in_inv
 
 
-def eval_h(p: Point, k: float, prof: RadialProfile) -> Point:
-    w1, w2 = eval_f4(p, k)
+def _eval_h(p: Point, k: float, prof: RadialProfile) -> Point:
+    w1, w2 = _eval_f4(p, k)
     xp = _NAMESPACE.get(type(w1), _MATH)
     s = xp.hypot(w1, w2)
     if xp is _MATH and s <= prof.r0:  # identity branch, exact
@@ -422,10 +428,6 @@ def eval_h(p: Point, k: float, prof: RadialProfile) -> Point:
     # for arrays, u = s = 0 at the origin, where any finite scale will do
     scale = radial_u(s, prof) / xp.where(s > 0.0, s, 1.0)
     return scale * w1, scale * w2
-
-
-def eval_hn(p: Point, k: float, n: int, prof: RadialProfile) -> Point:
-    return _transplant(p, k, n, prof)
 
 
 def eval_map(spec, p: Point) -> Point:
@@ -436,14 +438,12 @@ def eval_map(spec, p: Point) -> Point:
     if callable(spec):
         return spec(p)
     if spec.family == "f4":
-        return eval_f4(p, spec.k)
+        return _eval_f4(p, spec.k)
     if spec.family == "g4":
-        return eval_g4(p, spec.k, spec.alpha, spec.beta, spec.delta)
-    if spec.family == "fn":
-        return eval_fn(p, spec.k, spec.n)
+        return _eval_g4(p, spec.k, spec.alpha, spec.beta, spec.delta)
     if spec.family == "h":
-        return eval_h(p, spec.k, spec.profile)
-    return eval_hn(p, spec.k, spec.n, spec.profile)
+        return _eval_h(p, spec.k, spec.profile)
+    return _transplant(p, spec.k, spec.n, spec.profile)  # fn (no profile) or hn
 
 
 def _jac_fd(fun, p: Point, h: float) -> np.ndarray:
@@ -462,16 +462,12 @@ def _jac_fd(fun, p: Point, h: float) -> np.ndarray:
 def jac_map(spec, p: Point) -> np.ndarray:
     """Jacobian of the map named by spec: analytic for f4/g4/fn, central
     finite differences for h/hn and callables."""
-    if callable(spec):
-        return _jac_fd(spec, p, 1e-7 * (1.0 + math.hypot(*p)))
-    if spec.family == "f4":
-        return jac_f4(p, spec.k)
-    if spec.family == "g4":
-        return jac_g4(p, spec.k, spec.alpha, spec.beta, spec.delta)
+    if callable(spec) or spec.family in ("h", "hn"):
+        return _jac_fd(lambda q: eval_map(spec, q), p, 1e-7 * (1.0 + math.hypot(*p)))
     if spec.family == "fn":
-        return jac_fn(p, spec.k, spec.n)
-    fun = lambda q: eval_map(spec, q)
-    return _jac_fd(fun, p, 1e-7 * (1.0 + math.hypot(*p)))
+        return _jac_fn(p, spec.k, spec.n)
+    a, b, c, d = _jac_entries(spec, p[0], p[1])
+    return np.array([[a, b], [c, d]])
 
 
 def step_batch(spec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

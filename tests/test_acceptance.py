@@ -10,6 +10,7 @@ closed form for the spectral supremum proves it, and pins the crossing.
 import math
 
 import numpy as np
+import pytest
 
 from znmap import verify
 from znmap.verify import (
@@ -70,6 +71,19 @@ def test_criterion_02_fails_on_inexact_multipliers(monkeypatch):
     result = check_periodic_orbit()
     assert not result.passed
     assert result.statistic <= result.tolerance  # the orbit itself is found
+
+
+@pytest.mark.parametrize("k", [1.01, 1.001])
+def test_criterion_02_periodic_orbit_near_k_one(k):
+    # P = (k-1)^(-1/2) is 10 and 31.6 here; the guess scales with P, since
+    # Newton from the fixed (3.0, 0.1) lands on the origin for n = 8
+    p_radius = 1.0 / math.sqrt(k - 1.0)
+    result = check_periodic_orbit(k)
+    assert result.passed, result.detail
+    guess = result.params["guess"]
+    assert abs(guess[0] - 3.0 * p_radius * math.sqrt(0.1)) <= 1e-12 * p_radius
+    assert abs(guess[1] - 0.1 * p_radius * math.sqrt(0.1)) <= 1e-12 * p_radius
+    assert check_periodic_orbit().params["guess"] == [3.0, 0.1]  # exact at k = 1.1
 
 
 def test_criterion_03_local_attractor():

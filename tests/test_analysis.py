@@ -315,15 +315,15 @@ def test_boundary_smoothness_order_four_single_formula():
 
 def test_jac_fn_on_boundary_matches_one_sided_differences():
     from znmap.analysis import _one_sided_jacobian
-    from znmap.maps import TWO_PI, eval_fn, from_polar, jac_fn
+    from znmap.maps import TWO_PI, _jac_fn, _transplant, from_polar
 
     n, r = 6, 1.0
     phi = TWO_PI / n
     xi = from_polar((r, phi))
     e_r = (math.cos(phi), math.sin(phi))
     e_t = (-math.sin(phi), math.cos(phi))
-    fun = lambda p: eval_fn(p, K, n)
-    analytic = jac_fn(xi, K, n)
+    fun = lambda p: _transplant(p, K, n, None)
+    analytic = _jac_fn(xi, K, n)
     for sign in (+1.0, -1.0):
         est = _one_sided_jacobian(fun, xi, e_r, e_t, sign, 1e-6, order=2)
         assert np.abs(analytic - est).max() <= 1e-6
@@ -339,9 +339,8 @@ def test_spectral_scan_bound_and_axes():
     scan = spectral_scan(F4, (-20.0, 20.0, -20.0, 20.0), 200)
     assert scan.max_modulus < K * math.sqrt(3.0) / 2.0
     assert scan.samples == 200 * 200
-    from znmap.maps import jac_f4
     for t in np.linspace(-20.0, 20.0, 100):
-        assert np.abs(np.linalg.eigvals(jac_f4((t, 0.0), K))).max() <= 1e-14
+        assert np.abs(np.linalg.eigvals(jac_map(F4, (t, 0.0)))).max() <= 1e-14
 
 
 def test_spectral_scan_small_beta_below_one():

@@ -55,8 +55,14 @@ def test_usage_error_unknown_flag(capsys):
     (["rotation", "--x0", "0", "--y0", "0"], None),
     (["eval", "--family", "fn", "--n", "5", "--x0", "nan", "--y0", "0"], None),
     (["verify", "--suite", "properness"], "abc"),
+    (["eval", "--family", "f4", "--n", "6", "--x0", "1", "--y0", "0"], None),
+    (["verify", "--family", "fn", "--beta", "0.1", "--suite", "properness"], None),
+    (["basin", "--family", "g4", "--r0", "7", "--window", "-1", "1", "-1", "1",
+      "--out", "unused.pgm"], None),
+    (["rotation", "--family", "h", "--r-half", "1", "--x0", "1", "--y0", "0"], None),
 ], ids=["unfold-scan-beta", "orbit-steps", "curve-samples", "rotation-origin",
-        "eval-nan", "verify-seed-env"])
+        "eval-nan", "verify-seed-env", "eval-n-on-f4", "verify-beta-on-fn",
+        "basin-r0-on-g4", "rotation-r-half-without-r0"])
 def test_usage_error_for_bad_values_names_the_command(capsys, monkeypatch, argv, env_seed):
     if env_seed is not None:
         monkeypatch.setenv("ZNMAP_SEED", env_seed)
@@ -71,6 +77,23 @@ def test_usage_error_for_empty_suite(capsys):
         main(["verify", "--suite", ","])
     assert exc.value.code == 2
     assert "--suite names no checks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, plain", [
+    (["--family", "f4", "--n", "4"], ["--family", "f4"]),
+    (["--family", "fn", "--beta", "0"], ["--family", "fn"]),
+], ids=["n4-on-f4", "beta0-on-fn"])
+def test_flag_that_selects_the_same_map_is_accepted(tmp_path, capsys, flags, plain):
+    outputs = []
+    for i, family_flags in enumerate((flags, plain)):
+        path = tmp_path / f"r{i}.json"
+        code, out, _ = run(["eval", *family_flags, "--x0", "1.3", "--y0", "-2.1"], capsys)
+        assert code == 0
+        code, verify_out, _ = run(["verify", *family_flags, "--suite", "negative-control",
+                                   "--json", str(path)], capsys)
+        assert code == 0
+        outputs.append((out, verify_out, path.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_usage_error_for_r_half_without_r0(capsys):

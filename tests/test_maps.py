@@ -10,19 +10,16 @@ from znmap.maps import (
     TWO_PI,
     MapSpec,
     RadialProfile,
+    _eval_f4,
+    _eval_g4,
+    _eval_h,
     _f4_polar,
+    _jac_f4_polar,
+    _jac_fn,
+    _transplant,
     default_profile,
-    eval_f4,
-    eval_fn,
-    eval_g4,
-    eval_h,
-    eval_hn,
     eval_map,
     from_polar,
-    jac_f4,
-    jac_f4_polar,
-    jac_fn,
-    jac_g4,
     jac_map,
     radial_u,
     rotate,
@@ -33,6 +30,7 @@ from znmap.maps import (
 
 K = 1.1
 P_RADIUS = 1.0 / math.sqrt(K - 1.0)  # 3.16227766...
+F4 = MapSpec("f4", k=K)
 
 
 def close(a, b, tol=1e-12):
@@ -54,23 +52,23 @@ def fd_jacobian(fun, p, h=1e-5):
 # ---------------------------------------------------------------------------
 
 def test_f4_fixes_origin():
-    assert eval_f4((0.0, 0.0), K) == (0.0, 0.0) or eval_f4((0.0, 0.0), K) == (-0.0, 0.0)
+    assert _eval_f4((0.0, 0.0), K) == (0.0, 0.0) or _eval_f4((0.0, 0.0), K) == (-0.0, 0.0)
 
 
 def test_f4_diagonal_value():
     # (1,1): denominator 3, so components are k/3
-    fx, fy = eval_f4((1.0, 1.0), K)
+    fx, fy = _eval_f4((1.0, 1.0), K)
     assert abs(fx + K / 3.0) <= 1e-15
     assert abs(fy - K / 3.0) <= 1e-15
 
 
 def test_f4_maps_periodic_point_to_its_quarter_turn():
     p = (P_RADIUS, 0.0)
-    assert close(eval_f4(p, K), rotate(p, 1, 4), 1e-12)
+    assert close(_eval_f4(p, K), rotate(p, 1, 4), 1e-12)
     # full period
     q = p
     for _ in range(4):
-        q = eval_f4(q, K)
+        q = _eval_f4(q, K)
     assert close(q, p, 1e-12)
 
 
@@ -96,20 +94,20 @@ def test_f4_polar_consistent_with_cartesian():
         r = 10.0 * rng.random()
         th = TWO_PI * rng.random()
         p = from_polar((r, th))
-        direct = eval_f4(p, K)
+        direct = _eval_f4(p, K)
         via_polar = from_polar(_f4_polar(_MATH, r, th, K))
         assert close(direct, via_polar, 1e-12 * (1.0 + r ** 3))
 
 
 def test_jac_f4_zero_at_origin_and_on_axes():
-    assert np.abs(jac_f4((0.0, 0.0), K)).max() == 0.0
-    jac = jac_f4((1.0, 0.0), K)
+    assert np.abs(jac_map(F4, (0.0, 0.0))).max() == 0.0
+    jac = jac_map(F4, (1.0, 0.0))
     assert np.allclose(jac, [[0.0, 0.0], [K, 0.0]], atol=1e-15)
     assert np.abs(np.linalg.eigvals(jac)).max() == 0.0
 
 
 def test_jac_f4_spectral_bound_inside_unit_box():
-    mods = np.abs(np.linalg.eigvals(jac_f4((1.0, 1.0), K)))
+    mods = np.abs(np.linalg.eigvals(jac_map(F4, (1.0, 1.0))))
     assert mods.max() < K * math.sqrt(3.0) / 2.0
 
 
@@ -117,17 +115,17 @@ def test_jac_f4_matches_finite_differences():
     rng = np.random.default_rng(1)
     for _ in range(50):
         p = tuple(rng.normal(0.0, 3.0, 2))
-        err = np.abs(jac_f4(p, K) - fd_jacobian(lambda q: eval_f4(q, K), p)).max()
+        err = np.abs(jac_map(F4, p) - fd_jacobian(lambda q: _eval_f4(q, K), p)).max()
         assert err <= 1e-6 * (1.0 + math.hypot(*p) ** 2)
 
 
 def test_jac_f4_polar_examples():
     for th in (0.0, math.pi / 2):
-        jac = jac_f4_polar((1.0, th), K)
+        jac = _jac_f4_polar((1.0, th), K)
         assert np.allclose(jac, [[K, 0.0], [0.0, 0.0]], atol=1e-15)
-    assert abs(jac_f4_polar((1.0, math.pi / 4), K)[1, 1] - 3.0) <= 1e-12
+    assert abs(_jac_f4_polar((1.0, math.pi / 4), K)[1, 1] - 3.0) <= 1e-12
     with pytest.raises(ValueError):
-        jac_f4_polar((0.0, 0.3), K)
+        _jac_f4_polar((0.0, 0.3), K)
 
 
 # ---------------------------------------------------------------------------
@@ -138,30 +136,30 @@ def test_g4_reduces_to_f4_at_zero_parameters():
     rng = np.random.default_rng(2)
     for _ in range(100):
         p = tuple(rng.normal(0.0, 4.0, 2))
-        assert eval_g4(p, K, 0.0, 0.0, 0.0) == eval_f4(p, K)
+        assert _eval_g4(p, K, 0.0, 0.0, 0.0) == _eval_f4(p, K)
 
 
 def test_g4_origin_derivative_and_stability_threshold():
-    jac = jac_g4((0.0, 0.0), K, 0.3, 0.4, 0.0)
+    jac = jac_map(MapSpec("g4", k=K, alpha=0.3, beta=0.4), (0.0, 0.0))
     assert np.allclose(jac, [[0.3, -0.4], [0.4, 0.3]], atol=1e-16)
     mods = np.abs(np.linalg.eigvals(jac))
     assert abs(mods.max() - 0.5) <= 1e-15  # alpha^2 + beta^2 = 0.25 < 1
 
 
 def test_g4_rotational_term_value():
-    assert close(eval_g4((1.0, 0.0), K, 0.0, 0.05, 0.0), (0.0, 0.6), 1e-15)
+    assert close(_eval_g4((1.0, 0.0), K, 0.0, 0.05, 0.0), (0.0, 0.6), 1e-15)
 
 
 def test_g4_delta_term_jacobian_by_hand():
     # derivative of (x^2+y^2)(-y, x) at (1, 0) is [[0,-1],[1,0]] + [[0,0],[2,0]]
-    jac = jac_g4((1.0, 0.0), K, 0.0, 0.0, 1.0) - jac_f4((1.0, 0.0), K)
+    jac = jac_map(MapSpec("g4", k=K, delta=1.0), (1.0, 0.0)) - jac_map(F4, (1.0, 0.0))
     assert np.allclose(jac, [[0.0, -1.0], [3.0, 0.0]], atol=1e-15)
 
 
 def test_g4_determinant_grows_with_beta_off_axes():
     beta = 0.05
-    jf = jac_f4((1.0, 1.0), K)
-    jg = jac_g4((1.0, 1.0), K, 0.0, beta, 0.0)
+    jf = jac_map(F4, (1.0, 1.0))
+    jg = jac_map(MapSpec("g4", k=K, beta=beta), (1.0, 1.0))
     b_minus_c = jf[0, 1] - jf[1, 0]
     assert b_minus_c < 0.0
     expected = np.linalg.det(jf) + beta ** 2 - beta * b_minus_c
@@ -171,10 +169,11 @@ def test_g4_determinant_grows_with_beta_off_axes():
 
 def test_jac_g4_matches_finite_differences():
     rng = np.random.default_rng(3)
-    fun = lambda q: eval_g4(q, K, 0.2, 0.1, 0.03)
+    fun = lambda q: _eval_g4(q, K, 0.2, 0.1, 0.03)
+    spec = MapSpec("g4", k=K, alpha=0.2, beta=0.1, delta=0.03)
     for _ in range(50):
         p = tuple(rng.normal(0.0, 3.0, 2))
-        err = np.abs(jac_g4(p, K, 0.2, 0.1, 0.03) - fd_jacobian(fun, p)).max()
+        err = np.abs(jac_map(spec, p) - fd_jacobian(fun, p)).max()
         assert err <= 1e-6 * (1.0 + math.hypot(*p) ** 2)
 
 
@@ -186,12 +185,12 @@ def test_fn_order_four_is_f4_bitwise():
     rng = np.random.default_rng(4)
     for _ in range(1000):
         p = tuple(rng.normal(0.0, 3.0, 2))
-        assert eval_fn(p, K, 4) == eval_f4(p, K)
+        assert _transplant(p, K, 4, None) == _eval_f4(p, K)
 
 
 def test_fn_axis_ray_maps_to_next_boundary():
     # the positive x-axis maps to the ray at angle 2*pi/6 with radius k/2
-    img = eval_fn((1.0, 0.0), K, 6)
+    img = _transplant((1.0, 0.0), K, 6, None)
     assert close(img, (0.275, 0.4763139720814412), 1e-12)
 
 
@@ -201,7 +200,7 @@ def test_fn_periodic_orbit_structure():
     q = p
     pts = []
     for _ in range(n):
-        q = eval_fn(q, K, n)
+        q = _transplant(q, K, n, None)
         pts.append(q)
     assert close(pts[-1], p, 1e-11)
     for j, pt in enumerate(pts[:-1], start=1):
@@ -215,8 +214,8 @@ def test_fn_equivariance_all_orders():
         worst = 0.0
         for _ in range(400):
             p = tuple(rng.normal(0.0, 4.0, 2))
-            a = eval_fn(rotate(p, 1, n), K, n)
-            b = rotate(eval_fn(p, K, n), 1, n)
+            a = _transplant(rotate(p, 1, n), K, n, None)
+            b = rotate(_transplant(p, K, n, None), 1, n)
             worst = max(worst,
                         math.hypot(a[0] - b[0], a[1] - b[1])
                         / (1.0 + math.hypot(*p) ** 3))
@@ -230,16 +229,16 @@ def test_fn_sector_image():
             r = 0.1 + 6.0 * rng.random()
             j = rng.integers(1, n + 1)
             th = TWO_PI * (j - 1 + 0.02 + 0.96 * rng.random()) / n
-            img = eval_fn(from_polar((r, th)), K, n)
+            img = _transplant(from_polar((r, th)), K, n, None)
             assert sector_of(img, n) == j % n + 1
 
 
 def test_jac_fn_zero_at_origin_and_matches_f4():
-    assert np.abs(jac_fn((0.0, 0.0), K, 7)).max() == 0.0
+    assert np.abs(_jac_fn((0.0, 0.0), K, 7)).max() == 0.0
     rng = np.random.default_rng(7)
     for _ in range(100):
         p = tuple(rng.normal(0.0, 2.0, 2))
-        assert np.abs(jac_fn(p, K, 4) - jac_f4(p, K)).max() <= 1e-12
+        assert np.abs(_jac_fn(p, K, 4) - jac_map(F4, p)).max() <= 1e-12
 
 
 def test_jac_fn_matches_finite_differences_interior():
@@ -250,16 +249,16 @@ def test_jac_fn_matches_finite_differences_interior():
             j = rng.integers(0, n)
             th = TWO_PI * (j + 0.1 + 0.8 * rng.random()) / n
             p = from_polar((r, th))
-            err = np.abs(jac_fn(p, K, n)
-                         - fd_jacobian(lambda q: eval_fn(q, K, n), p)).max()
+            err = np.abs(_jac_fn(p, K, n)
+                         - fd_jacobian(lambda q: _transplant(q, K, n, None), p)).max()
             assert err <= 1e-6 * (1.0 + r * r)
 
 
 def test_polar_chart_derivative_same_on_both_boundary_charts():
     # the two sector formulas meet with equal polar derivatives at the ray
     for r in (0.5, 1.0, 2.0):
-        lhs = jac_f4_polar((r, math.pi / 2), K)
-        rhs = jac_f4_polar((r, 0.0), K)
+        lhs = _jac_f4_polar((r, math.pi / 2), K)
+        rhs = _jac_f4_polar((r, 0.0), K)
         assert np.abs(lhs - rhs).max() <= 1e-12 * (1.0 + r * r)
 
 
@@ -267,9 +266,9 @@ def test_polar_chart_derivative_same_on_both_boundary_charts():
                                (1.0, math.inf), (-math.inf, 1.0), (1.0, -math.inf)])
 def test_polar_dispatch_rejects_non_finite_points(p):
     with pytest.raises(ValueError):
-        eval_fn(p, K, 5)
+        _transplant(p, K, 5, None)
     with pytest.raises(ValueError):
-        eval_hn(p, K, 5, default_profile(K))
+        _transplant(p, K, 5, default_profile(K))
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +306,15 @@ def test_radial_u_below_identity_and_increasing(s, ds):
 
 def test_eval_h_identity_region_and_orbit_survival():
     prof = default_profile(K)
-    assert eval_h((1.0, 1.0), K, prof) == eval_f4((1.0, 1.0), K)
+    assert _eval_h((1.0, 1.0), K, prof) == _eval_f4((1.0, 1.0), K)
     p = (P_RADIUS, 0.0)
-    assert eval_h(p, K, prof) == eval_f4(p, K)
+    assert _eval_h(p, K, prof) == _eval_f4(p, K)
 
 
 def test_eval_h_contracts_far_out():
     prof = default_profile(K)
-    img = eval_h((20.0, 0.0), K, prof)
-    s = math.hypot(*eval_f4((20.0, 0.0), K))
+    img = _eval_h((20.0, 0.0), K, prof)
+    s = math.hypot(*_eval_f4((20.0, 0.0), K))
     assert abs(math.hypot(*img) - radial_u(s, prof)) <= 1e-12
     assert math.hypot(*img) < 20.0
 
@@ -328,7 +327,7 @@ def test_eval_hn_dissipative_bound():
             r = 2.0 * prof.r0 + 80.0 * rng.random()
             th = TWO_PI * rng.random()
             p = from_polar((r, th))
-            img = eval_hn(p, K, n, prof)
+            img = _transplant(p, K, n, prof)
             assert math.hypot(*img) < r
             assert math.hypot(*img) <= max(r, radial_u(K * r, prof)) + 1e-9
 
@@ -337,10 +336,10 @@ def test_ray_property_for_ray_preserving_families():
     rng = np.random.default_rng(10)
     prof = default_profile(K)
     funs = [
-        lambda p: eval_f4(p, K),
-        lambda p: eval_fn(p, K, 5),
-        lambda p: eval_h(p, K, prof),
-        lambda p: eval_hn(p, K, 3, prof),
+        lambda p: _eval_f4(p, K),
+        lambda p: _transplant(p, K, 5, None),
+        lambda p: _eval_h(p, K, prof),
+        lambda p: _transplant(p, K, 3, prof),
     ]
     for fun in funs:
         for i in range(64):
@@ -384,14 +383,27 @@ def test_mapspec_family_constraints():
     assert spec.profile is not None and spec.profile.r0 > P_RADIUS
 
 
+def test_mapspec_echo_names_the_selecting_parameters():
+    r0 = 2.0 / math.sqrt(K - 1.0)
+    assert MapSpec("f4").echo() == {"family": "f4", "k": K, "n": 4}
+    assert MapSpec("g4").echo() == {"family": "g4", "k": K, "n": 4,
+                                    "alpha": 0.0, "beta": 0.0, "delta": 0.0}
+    assert MapSpec("g4", k=1.05, alpha=0.1, beta=0.05, delta=-0.01).echo() == {
+        "family": "g4", "k": 1.05, "n": 4, "alpha": 0.1, "beta": 0.05, "delta": -0.01}
+    assert MapSpec("fn", n=6).echo() == {"family": "fn", "k": K, "n": 6}
+    assert MapSpec("h").echo() == {"family": "h", "k": K, "n": 4, "r0": r0, "r_half": r0}
+    assert MapSpec("hn", n=5, profile=RadialProfile(7.0, 3.0)).echo() == {
+        "family": "hn", "k": K, "n": 5, "r0": 7.0, "r_half": 3.0}
+
+
 def test_eval_map_dispatch_matches_family_functions():
     prof = default_profile(K)
     p = (1.2, -0.7)
-    assert eval_map(MapSpec("f4", k=K), p) == eval_f4(p, K)
-    assert eval_map(MapSpec("g4", k=K, beta=0.05), p) == eval_g4(p, K, 0.0, 0.05, 0.0)
-    assert eval_map(MapSpec("fn", k=K, n=6), p) == eval_fn(p, K, 6)
-    assert eval_map(MapSpec("h", k=K), p) == eval_h(p, K, prof)
-    assert eval_map(MapSpec("hn", k=K, n=6), p) == eval_hn(p, K, 6, prof)
+    assert eval_map(MapSpec("f4", k=K), p) == _eval_f4(p, K)
+    assert eval_map(MapSpec("g4", k=K, beta=0.05), p) == _eval_g4(p, K, 0.0, 0.05, 0.0)
+    assert eval_map(MapSpec("fn", k=K, n=6), p) == _transplant(p, K, 6, None)
+    assert eval_map(MapSpec("h", k=K), p) == _eval_h(p, K, prof)
+    assert eval_map(MapSpec("hn", k=K, n=6), p) == _transplant(p, K, 6, prof)
 
 
 def test_jac_map_finite_difference_fallback():
