@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import (TWO_PI, MapSpec, Point, _jac_entries, eval_map, from_polar, jac_map,
-                   rotate, step_batch, trapping_region)
+from .maps import (TWO_PI, MapSpec, Point, _jac_entries, contracting_disk, escape_cones,
+                   eval_map, from_polar, jac_map, rotate, step_batch, trapping_region)
 
 DEFAULT_SEED = 0x5EED
 
@@ -30,6 +30,11 @@ _SNAPSHOT_GAP = 32
 # batches run on the calling thread alone: splitting the 64^2 h/hn rasters
 # (4,096 starts) in two measured 1.7-2.2x slower than the serial loop.
 _MIN_PART = 16384
+
+# Relative margin of the 1-D radius bounds behind the retirement counts: far
+# above the rounding of a computed step or of a bound step, far below the
+# 1e-6 radial margin of the closed-form regions.
+_BOUND_MARGIN = 1e-9
 
 
 @dataclass
@@ -112,6 +117,7 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
     the region maps into itself with margins far above the rounding of a
     step and lies strictly between eps_in and r_escape, so the plain loop
     would give such a point kind 0 and steps -1 at every budget.
+    classify_kinds retires more points, at the cost of their steps.
 
     A batch of at least 2 * _MIN_PART starts is split into contiguous
     parts, one thread per CPU available to the process (at most one part
@@ -121,6 +127,33 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
     part, and the first exception raised by any part is re-raised here
     after all parts have finished.
     """
+    return _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only=False)
+
+
+def classify_kinds(spec: MapSpec, xs, ys, budget: int = 10_000,
+                   eps_in: float = 1e-8, r_escape: float = 1e6) -> np.ndarray:
+    """The kinds of classify_batch, bitwise, without the steps.
+
+    Besides the retirements of classify_batch, a point is retired as soon
+    as it lies in a closed-form region whose fate is known: for f4/fn the
+    escape cones about the sector boundary rays (maps.escape_cones, kind
+    2), and for f4/fn/h/hn the contracting disk about the origin
+    (maps.contracting_disk, kind 1).  For each region one count N is
+    computed per call: the steps a 1-D bound on the radius takes from the
+    region's edge to pass the threshold, r_escape for the cones (the bound
+    psi(r)*m_a from below) and eps_in for the disk (psi(r) from above),
+    with a relative margin of _BOUND_MARGIN per step.  A point in the
+    region at step t is retired only while t + N <= budget, so the plain
+    loop would decide it the same way within the budget, and the kinds are
+    those of classify_batch at every budget.  g4 and callables get no
+    region.
+    """
+    return _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only=True)[0]
+
+
+def _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only):
+    """classify_batch, or with kinds_only the retirements of classify_kinds
+    too (the steps are then meaningless)."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if not eps_in < r_escape:
@@ -134,10 +167,10 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
     npts = x.size
     kinds = np.zeros(npts, dtype=np.uint8)
     steps = np.full(npts, -1, dtype=np.int64)
-    trap = trapping_region(spec, eps_in, r_escape)
+    regions = _retirements(spec, budget, eps_in, r_escape, kinds_only)
     parts = min(_available_cpus(), npts // _MIN_PART)
     if parts <= 1:
-        _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, trap)
+        _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, regions)
         return kinds, steps
     cuts = [npts * i // parts for i in range(parts + 1)]
     errors = [None] * parts
@@ -145,7 +178,7 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
     def run(i):
         lo, hi = cuts[i], cuts[i + 1]
         _classify_part(spec, x[lo:hi], y[lo:hi], kinds[lo:hi], steps[lo:hi],
-                       budget, eps_in, r_escape, trap)
+                       budget, eps_in, r_escape, regions)
 
     def work(i):
         try:
@@ -172,6 +205,53 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
     return kinds, steps
 
 
+def _retirements(spec, budget, eps_in, r_escape, kinds_only):
+    """The (region, kind, N) entries of _classify_part: a live point in
+    region at step t with t + N <= budget is retired with kind.  The h/hn
+    trapping region decides kind 0 with N = 0.  With kinds_only the escape
+    cones (kind 2) and the contracting disk (kind 1) follow, with N from
+    _crossing_steps.  Each bound starts from the region's edge and must
+    pass its threshold, both moved outward by the relative margin mu, so
+    that the rounding of the membership test and of the plain loop's
+    threshold test cannot decide a point otherwise.  Entries with
+    N > budget never retire and are left out."""
+    entries = []
+    trap = trapping_region(spec, eps_in, r_escape)
+    if trap is not None:
+        entries.append((trap, 0, 0))
+    if not kinds_only:
+        return entries
+    mu = _BOUND_MARGIN
+    cones = escape_cones(spec)
+    if cones is not None:
+        beyond = r_escape * (1.0 + mu)
+        entries.append((cones, 2, _crossing_steps(
+            spec.k, cones.r_lo * (1.0 - mu), cones.m_a * (1.0 - mu), lambda r: r > beyond,
+            budget)))
+    disk = contracting_disk(spec)
+    if disk is not None:
+        within = abs(eps_in) * (1.0 - mu)
+        entries.append((disk, 1, _crossing_steps(
+            spec.k, disk.radius * (1.0 + mu), 1.0 + mu, lambda r: r < within, budget)))
+    return [entry for entry in entries if entry[2] <= budget]
+
+
+def _crossing_steps(k: float, rho: float, gain: float, passed, budget: int) -> int:
+    """The steps the 1-D bound rho -> gain*psi(rho), psi(r) = k r^3/(1+r^2),
+    takes from rho until passed(rho), or budget + 1 if it takes more than
+    budget steps."""
+    for t in range(budget + 1):
+        if passed(rho):
+            return t
+        # k*rho/(1 + 1/rho^2) overflows only where k*rho does; rho^2 stays
+        # positive while rho is above eps_in, whose square is a normal float
+        nxt = gain * (k * rho / (1.0 + 1.0 / (rho * rho)))
+        if nxt == rho:  # stuck, as at rho = inf below an infinite r_escape
+            break
+        rho = nxt
+    return budget + 1
+
+
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -179,10 +259,11 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, trap):
+def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, regions):
     """The serial loop of classify_batch: classify the starts (x, y),
     writing into kinds and steps (the same length, kinds 0, steps -1).
-    Points in trap (a TrappingRegion, or None) are retired as undecided."""
+    A live point in a region of regions (see _retirements) is retired with
+    that region's kind, leaving its steps alone."""
     idx = np.arange(x.size)
     eps2 = eps_in * eps_in
     # Clamped so that an infinite radius (r2 = inf) always escapes.
@@ -215,8 +296,11 @@ def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, trap):
                 # where the x bits already match.
                 rep = np.flatnonzero(x.view(np.int64) == sx.view(np.int64))
                 keep[rep[y[rep].view(np.int64) == sy[rep].view(np.int64)]] = False
-            if trap is not None:  # trapped points also keep kind 0 and steps -1
-                keep[trap.contains(x, y)] = False
+            for region, kind, count in regions:
+                if t + count <= budget:
+                    hit = keep & region.contains(x, y)
+                    kinds[idx[hit]] = kind
+                    keep &= ~hit
             if not keep.all():
                 x, y, idx, sx, sy = x[keep], y[keep], idx[keep], sx[keep], sy[keep]
             if idx.size == 0 or t == budget:

@@ -308,15 +308,44 @@ def sector_of(p: Point, n: int) -> int:
     return _sector_chart(_MATH, p, n)[2] + 1
 
 
+# The relative radial margin of the closed-form regions below.  With the
+# angular margin a - atan(eps^3) of the cones it dwarfs the rounding of one
+# computed step, so computed orbits stay inside the regions as well.
+_MARGIN = 1e-6
+
+
+def _cone_edge(k: float):
+    """(a, m_a, r_lo) of the cones about the sector boundary rays, or None.
+
+    The cones hold the points with chart angle theta4 (see _sector_chart)
+    within a = atan(eps), eps = min(0.1, sqrt((k-1)/(3k))), of 0 or pi/2.
+    One step of f4 or fn maps chart (r, theta4) to radius psi(r)*m(theta4)
+    and chart angle atan(tan^3 theta4), or its mirror image about pi/2,
+    where psi(r) = k r^3/(1+r^2) and m(t) = hypot(cos^3 t, sin^3 t).  On the
+    cones m >= m_a = m(a) and the image angle is at most atan(eps^3) < a.
+    r_lo solves psi(r)*m_a = (1+margin)*r; as psi(r)/r increases, every
+    radius r >= r_lo grows by at least that factor.  None when k*m_a does
+    not clear 1 + margin.
+    """
+    d = _MARGIN
+    eps = min(0.1, math.sqrt((k - 1.0) / (3.0 * k)))
+    m_a = math.sqrt((1.0 + eps ** 6) / (1.0 + eps * eps) ** 3)
+    if not k * m_a > 1.0 + d:
+        return None
+    return math.atan(eps), m_a, math.sqrt((1.0 + d) / (k * m_a - 1.0 - d))
+
+
 @dataclass(frozen=True)
-class TrappingRegion:
-    """Annular cones about the sector boundary rays of an h/hn map:
-    r_lo <= |p| <= r_hi with chart angle theta4 (see _sector_chart) within
-    cone of 0 or of pi/2.  Built by trapping_region."""
+class ConeRegion:
+    """Annular cones about the sector boundary rays: r_lo <= |p| <= r_hi
+    with chart angle theta4 (see _sector_chart) within cone of 0 or of
+    pi/2, where m(theta4) >= m_a.  Built by trapping_region and
+    escape_cones."""
 
     r_lo: float
     r_hi: float
     cone: float
+    m_a: float
     n: int
 
     def contains(self, x, y):
@@ -329,40 +358,83 @@ class TrappingRegion:
         return (r >= self.r_lo) & (r <= self.r_hi) & near_axis
 
 
-def trapping_region(spec, eps_in: float, r_escape: float) -> TrappingRegion | None:
+@dataclass(frozen=True)
+class Disk:
+    """The disk |p| <= radius about the origin.  Built by contracting_disk."""
+
+    radius: float
+
+    def contains(self, x, y):
+        """Whether (x, y) lies in the disk (floats or arrays)."""
+        return x * x + y * y <= self.radius * self.radius
+
+
+def trapping_region(spec, eps_in: float, r_escape: float) -> ConeRegion | None:
     """The trapping region of the outer period-n cycle of an h/hn map, or None.
 
-    The region holds the points with chart angle theta4 (see _sector_chart)
-    within a = atan(eps), eps = min(0.1, sqrt((k-1)/(3k))), of 0 or pi/2,
-    and radius in [r_lo, r_hi].  One step maps chart (r, theta4) to radius
-    u(psi(r)*m(theta4)) and chart angle atan(tan^3 theta4), or its mirror
-    image about pi/2, where psi(r) = k r^3/(1+r^2), m(t) = hypot(cos^3 t,
-    sin^3 t) and u is the radial response.  On the cones m >= m_a = m(a)
-    and the image angle is at most atan(eps^3) < a.  r_lo solves
-    psi(r)*m_a = (1+margin)*r and must lie below r0, where u is the
-    identity; r_hi = min(r_escape/2, 1e100) must satisfy
-    u(psi(r_hi)) <= (1-margin)*r_hi.  As psi and u increase, image radii
-    lie in [(1+margin)*r_lo, (1-margin)*r_hi].  The margins (1e-6 relative
-    in radius, a - atan(eps^3) in angle) dwarf the rounding of one computed
-    step, so computed orbits stay inside as well: with |eps_in| < r_lo they
-    never converge and never escape.  None for callables and f4/g4/fn, and
-    whenever one of these conditions fails.
+    The region holds the points of the cones of _cone_edge with radius in
+    [r_lo, r_hi].  One step of h/hn maps chart (r, theta4) to radius
+    u(psi(r)*m(theta4)), with u the radial response, and the chart angle
+    that f4 gives.  r_lo must lie below r0, where u is the identity;
+    r_hi = min(r_escape/2, 1e100) must satisfy u(psi(r_hi)) <=
+    (1-margin)*r_hi.  As psi and u increase, image radii lie in
+    [(1+margin)*r_lo, (1-margin)*r_hi], so with |eps_in| < r_lo orbits in
+    the region never converge and never escape.  None for callables and
+    f4/g4/fn, and whenever one of these conditions fails.
     """
     if callable(spec) or spec.family not in ("h", "hn"):
         return None
-    k, prof, d = spec.k, spec.profile, 1e-6  # d: the radial margin
-    eps = min(0.1, math.sqrt((k - 1.0) / (3.0 * k)))
-    m_a = math.sqrt((1.0 + eps ** 6) / (1.0 + eps * eps) ** 3)
-    if not k * m_a > 1.0 + d:
+    edge = _cone_edge(spec.k)
+    if edge is None:
         return None
-    r_lo = math.sqrt((1.0 + d) / (k * m_a - 1.0 - d))
+    cone, m_a, r_lo = edge
+    k, prof, d = spec.k, spec.profile, _MARGIN
     # k*r^3 overflows near r = 5.6e102
     r_hi = min(0.5 * r_escape, 1e100)
     if not (r_lo * (1.0 + d) <= prof.r0 and abs(eps_in) < r_lo < r_hi
             and radial_u(k * (r_hi * r_hi * r_hi) / (1.0 + r_hi * r_hi), prof)
             <= (1.0 - d) * r_hi):
         return None
-    return TrappingRegion(r_lo, r_hi, math.atan(eps), spec.n)
+    return ConeRegion(r_lo, r_hi, cone, m_a, spec.n)
+
+
+def escape_cones(spec) -> ConeRegion | None:
+    """The escape cones of an f4/fn map, or None.
+
+    The cones of _cone_edge with no upper radius: r >= r_lo.  One step maps
+    them into themselves, with image chart angle at most atan(eps^3) < a
+    and image radius at least psi(r)*m_a >= (1+margin)*r, so every orbit in
+    them escapes.  None for callables, for g4 (its alpha, beta and delta
+    terms need their own angle bound), for h/hn (they contract far out) and
+    when k*m_a does not clear 1 + margin.
+    """
+    if callable(spec) or spec.family not in ("f4", "fn"):
+        return None
+    edge = _cone_edge(spec.k)
+    if edge is None:
+        return None
+    cone, m_a, r_lo = edge
+    return ConeRegion(r_lo, math.inf, cone, m_a, spec.n)
+
+
+def contracting_disk(spec) -> Disk | None:
+    """The contracting disk about the origin of an f4/fn/h/hn map, or None.
+
+    For these families |f(p)| <= psi(|p|), psi(r) = k r^3/(1+r^2), because
+    m(theta4) <= 1 and the radial response satisfies u(s) <= s.  As
+    psi(r)/r = k r^2/(1+r^2) increases, the radius R = sqrt((1-margin)/
+    (k-1+margin)) that solves psi(R) = (1-margin)*R bounds a disk that one
+    step maps into itself, shrinking every radius in it by at least the
+    factor 1 - margin, so every orbit in it converges to the origin.  The
+    margin is on psi(r)/r, not on the radius: as k -> 1 a disk of radius
+    (1-margin)*P, P = (k-1)^(-1/2), leaves psi(r)/r within about
+    2*margin*(k-1) of 1.  None for callables and for g4, whose alpha and
+    beta terms break the bound.
+    """
+    if callable(spec) or spec.family == "g4":
+        return None
+    d = _MARGIN
+    return Disk(math.sqrt((1.0 - d) / (spec.k - 1.0 + d)))
 
 
 def _sector_image(xp, r, theta4, m, k: float, n: int, prof: RadialProfile | None):

@@ -13,7 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from .maps import TWO_PI, MapSpec, Point, eval_map, from_polar, to_polar
-from .analysis import classify_batch
+# perfbench/spans.py wraps classify_batch under this module's name, so the
+# name stays importable here although basin_raster calls classify_kinds
+from .analysis import classify_batch, classify_kinds  # noqa: F401
 
 
 @dataclass
@@ -54,7 +56,14 @@ def basin_raster(spec: MapSpec, window: tuple, width: int, height: int,
     """Classify the orbit of every pixel center.
 
     Row 0 is the top of the window (max y); pixel centers are sampled, not
-    corners.  The stepping is elementwise, so the grid may be partitioned
+    corners.  The kinds are those of classify_batch, computed by
+    classify_kinds: a pixel is retired as soon as it enters a region whose
+    fate is known in closed form (the escape cones of f4/fn, the
+    contracting disk of f4/fn/h/hn, the trapping region of h/hn), but only
+    at a step t with t + N <= budget, where N is the number of steps the
+    region's 1-D radius bound needs from its edge to pass r_escape or
+    eps_in; so the kinds are bitwise those of the plain loop at every
+    budget.  The stepping is elementwise, so the grid may be partitioned
     arbitrarily with bit-identical results: a raster of at least
     2 * 16,384 pixels runs on one thread per CPU available to the process
     (see classify_batch), with kinds bitwise those of the serial loop.
@@ -67,7 +76,7 @@ def basin_raster(spec: MapSpec, window: tuple, width: int, height: int,
     xs = xmin + (np.arange(width) + 0.5) * (xmax - xmin) / width
     ys = ymax - (np.arange(height) + 0.5) * (ymax - ymin) / height
     gx, gy = np.meshgrid(xs, ys)
-    kinds, _ = classify_batch(spec, gx.ravel(), gy.ravel(), budget, eps_in, r_escape)
+    kinds = classify_kinds(spec, gx.ravel(), gy.ravel(), budget, eps_in, r_escape)
     return BasinRaster(window=tuple(window), width=width, height=height,
                        kinds=kinds.reshape(height, width), budget=budget,
                        eps_in=eps_in, r_escape=r_escape)

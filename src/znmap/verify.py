@@ -13,9 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import singularity as sg
-from .analysis import (
+# perfbench/spans.py wraps classify_batch under this module's name, so the
+# name stays importable here although check_local_attractor calls classify_kinds
+from .analysis import (  # noqa: F401
     DEFAULT_SEED,
     classify_batch,
+    classify_kinds,
     equivariance_residual,
     boundary_smoothness_check,
     find_periodic,
@@ -72,6 +75,15 @@ class VerificationReport:
         }
 
 
+def _p_scale(k: float) -> float:
+    """P(k)/P(K_DEFAULT), P(k) = (k-1)^(-1/2) the radius of the period-n
+    orbit: the factor by which checks tuned at K_DEFAULT scale their radii
+    and tolerances.  Both radii use one expression, so the factor is
+    exactly 1.0 at K_DEFAULT (the constant 1/sqrt(0.1) would give
+    0.9999999999999997 and move the pinned report)."""
+    return (1.0 / math.sqrt(k - 1.0)) / (1.0 / math.sqrt(K_DEFAULT - 1.0))
+
+
 def check_equivariance(k: float = K_DEFAULT, seed: int = DEFAULT_SEED,
                        samples: int = 10_000) -> CheckResult:
     """Order-n symmetry of the transplanted family, n = 2..8, |p| <= 10."""
@@ -90,12 +102,14 @@ def check_equivariance(k: float = K_DEFAULT, seed: int = DEFAULT_SEED,
 
 def check_periodic_orbit(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResult:
     """Newton from (3.0, 0.1)*P(k)/P(1.1) with q = n recovers P(k) =
-    ((k-1)^(-1/2), 0), a saddle with multipliers ((3k-2)/k)^n (to 1e-10
-    relative) and 0 (below 1e-12).  The guess scales with P so that it
-    stays near P for every valid k; at k = 1.1 it is exactly (3.0, 0.1)."""
+    ((k-1)^(-1/2), 0) to 1e-10*P(k)/P(1.1), a saddle with multipliers
+    ((3k-2)/k)^n (to 1e-10 relative) and 0 (below 1e-12).  The guess and
+    the position tolerance scale with P so that both hold for every valid
+    k; at k = 1.1 they are exactly (3.0, 0.1) and 1e-10."""
     target = (1.0 / math.sqrt(k - 1.0), 0.0)
-    scale = target[0] / (1.0 / math.sqrt(K_DEFAULT - 1.0))
+    scale = _p_scale(k)
     guess = (3.0 * scale, 0.1 * scale)
+    tol = 1e-10 * scale
     worst_pos = 0.0
     worst_gap = math.inf
     ok = True
@@ -109,17 +123,18 @@ def check_periodic_orbit(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Chec
         unstable = ((3.0 * k - 2.0) / k) ** n
         worst_pos = max(worst_pos, pos_err)
         worst_gap = min(worst_gap, gap)
-        ok = (ok and orb.minimal and pos_err <= 1e-10 and gap > 1e-6
+        ok = (ok and orb.minimal and pos_err <= tol and gap > 1e-6
               and abs(big - unstable) <= 1e-10 * unstable and small < 1e-12)
         lines.append(f"n={n}: |p-P|={pos_err:.2e} minimal={orb.minimal} "
                      f"min||mu|-1|={gap:.2e}")
     return CheckResult("periodic-orbit", {"k": k, "n": "2..8", "guess": list(guess),
                                           "newton_tol": 1e-12},
-                       worst_pos, 1e-10, ok, "; ".join(lines))
+                       worst_pos, tol, ok, "; ".join(lines))
 
 
 def check_local_attractor(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Zero derivative at the origin; small starts all fall into the origin."""
+    """Zero derivative at the origin; small starts all fall into the origin
+    (classify_kinds: kinds only, so starts retire in the contracting disk)."""
     worst_entry = 0.0
     for spec in [MapSpec("fn", k=k, n=n) for n in range(2, 9)] + [MapSpec("f4", k=k)]:
         worst_entry = max(worst_entry, float(np.abs(jac_map(spec, (0.0, 0.0))).max()))
@@ -127,8 +142,8 @@ def check_local_attractor(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Che
     pts = seeded_points(1000, 0.9, seed)
     for n in (2, 4, 5, 8):
         spec = MapSpec("fn", k=k, n=n)
-        kinds, _ = classify_batch(spec, pts[:, 0], pts[:, 1], budget=200,
-                                  eps_in=1e-8, r_escape=1e6)
+        kinds = classify_kinds(spec, pts[:, 0], pts[:, 1], budget=200,
+                               eps_in=1e-8, r_escape=1e6)
         all_converged = all_converged and bool((kinds == 1).all())
     ok = worst_entry <= 1e-14 and all_converged
     return CheckResult("local-attractor", {"k": k, "starts": 1000, "radius": 0.9,
@@ -275,15 +290,18 @@ def check_astroid(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResult
 
 
 def check_rotation(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Rotation number 1/n for the order-n families, five starts each."""
+    """Rotation number 1/n for the order-n families, five starts each, at
+    radii 6 to 8 scaled by P(k)/P(1.1), so that they lie outside the
+    period-n orbit for every valid k (exactly 6 to 8 at k = 1.1)."""
     ok = True
     worst = 0.0
     offsets = (0.05, 0.10, 0.15, 0.20, 0.25)
+    scale = _p_scale(k)
     for n in range(2, 9):
         for family in ("fn", "hn"):
             spec = MapSpec(family, k=k, n=n)
             for j, off in enumerate(offsets):
-                radius = 6.0 + 0.5 * j
+                radius = (6.0 + 0.5 * j) * scale
                 theta = (j % n) * TWO_PI / n + off * TWO_PI / n
                 est = estimate_rotation(spec, from_polar((radius, theta)),
                                         max_iters=200)

@@ -73,17 +73,21 @@ def test_criterion_02_fails_on_inexact_multipliers(monkeypatch):
     assert result.statistic <= result.tolerance  # the orbit itself is found
 
 
-@pytest.mark.parametrize("k", [1.01, 1.001])
+@pytest.mark.parametrize("k", [1.01, 1.001, 1.0005])
 def test_criterion_02_periodic_orbit_near_k_one(k):
-    # P = (k-1)^(-1/2) is 10 and 31.6 here; the guess scales with P, since
-    # Newton from the fixed (3.0, 0.1) lands on the origin for n = 8
+    # P = (k-1)^(-1/2) is 10, 31.6 and 44.7 here; the guess scales with P,
+    # since Newton from the fixed (3.0, 0.1) lands on the origin for n = 8,
+    # and so does the tolerance on |p - P|, which an absolute 1e-10 misses
+    # at k = 1.0005 (1.09e-10, about 2e-12 relative)
     p_radius = 1.0 / math.sqrt(k - 1.0)
     result = check_periodic_orbit(k)
     assert result.passed, result.detail
     guess = result.params["guess"]
     assert abs(guess[0] - 3.0 * p_radius * math.sqrt(0.1)) <= 1e-12 * p_radius
     assert abs(guess[1] - 0.1 * p_radius * math.sqrt(0.1)) <= 1e-12 * p_radius
-    assert check_periodic_orbit().params["guess"] == [3.0, 0.1]  # exact at k = 1.1
+    assert abs(result.tolerance - 1e-10 * p_radius * math.sqrt(0.1)) <= 1e-22 * p_radius
+    at_default = check_periodic_orbit()  # exact at k = 1.1
+    assert at_default.params["guess"] == [3.0, 0.1] and at_default.tolerance == 1e-10
 
 
 def test_criterion_03_local_attractor():
@@ -163,6 +167,15 @@ def test_criterion_08_astroid():
 def test_criterion_09_rotation_numbers():
     # rotation estimate 1/n (slope within 0.01) for both order-n families
     _report(9, check_rotation())
+
+
+@pytest.mark.parametrize("k", [1.01, 1.001])
+def test_criterion_09_rotation_numbers_near_k_one(k):
+    # P is 10 and 31.6 here: starts at the fixed radii 6 to 8 would lie
+    # inside the period-n orbit and fall into the origin, so they scale with P
+    result = check_rotation(k)
+    assert result.passed, result.statistic
+    assert result.statistic <= 1e-3
 
 
 def test_criterion_10_dissipativity():

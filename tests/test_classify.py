@@ -1,12 +1,13 @@
-"""classify_batch against the plain stepping loop it replaces.
+"""classify_batch and classify_kinds against the plain stepping loop.
 
 classify_batch retires a point as undecided once its state repeats a
 floating-point state bit for bit or, for h/hn, once it enters the trapping
 region of the outer cycle; it also splits large batches across threads.
-All three may change only the work done, never the kinds or steps, so the
-tests here compare against ``plain_classify``:
-the loop that steps every live point until it converges, escapes or uses the
-whole budget.
+All three may change only the work done, never the kinds or steps.
+classify_kinds also retires points in the escape cones and the contracting
+disk, which changes their steps but must never change a kind.  So the tests
+here compare against ``plain_classify``: the loop that steps every live
+point until it converges, escapes or uses the whole budget.
 """
 
 import math
@@ -17,8 +18,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import znmap.analysis
-from znmap.analysis import classify_batch
-from znmap.maps import (K_MAX, TWO_PI, MapSpec, RadialProfile, eval_map, step_batch,
+from znmap.analysis import classify_batch, classify_kinds
+from znmap.maps import (K_MAX, TWO_PI, ConeRegion, MapSpec, RadialProfile,
+                        contracting_disk, escape_cones, eval_map, step_batch,
                         trapping_region)
 from znmap.topology import basin_raster
 
@@ -73,10 +75,14 @@ def grid(window, res):
 
 
 def assert_same(spec, xs, ys, budget, eps_in=1e-8, r_escape=1e6):
+    """classify_batch gives the plain loop's kinds and steps, classify_kinds
+    its kinds."""
     kinds, steps = classify_batch(spec, xs, ys, budget, eps_in, r_escape)
     ref_kinds, ref_steps = plain_classify(spec, xs, ys, budget, eps_in, r_escape)
     np.testing.assert_array_equal(kinds, ref_kinds)
     np.testing.assert_array_equal(steps, ref_steps)
+    np.testing.assert_array_equal(classify_kinds(spec, xs, ys, budget, eps_in, r_escape),
+                                  ref_kinds)
     return kinds
 
 
@@ -109,9 +115,10 @@ def step_calls(monkeypatch):
 def test_matches_plain_loop_across_budgets(family, r_escape):
     # The h/hn orbits caught by the outer cycle enter its trapping region
     # within a few steps, and would repeat a state from step 134 to 217 on,
-    # so these budgets fall before, between and after the retirements.
+    # so these budgets fall before, between and after the retirements; 74
+    # and 235 are the retirement counts of the disk and the cones.
     xs, ys = grid(WINDOW, 24)
-    for budget in (0, 1, 133, 260, 261, 600):
+    for budget in (0, 1, 74, 133, 235, 260, 261, 600):
         kinds = assert_same(FAMILIES[family], xs, ys, budget, r_escape=r_escape)
     if family in ("h", "hn"):
         assert (kinds == 0).sum() > 400  # the outer cycle is in the window
@@ -120,6 +127,7 @@ def test_matches_plain_loop_across_budgets(family, r_escape):
 @pytest.mark.parametrize("eps_in, r_escape", [
     (1e-8, 1e3), (1e-8, 1e200), (1e-8, math.inf),
     (-1e7, 1e3),  # eps_in^2 > r_escape^2: escaping wins where both hold
+    (3.5, 1e6),  # eps_in beyond the contracting disk and r_lo
 ])
 def test_matches_plain_loop_on_edge_starts(eps_in, r_escape):
     xs, ys = edge_starts(eps_in, r_escape)
@@ -244,6 +252,139 @@ def test_no_trapping_region(spec, eps_in, r_escape):
     assert trapping_region(spec, eps_in, r_escape) is None
 
 
+# classify_kinds: one (k, family, n) per case, with r_escape cycled so that
+# each appears with every family.  The budgets fall on both sides of the
+# retirement counts at k = 1.1 (74 for the disk, 235 for the cones).  The
+# plain loop runs lingering starts to the full budget of 10,000: starts near
+# r_lo below k = 1.1, where the counts run into the thousands, and starts
+# caught by the outer cycle of h/hn.  To keep that affordable, f4 runs it at
+# every k, fn, h and g4 from k = 1.1 on, and hn never.
+KINDS_BUDGETS = (0, 1, 74, 200, 235, 600, 10_000)
+KINDS_SWEEP = [(k, family, n, (1e3, 1e6, 1e200)[i % 3])
+               for i, (k, (family, n)) in enumerate(
+                   (k, fn) for k in (1.0005, 1.01, 1.1, 1.15)
+                   for fn in (("f4", 4), ("fn", 3), ("fn", 5), ("fn", 8), ("h", 4),
+                              ("hn", 5), ("g4", 4)))]
+
+
+def _region_starts(k, n, r_escape):
+    """Starts on both sides of the disk edge, of r_lo and of the cone edges
+    (chart angles), in every sector, plus a few far out and past r_escape.
+    The starts 1e-12 from P on a boundary ray linger near the period-n orbit
+    for about 80 steps and enter the disk or the cones late."""
+    cones = escape_cones(MapSpec("f4", k=k))
+    disk = contracting_disk(MapSpec("f4", k=k))
+    a = cones.cone
+    p = 1.0 / math.sqrt(k - 1.0)
+    radii = [p * (1.0 - 1e-12), p * (1.0 + 1e-12), 0.5 * disk.radius,
+             disk.radius * (1.0 - 1e-12), disk.radius * (1.0 + 1e-12), 1.01 * disk.radius,
+             0.99 * cones.r_lo, cones.r_lo * (1.0 - 1e-12), cones.r_lo * (1.0 + 1e-12),
+             1.01 * cones.r_lo, 2.0 * cones.r_lo, 10.0 * cones.r_lo, 0.5 * r_escape,
+             1.01 * r_escape]
+    chart = [0.0, 0.5 * a, a * (1.0 - 1e-9), a * (1.0 + 1e-9), 2.0 * a, 0.25 * math.pi,
+             0.5 * math.pi - a * (1.0 + 1e-9), 0.5 * math.pi - a * (1.0 - 1e-9)]
+    xs, ys = [], []
+    for i, r in enumerate(radii):
+        for j, theta4 in enumerate(chart):
+            theta = TWO_PI * ((i + j) % n) / n + 4.0 * theta4 / n
+            xs.append(r * math.cos(theta))
+            ys.append(r * math.sin(theta))
+    return np.array(xs), np.array(ys)
+
+
+@pytest.mark.parametrize("k, family, n, r_escape", KINDS_SWEEP)
+def test_kinds_match_plain_loop_across_regions(k, family, n, r_escape):
+    spec = MapSpec(family, k=k, n=n, beta=0.05 if family == "g4" else 0.0)
+    xs, ys = _region_starts(k, n, r_escape)
+    full = family == "f4" or (k >= 1.1 and family != "hn")
+    budgets = KINDS_BUDGETS if full else KINDS_BUDGETS[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # f4 overflows past 5.6e102
+        ref_kinds, ref_steps = plain_classify(spec, xs, ys, budgets[-1], r_escape=r_escape)
+        for budget in budgets:
+            # the plain loop at a smaller budget keeps what it decided by then
+            want = np.where((ref_steps >= 0) & (ref_steps <= budget), ref_kinds, 0)
+            np.testing.assert_array_equal(
+                classify_kinds(spec, xs, ys, budget, r_escape=r_escape), want)
+
+
+def test_retirement_counts_at_the_default_k():
+    # the counts the budgets of the sweep above straddle
+    def counts(spec, budget, r_escape=1e6):
+        entries = znmap.analysis._retirements(spec, budget, 1e-8, r_escape, True)
+        return [(kind, count) for _, kind, count in entries]
+
+    assert counts(FAMILIES["fn"], 10_000) == [(2, 235), (1, 74)]
+    assert counts(FAMILIES["fn"], 234) == [(1, 74)]
+    assert counts(FAMILIES["fn"], 10_000, math.inf) == [(1, 74)]  # r_escape is never passed
+    assert counts(FAMILIES["hn"], 10_000) == [(0, 0), (1, 74)]  # the trapping region first
+    assert counts(FAMILIES["g4"], 10_000) == []
+
+
+def _region_specs(k, n, r0, r_half):
+    p = 1.0 / math.sqrt(k - 1.0)
+    prof = RadialProfile(r0 * p, r_half * p)
+    return [MapSpec("f4", k=k), MapSpec("fn", k=k, n=n), MapSpec("h", k=k, profile=prof),
+            MapSpec("hn", k=k, n=n, profile=prof)]
+
+
+def _psi(r, k):
+    return k * r ** 3 / (1.0 + r * r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.floats(1.0, K_MAX, exclude_min=True, exclude_max=True),
+       r0=st.floats(1.0, 4.0, exclude_min=True), r_half=st.floats(0.05, 20.0),
+       n=st.integers(2, 8),
+       starts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                                 st.booleans(), st.integers(0, 7)), min_size=1, max_size=8))
+def test_cones_and_disk_are_forward_invariant(k, r0, r_half, n, starts):
+    # The bounds classify_kinds counts with hold at every step: the radius at
+    # least m_a * psi(r) on the cones, at most psi(r) on the disk.
+    for spec in _region_specs(k, n, r0, r_half):
+        disk = contracting_disk(spec)
+        pts = [(disk.radius * math.sqrt(s) * math.cos(TWO_PI * c),
+                disk.radius * math.sqrt(s) * math.sin(TWO_PI * c)) for s, c, _, _ in starts]
+        regions = [(disk, pts, lambda r, r1: r1 <= _psi(r, k) * (1.0 + 1e-12))]
+        cones = escape_cones(spec)
+        if cones is not None:
+            # log-uniform radius in [r_lo, 1e30 r_lo], far below where f4 overflows
+            trap = ConeRegion(cones.r_lo, 1e30 * cones.r_lo, cones.cone, cones.m_a, spec.n)
+            regions.append((cones, [_trap_start(trap, *start) for start in starts],
+                            lambda r, r1: r1 >= cones.m_a * _psi(r, k) * (1.0 - 1e-12)))
+        for region, pts, bound in regions:
+            pts = [q for q in pts if region.contains(*q)]  # edge starts may round out
+            if not pts:
+                continue
+            x, y = np.array(pts).T
+            for _ in range(5):
+                img = [eval_map(spec, q) for q in pts]
+                fx, fy = step_batch(spec, x, y)
+                assert all(region.contains(*q) for q in img)
+                assert region.contains(fx, fy).all()
+                assert all(bound(math.hypot(*q), math.hypot(*q1)) for q, q1 in zip(pts, img))
+                pts, x, y = img, fx, fy
+
+
+@pytest.mark.parametrize("spec", [FAMILIES["g4"], MapSpec("g4", k=K), lambda p: p])
+def test_no_cones_or_disk(spec):
+    assert escape_cones(spec) is None
+    assert contracting_disk(spec) is None
+
+
+def test_no_escape_cones_for_saturated_maps():
+    assert escape_cones(FAMILIES["h"]) is None and escape_cones(FAMILIES["hn"]) is None
+    assert contracting_disk(FAMILIES["h"]) == contracting_disk(FAMILIES["f4"])
+
+
+@pytest.mark.parametrize("family", ["f4", "fn"])
+def test_escaping_pixels_retire_early(family, step_calls):
+    # 128^2 = 16,384 pixels stay on one thread.  Without the cones and the
+    # disk the escaping pixels run to r_escape, about 138 steps each.
+    raster = basin_raster(FAMILIES[family], (-5.0, 5.0, -5.0, 5.0), 128, 128)
+    assert raster.counts()["escaped"] > 5_000
+    assert step_calls[1] < 30_000
+
+
 def test_fixed_points_of_identity_retire_at_once(step_calls):
     kinds, steps = classify_batch(lambda p: p, [1.0, 0.5, -3.0], [0.0, 2.0, 7.0],
                                   budget=10**9)
@@ -323,6 +464,7 @@ def test_split_matches_plain_loop(family, split):
             np.testing.assert_array_equal(steps, ref_steps)
             assert sorted(sizes) == sorted([575 * (i + 1) // cpus - 575 * i // cpus
                                             for i in range(cpus)])
+            np.testing.assert_array_equal(classify_kinds(spec, xs, ys, budget), ref_kinds)
 
 
 def test_split_under_frequent_thread_switches(split):
@@ -381,7 +523,7 @@ def test_split_keeps_the_callers_errstate(split):
     with np.errstate(over="ignore", invalid="ignore"):
         for spec in FAMILIES.values():
             assert_same(spec, xs, ys, 300, r_escape=math.inf)
-    assert len(sizes) == 3 * len(FAMILIES)
+    assert len(sizes) == 2 * 3 * len(FAMILIES)  # classify_batch and classify_kinds
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
