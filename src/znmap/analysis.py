@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import (TWO_PI, MapSpec, Point, _jac_entries, contracting_disk, escape_cones,
-                   eval_map, from_polar, jac_map, rotate, step_batch, trapping_region)
+from .maps import (TWO_PI, MapSpec, Point, _jac_entries, _linear_modulus, contracting_disk,
+                   escape_cones, eval_map, from_polar, jac_map, rotate, step_batch,
+                   trapping_region)
 
 DEFAULT_SEED = 0x5EED
 
@@ -135,18 +136,19 @@ def classify_kinds(spec: MapSpec, xs, ys, budget: int = 10_000,
     """The kinds of classify_batch, bitwise, without the steps.
 
     Besides the retirements of classify_batch, a point is retired as soon
-    as it lies in a closed-form region whose fate is known: for f4/fn the
-    escape cones about the sector boundary rays (maps.escape_cones, kind
-    2), and for f4/fn/h/hn the contracting disk about the origin
-    (maps.contracting_disk, kind 1).  For each region one count N is
-    computed per call: the steps a 1-D bound on the radius takes from the
-    region's edge to pass the threshold, r_escape for the cones (the bound
-    psi(r)*m_a from below) and eps_in for the disk (psi(r) from above),
-    with a relative margin of _BOUND_MARGIN per step.  A point in the
-    region at step t is retired only while t + N <= budget, so the plain
-    loop would decide it the same way within the budget, and the kinds are
-    those of classify_batch at every budget.  g4 and callables get no
-    region.
+    as it lies in a closed-form region whose fate is known: for f4/fn and
+    g4 with delta = 0 the escape cones about the sector boundary rays
+    (maps.escape_cones, kind 2), and for f4/fn/h/hn and g4 with delta = 0
+    the contracting disk about the origin (maps.contracting_disk, kind 1).
+    For each region one count N is computed per call: the steps a 1-D bound
+    on the radius takes from the region's edge to pass the threshold,
+    r_escape for the cones (the bound psi(r)*m_a - c*r from below) and
+    eps_in for the disk (psi(r) + c*r from above), where c =
+    hypot(alpha, beta) for g4 and 0 otherwise, with a relative margin of
+    _BOUND_MARGIN per step.  A point in the region at step t is retired
+    only while t + N <= budget, so the plain loop would decide it the same
+    way within the budget, and the kinds are those of classify_batch at
+    every budget.  Callables and g4 with delta != 0 get no region.
     """
     return _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only=True)[0]
 
@@ -210,9 +212,11 @@ def _retirements(spec, budget, eps_in, r_escape, kinds_only):
     region at step t with t + N <= budget is retired with kind.  The h/hn
     trapping region decides kind 0 with N = 0.  With kinds_only the escape
     cones (kind 2) and the contracting disk (kind 1) follow, with N from
-    _crossing_steps.  Each bound starts from the region's edge and must
-    pass its threshold, both moved outward by the relative margin mu, so
-    that the rounding of the membership test and of the plain loop's
+    _crossing_steps; for g4 their bounds carry its term of modulus c*r,
+    c = hypot(alpha, beta) (maps._linear_modulus).  Each bound starts from
+    the region's edge and must pass its threshold, both moved outward by
+    the relative margin mu, as are the bound's own factors, so that the
+    rounding of the membership test, of the bound and of the plain loop's
     threshold test cannot decide a point otherwise.  Entries with
     N > budget never retire and are left out."""
     entries = []
@@ -223,31 +227,34 @@ def _retirements(spec, budget, eps_in, r_escape, kinds_only):
         return entries
     mu = _BOUND_MARGIN
     cones = escape_cones(spec)
+    disk = contracting_disk(spec)
+    c = (1.0 + mu) * (_linear_modulus(spec) or 0.0)  # None only where there is no region
     if cones is not None:
         beyond = r_escape * (1.0 + mu)
         entries.append((cones, 2, _crossing_steps(
-            spec.k, cones.r_lo * (1.0 - mu), cones.m_a * (1.0 - mu), lambda r: r > beyond,
-            budget)))
-    disk = contracting_disk(spec)
+            spec.k, cones.r_lo * (1.0 - mu), cones.m_a * (1.0 - mu), -c,
+            lambda r: r > beyond, budget)))
     if disk is not None:
         within = abs(eps_in) * (1.0 - mu)
         entries.append((disk, 1, _crossing_steps(
-            spec.k, disk.radius * (1.0 + mu), 1.0 + mu, lambda r: r < within, budget)))
+            spec.k, disk.radius * (1.0 + mu), 1.0 + mu, c, lambda r: r < within, budget)))
     return [entry for entry in entries if entry[2] <= budget]
 
 
-def _crossing_steps(k: float, rho: float, gain: float, passed, budget: int) -> int:
-    """The steps the 1-D bound rho -> gain*psi(rho), psi(r) = k r^3/(1+r^2),
-    takes from rho until passed(rho), or budget + 1 if it takes more than
-    budget steps."""
+def _crossing_steps(k: float, rho: float, gain: float, shift: float, passed,
+                    budget: int) -> int:
+    """The steps the 1-D bound rho -> rho*(gain*g(rho) + shift),
+    g(r) = psi(r)/r = k r^2/(1+r^2), takes from rho until passed(rho), or
+    budget + 1 if it takes more than budget steps.  With shift = 0 the
+    step is gain*psi(rho)."""
     for t in range(budget + 1):
         if passed(rho):
             return t
         # k*rho/(1 + 1/rho^2) overflows only where k*rho does; rho^2 stays
         # positive while rho is above eps_in, whose square is a normal float
-        nxt = gain * (k * rho / (1.0 + 1.0 / (rho * rho)))
-        if nxt == rho:  # stuck, as at rho = inf below an infinite r_escape
-            break
+        nxt = gain * (k * rho / (1.0 + 1.0 / (rho * rho))) + shift * rho
+        if nxt == rho or math.isnan(nxt):  # stuck, as at rho = inf (inf - inf
+            break                          # for g4) below an infinite r_escape
         rho = nxt
     return budget + 1
 

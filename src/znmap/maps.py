@@ -308,13 +308,30 @@ def sector_of(p: Point, n: int) -> int:
     return _sector_chart(_MATH, p, n)[2] + 1
 
 
-# The relative radial margin of the closed-form regions below.  With the
-# angular margin a - atan(eps^3) of the cones it dwarfs the rounding of one
-# computed step, so computed orbits stay inside the regions as well.
+# The relative margin of the closed-form regions below: on the radius, and
+# for g4's cones on the cone angle too (f4/fn's cones have the angular
+# margin a - atan(eps^3)).  It dwarfs the rounding of one computed step, so
+# computed orbits stay inside the regions as well.
 _MARGIN = 1e-6
 
 
-def _cone_edge(k: float):
+def _linear_modulus(spec):
+    """c with |g(p) - f4(p)| = c*|p| exactly, or None.
+
+    g4 with delta = 0 adds the linear map alpha*I + beta*J to f4, a rotation
+    scaled by c = hypot(alpha, beta); f4, fn, h and hn have c = 0 (their
+    own bounds on |f(p)| follow from f4's).  None for callables and for g4
+    with delta != 0: its term delta*r^2*(-y, x) has modulus |delta|*r^3,
+    which outgrows psi(r) ~ k*r far out.
+    """
+    if callable(spec):
+        return None
+    if spec.family != "g4":
+        return 0.0
+    return math.hypot(spec.alpha, spec.beta) if spec.delta == 0.0 else None
+
+
+def _cone_edge(k: float, c: float = 0.0):
     """(a, m_a, r_lo) of the cones about the sector boundary rays, or None.
 
     The cones hold the points with chart angle theta4 (see _sector_chart)
@@ -323,16 +340,27 @@ def _cone_edge(k: float):
     and chart angle atan(tan^3 theta4), or its mirror image about pi/2,
     where psi(r) = k r^3/(1+r^2) and m(t) = hypot(cos^3 t, sin^3 t).  On the
     cones m >= m_a = m(a) and the image angle is at most atan(eps^3) < a.
-    r_lo solves psi(r)*m_a = (1+margin)*r; as psi(r)/r increases, every
-    radius r >= r_lo grows by at least that factor.  None when k*m_a does
-    not clear 1 + margin.
+
+    A term of modulus c*r added to the step (see _linear_modulus) leaves the
+    image radius at least psi(r)*m_a - c*r, and turns the image direction
+    by at most asin(c/(g(r)*m_a)), g(r) = psi(r)/r = k r^2/(1+r^2).  r_lo is
+    the least radius where g(r)*m_a >= 1 + margin + c, so that every radius
+    r >= r_lo grows by at least the factor 1 + margin, and where the image
+    angle atan(eps^3) + asin(c/(g(r)*m_a)) is at most (1-margin)*a.  As
+    g(r) increases, both hold on all of r >= r_lo.  With c = 0, r_lo solves
+    psi(r)*m_a = (1+margin)*r.  None when either needs g(r) >= k.
     """
     d = _MARGIN
     eps = min(0.1, math.sqrt((k - 1.0) / (3.0 * k)))
+    a = math.atan(eps)
     m_a = math.sqrt((1.0 + eps ** 6) / (1.0 + eps * eps) ** 3)
-    if not k * m_a > 1.0 + d:
+    # the least g(r)*m_a the angle bound needs: c/sin of the turn it allows
+    turn = c / math.sin((1.0 - d) * a - math.atan(eps ** 3))
+    if not (k * m_a > 1.0 + d + c and k * m_a > turn):
         return None
-    return math.atan(eps), m_a, math.sqrt((1.0 + d) / (k * m_a - 1.0 - d))
+    r_lo = max(math.sqrt((1.0 + d + c) / (k * m_a - 1.0 - d - c)),
+               math.sqrt(turn / (k * m_a - turn)))
+    return a, m_a, r_lo
 
 
 @dataclass(frozen=True)
@@ -349,10 +377,25 @@ class ConeRegion:
     n: int
 
     def contains(self, x, y):
-        """Whether (x, y) lies in the region (floats or arrays)."""
+        """Whether (x, y) lies in the region (floats or arrays).
+
+        Only the points with x*x + y*y >= (1 - 1e-12)*r_lo^2 get the sector
+        chart.  That test is passed by every point with hypot(x, y) >= r_lo,
+        since both sides round by a few ulps, and by inf, also where x*x
+        overflows; NaN fails both.  So the result is that of the full test.
+        Arrays whose squares overflow do so under the caller's np.errstate.
+        """
         xp = _NAMESPACE.get(type(x), _MATH)
-        if xp is _MATH and not (math.isfinite(x) and math.isfinite(y)):
-            return False
+        near2 = (1.0 - 1e-12) * (self.r_lo * self.r_lo)
+        if xp is _MATH:
+            return (math.isfinite(x) and math.isfinite(y) and x * x + y * y >= near2
+                    and self._in_chart(_MATH, x, y))
+        near = x * x + y * y >= near2
+        hit = near.copy()
+        hit[near] = self._in_chart(xp, x[near], y[near])
+        return hit
+
+    def _in_chart(self, xp, x, y):
         r, _, _, theta4 = _sector_chart(xp, (x, y), self.n)
         near_axis = (theta4 <= self.cone) | (theta4 >= 0.5 * math.pi - self.cone)
         return (r >= self.r_lo) & (r <= self.r_hi) & near_axis
@@ -399,18 +442,21 @@ def trapping_region(spec, eps_in: float, r_escape: float) -> ConeRegion | None:
 
 
 def escape_cones(spec) -> ConeRegion | None:
-    """The escape cones of an f4/fn map, or None.
+    """The escape cones of an f4/fn map or of g4 with delta = 0, or None.
 
-    The cones of _cone_edge with no upper radius: r >= r_lo.  One step maps
-    them into themselves, with image chart angle at most atan(eps^3) < a
-    and image radius at least psi(r)*m_a >= (1+margin)*r, so every orbit in
-    them escapes.  None for callables, for g4 (its alpha, beta and delta
-    terms need their own angle bound), for h/hn (they contract far out) and
-    when k*m_a does not clear 1 + margin.
+    The cones of _cone_edge with no upper radius: r >= r_lo, where r_lo
+    accounts for g4's term of modulus c*r, c = hypot(alpha, beta) (c = 0
+    for f4/fn).  One step maps them into themselves, with image chart angle
+    at most (1-margin)*a and image radius at least psi(r)*m_a - c*r >=
+    (1+margin)*r, so every orbit in them escapes.  At k = 1.1, r_lo = 3.46
+    for f4/fn and 5.58 for g4 with beta = 0.05.  None for callables, for
+    h/hn (they contract far out), for g4 with delta != 0 (see
+    _linear_modulus) and when _cone_edge finds no r_lo.
     """
-    if callable(spec) or spec.family not in ("f4", "fn"):
+    c = _linear_modulus(spec)
+    if c is None or spec.family in ("h", "hn"):
         return None
-    edge = _cone_edge(spec.k)
+    edge = _cone_edge(spec.k, c)
     if edge is None:
         return None
     cone, m_a, r_lo = edge
@@ -418,23 +464,27 @@ def escape_cones(spec) -> ConeRegion | None:
 
 
 def contracting_disk(spec) -> Disk | None:
-    """The contracting disk about the origin of an f4/fn/h/hn map, or None.
+    """The contracting disk about the origin of an f4/fn/h/hn map or of g4
+    with delta = 0, or None.
 
-    For these families |f(p)| <= psi(|p|), psi(r) = k r^3/(1+r^2), because
-    m(theta4) <= 1 and the radial response satisfies u(s) <= s.  As
-    psi(r)/r = k r^2/(1+r^2) increases, the radius R = sqrt((1-margin)/
-    (k-1+margin)) that solves psi(R) = (1-margin)*R bounds a disk that one
-    step maps into itself, shrinking every radius in it by at least the
-    factor 1 - margin, so every orbit in it converges to the origin.  The
-    margin is on psi(r)/r, not on the radius: as k -> 1 a disk of radius
-    (1-margin)*P, P = (k-1)^(-1/2), leaves psi(r)/r within about
-    2*margin*(k-1) of 1.  None for callables and for g4, whose alpha and
-    beta terms break the bound.
+    For f4/fn/h/hn |f(p)| <= psi(|p|), psi(r) = k r^3/(1+r^2), because
+    m(theta4) <= 1 and the radial response satisfies u(s) <= s; g4 adds a
+    term of modulus c*|p|, c = hypot(alpha, beta) (see _linear_modulus), so
+    |g4(p)| <= psi(|p|) + c*|p|.  As psi(r)/r = k r^2/(1+r^2) increases,
+    the radius R = sqrt((1-margin-c)/(k-1+margin+c)) that solves psi(R) +
+    c*R = (1-margin)*R bounds a disk that one step maps into itself,
+    shrinking every radius in it by at least the factor 1 - margin, so
+    every orbit in it converges to the origin.  R = 3.162 at k = 1.1 with
+    c = 0, and 2.517 for g4 with beta = 0.05.  The margin is on psi(r)/r,
+    not on the radius: as k -> 1 a disk of radius (1-margin)*P,
+    P = (k-1)^(-1/2), leaves psi(r)/r within about 2*margin*(k-1) of 1.
+    None for callables, for g4 with delta != 0 and for c >= 1 - margin.
     """
-    if callable(spec) or spec.family == "g4":
-        return None
+    c = _linear_modulus(spec)
     d = _MARGIN
-    return Disk(math.sqrt((1.0 - d) / (spec.k - 1.0 + d)))
+    if c is None or not c < 1.0 - d:
+        return None
+    return Disk(math.sqrt((1.0 - d - c) / (spec.k - 1.0 + d + c)))
 
 
 def _sector_image(xp, r, theta4, m, k: float, n: int, prof: RadialProfile | None):

@@ -59,11 +59,11 @@ def basin_raster(spec: MapSpec, window: tuple, width: int, height: int,
     corners.  The kinds are those of classify_batch, computed by
     classify_kinds: a pixel is retired as soon as it enters a region whose
     fate is known in closed form (the escape cones of f4/fn, the
-    contracting disk of f4/fn/h/hn, the trapping region of h/hn), but only
-    at a step t with t + N <= budget, where N is the number of steps the
-    region's 1-D radius bound needs from its edge to pass r_escape or
-    eps_in; so the kinds are bitwise those of the plain loop at every
-    budget.  The stepping is elementwise, so the grid may be partitioned
+    contracting disk of f4/fn/h/hn, both of them for g4 with delta = 0,
+    the trapping region of h/hn), but only at a step t with
+    t + N <= budget, where N is the number of steps the region's 1-D
+    radius bound needs from its edge to pass r_escape or eps_in; so the
+    kinds are bitwise those of the plain loop at every budget.  The stepping is elementwise, so the grid may be partitioned
     arbitrarily with bit-identical results: a raster of at least
     2 * 16,384 pixels runs on one thread per CPU available to the process
     (see classify_batch), with kinds bitwise those of the serial loop.

@@ -15,9 +15,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import znmap.analysis
+import znmap.maps
 from znmap.analysis import classify_batch, classify_kinds
 from znmap.maps import (K_MAX, TWO_PI, ConeRegion, MapSpec, RadialProfile,
                         contracting_disk, escape_cones, eval_map, step_batch,
@@ -116,9 +117,10 @@ def test_matches_plain_loop_across_budgets(family, r_escape):
     # The h/hn orbits caught by the outer cycle enter its trapping region
     # within a few steps, and would repeat a state from step 134 to 217 on,
     # so these budgets fall before, between and after the retirements; 74
-    # and 235 are the retirement counts of the disk and the cones.
+    # and 235 are the retirement counts of the disk and the cones, 60 and
+    # 530 those of g4.
     xs, ys = grid(WINDOW, 24)
-    for budget in (0, 1, 74, 133, 235, 260, 261, 600):
+    for budget in (0, 1, 60, 74, 133, 235, 260, 261, 530, 600):
         kinds = assert_same(FAMILIES[family], xs, ys, budget, r_escape=r_escape)
     if family in ("h", "hn"):
         assert (kinds == 0).sum() > 400  # the outer cycle is in the window
@@ -254,12 +256,13 @@ def test_no_trapping_region(spec, eps_in, r_escape):
 
 # classify_kinds: one (k, family, n) per case, with r_escape cycled so that
 # each appears with every family.  The budgets fall on both sides of the
-# retirement counts at k = 1.1 (74 for the disk, 235 for the cones).  The
-# plain loop runs lingering starts to the full budget of 10,000: starts near
-# r_lo below k = 1.1, where the counts run into the thousands, and starts
-# caught by the outer cycle of h/hn.  To keep that affordable, f4 runs it at
-# every k, fn, h and g4 from k = 1.1 on, and hn never.
-KINDS_BUDGETS = (0, 1, 74, 200, 235, 600, 10_000)
+# retirement counts at k = 1.1 (74 for the disk, 235 for the cones; 60 and
+# 530 for g4 with beta = 0.05).  The plain loop runs lingering starts to the
+# full budget of 10,000: starts near r_lo below k = 1.1, where the counts
+# run into the thousands, and starts caught by the outer cycle of h/hn.  To
+# keep that affordable, f4 runs it at every k, fn, h and g4 from k = 1.1 on,
+# and hn never.
+KINDS_BUDGETS = (0, 1, 60, 74, 200, 235, 530, 600, 10_000)
 KINDS_SWEEP = [(k, family, n, (1e3, 1e6, 1e200)[i % 3])
                for i, (k, (family, n)) in enumerate(
                    (k, fn) for k in (1.0005, 1.01, 1.1, 1.15)
@@ -267,20 +270,24 @@ KINDS_SWEEP = [(k, family, n, (1e3, 1e6, 1e200)[i % 3])
                               ("hn", 5), ("g4", 4)))]
 
 
-def _region_starts(k, n, r_escape):
-    """Starts on both sides of the disk edge, of r_lo and of the cone edges
+def _region_starts(spec, r_escape):
+    """Starts on both sides of the spec's disk edge, of its r_lo (of the
+    escape cones, else of the h/hn trapping region) and of the cone edges
     (chart angles), in every sector, plus a few far out and past r_escape.
     The starts 1e-12 from P on a boundary ray linger near the period-n orbit
-    for about 80 steps and enter the disk or the cones late."""
-    cones = escape_cones(MapSpec("f4", k=k))
-    disk = contracting_disk(MapSpec("f4", k=k))
-    a = cones.cone
+    of f4/fn/h/hn for about 80 steps and enter the disk or the cones late."""
+    k, n = spec.k, spec.n
+    disk = contracting_disk(spec)
+    cones = escape_cones(spec) or trapping_region(spec, 1e-8, r_escape)
+    a = math.atan(min(0.1, math.sqrt((k - 1.0) / (3.0 * k))))
     p = 1.0 / math.sqrt(k - 1.0)
     radii = [p * (1.0 - 1e-12), p * (1.0 + 1e-12), 0.5 * disk.radius,
              disk.radius * (1.0 - 1e-12), disk.radius * (1.0 + 1e-12), 1.01 * disk.radius,
-             0.99 * cones.r_lo, cones.r_lo * (1.0 - 1e-12), cones.r_lo * (1.0 + 1e-12),
-             1.01 * cones.r_lo, 2.0 * cones.r_lo, 10.0 * cones.r_lo, 0.5 * r_escape,
-             1.01 * r_escape]
+             0.5 * r_escape, 1.01 * r_escape]
+    if cones is not None:  # g4 with beta = 0.05 has none below k = 1.0658
+        assert cones.cone == a
+        radii += [0.99 * cones.r_lo, cones.r_lo * (1.0 - 1e-12), cones.r_lo * (1.0 + 1e-12),
+                  1.01 * cones.r_lo, 2.0 * cones.r_lo, 10.0 * cones.r_lo]
     chart = [0.0, 0.5 * a, a * (1.0 - 1e-9), a * (1.0 + 1e-9), 2.0 * a, 0.25 * math.pi,
              0.5 * math.pi - a * (1.0 + 1e-9), 0.5 * math.pi - a * (1.0 - 1e-9)]
     xs, ys = [], []
@@ -295,7 +302,7 @@ def _region_starts(k, n, r_escape):
 @pytest.mark.parametrize("k, family, n, r_escape", KINDS_SWEEP)
 def test_kinds_match_plain_loop_across_regions(k, family, n, r_escape):
     spec = MapSpec(family, k=k, n=n, beta=0.05 if family == "g4" else 0.0)
-    xs, ys = _region_starts(k, n, r_escape)
+    xs, ys = _region_starts(spec, r_escape)
     full = family == "f4" or (k >= 1.1 and family != "hn")
     budgets = KINDS_BUDGETS if full else KINDS_BUDGETS[:-1]
     with np.errstate(over="ignore", invalid="ignore"):  # f4 overflows past 5.6e102
@@ -317,40 +324,58 @@ def test_retirement_counts_at_the_default_k():
     assert counts(FAMILIES["fn"], 234) == [(1, 74)]
     assert counts(FAMILIES["fn"], 10_000, math.inf) == [(1, 74)]  # r_escape is never passed
     assert counts(FAMILIES["hn"], 10_000) == [(0, 0), (1, 74)]  # the trapping region first
-    assert counts(FAMILIES["g4"], 10_000) == []
+    # g4 with beta = 0.05: r_lo = 5.58 and disk radius 2.517
+    assert counts(FAMILIES["g4"], 10_000) == [(2, 530), (1, 60)]
+    assert counts(FAMILIES["g4"], 529) == [(1, 60)]
+    assert counts(FAMILIES["g4"], 10_000, math.inf) == [(1, 60)]
+    assert counts(MapSpec("g4", k=K), 10_000) == [(2, 235), (1, 74)]  # alpha = beta = 0
 
 
-def _region_specs(k, n, r0, r_half):
+def _region_specs(k, n, r0, r_half, alpha, beta):
     p = 1.0 / math.sqrt(k - 1.0)
     prof = RadialProfile(r0 * p, r_half * p)
     return [MapSpec("f4", k=k), MapSpec("fn", k=k, n=n), MapSpec("h", k=k, profile=prof),
-            MapSpec("hn", k=k, n=n, profile=prof)]
+            MapSpec("hn", k=k, n=n, profile=prof), MapSpec("g4", k=k, alpha=alpha, beta=beta)]
 
 
 def _psi(r, k):
     return k * r ** 3 / (1.0 + r * r)
 
 
+def _m_a(k):
+    eps = min(0.1, math.sqrt((k - 1.0) / (3.0 * k)))
+    return math.sqrt((1.0 + eps ** 6) / (1.0 + eps * eps) ** 3)
+
+
 @settings(max_examples=40, deadline=None)
 @given(k=st.floats(1.0, K_MAX, exclude_min=True, exclude_max=True),
        r0=st.floats(1.0, 4.0, exclude_min=True), r_half=st.floats(0.05, 20.0),
-       n=st.integers(2, 8),
+       n=st.integers(2, 8), c_share=st.floats(0.0, 1.2), phase=st.floats(0.0, 1.0),
        starts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
                                  st.booleans(), st.integers(0, 7)), min_size=1, max_size=8))
-def test_cones_and_disk_are_forward_invariant(k, r0, r_half, n, starts):
+# c = 0.11 at k = 1.15: g4's r_lo is set by the angle bound, not the radius bound
+@example(k=1.15, r0=2.0, r_half=2.0, n=5, c_share=0.11 / (1.15 * _m_a(1.15) - 1.0),
+         phase=0.3, starts=[(0.0, 0.0, False, 0), (0.5, 1.0, True, 3), (1.0, 0.7, False, 1)])
+def test_cones_and_disk_are_forward_invariant(k, r0, r_half, n, c_share, phase, starts):
     # The bounds classify_kinds counts with hold at every step: the radius at
-    # least m_a * psi(r) on the cones, at most psi(r) on the disk.
-    for spec in _region_specs(k, n, r0, r_half):
+    # least m_a * psi(r) - c * r on the cones, at most psi(r) + c * r on the
+    # disk, where c = hypot(alpha, beta) for g4 (delta = 0) and 0 for the
+    # others.  g4's c is drawn as a share of k*m_a - 1, which it must stay
+    # below for g4 to have cones.
+    c_g4 = c_share * max(k * _m_a(k) - 1.0, 0.0)
+    alpha, beta = c_g4 * math.cos(TWO_PI * phase), c_g4 * math.sin(TWO_PI * phase)
+    for spec in _region_specs(k, n, r0, r_half, alpha, beta):
+        c = math.hypot(alpha, beta) if spec.family == "g4" else 0.0
         disk = contracting_disk(spec)
-        pts = [(disk.radius * math.sqrt(s) * math.cos(TWO_PI * c),
-                disk.radius * math.sqrt(s) * math.sin(TWO_PI * c)) for s, c, _, _ in starts]
-        regions = [(disk, pts, lambda r, r1: r1 <= _psi(r, k) * (1.0 + 1e-12))]
+        pts = [(disk.radius * math.sqrt(s) * math.cos(TWO_PI * w),
+                disk.radius * math.sqrt(s) * math.sin(TWO_PI * w)) for s, w, _, _ in starts]
+        regions = [(disk, pts, lambda r, r1: r1 <= (_psi(r, k) + c * r) * (1.0 + 1e-12))]
         cones = escape_cones(spec)
         if cones is not None:
             # log-uniform radius in [r_lo, 1e30 r_lo], far below where f4 overflows
             trap = ConeRegion(cones.r_lo, 1e30 * cones.r_lo, cones.cone, cones.m_a, spec.n)
             regions.append((cones, [_trap_start(trap, *start) for start in starts],
-                            lambda r, r1: r1 >= cones.m_a * _psi(r, k) * (1.0 - 1e-12)))
+                            lambda r, r1: r1 >= (cones.m_a * _psi(r, k) - c * r) * (1.0 - 1e-12)))
         for region, pts, bound in regions:
             pts = [q for q in pts if region.contains(*q)]  # edge starts may round out
             if not pts:
@@ -365,10 +390,81 @@ def test_cones_and_disk_are_forward_invariant(k, r0, r_half, n, starts):
                 pts, x, y = img, fx, fy
 
 
-@pytest.mark.parametrize("spec", [FAMILIES["g4"], MapSpec("g4", k=K), lambda p: p])
+@pytest.mark.parametrize("spec", [
+    MapSpec("g4", k=K, beta=0.05, delta=0.01),  # delta*r^3 outgrows both bounds
+    MapSpec("g4", k=K, delta=-1e-12),
+    lambda p: p,
+    MapSpec("g4", k=K, alpha=0.6, beta=0.8),  # c = 1: the linear term alone does not shrink
+    MapSpec("g4", k=K, beta=math.nan),
+])
 def test_no_cones_or_disk(spec):
     assert escape_cones(spec) is None
     assert contracting_disk(spec) is None
+
+
+@pytest.mark.parametrize("k, c, radius", [
+    (K, 0.2, 1.632989419587642),  # c > k*m_a - 1 - 1e-6 = 0.0837
+    (1.15, 0.112, 1.8410041347211077),  # the angle bound needs g(r)*m_a > k*m_a
+    (1.0005, 0.05, 4.337221331844653),  # g4's cones start at k = 1.0658
+])
+def test_a_disk_but_no_cones(k, c, radius):
+    spec = MapSpec("g4", k=k, alpha=0.6 * c, beta=0.8 * c)
+    assert escape_cones(spec) is None
+    assert contracting_disk(spec).radius == pytest.approx(radius, rel=1e-12)
+    d = 1e-6
+    assert radius == pytest.approx(math.sqrt((1.0 - d - c) / (k - 1.0 + d + c)), rel=1e-12)
+
+
+def test_g4_cones_near_the_angle_limit():
+    # At k = 1.15 the radius bound alone gives r_lo = 6.95 for c = 0.11;
+    # the image direction turns by up to asin(c/(g(r)*m_a)), which needs
+    # g(r)*m_a >= c/sin((1-1e-6)*a - atan(eps^3)), so r_lo = 8.27 instead.
+    cones = escape_cones(MapSpec("g4", k=1.15, beta=0.11))
+    assert cones.r_lo == pytest.approx(8.27453175952928, rel=1e-9)
+    g = 1.15 * cones.r_lo ** 2 / (1.0 + cones.r_lo ** 2)
+    eps = 0.1
+    turn = math.atan(eps ** 3) + math.asin(0.11 / (g * cones.m_a))
+    assert turn == pytest.approx((1.0 - 1e-6) * cones.cone, rel=1e-12)
+    assert g * cones.m_a > 1.0 + 1e-6 + 0.11
+
+
+def _cone_regions():
+    return [escape_cones(FAMILIES["fn"]), escape_cones(FAMILIES["g4"]),
+            escape_cones(MapSpec("fn", k=1.0005, n=3)),
+            trapping_region(FAMILIES["hn"], 1e-8, 1e6)]
+
+
+@pytest.mark.parametrize("region", _cone_regions())
+def test_cone_prefilter_keeps_the_full_test(region):
+    # ConeRegion.contains runs the sector chart only where x*x + y*y passes
+    # a bound just below r_lo^2; the result must be that of the chart test
+    # on every point: radii ulps around r_lo, chart angles at the cone
+    # edges, non-finite and overflowing coordinates.
+    r_lo, a, n = region.r_lo, region.cone, region.n
+    radii = [0.0, 0.5 * r_lo, math.nextafter(r_lo, 0.0), r_lo, math.nextafter(r_lo, math.inf),
+             2.0 * r_lo, 1e200, math.inf, math.nan]
+    radii += [r_lo * (1.0 + s * e) for s in (-1.0, 1.0) for e in (1e-12, 5e-13, 2e-13, 1e-15)]
+    chart = [0.0, a * (1.0 - 1e-12), a, a * (1.0 + 1e-12), 0.25 * math.pi,
+             0.5 * math.pi - a * (1.0 + 1e-12), 0.5 * math.pi - a, 0.5 * math.pi - a * 1e-12]
+    xs, ys = [], []
+    for i, r in enumerate(radii):
+        for theta4 in chart:
+            for m in range(n):
+                theta = TWO_PI * m / n + 4.0 * theta4 / n
+                xs.append(r * math.cos(theta))
+                ys.append(r * math.sin(theta))
+    for x, y in [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (-math.inf, math.inf),
+                 (math.nan, math.inf), (math.inf, math.nan), (1e200, -1e200), (0.0, -math.inf)]:
+        xs.append(x)
+        ys.append(y)
+    x, y = np.array(xs), np.array(ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = region.contains(x, y)
+        full = region._in_chart(znmap.maps._NUMPY, x, y)
+    np.testing.assert_array_equal(got, full)
+    assert got.sum() > 20 * n and (~got).sum() > 20 * n
+    for xv, yv, want in zip(xs, ys, full.tolist()):  # floats: non-finite points are outside
+        assert region.contains(xv, yv) == (want and math.isfinite(xv) and math.isfinite(yv))
 
 
 def test_no_escape_cones_for_saturated_maps():
@@ -376,13 +472,15 @@ def test_no_escape_cones_for_saturated_maps():
     assert contracting_disk(FAMILIES["h"]) == contracting_disk(FAMILIES["f4"])
 
 
-@pytest.mark.parametrize("family", ["f4", "fn"])
+@pytest.mark.parametrize("family", ["f4", "fn", "g4"])
 def test_escaping_pixels_retire_early(family, step_calls):
     # 128^2 = 16,384 pixels stay on one thread.  Without the cones and the
-    # disk the escaping pixels run to r_escape, about 138 steps each.
+    # disk the escaping pixels run to r_escape, about 138 steps each: f4,
+    # fn and g4 take 857,064, 1,018,714 and 903,644 point-steps that way.
+    # g4's regions start further out and in (r_lo = 5.58, disk radius 2.517).
     raster = basin_raster(FAMILIES[family], (-5.0, 5.0, -5.0, 5.0), 128, 128)
     assert raster.counts()["escaped"] > 5_000
-    assert step_calls[1] < 30_000
+    assert step_calls[1] < (100_000 if family == "g4" else 30_000)
 
 
 def test_fixed_points_of_identity_retire_at_once(step_calls):
