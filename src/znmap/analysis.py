@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import (TWO_PI, MapSpec, Point, _jac_entries, _linear_modulus, contracting_disk,
-                   escape_cones, eval_map, from_polar, jac_map, rotate, step_batch,
-                   trapping_region)
+from .maps import (_BOUND_MARGIN, TWO_PI, MapSpec, Point, _jac_entries, _linear_modulus,
+                   contracting_disk, escape_cones, eval_map, from_polar, jac_map, rotate,
+                   step_batch, trapping_region)
 
 DEFAULT_SEED = 0x5EED
 
@@ -31,11 +31,6 @@ _SNAPSHOT_GAP = 32
 # batches run on the calling thread alone: splitting the 64^2 h/hn rasters
 # (4,096 starts) in two measured 1.7-2.2x slower than the serial loop.
 _MIN_PART = 16384
-
-# Relative margin of the 1-D radius bounds behind the retirement counts: far
-# above the rounding of a computed step or of a bound step, far below the
-# 1e-6 radial margin of the closed-form regions.
-_BOUND_MARGIN = 1e-9
 
 
 @dataclass
@@ -145,7 +140,7 @@ def classify_kinds(spec: MapSpec, xs, ys, budget: int = 10_000,
     r_escape for the cones (the bound psi(r)*m_a - c*r from below) and
     eps_in for the disk (psi(r) + c*r from above), where c =
     hypot(alpha, beta) for g4 and 0 otherwise, with a relative margin of
-    _BOUND_MARGIN per step.  A point in the region at step t is retired
+    maps._BOUND_MARGIN per step.  A point in the region at step t is retired
     only while t + N <= budget, so the plain loop would decide it the same
     way within the budget, and the kinds are those of classify_batch at
     every budget.  Callables and g4 with delta != 0 get no region.
@@ -155,7 +150,7 @@ def classify_kinds(spec: MapSpec, xs, ys, budget: int = 10_000,
 
 def _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only):
     """classify_batch, or with kinds_only the retirements of classify_kinds
-    too (the steps are then meaningless)."""
+    too, and no steps (None)."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if not eps_in < r_escape:
@@ -168,7 +163,7 @@ def _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only):
     y = np.asarray(ys, dtype=float).ravel()
     npts = x.size
     kinds = np.zeros(npts, dtype=np.uint8)
-    steps = np.full(npts, -1, dtype=np.int64)
+    steps = None if kinds_only else np.full(npts, -1, dtype=np.int64)
     regions = _retirements(spec, budget, eps_in, r_escape, kinds_only)
     parts = min(_available_cpus(), npts // _MIN_PART)
     if parts <= 1:
@@ -179,7 +174,8 @@ def _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only):
 
     def run(i):
         lo, hi = cuts[i], cuts[i + 1]
-        _classify_part(spec, x[lo:hi], y[lo:hi], kinds[lo:hi], steps[lo:hi],
+        _classify_part(spec, x[lo:hi], y[lo:hi], kinds[lo:hi],
+                       None if steps is None else steps[lo:hi],
                        budget, eps_in, r_escape, regions)
 
     def work(i):
@@ -267,15 +263,15 @@ def _available_cpus() -> int:
 
 
 def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, regions):
-    """The serial loop of classify_batch: classify the starts (x, y),
-    writing into kinds and steps (the same length, kinds 0, steps -1).
+    """The serial loop of classify_batch: classify the starts (x, y), writing
+    into kinds and steps (the same length, kinds 0, steps -1; or steps None).
     A live point in a region of regions (see _retirements) is retired with
     that region's kind, leaving its steps alone."""
     idx = np.arange(x.size)
     eps2 = eps_in * eps_in
     # Clamped so that an infinite radius (r2 = inf) always escapes.
     esc2 = min(r_escape * r_escape, np.finfo(float).max)
-    sx, sy, snap_at = x, y, 1
+    sx, sy, snap_at = x, y, 0
     # The map steps run in the caller's context, under its np.errstate; the
     # threshold test runs with overflow ignored.  Entering an errstate on
     # every step would cost more than the test itself on small batches.
@@ -297,7 +293,8 @@ def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, regions):
                         fin = np.flatnonzero(~keep)
                         conv = r2[fin] <= esc2
                 kinds[idx[fin]] = np.where(conv, 1, 2)
-                steps[idx[fin]] = t
+                if steps is not None:
+                    steps[idx[fin]] = t
             if t:  # at t = 0 the snapshot is the state itself
                 # A repeat keeps kind 0 and steps -1; y is compared only
                 # where the x bits already match.
@@ -305,15 +302,17 @@ def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, regions):
                 keep[rep[y[rep].view(np.int64) == sy[rep].view(np.int64)]] = False
             for region, kind, count in regions:
                 if t + count <= budget:
-                    hit = keep & region.contains(x, y)
+                    hit = keep & region.contains(x, y, r2)
                     kinds[idx[hit]] = kind
                     keep &= ~hit
             if not keep.all():
-                x, y, idx, sx, sy = x[keep], y[keep], idx[keep], sx[keep], sy[keep]
+                x, y, idx = x[keep], y[keep], idx[keep]
+                if t != snap_at:  # else the snapshot is retaken below
+                    sx, sy = sx[keep], sy[keep]
             if idx.size == 0 or t == budget:
                 break
             if t == snap_at:
-                sx, sy, snap_at = x, y, t + min(t, _SNAPSHOT_GAP)
+                sx, sy, snap_at = x, y, t + min(max(t, 1), _SNAPSHOT_GAP)
             x, y = caller.run(step_batch, spec, x, y)
 
 

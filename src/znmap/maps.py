@@ -67,10 +67,11 @@ def _cube(v):
 # the functions the formulas need beyond + - * /, for floats and for arrays
 _MATH = SimpleNamespace(cos=math.cos, sin=math.sin, hypot=math.hypot, atan2=math.atan2,
                         expm1=math.expm1, floor=math.floor,
+                        rint=lambda v: v - math.remainder(v, 1.0),  # NaN-safe, unlike round
                         minimum=lambda a, b: b if b < a else a,  # builtin min is slower
                         where=lambda cond, a, b: a if cond else b)
-_NUMPY = SimpleNamespace(cos=np.cos, sin=np.sin, hypot=np.hypot, atan2=np.arctan2,
-                         expm1=np.expm1, floor=np.floor, minimum=np.minimum, where=np.where)
+_NUMPY = SimpleNamespace(cos=np.cos, sin=np.sin, hypot=np.hypot, atan2=np.arctan2, expm1=np.expm1,
+                         floor=np.floor, rint=np.rint, minimum=np.minimum, where=np.where)
 _NAMESPACE = {np.ndarray: _NUMPY}  # looked up by exact type: the float path is hot
 
 
@@ -313,6 +314,10 @@ def sector_of(p: Point, n: int) -> int:
 # margin a - atan(eps^3)).  It dwarfs the rounding of one computed step, so
 # computed orbits stay inside the regions as well.
 _MARGIN = 1e-6
+# The margin of their membership tests and of the radius bounds behind the
+# retirement counts of analysis.classify_kinds: far above the rounding of a
+# test, a computed step or a bound step, far below _MARGIN.
+_BOUND_MARGIN = 1e-9
 
 
 def _linear_modulus(spec):
@@ -376,29 +381,25 @@ class ConeRegion:
     m_a: float
     n: int
 
-    def contains(self, x, y):
-        """Whether (x, y) lies in the region (floats or arrays).
-
-        Only the points with x*x + y*y >= (1 - 1e-12)*r_lo^2 get the sector
-        chart.  That test is passed by every point with hypot(x, y) >= r_lo,
-        since both sides round by a few ulps, and by inf, also where x*x
-        overflows; NaN fails both.  So the result is that of the full test.
-        Arrays whose squares overflow do so under the caller's np.errstate.
+    def contains(self, x, y, r2):
+        """Whether (x, y), with r2 = x*x + y*y, lies in the region (floats
+        or arrays), tested with no sector chart: chart angle within cone of
+        0 or pi/2 is angle within 4*cone/n of a boundary ray, so with
+        t = atan2(y, x)*n/(2*pi) the test is r_lo^2*(1+mu) <= r2 <=
+        r_hi^2*(1-mu) and |t - rint(t)| <= (2*cone/pi)*(1-mu), mu =
+        _BOUND_MARGIN.  The margin dwarfs the rounding of r2 and t, so every
+        point accepted lies in the region; points within about mu of its
+        edge may be missed.  A NaN or inf r2 (a non-finite coordinate, or an
+        overflowing square) lies outside, for floats and arrays alike.
         """
         xp = _NAMESPACE.get(type(x), _MATH)
-        near2 = (1.0 - 1e-12) * (self.r_lo * self.r_lo)
-        if xp is _MATH:
-            return (math.isfinite(x) and math.isfinite(y) and x * x + y * y >= near2
-                    and self._in_chart(_MATH, x, y))
-        near = x * x + y * y >= near2
-        hit = near.copy()
-        hit[near] = self._in_chart(xp, x[near], y[near])
-        return hit
-
-    def _in_chart(self, xp, x, y):
-        r, _, _, theta4 = _sector_chart(xp, (x, y), self.n)
-        near_axis = (theta4 <= self.cone) | (theta4 >= 0.5 * math.pi - self.cone)
-        return (r >= self.r_lo) & (r <= self.r_hi) & near_axis
+        t = xp.atan2(y, x)
+        t *= self.n / TWO_PI  # in place for arrays, sparing two large temporaries
+        t -= xp.rint(t)
+        lo = self.r_lo * self.r_lo * (1.0 + _BOUND_MARGIN)
+        hi = min(self.r_hi * self.r_hi, np.finfo(float).max) * (1.0 - _BOUND_MARGIN)
+        near_ray = abs(t) <= 2.0 * self.cone / math.pi * (1.0 - _BOUND_MARGIN)
+        return (lo <= r2) & (r2 <= hi) & near_ray
 
 
 @dataclass(frozen=True)
@@ -407,9 +408,9 @@ class Disk:
 
     radius: float
 
-    def contains(self, x, y):
-        """Whether (x, y) lies in the disk (floats or arrays)."""
-        return x * x + y * y <= self.radius * self.radius
+    def contains(self, x, y, r2):
+        """Whether r2 = x*x + y*y <= radius^2 (floats or arrays; NaN and inf are out)."""
+        return r2 <= self.radius * self.radius
 
 
 def trapping_region(spec, eps_in: float, r_escape: float) -> ConeRegion | None:

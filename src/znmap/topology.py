@@ -63,10 +63,10 @@ def basin_raster(spec: MapSpec, window: tuple, width: int, height: int,
     the trapping region of h/hn), but only at a step t with
     t + N <= budget, where N is the number of steps the region's 1-D
     radius bound needs from its edge to pass r_escape or eps_in; so the
-    kinds are bitwise those of the plain loop at every budget.  The stepping is elementwise, so the grid may be partitioned
-    arbitrarily with bit-identical results: a raster of at least
-    2 * 16,384 pixels runs on one thread per CPU available to the process
-    (see classify_batch), with kinds bitwise those of the serial loop.
+    kinds are bitwise those of the plain loop at every budget.  The
+    stepping is elementwise, so a raster of at least 2 * 16,384 pixels runs
+    on one thread per CPU available to the process (see classify_batch)
+    with kinds bitwise those of the serial loop.
     """
     if width < 1 or height < 1:
         raise ValueError("raster dimensions must be positive")
