@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import (_BOUND_MARGIN, TWO_PI, MapSpec, Point, _jac_entries, _linear_modulus,
-                   contracting_disk, escape_cones, eval_map, from_polar, jac_map, rotate,
+                   _rotation, contracting_disk, escape_cones, eval_map, from_polar, jac_map,
                    step_batch, trapping_region)
 
 DEFAULT_SEED = 0x5EED
@@ -391,11 +391,11 @@ def equivariance_residual(spec, n: int, samples: int = 10_000, radius: float = 1
     taking the max.
     """
     pts = seeded_points(samples, radius, seed)
+    rot = _rotation(1, n)
     worst = 0.0
     for px, py in pts.tolist():  # Python floats: the scalar path is faster on them
-        rp = rotate((px, py), 1, n)
-        f_rp = eval_map(spec, rp)
-        r_fp = rotate(eval_map(spec, (px, py)), 1, n)
+        f_rp = eval_map(spec, rot(px, py))
+        r_fp = rot(*eval_map(spec, (px, py)))
         res = math.hypot(f_rp[0] - r_fp[0], f_rp[1] - r_fp[1])
         if normalized:
             res /= 1.0 + math.hypot(px, py) ** 3

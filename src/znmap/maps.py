@@ -17,10 +17,13 @@ Families (all fix the origin):
 A ``MapSpec`` names a map and checks its parameters; ``eval_map``,
 ``jac_map`` and ``step_batch`` evaluate it, and the per-family functions
 behind them are private.  Evaluators take ``(x, y)`` pairs of floats or of
-numpy arrays and run the same arithmetic on both: ``+ - * /`` in one fixed
-order, and the few other functions (trig, ``hypot``, ``expm1``, ``floor``,
-``minimum`` and a select) from ``math`` for floats and from ``numpy`` for
-arrays, picked by the input type.  Jacobians are 2x2 numpy arrays
+numpy arrays, and the input type picks one of two implementations of the
+same arithmetic (``+ - * /`` in one fixed order, and a few functions: trig,
+``hypot``, ``expm1``, ``floor``, ``minimum`` and a select).  Arrays run one
+formula over ``numpy``; floats run it written out with ``math`` and plain
+``if``s, which the tests pin bitwise to that formula over ``math``.  The
+two may differ by a few ulps where numpy's ``arctan2``/``hypot`` differ from
+``math``'s.  Jacobians are 2x2 numpy arrays
 ``[[a, b], [c, d]]``.  ``step_batch`` is ``eval_map`` on coordinate arrays,
 for raster/scan workloads.
 
@@ -64,15 +67,12 @@ def _cube(v):
     return v * v * v
 
 
-# the functions the formulas need beyond + - * /, for floats and for arrays
-_MATH = SimpleNamespace(cos=math.cos, sin=math.sin, hypot=math.hypot, atan2=math.atan2,
-                        expm1=math.expm1, floor=math.floor,
-                        rint=lambda v: v - math.remainder(v, 1.0),  # NaN-safe, unlike round
-                        minimum=lambda a, b: b if b < a else a,  # builtin min is slower
-                        where=lambda cond, a, b: a if cond else b)
+# the functions the array formulas need beyond + - * /; the float paths
+# write them out with math, except ConeRegion.contains, which takes _MATH
 _NUMPY = SimpleNamespace(cos=np.cos, sin=np.sin, hypot=np.hypot, atan2=np.arctan2, expm1=np.expm1,
                          floor=np.floor, rint=np.rint, minimum=np.minimum, where=np.where)
-_NAMESPACE = {np.ndarray: _NUMPY}  # looked up by exact type: the float path is hot
+_MATH = SimpleNamespace(atan2=math.atan2,
+                        rint=lambda v: v - math.remainder(v, 1.0))  # NaN-safe, unlike round
 
 
 def _angle(xp, y, x):
@@ -83,15 +83,27 @@ def _angle(xp, y, x):
     return xp.where(theta >= TWO_PI, 0.0, theta)
 
 
-def to_polar(p: Point) -> tuple[float, float]:
-    """Convert (x, y) to (r, theta) with theta in [0, 2*pi)."""
+def _float_polar(p: Point) -> tuple[float, float]:
+    """hypot and _angle of one float point, written out with math and plain
+    ifs: the same operations in the same order, so the same bits, without
+    the namespace's calls.  Raises ValueError for a non-finite point."""
     x, y = p
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"non-finite point {p!r}")
-    r = math.hypot(x, y)
+    theta = math.atan2(y, x)
+    if theta < 0.0:
+        theta += TWO_PI
+        if theta >= TWO_PI:  # a tiny negative atan2 result can round up to exactly 2*pi
+            theta = 0.0
+    return math.hypot(x, y), theta
+
+
+def to_polar(p: Point) -> tuple[float, float]:
+    """Convert (x, y) to (r, theta) with theta in [0, 2*pi)."""
+    r, theta = _float_polar(p)
     if r == 0.0:
         return 0.0, 0.0
-    return r, _angle(_MATH, y, x)
+    return r, theta
 
 
 def from_polar(q: tuple[float, float]) -> Point:
@@ -100,8 +112,13 @@ def from_polar(q: tuple[float, float]) -> Point:
     return r * math.cos(theta), r * math.sin(theta)
 
 
-def rotate(p: Point, m: int, n: int) -> Point:
-    """Rotate p by 2*pi*m/n about the origin.
+_QUARTER_TURNS = (lambda x, y: (x, y), lambda x, y: (-y, x),
+                  lambda x, y: (-x, -y), lambda x, y: (y, -x))
+
+
+def _rotation(m: int, n: int):
+    """The rotation by 2*pi*m/n about the origin as a function of (x, y),
+    built once for many points.
 
     Multiples of a quarter turn are applied as exact component
     swaps/negations, so e.g. the order-4 generator maps (x, y) to (-y, x)
@@ -109,20 +126,18 @@ def rotate(p: Point, m: int, n: int) -> Point:
     """
     _check_order(n)
     mm = m % n
-    x, y = p
     if (4 * mm) % n == 0:
-        q = (4 * mm // n) % 4
-        if q == 0:
-            return x, y
-        if q == 1:
-            return -y, x
-        if q == 2:
-            return -x, -y
-        return y, -x
+        return _QUARTER_TURNS[(4 * mm // n) % 4]
     ang = TWO_PI * mm / n
     c = math.cos(ang)
     s = math.sin(ang)
-    return c * x - s * y, s * x + c * y
+    return lambda x, y: (c * x - s * y, s * x + c * y)
+
+
+def rotate(p: Point, m: int, n: int) -> Point:
+    """Rotate p by 2*pi*m/n about the origin (see _rotation)."""
+    x, y = p
+    return _rotation(m, n)(x, y)
 
 
 @dataclass(frozen=True)
@@ -149,17 +164,23 @@ def default_profile(k: float) -> RadialProfile:
     return RadialProfile(r0, r0)
 
 
-def radial_u(s, prof: RadialProfile):
-    """Evaluate the saturating radial response at s >= 0 (float or array)."""
-    xp = _NAMESPACE.get(type(s), _MATH)
-    if xp is _MATH:
-        if s < 0.0:
-            raise ValueError("radial response undefined for negative radius")
-        if s <= prof.r0:  # arrays take this branch through the select below
-            return s
+def _radial_u(xp, s, prof: RadialProfile):
+    """radial_u over the namespace xp, for s >= 0."""
     w = s - prof.r0
     tail = prof.r0 + 0.5 * w + 0.5 * prof.r_half * (-xp.expm1(-w / prof.r_half))
     return xp.where(s <= prof.r0, s, tail)
+
+
+def radial_u(s, prof: RadialProfile):
+    """Evaluate the saturating radial response at s >= 0 (float or array)."""
+    if type(s) is np.ndarray:
+        return _radial_u(_NUMPY, s, prof)
+    if s < 0.0:
+        raise ValueError("radial response undefined for negative radius")
+    if s <= prof.r0:
+        return s
+    w = s - prof.r0
+    return prof.r0 + 0.5 * w + 0.5 * prof.r_half * (-math.expm1(-w / prof.r_half))
 
 
 @dataclass(frozen=True)
@@ -293,11 +314,18 @@ def _sector_chart(xp, p: Point, n: int):
     quarter turn.
     """
     x, y = p
-    if xp is _MATH and not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"non-finite point {p!r}")
     theta = _angle(xp, y, x)
     m = xp.minimum(xp.floor(theta * n / TWO_PI), n - 1)  # theta*n/(2*pi) may round to n
     return xp.hypot(x, y), theta, m, (theta - TWO_PI * m / n) * n / 4.0
+
+
+def _float_chart(p: Point, n: int):
+    """_sector_chart of one float point, written out like _float_polar."""
+    r, theta = _float_polar(p)
+    m = math.floor(theta * n / TWO_PI)
+    if m > n - 1:  # theta*n/(2*pi) may round to n
+        m = n - 1
+    return r, theta, m, (theta - TWO_PI * m / n) * n / 4.0
 
 
 def sector_of(p: Point, n: int) -> int:
@@ -306,7 +334,7 @@ def sector_of(p: Point, n: int) -> int:
     x, y = p
     if x == 0.0 and y == 0.0:
         raise ValueError("sector undefined at origin")
-    return _sector_chart(_MATH, p, n)[2] + 1
+    return _float_chart(p, n)[2] + 1
 
 
 # The relative margin of the closed-form regions below: on the radius, and
@@ -392,7 +420,7 @@ class ConeRegion:
         edge may be missed.  A NaN or inf r2 (a non-finite coordinate, or an
         overflowing square) lies outside, for floats and arrays alike.
         """
-        xp = _NAMESPACE.get(type(x), _MATH)
+        xp = _NUMPY if type(x) is np.ndarray else _MATH
         t = xp.atan2(y, x)
         t *= self.n / TWO_PI  # in place for arrays, sparing two large temporaries
         t -= xp.rint(t)
@@ -493,7 +521,25 @@ def _sector_image(xp, r, theta4, m, k: float, n: int, prof: RadialProfile | None
     back to sector m+1 (the sector after the source sector m)."""
     psi, phi = _f4_polar(xp, r, theta4, k)
     if prof is not None:
+        psi = _radial_u(xp, psi, prof)
+    return psi, 4.0 * phi / n + TWO_PI * m / n
+
+
+def _float_image(r: float, theta4: float, m: int, k: float, n: int,
+                 prof: RadialProfile | None):
+    """_sector_image of one float chart point, written out like _float_polar."""
+    c = math.cos(theta4)
+    s = math.sin(theta4)
+    c3 = c * c * c
+    s3 = s * s * s
+    psi = k * (r * r * r) / (1.0 + r * r) * math.hypot(c3, s3)
+    if prof is not None:
         psi = radial_u(psi, prof)
+    phi = math.atan2(c3, -s3)
+    if phi < 0.0:
+        phi += TWO_PI
+        if phi >= TWO_PI:
+            phi = 0.0
     return psi, 4.0 * phi / n + TWO_PI * m / n
 
 
@@ -506,16 +552,27 @@ def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None) -> Point
     up into a genuine jump).  For n = 4 the rescales are identities and the
     quarter-turn rotations exact, so the evaluation reduces to _eval_f4 or
     _eval_h (bitwise).
+
+    The input type picks one of two implementations.  Arrays take the
+    namespace formula, _sector_chart and _sector_image over numpy.  Floats
+    take _float_chart and _float_image, the same operations written out
+    with math, bitwise that formula over math (the tests pin this).  An
+    array result may differ from the float result by a few ulps, where
+    numpy's arctan2 and hypot differ from math's.
     """
     x, y = p
-    xp = _NAMESPACE.get(type(x), _MATH)
-    if xp is _MATH and x == 0.0 and y == 0.0:
+    array = type(x) is np.ndarray
+    if not array and x == 0.0 and y == 0.0:
         return 0.0, 0.0
     if n == 4:
         return _eval_f4(p, k) if prof is None else _eval_h(p, k, prof)
-    r, _, m, theta4 = _sector_chart(xp, p, n)
-    psi, theta_out = _sector_image(xp, r, theta4, m, k, n, prof)
-    return psi * xp.cos(theta_out), psi * xp.sin(theta_out)
+    if array:
+        r, _, m, theta4 = _sector_chart(_NUMPY, p, n)
+        psi, theta_out = _sector_image(_NUMPY, r, theta4, m, k, n, prof)
+        return psi * np.cos(theta_out), psi * np.sin(theta_out)
+    r, _, m, theta4 = _float_chart(p, n)
+    psi, theta_out = _float_image(r, theta4, m, k, n, prof)
+    return psi * math.cos(theta_out), psi * math.sin(theta_out)
 
 
 def _jac_fn(p: Point, k: float, n: int) -> np.ndarray:
@@ -529,12 +586,12 @@ def _jac_fn(p: Point, k: float, n: int) -> np.ndarray:
     x, y = p
     if x == 0.0 and y == 0.0:
         return np.zeros((2, 2))
-    r, theta, m, theta4 = _sector_chart(_MATH, p, n)
+    r, theta, m, theta4 = _float_chart(p, n)
     inner = _jac_f4_polar((r, theta4), k)
     a_n = np.array([[1.0, 0.0], [0.0, 4.0 / n]])
     b_n = np.array([[1.0, 0.0], [0.0, n / 4.0]])
     d_polar = a_n @ inner @ b_n
-    psi, theta_out = _sector_image(_MATH, r, theta4, m, k, n, None)
+    psi, theta_out = _float_image(r, theta4, m, k, n, None)
     ci, si = math.cos(theta), math.sin(theta)
     co, so = math.cos(theta_out), math.sin(theta_out)
     chart_in_inv = np.array([[ci, si], [-si / r, ci / r]])
@@ -544,12 +601,15 @@ def _jac_fn(p: Point, k: float, n: int) -> np.ndarray:
 
 def _eval_h(p: Point, k: float, prof: RadialProfile) -> Point:
     w1, w2 = _eval_f4(p, k)
-    xp = _NAMESPACE.get(type(w1), _MATH)
-    s = xp.hypot(w1, w2)
-    if xp is _MATH and s <= prof.r0:  # identity branch, exact
+    if type(w1) is np.ndarray:
+        s = np.hypot(w1, w2)
+        # u = s = 0 at the origin, where any finite scale will do
+        scale = radial_u(s, prof) / np.where(s > 0.0, s, 1.0)
+        return scale * w1, scale * w2
+    s = math.hypot(w1, w2)
+    if s <= prof.r0:  # identity branch, exact
         return w1, w2
-    # for arrays, u = s = 0 at the origin, where any finite scale will do
-    scale = radial_u(s, prof) / xp.where(s > 0.0, s, 1.0)
+    scale = radial_u(s, prof) / s
     return scale * w1, scale * w2
 
 

@@ -316,14 +316,23 @@ def check_rotation(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResul
 
 
 def check_dissipativity(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Saturated families contract outside 2*r0, and no raster pixel escapes."""
+    """Saturated families contract outside 2*r0, and no raster pixel escapes.
+
+    The sampled radii run from 2*r0 to max(100, 100*s) and the raster window
+    is (-20*s, 20*s)^2, s = P(k)/P(1.1), so that as k -> 1 the radii stay in
+    order (2*r0 = 4*P(k) passes 100 below k ~ 1.0016) and the window still
+    reaches past 2*r0; at k = 1.1 they are exactly 100 and 20.
+    """
     prof = default_profile(k)
+    scale = _p_scale(k)
+    r_hi = max(100.0, 100.0 * scale)
+    half = 20.0 * scale
     rng = np.random.default_rng(seed)
     contraction_ok = True
     worst_ratio = 0.0
     for n in range(2, 9):
         spec = MapSpec("hn", k=k, n=n)
-        radii = 2.0 * prof.r0 + (100.0 - 2.0 * prof.r0) * rng.random(1000)
+        radii = 2.0 * prof.r0 + (r_hi - 2.0 * prof.r0) * rng.random(1000)
         angles = TWO_PI * rng.random(1000)
         for r, th in zip(radii.tolist(), angles.tolist()):
             p = from_polar((r, th))
@@ -332,12 +341,12 @@ def check_dissipativity(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Check
             worst_ratio = max(worst_ratio, ratio)
             if ratio >= 1.0:
                 contraction_ok = False
-    raster = basin_raster(MapSpec("hn", k=k, n=5), (-20.0, 20.0, -20.0, 20.0),
+    raster = basin_raster(MapSpec("hn", k=k, n=5), (-half, half, -half, half),
                           256, 256, budget=600, eps_in=1e-8, r_escape=1e3)
     counts = raster.counts()
     ok = contraction_ok and counts["escaped"] == 0
     return CheckResult("dissipativity", {"k": k, "points": 1000,
-                                         "radius_range": [2 * prof.r0, 100.0],
+                                         "radius_range": [2 * prof.r0, r_hi],
                                          "raster": 256, "r_escape": 1e3},
                        worst_ratio, 1.0, ok,
                        f"raster counts {counts}")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from znmap import verify
+from znmap.topology import basin_raster
 from znmap.verify import (
     K_DEFAULT,
     check_astroid,
@@ -181,6 +182,34 @@ def test_criterion_09_rotation_numbers_near_k_one(k):
 def test_criterion_10_dissipativity():
     # |f(p)| < |p| outside 2*r0, and no raster pixel escapes
     _report(10, check_dissipativity())
+
+
+def test_criterion_10_dissipativity_near_k_one(monkeypatch):
+    # 2*r0 = 4*P(k) is 178.9 at k = 1.0005, above the radius 100 the
+    # samples once ended at, and the raster window of +-20 lay inside the
+    # period-n orbit (P = 44.7), where no pixel can escape; both scale with P
+    k = 1.0005
+    p_radius = 1.0 / math.sqrt(k - 1.0)
+    windows = []
+
+    def spy(spec, window, *args, **kwargs):
+        windows.append(window)
+        return basin_raster(spec, window, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "basin_raster", spy)
+    result = check_dissipativity(k)
+    assert result.passed, result.detail
+    scale = p_radius * math.sqrt(0.1)  # P(k)/P(1.1)
+    lo, hi = result.params["radius_range"]
+    assert math.isclose(lo, 4.0 * p_radius, rel_tol=1e-12)
+    assert math.isclose(hi, 100.0 * scale, rel_tol=1e-12) and lo < hi
+    (x_lo, x_hi, y_lo, y_hi), = windows
+    assert (x_lo, y_lo, y_hi) == (-x_hi, -x_hi, x_hi)
+    assert math.isclose(x_hi, 20.0 * scale, rel_tol=1e-12) and x_hi > 4.0 * p_radius
+    windows.clear()
+    at_default = check_dissipativity()  # exact at k = 1.1
+    assert at_default.params["radius_range"][1] == 100.0
+    assert windows == [(-20.0, 20.0, -20.0, 20.0)]
 
 
 def test_criterion_11_singularity():

@@ -220,6 +220,52 @@ def test_equivariance_residual_values():
     assert probe >= 0.1
 
 
+def rotate_per_point(p, m, n):
+    """maps.rotate as a chain of branches taken for each point."""
+    mm = m % n
+    x, y = p
+    if (4 * mm) % n == 0:
+        q = (4 * mm // n) % 4
+        if q == 0:
+            return x, y
+        if q == 1:
+            return -y, x
+        if q == 2:
+            return -x, -y
+        return y, -x
+    ang = TWO_PI * mm / n
+    c = math.cos(ang)
+    s = math.sin(ang)
+    return c * x - s * y, s * x + c * y
+
+
+def equivariance_residual_per_point(spec, n, samples, radius, seed, normalized=False):
+    """equivariance_residual with the rotation taken point by point: the
+    oracle of its rotation built once per call."""
+    worst = 0.0
+    for px, py in seeded_points(samples, radius, seed).tolist():
+        f_rp = eval_map(spec, rotate_per_point((px, py), 1, n))
+        r_fp = rotate_per_point(eval_map(spec, (px, py)), 1, n)
+        res = math.hypot(f_rp[0] - r_fp[0], f_rp[1] - r_fp[1])
+        if normalized:
+            res /= 1.0 + math.hypot(px, py) ** 3
+        worst = max(worst, res)
+    return worst
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5, 7])
+def test_equivariance_residual_is_the_per_point_rotation_bitwise(seed):
+    for n in range(2, 9):
+        spec = MapSpec("fn", k=K, n=n)
+        assert (equivariance_residual(spec, n, samples=60, radius=10.0, seed=seed,
+                                      normalized=True)
+                == equivariance_residual_per_point(spec, n, 60, 10.0, seed, normalized=True))
+    # the negative control: fn of order 5 probed with the quarter turn
+    spec = MapSpec("fn", k=K, n=5)
+    res = equivariance_residual(spec, 4, samples=40, radius=5.0, seed=seed)
+    assert res == equivariance_residual_per_point(spec, 4, 40, 5.0, seed) and res >= 0.1
+
+
 def ray_image_check(spec, directions: int = 64, radii=None,
                     spread_tol: float = 1e-10) -> dict:
     """Check that each ray through the origin maps into a single ray with

@@ -1,21 +1,28 @@
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import znmap.maps
 from znmap.maps import (
-    _MATH,
     K_MAX,
     TWO_PI,
     MapSpec,
     RadialProfile,
+    _angle,
     _eval_f4,
     _eval_g4,
     _eval_h,
     _f4_polar,
+    _float_chart,
     _jac_f4_polar,
     _jac_fn,
+    _radial_u,
+    _sector_chart,
+    _sector_image,
     _transplant,
     default_profile,
     eval_map,
@@ -31,6 +38,14 @@ from znmap.maps import (
 K = 1.1
 P_RADIUS = 1.0 / math.sqrt(K - 1.0)  # 3.16227766...
 F4 = MapSpec("f4", k=K)
+
+# The namespace that runs maps.py's array formulas (_angle, _sector_chart,
+# _f4_polar, _sector_image, _radial_u) on floats: the oracle of the float
+# kernels, which write the same operations out with math and plain ifs.
+MATH = SimpleNamespace(cos=math.cos, sin=math.sin, hypot=math.hypot, atan2=math.atan2,
+                       expm1=math.expm1, floor=math.floor,
+                       minimum=lambda a, b: b if b < a else a,
+                       where=lambda cond, a, b: a if cond else b)
 
 
 def close(a, b, tol=1e-12):
@@ -73,10 +88,10 @@ def test_f4_maps_periodic_point_to_its_quarter_turn():
 
 
 def test_f4_polar_matches_examples():
-    psi, phi = _f4_polar(_MATH, 1.0, math.pi / 4, K)
+    psi, phi = _f4_polar(MATH, 1.0, math.pi / 4, K)
     assert abs(psi - 0.275) <= 1e-15
     assert abs(phi - 3 * math.pi / 4) <= 1e-12
-    psi, phi = _f4_polar(_MATH, 2.0, 0.0, K)
+    psi, phi = _f4_polar(MATH, 2.0, 0.0, K)
     assert abs(psi - 1.76) <= 1e-14
     assert abs(phi - math.pi / 2) <= 1e-15
 
@@ -84,7 +99,7 @@ def test_f4_polar_matches_examples():
 def test_f4_polar_angle_below_two_pi_for_caller_angles():
     # (-sin^3, cos^3) at 3*pi/2 sits a hair below the positive x-axis, so the
     # wrapped atan2 rounds up to exactly 2*pi and must fold back to 0
-    _, phi = _f4_polar(_MATH, 1.0, 1.5 * math.pi, K)
+    _, phi = _f4_polar(MATH, 1.0, 1.5 * math.pi, K)
     assert 0.0 <= phi < TWO_PI
 
 
@@ -95,7 +110,7 @@ def test_f4_polar_consistent_with_cartesian():
         th = TWO_PI * rng.random()
         p = from_polar((r, th))
         direct = _eval_f4(p, K)
-        via_polar = from_polar(_f4_polar(_MATH, r, th, K))
+        via_polar = from_polar(_f4_polar(MATH, r, th, K))
         assert close(direct, via_polar, 1e-12 * (1.0 + r ** 3))
 
 
@@ -269,6 +284,168 @@ def test_polar_dispatch_rejects_non_finite_points(p):
         _transplant(p, K, 5, None)
     with pytest.raises(ValueError):
         _transplant(p, K, 5, default_profile(K))
+
+
+# ---------------------------------------------------------------------------
+# float kernels against the namespace formula over math
+# ---------------------------------------------------------------------------
+
+def oracle_chart(p, n):
+    x, y = p
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite point {p!r}")
+    return _sector_chart(MATH, p, n)
+
+
+def oracle_image(r, theta4, m, k, n, prof):
+    return _sector_image(MATH, r, theta4, m, k, n, prof)
+
+
+def oracle_eval_h(p, k, prof):
+    w1, w2 = _eval_f4(p, k)
+    s = math.hypot(w1, w2)
+    if s <= prof.r0:
+        return w1, w2
+    scale = _radial_u(MATH, s, prof) / MATH.where(s > 0.0, s, 1.0)
+    return scale * w1, scale * w2
+
+
+def oracle_transplant(p, k, n, prof):
+    """_transplant on floats as the namespace formula over math gives it."""
+    x, y = p
+    if x == 0.0 and y == 0.0:
+        return 0.0, 0.0
+    if n == 4:
+        return _eval_f4(p, k) if prof is None else oracle_eval_h(p, k, prof)
+    r, _, m, theta4 = oracle_chart(p, n)
+    psi, theta_out = oracle_image(r, theta4, m, k, n, prof)
+    return psi * math.cos(theta_out), psi * math.sin(theta_out)
+
+
+def oracle_to_polar(p):
+    x, y = p
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite point {p!r}")
+    r = math.hypot(x, y)
+    if r == 0.0:
+        return 0.0, 0.0
+    return r, _angle(MATH, y, x)
+
+
+def on_oracle(fun, *args):
+    """fun(*args) with the float chart and image swapped for the oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(znmap.maps, "_float_chart", oracle_chart)
+        mp.setattr(znmap.maps, "_float_image", oracle_image)
+        return fun(*args)
+
+
+def bits(v):
+    """The exact bits of a result: floats (sign of zero and NaN included),
+    ints, tuples and arrays of them, or the type and text of an error."""
+    if isinstance(v, BaseException):
+        return type(v).__name__, str(v)
+    if isinstance(v, float):
+        return struct.pack("<d", v)
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    if isinstance(v, tuple):
+        return tuple(bits(e) for e in v)
+    return type(v).__name__, v
+
+
+def outcome(fun, *args):
+    try:
+        return bits(fun(*args))
+    except (ValueError, ArithmeticError, RuntimeWarning) as exc:
+        return bits(exc)
+
+
+def clamp_points():
+    """Points just below the positive x-axis: y = -j * 2^-50 * x, whose
+    angle lands one or a few ulps below 2*pi, or rounds up to 2*pi."""
+    return [(x, -j * 2.0 ** -50 * x) for x in (0.5, 1.0, 3.0, 7.0) for j in range(1, 9)]
+
+
+def edge_points(n):
+    """Boundary rays, the clamp, angles that round up to 2*pi, signed
+    zeros, the origin and non-finite input."""
+    pts = [from_polar((r, TWO_PI * j / n)) for r in (1e-300, 0.3, 1.0, P_RADIUS, 9.0, 1e6)
+           for j in range(n + 1)]
+    pts += clamp_points()
+    pts += [(1.0, -1e-300), (3.0, -5e-324), (1.0, -1e-17)]
+    pts += [(x, y) for x in (1.0, -1.0, 0.0, -0.0) for y in (0.0, -0.0)]
+    pts += [(0.0, 1.0), (-0.0, -2.0), (1e300, 1e300), (-1e200, 3.0)]
+    pts += [(math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0), (1.0, -math.inf),
+            (-math.inf, math.inf), (math.nan, math.nan)]
+    return pts
+
+
+ORDERS = (2, 3, 4, 5, 6, 7, 8, 23, 33)  # 23 and 33 reach the clamp, see below
+
+
+def test_clamp_points_reach_the_clamp():
+    # for n = 23 and 33 the angle one ulp below 2*pi gives theta*n/(2*pi)
+    # rounding to n, so the sector index is clamped to n - 1; for n = 2..8
+    # no angle below 2*pi does that
+    for n in (23, 33):
+        clamped = [p for p in clamp_points()
+                   if math.floor((math.atan2(p[1], p[0]) + TWO_PI) * n / TWO_PI) == n]
+        assert clamped and all(_float_chart(p, n)[2] == n - 1 for p in clamped)
+    wrapped = [p for p in edge_points(5) if p[0] > 0.0 and p[1] < 0.0
+               and math.atan2(p[1], p[0]) + TWO_PI == TWO_PI]
+    assert wrapped and all(_float_chart(p, 5)[1] == 0.0 for p in wrapped)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_float_kernel_is_the_namespace_formula_on_edges(n):
+    prof = default_profile(K)
+    for p in edge_points(n):
+        for fam_prof in (None, prof):
+            assert (outcome(_transplant, p, K, n, fam_prof)
+                    == outcome(oracle_transplant, p, K, n, fam_prof)), (p, fam_prof)
+        assert outcome(to_polar, p) == outcome(oracle_to_polar, p), p
+        assert outcome(sector_of, p, n) == outcome(on_oracle, sector_of, p, n), p
+        assert outcome(_jac_fn, p, K, n) == outcome(on_oracle, _jac_fn, p, K, n), p
+
+
+@given(st.integers(2, 8), st.booleans(), st.floats(1.0005, 1.1547),
+       st.floats(allow_nan=True, allow_infinity=True), st.floats(allow_nan=True, allow_infinity=True))
+def test_float_kernel_is_the_namespace_formula(n, saturated, k, x, y):
+    prof = default_profile(k) if saturated else None
+    p = (x, y)
+    assert outcome(_transplant, p, k, n, prof) == outcome(oracle_transplant, p, k, n, prof)
+    if saturated:
+        assert outcome(_eval_h, p, k, prof) == outcome(oracle_eval_h, p, k, prof)
+    assert outcome(to_polar, p) == outcome(oracle_to_polar, p)
+    if not (x == 0.0 and y == 0.0):
+        assert outcome(sector_of, p, n) == outcome(on_oracle, sector_of, p, n)
+
+
+@given(st.integers(2, 8), st.floats(1.0005, 1.1547),
+       st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_float_jacobian_is_the_namespace_formula(n, k, x, y):
+    assert outcome(_jac_fn, (x, y), k, n) == outcome(on_oracle, _jac_fn, (x, y), k, n)
+
+
+@given(st.floats(0.0, 1e308), st.floats(0.5, 50.0), st.floats(0.5, 50.0))
+def test_float_radial_u_is_the_namespace_formula(s, r0, r_half):
+    prof = RadialProfile(r0, r_half)
+    assert bits(radial_u(s, prof)) == bits(_radial_u(MATH, s, prof))
+
+
+@pytest.mark.parametrize("family", ["fn", "hn"])
+@pytest.mark.parametrize("p", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, math.nan)])
+def test_non_finite_input_raises_as_the_namespace_formula_does(family, p):
+    for n in range(2, 9):
+        spec = MapSpec(family, k=K, n=n)
+        for entry in (eval_map, jac_map):
+            got = outcome(entry, spec, p)
+            assert got == outcome(on_oracle, entry, spec, p), (n, entry)
+            # n = 4 is f4/h itself, which gives NaN; so does the finite
+            # difference Jacobian of h
+            if not (n == 4 and (entry is eval_map or family == "hn")):
+                assert got[0] == "ValueError" and "non-finite point" in got[1]
 
 
 # ---------------------------------------------------------------------------
