@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import (_BOUND_MARGIN, TWO_PI, MapSpec, Point, _jac_entries, _linear_modulus,
-                   _rotation, contracting_disk, escape_cones, eval_map, from_polar, jac_map,
-                   step_batch, trapping_region)
+from .maps import (TWO_PI, MapSpec, Point, _jac_entries, _retirements, _rotation, eval_map,
+                   from_polar, jac_map, step_batch)
 
 DEFAULT_SEED = 0x5EED
 
@@ -117,11 +116,12 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
 
     A batch of at least 2 * _MIN_PART starts is split into contiguous
     parts, one thread per CPU available to the process (at most one part
-    per _MIN_PART starts); the calling thread runs the first part.  Each
-    start is classified on its own, so kinds and steps are bitwise those
-    of the serial loop.  The caller's numpy error state holds in every
-    part, and the first exception raised by any part is re-raised here
-    after all parts have finished.
+    per _MIN_PART starts); the calling thread runs the first part.  A
+    smaller batch runs as one part on the calling thread, and no thread is
+    started.  Each start is classified on its own, so kinds and steps are
+    bitwise those of the serial loop.  The caller's numpy error state holds
+    in every part, and the first exception raised by any part is re-raised
+    here after all parts have finished.
     """
     return _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only=False)
 
@@ -131,19 +131,17 @@ def classify_kinds(spec: MapSpec, xs, ys, budget: int = 10_000,
     """The kinds of classify_batch, bitwise, without the steps.
 
     Besides the retirements of classify_batch, a point is retired as soon
-    as it lies in a closed-form region whose fate is known: for f4/fn and
-    g4 with delta = 0 the escape cones about the sector boundary rays
-    (maps.escape_cones, kind 2), and for f4/fn/h/hn and g4 with delta = 0
-    the contracting disk about the origin (maps.contracting_disk, kind 1).
-    For each region one count N is computed per call: the steps a 1-D bound
-    on the radius takes from the region's edge to pass the threshold,
-    r_escape for the cones (the bound psi(r)*m_a - c*r from below) and
-    eps_in for the disk (psi(r) + c*r from above), where c =
-    hypot(alpha, beta) for g4 and 0 otherwise, with a relative margin of
-    maps._BOUND_MARGIN per step.  A point in the region at step t is retired
-    only while t + N <= budget, so the plain loop would decide it the same
-    way within the budget, and the kinds are those of classify_batch at
-    every budget.  Callables and g4 with delta != 0 get no region.
+    as it lies in a closed-form region whose fate is known: the escape
+    cones about the sector boundary rays (kind 2) of f4/fn and of g4 with
+    delta = 0, and the contracting disk about the origin (kind 1) of
+    f4/fn/h/hn and of g4 with delta = 0.  A point in a region at step t is
+    retired only while t + N <= budget, where N is the number of steps the
+    region's 1-D radius bound takes from its edge to pass r_escape or
+    eps_in, so the plain loop would decide it the same way within the
+    budget, and the kinds are those of classify_batch at every budget.
+    Callables and g4 with delta != 0 get no region.  maps._retirements,
+    the one owner of this rule, states the regions, their bounds and N;
+    the loop tests membership on its coordinate arrays only.
     """
     return _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only=True)[0]
 
@@ -165,10 +163,7 @@ def _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only):
     kinds = np.zeros(npts, dtype=np.uint8)
     steps = None if kinds_only else np.full(npts, -1, dtype=np.int64)
     regions = _retirements(spec, budget, eps_in, r_escape, kinds_only)
-    parts = min(_available_cpus(), npts // _MIN_PART)
-    if parts <= 1:
-        _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, regions)
-        return kinds, steps
+    parts = max(1, min(_available_cpus(), npts // _MIN_PART))
     cuts = [npts * i // parts for i in range(parts + 1)]
     errors = [None] * parts
 
@@ -203,58 +198,6 @@ def _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only):
     return kinds, steps
 
 
-def _retirements(spec, budget, eps_in, r_escape, kinds_only):
-    """The (region, kind, N) entries of _classify_part: a live point in
-    region at step t with t + N <= budget is retired with kind.  The h/hn
-    trapping region decides kind 0 with N = 0.  With kinds_only the escape
-    cones (kind 2) and the contracting disk (kind 1) follow, with N from
-    _crossing_steps; for g4 their bounds carry its term of modulus c*r,
-    c = hypot(alpha, beta) (maps._linear_modulus).  Each bound starts from
-    the region's edge and must pass its threshold, both moved outward by
-    the relative margin mu, as are the bound's own factors, so that the
-    rounding of the membership test, of the bound and of the plain loop's
-    threshold test cannot decide a point otherwise.  Entries with
-    N > budget never retire and are left out."""
-    entries = []
-    trap = trapping_region(spec, eps_in, r_escape)
-    if trap is not None:
-        entries.append((trap, 0, 0))
-    if not kinds_only:
-        return entries
-    mu = _BOUND_MARGIN
-    cones = escape_cones(spec)
-    disk = contracting_disk(spec)
-    c = (1.0 + mu) * (_linear_modulus(spec) or 0.0)  # None only where there is no region
-    if cones is not None:
-        beyond = r_escape * (1.0 + mu)
-        entries.append((cones, 2, _crossing_steps(
-            spec.k, cones.r_lo * (1.0 - mu), cones.m_a * (1.0 - mu), -c,
-            lambda r: r > beyond, budget)))
-    if disk is not None:
-        within = abs(eps_in) * (1.0 - mu)
-        entries.append((disk, 1, _crossing_steps(
-            spec.k, disk.radius * (1.0 + mu), 1.0 + mu, c, lambda r: r < within, budget)))
-    return [entry for entry in entries if entry[2] <= budget]
-
-
-def _crossing_steps(k: float, rho: float, gain: float, shift: float, passed,
-                    budget: int) -> int:
-    """The steps the 1-D bound rho -> rho*(gain*g(rho) + shift),
-    g(r) = psi(r)/r = k r^2/(1+r^2), takes from rho until passed(rho), or
-    budget + 1 if it takes more than budget steps.  With shift = 0 the
-    step is gain*psi(rho)."""
-    for t in range(budget + 1):
-        if passed(rho):
-            return t
-        # k*rho/(1 + 1/rho^2) overflows only where k*rho does; rho^2 stays
-        # positive while rho is above eps_in, whose square is a normal float
-        nxt = gain * (k * rho / (1.0 + 1.0 / (rho * rho))) + shift * rho
-        if nxt == rho or math.isnan(nxt):  # stuck, as at rho = inf (inf - inf
-            break                          # for g4) below an infinite r_escape
-        rho = nxt
-    return budget + 1
-
-
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -265,8 +208,9 @@ def _available_cpus() -> int:
 def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, regions):
     """The serial loop of classify_batch: classify the starts (x, y), writing
     into kinds and steps (the same length, kinds 0, steps -1; or steps None).
-    A live point in a region of regions (see _retirements) is retired with
-    that region's kind, leaving its steps alone."""
+    A live point in a region of regions, the (region, kind, N) entries of
+    maps._retirements, is retired with that region's kind, leaving its steps
+    alone.  x, y and the regions' membership tests are arrays only."""
     idx = np.arange(x.size)
     eps2 = eps_in * eps_in
     # Clamped so that an infinite radius (r2 = inf) always escapes.

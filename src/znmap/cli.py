@@ -23,7 +23,7 @@ from . import singularity as sg
 from .analysis import DEFAULT_SEED, find_periodic, iterate
 from .maps import FAMILIES, MapSpec, RadialProfile, eval_map
 from .topology import basin_raster, estimate_rotation, image_curve
-from .verify import ALL_CHECKS, TOOL_VERSION, run_suite
+from .verify import CHECKS_BY_NAME, TOOL_VERSION, run_suite
 
 
 def _fmt(v: float) -> str:
@@ -70,6 +70,14 @@ def _spec_from_args(args) -> MapSpec:
         delta=args.delta or 0.0,
         profile=profile,
     )
+
+
+def _start(args) -> tuple[float, float]:
+    """The --x0/--y0 start; a non-finite one is a usage error for every family."""
+    p = (args.x0, args.y0)
+    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+        raise ValueError(f"non-finite point {p!r}")
+    return p
 
 
 def _write_text(path, text) -> None:
@@ -178,14 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eval(parser, args) -> int:
     spec = _spec_from_args(args)
-    x, y = eval_map(spec, (args.x0, args.y0))
+    x, y = eval_map(spec, _start(args))
     sys.stdout.write(f"x={_fmt(x)} y={_fmt(y)}\n")
     return 0
 
 
 def _cmd_orbit(parser, args) -> int:
     spec = _spec_from_args(args)
-    orb = iterate(spec, (args.x0, args.y0), args.steps)
+    orb = iterate(spec, _start(args), args.steps)
     rows = [(i, float(p[0]), float(p[1])) for i, p in enumerate(orb.points)]
     _write_text(args.out, _csv(("step", "x", "y"), rows))
     if orb.escaped:
@@ -196,7 +204,7 @@ def _cmd_orbit(parser, args) -> int:
 def _cmd_verify(parser, args) -> int:
     spec = _spec_from_args(args)
     if args.suite == "all":
-        names = [n for n, _ in ALL_CHECKS]
+        names = list(CHECKS_BY_NAME)
     else:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
         if not names:
@@ -237,7 +245,7 @@ def _cmd_curve(parser, args) -> int:
 
 def _cmd_rotation(parser, args) -> int:
     spec = _spec_from_args(args)
-    est = estimate_rotation(spec, (args.x0, args.y0), max_iters=args.iters)
+    est = estimate_rotation(spec, _start(args), max_iters=args.iters)
     sys.stdout.write(f"slope={est.slope:.6f} "
                      f"rational={est.rational[0]}/{est.rational[1]}\n")
     return 0

@@ -68,11 +68,9 @@ def _cube(v):
 
 
 # the functions the array formulas need beyond + - * /; the float paths
-# write them out with math, except ConeRegion.contains, which takes _MATH
+# write them out with math
 _NUMPY = SimpleNamespace(cos=np.cos, sin=np.sin, hypot=np.hypot, atan2=np.arctan2, expm1=np.expm1,
-                         floor=np.floor, rint=np.rint, minimum=np.minimum, where=np.where)
-_MATH = SimpleNamespace(atan2=math.atan2,
-                        rint=lambda v: v - math.remainder(v, 1.0))  # NaN-safe, unlike round
+                         floor=np.floor, minimum=np.minimum, where=np.where)
 
 
 def _angle(xp, y, x):
@@ -255,7 +253,8 @@ def _f4_polar(xp, r, theta, k: float):
 def _jac_f4_entries(x, y, k: float):
     x2 = x * x
     y2 = y * y
-    d2 = (1.0 + x2 + y2) ** 2
+    den = 1.0 + x2 + y2
+    d2 = den * den  # numpy's ** 2 on arrays; a float ** 2 may differ or raise OverflowError
     a = 2.0 * k * x * y * y2 / d2
     b = -k * (3.0 * y2 + 3.0 * x2 * y2 + y2 * y2) / d2
     c = k * (3.0 * x2 + x2 * x2 + 3.0 * x2 * y2) / d2
@@ -275,8 +274,9 @@ def _jac_f4_polar(q: tuple[float, float], k: float) -> np.ndarray:
     s3 = _cube(s)
     m = math.hypot(c3, s3)  # sqrt(cos^6 + sin^6) >= 1/2
     r2 = r * r
-    a11 = k * r2 * (3.0 + r2) / (1.0 + r2) ** 2 * m
-    a12 = k * _cube(r) / (1.0 + r2) * 3.0 * s * c * (s3 * s - c3 * c) / m
+    d = 1.0 + r2
+    a11 = k * r2 * (3.0 + r2) / (d * d) * m
+    a12 = k * _cube(r) / d * 3.0 * s * c * (s3 * s - c3 * c) / m
     a22 = 3.0 * s * s * c * c / (m * m)
     return np.array([[a11, a12], [0.0, a22]])
 
@@ -343,8 +343,8 @@ def sector_of(p: Point, n: int) -> int:
 # computed orbits stay inside the regions as well.
 _MARGIN = 1e-6
 # The margin of their membership tests and of the radius bounds behind the
-# retirement counts of analysis.classify_kinds: far above the rounding of a
-# test, a computed step or a bound step, far below _MARGIN.
+# retirement counts of _retirements: far above the rounding of a test, a
+# computed step or a bound step, far below _MARGIN.
 _BOUND_MARGIN = 1e-9
 
 
@@ -410,20 +410,19 @@ class ConeRegion:
     n: int
 
     def contains(self, x, y, r2):
-        """Whether (x, y), with r2 = x*x + y*y, lies in the region (floats
-        or arrays), tested with no sector chart: chart angle within cone of
-        0 or pi/2 is angle within 4*cone/n of a boundary ray, so with
-        t = atan2(y, x)*n/(2*pi) the test is r_lo^2*(1+mu) <= r2 <=
-        r_hi^2*(1-mu) and |t - rint(t)| <= (2*cone/pi)*(1-mu), mu =
-        _BOUND_MARGIN.  The margin dwarfs the rounding of r2 and t, so every
-        point accepted lies in the region; points within about mu of its
-        edge may be missed.  A NaN or inf r2 (a non-finite coordinate, or an
-        overflowing square) lies outside, for floats and arrays alike.
+        """Whether the points of arrays (x, y), r2 = x*x + y*y, lie in the
+        region (arrays only; see _retirements), tested with no sector chart:
+        chart angle within cone of 0 or pi/2 is angle within 4*cone/n of a
+        boundary ray, so with t = atan2(y, x)*n/(2*pi) the test is
+        r_lo^2*(1+mu) <= r2 <= r_hi^2*(1-mu) and |t - rint(t)| <=
+        (2*cone/pi)*(1-mu), mu = _BOUND_MARGIN.  The margin dwarfs the
+        rounding of r2 and t, so every point accepted lies in the region;
+        points within about mu of its edge may be missed.  A NaN or inf r2
+        (a non-finite coordinate, or an overflowing square) lies outside.
         """
-        xp = _NUMPY if type(x) is np.ndarray else _MATH
-        t = xp.atan2(y, x)
-        t *= self.n / TWO_PI  # in place for arrays, sparing two large temporaries
-        t -= xp.rint(t)
+        t = np.arctan2(y, x)
+        t *= self.n / TWO_PI  # in place, sparing two large temporaries
+        t -= np.rint(t)
         lo = self.r_lo * self.r_lo * (1.0 + _BOUND_MARGIN)
         hi = min(self.r_hi * self.r_hi, np.finfo(float).max) * (1.0 - _BOUND_MARGIN)
         near_ray = abs(t) <= 2.0 * self.cone / math.pi * (1.0 - _BOUND_MARGIN)
@@ -437,7 +436,7 @@ class Disk:
     radius: float
 
     def contains(self, x, y, r2):
-        """Whether r2 = x*x + y*y <= radius^2 (floats or arrays; NaN and inf are out)."""
+        """Whether r2 = x*x + y*y <= radius^2 (arrays only; NaN and inf are out)."""
         return r2 <= self.radius * self.radius
 
 
@@ -514,6 +513,58 @@ def contracting_disk(spec) -> Disk | None:
     if c is None or not c < 1.0 - d:
         return None
     return Disk(math.sqrt((1.0 - d - c) / (spec.k - 1.0 + d + c)))
+
+
+def _retirements(spec, budget, eps_in, r_escape, kinds_only):
+    """The (region, kind, N) entries of analysis._classify_part: a live
+    point in region at step t with t + N <= budget is retired with kind.
+    The h/hn trapping region decides kind 0 with N = 0.  With kinds_only
+    the escape cones (kind 2) and the contracting disk (kind 1) follow,
+    with N from _crossing_steps; for g4 their bounds carry its term of
+    modulus c*r, c = hypot(alpha, beta) (_linear_modulus).  Each bound
+    starts from the region's edge and must pass its threshold, both moved
+    outward by the relative margin mu = _BOUND_MARGIN, as are the bound's
+    own factors, so that the rounding of the membership test, of the bound
+    and of the plain loop's threshold test cannot decide a point otherwise.
+    Entries with N > budget never retire and are left out."""
+    entries = []
+    trap = trapping_region(spec, eps_in, r_escape)
+    if trap is not None:
+        entries.append((trap, 0, 0))
+    if not kinds_only:
+        return entries
+    mu = _BOUND_MARGIN
+    cones = escape_cones(spec)
+    disk = contracting_disk(spec)
+    c = (1.0 + mu) * (_linear_modulus(spec) or 0.0)  # None only where there is no region
+    if cones is not None:
+        beyond = r_escape * (1.0 + mu)
+        entries.append((cones, 2, _crossing_steps(
+            spec.k, cones.r_lo * (1.0 - mu), cones.m_a * (1.0 - mu), -c,
+            lambda r: r > beyond, budget)))
+    if disk is not None:
+        within = abs(eps_in) * (1.0 - mu)
+        entries.append((disk, 1, _crossing_steps(
+            spec.k, disk.radius * (1.0 + mu), 1.0 + mu, c, lambda r: r < within, budget)))
+    return [entry for entry in entries if entry[2] <= budget]
+
+
+def _crossing_steps(k: float, rho: float, gain: float, shift: float, passed,
+                    budget: int) -> int:
+    """The steps the 1-D bound rho -> rho*(gain*g(rho) + shift),
+    g(r) = psi(r)/r = k r^2/(1+r^2), takes from rho until passed(rho), or
+    budget + 1 if it takes more than budget steps.  With shift = 0 the
+    step is gain*psi(rho)."""
+    for t in range(budget + 1):
+        if passed(rho):
+            return t
+        # k*rho/(1 + 1/rho^2) overflows only where k*rho does; rho^2 stays
+        # positive while rho is above eps_in, whose square is a normal float
+        nxt = gain * (k * rho / (1.0 + 1.0 / (rho * rho))) + shift * rho
+        if nxt == rho or math.isnan(nxt):  # stuck, as at rho = inf (inf - inf
+            break                          # for g4) below an infinite r_escape
+        rho = nxt
+    return budget + 1
 
 
 def _sector_image(xp, r, theta4, m, k: float, n: int, prof: RadialProfile | None):

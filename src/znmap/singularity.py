@@ -312,16 +312,11 @@ def label_degree(label) -> int:
     return 2 * a + 4 * b + 4 * c + GEN_DEGREE[i]
 
 
-_LABEL_CACHE: dict = {}
-
-
 def label_field(label) -> VecEq:
-    if label not in _LABEL_CACHE:
-        (a, b, c), i = label
-        n, aa, bb = make_invariants()
-        mono = (n ** a) * (aa ** b) * (bb ** c)
-        _LABEL_CACHE[label] = make_equivariants()[i - 1].scale(mono)
-    return _LABEL_CACHE[label]
+    (a, b, c), i = label
+    n, aa, bb = make_invariants()
+    mono = (n ** a) * (aa ** b) * (bb ** c)
+    return make_equivariants()[i - 1].scale(mono)
 
 
 def _labels_of_degree(d: int):

@@ -382,34 +382,32 @@ def check_negative_control(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Ch
                        "residual must be at least 0.1 (suite must be able to fail)")
 
 
-ALL_CHECKS = [
-    ("equivariance", check_equivariance),
-    ("periodic-orbit", check_periodic_orbit),
-    ("local-attractor", check_local_attractor),
-    ("eigenvalue-bound", check_eigenvalue_bound),
-    ("unfolding", check_unfolding),
-    ("properness", check_properness),
-    ("gluing-smoothness", check_gluing),
-    ("astroid", check_astroid),
-    ("rotation-number", check_rotation),
-    ("dissipativity", check_dissipativity),
-    ("singularity", check_singularity),
-    ("negative-control", check_negative_control),
-]
-
-CHECKS_BY_NAME = dict(ALL_CHECKS)
+CHECKS_BY_NAME = {
+    "equivariance": check_equivariance,
+    "periodic-orbit": check_periodic_orbit,
+    "local-attractor": check_local_attractor,
+    "eigenvalue-bound": check_eigenvalue_bound,
+    "unfolding": check_unfolding,
+    "properness": check_properness,
+    "gluing-smoothness": check_gluing,
+    "astroid": check_astroid,
+    "rotation-number": check_rotation,
+    "dissipativity": check_dissipativity,
+    "singularity": check_singularity,
+    "negative-control": check_negative_control,
+}
 
 
 def run_suite(names=None, k: float = K_DEFAULT, seed: int = DEFAULT_SEED,
               spec_echo: dict | None = None) -> VerificationReport:
     """Run the named checks (all twelve by default) into a report."""
     if names is None:
-        names = [n for n, _ in ALL_CHECKS]
+        names = list(CHECKS_BY_NAME)
     checks = []
     for name in names:
         if name not in CHECKS_BY_NAME:
             raise ValueError(f"unknown check {name!r}; known: "
-                             f"{[n for n, _ in ALL_CHECKS]}")
+                             f"{list(CHECKS_BY_NAME)}")
         checks.append(CHECKS_BY_NAME[name](k=k, seed=seed))
     return VerificationReport(tool=TOOL_VERSION, seed=seed,
                               spec=spec_echo or {"k": k}, checks=checks)

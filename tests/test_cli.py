@@ -60,9 +60,16 @@ def test_usage_error_unknown_flag(capsys):
     (["basin", "--family", "g4", "--r0", "7", "--window", "-1", "1", "-1", "1",
       "--out", "unused.pgm"], None),
     (["rotation", "--family", "h", "--r-half", "1", "--x0", "1", "--y0", "0"], None),
+    (["eval", "--family", "f4", "--x0", "nan", "--y0", "0"], None),
+    (["eval", "--family", "g4", "--x0", "1", "--y0", "inf"], None),
+    (["eval", "--family", "h", "--x0", "nan", "--y0", "0"], None),
+    (["orbit", "--family", "f4", "--x0", "inf", "--y0", "0"], None),
+    (["orbit", "--family", "g4", "--x0", "nan", "--y0", "0"], None),
+    (["orbit", "--family", "h", "--x0", "0", "--y0", "nan"], None),
 ], ids=["unfold-scan-beta", "orbit-steps", "curve-samples", "rotation-origin",
         "eval-nan", "verify-seed-env", "eval-n-on-f4", "verify-beta-on-fn",
-        "basin-r0-on-g4", "rotation-r-half-without-r0"])
+        "basin-r0-on-g4", "rotation-r-half-without-r0", "eval-f4-nan", "eval-g4-inf",
+        "eval-h-nan", "orbit-f4-inf", "orbit-g4-nan", "orbit-h-nan"])
 def test_usage_error_for_bad_values_names_the_command(capsys, monkeypatch, argv, env_seed):
     if env_seed is not None:
         monkeypatch.setenv("ZNMAP_SEED", env_seed)
@@ -265,9 +272,9 @@ def test_verify_selected_checks_pass(tmp_path, capsys):
 
 
 def test_suite_all_is_exactly_the_acceptance_battery():
-    from znmap.verify import ALL_CHECKS
+    from znmap.verify import CHECKS_BY_NAME
 
-    assert [name for name, _ in ALL_CHECKS] == [
+    assert list(CHECKS_BY_NAME) == [
         "equivariance", "periodic-orbit", "local-attractor", "eigenvalue-bound",
         "unfolding", "properness", "gluing-smoothness", "astroid",
         "rotation-number", "dissipativity", "singularity", "negative-control",

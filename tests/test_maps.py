@@ -18,6 +18,7 @@ from znmap.maps import (
     _eval_h,
     _f4_polar,
     _float_chart,
+    _jac_entries,
     _jac_f4_polar,
     _jac_fn,
     _radial_u,
@@ -589,6 +590,26 @@ def test_jac_map_finite_difference_fallback():
     jac = jac_map(spec, p)
     ref = fd_jacobian(lambda q: eval_map(spec, q), p)
     assert np.abs(jac - ref).max() <= 1e-5
+
+
+def test_jac_map_is_the_array_entries_bitwise():
+    # spectral_scan takes the f4/g4 entries on whole grids; jac_map at a
+    # float point must give the same bits
+    pts = np.random.default_rng(17).uniform(-20.0, 20.0, (20_000, 2))
+    for spec in (F4, MapSpec("g4", k=K, beta=0.05)):
+        want = np.stack(_jac_entries(spec, pts[:, 0], pts[:, 1]), axis=-1).reshape(-1, 2, 2)
+        got = np.array([jac_map(spec, p) for p in pts.tolist()])
+        assert got.tobytes() == want.tobytes(), spec.family
+
+
+@pytest.mark.parametrize("family", ["f4", "g4", "fn", "h", "hn"])
+def test_jac_map_far_out_returns_a_matrix(family):
+    # k*r^3 overflows at r = 1e120; the entries may be inf or NaN, but a
+    # float power must not raise OverflowError
+    spec = MapSpec(family, k=K, n=5 if family in ("fn", "hn") else 4)
+    with np.errstate(all="ignore"):  # fn's matmul warns on the NaN
+        jac = jac_map(spec, (1e120, 0.0))
+    assert jac.shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------
