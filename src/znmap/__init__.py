@@ -7,6 +7,9 @@ computation for the order-4 singularity.  A map is named by a MapSpec and
 evaluated with eval_map, jac_map and step_batch.
 """
 
+# Set before the submodules load: verify derives its tool name from it.
+__version__ = "0.1.0"
+
 from .maps import (
     MapSpec,
     RadialProfile,
@@ -15,7 +18,6 @@ from .maps import (
     from_polar,
     jac_map,
     radial_u,
-    rotate,
     sector_of,
     step_batch,
     to_polar,
@@ -24,12 +26,10 @@ from .analysis import (
     Orbit,
     PeriodicOrbit,
     SpectralSample,
-    boundary_smoothness_check,
     classify_batch,
     equivariance_residual,
     find_periodic,
     iterate,
-    properness_check,
     spectral_scan,
 )
 from .topology import (
@@ -43,5 +43,3 @@ from .topology import (
     transversality_det,
 )
 from .verify import CheckResult, VerificationReport, run_suite
-
-__version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""Orbit iteration, periodic-orbit refinement, and dynamic property checks.
+"""Orbit iteration, classification, periodic-orbit refinement, equivariance
+residuals and spectral scans.
 
 Everything is pure given its inputs.  Sampling uses a seeded generator
 (default seed 0x5EED) so reports are reproducible; batch classification is
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import (TWO_PI, MapSpec, Point, _jac_entries, _retirements, _rotation, eval_map,
-                   from_polar, jac_map, step_batch)
+                   jac_map, step_batch)
 
 DEFAULT_SEED = 0x5EED
 
@@ -162,7 +163,9 @@ def _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only):
     npts = x.size
     kinds = np.zeros(npts, dtype=np.uint8)
     steps = None if kinds_only else np.full(npts, -1, dtype=np.int64)
-    regions = _retirements(spec, budget, eps_in, r_escape, kinds_only)
+    regions = _retirements(spec, budget, eps_in, r_escape)
+    if not kinds_only:  # only an undecided retirement leaves steps exact (-1)
+        regions = [entry for entry in regions if entry[1] == 0]
     parts = max(1, min(_available_cpus(), npts // _MIN_PART))
     cuts = [npts * i // parts for i in range(parts + 1)]
     errors = [None] * parts
@@ -347,80 +350,6 @@ def equivariance_residual(spec, n: int, samples: int = 10_000, radius: float = 1
     return worst
 
 
-def _one_sided_jacobian(fun, xi: Point, e_r, e_t, sign: float, h: float,
-                        order: int = 1) -> np.ndarray:
-    """Jacobian estimate from one side of a boundary ray.
-
-    Directional differences along the ray direction (values there are
-    shared by both sector charts) and along +/-e_t into the chosen side;
-    order 1 uses plain forward quotients, order 2 the one-sided stencil
-    (-3 f0 + 4 f(h) - f(2h)) / (2h).
-    """
-    def deriv(d):
-        f0 = fun(xi)
-        f1 = fun((xi[0] + h * d[0], xi[1] + h * d[1]))
-        if order == 1:
-            return ((f1[0] - f0[0]) / h, (f1[1] - f0[1]) / h)
-        f2 = fun((xi[0] + 2.0 * h * d[0], xi[1] + 2.0 * h * d[1]))
-        return ((-3.0 * f0[0] + 4.0 * f1[0] - f2[0]) / (2.0 * h),
-                (-3.0 * f0[1] + 4.0 * f1[1] - f2[1]) / (2.0 * h))
-
-    col_r = deriv(e_r)
-    g_t = deriv((sign * e_t[0], sign * e_t[1]))
-    col_t = (sign * g_t[0], sign * g_t[1])
-    dirs = np.array([[e_r[0], e_t[0]], [e_r[1], e_t[1]]])
-    diffs = np.array([[col_r[0], col_t[0]], [col_r[1], col_t[1]]])
-    return diffs @ dirs.T  # dirs is orthonormal
-
-
-def boundary_smoothness_check(k: float, n: int, r: float,
-                              h_sequence=(1e-3, 1e-4, 1e-5, 1e-6)) -> dict:
-    """Compare one-sided Jacobians of the order-n map across a sector
-    boundary ray, and probe differentiability at the origin.
-
-    The plain one-sided quotients expose the O(h) convergence of the two
-    sides to a common matrix (strictly decreasing mismatch across
-    h_sequence); their bias constant depends on the one-sided second
-    derivatives, so the final discrepancy at the smallest h is measured
-    with the unbiased second-order stencil and must end below
-    1e-6*(1+r^2).  The origin ratio sup|f(p)|/|p| on circles |p| = h
-    vanishes like h^2.
-    """
-    spec = MapSpec("fn", k=k, n=n)
-    phi = TWO_PI / n
-    xi = from_polar((r, phi))
-    e_r = (math.cos(phi), math.sin(phi))
-    e_t = (-math.sin(phi), math.cos(phi))
-    fun = lambda p: eval_map(spec, p)
-
-    def mismatch(h, order):
-        j_hi = _one_sided_jacobian(fun, xi, e_r, e_t, +1.0, h, order)
-        j_lo = _one_sided_jacobian(fun, xi, e_r, e_t, -1.0, h, order)
-        return float(np.abs(j_hi - j_lo).max())
-
-    mismatches = [mismatch(h, order=1) for h in h_sequence]
-    final = mismatch(h_sequence[-1], order=2)
-    origin_ratios = []
-    for h in h_sequence:
-        sup = 0.0
-        for i in range(64):
-            th = TWO_PI * i / 64
-            img = eval_map(spec, from_polar((h, th)))
-            sup = max(sup, math.hypot(*img) / h)
-        origin_ratios.append(sup)
-    decreasing = all(mismatches[i + 1] < mismatches[i] for i in range(len(mismatches) - 1))
-    tol = 1e-6 * (1.0 + r * r)
-    return {
-        "h_sequence": list(h_sequence),
-        "mismatches": mismatches,
-        "origin_ratios": origin_ratios,
-        "decreasing": decreasing,
-        "final_mismatch": final,
-        "tolerance": tol,
-        "passed": decreasing and final <= tol and origin_ratios[-1] < 1e-3,
-    }
-
-
 def _eig_max_modulus(a, b, c, d):
     """Elementwise max eigenvalue modulus of [[a, b], [c, d]] arrays."""
     tr = a + d
@@ -456,23 +385,3 @@ def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
                           argmax=(float(xs[ix]), float(ys[iy])),
                           samples=nx * ny, region=tuple(region))
 
-
-def properness_check(k: float, beta: float, radii=(2.0, 10.0, 100.0),
-                     theta_samples: int = 360) -> dict:
-    """Lower bound |g| >= (k/4)*r on circles r > 1 for the beta deformation."""
-    spec = MapSpec("g4", k=k, beta=beta)
-    rows = []
-    passed = True
-    for r in radii:
-        if r <= 1.0:
-            raise ValueError("radii must exceed 1")
-        lo = math.inf
-        for i in range(theta_samples):
-            th = TWO_PI * i / theta_samples
-            img = eval_map(spec, from_polar((r, th)))
-            lo = min(lo, math.hypot(*img))
-        bound = 0.25 * k * r
-        ok = lo >= bound
-        passed = passed and ok
-        rows.append({"r": r, "min_image_radius": lo, "bound": bound, "passed": ok})
-    return {"rows": rows, "passed": passed}

@@ -132,12 +132,6 @@ def _rotation(m: int, n: int):
     return lambda x, y: (c * x - s * y, s * x + c * y)
 
 
-def rotate(p: Point, m: int, n: int) -> Point:
-    """Rotate p by 2*pi*m/n about the origin (see _rotation)."""
-    x, y = p
-    return _rotation(m, n)(x, y)
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """Saturating radial response u: identity up to r0, damped growth beyond.
@@ -515,13 +509,13 @@ def contracting_disk(spec) -> Disk | None:
     return Disk(math.sqrt((1.0 - d - c) / (spec.k - 1.0 + d + c)))
 
 
-def _retirements(spec, budget, eps_in, r_escape, kinds_only):
+def _retirements(spec, budget, eps_in, r_escape):
     """The (region, kind, N) entries of analysis._classify_part: a live
     point in region at step t with t + N <= budget is retired with kind.
-    The h/hn trapping region decides kind 0 with N = 0.  With kinds_only
-    the escape cones (kind 2) and the contracting disk (kind 1) follow,
-    with N from _crossing_steps; for g4 their bounds carry its term of
-    modulus c*r, c = hypot(alpha, beta) (_linear_modulus).  Each bound
+    The h/hn trapping region decides kind 0 with N = 0.  The escape cones
+    (kind 2) and the contracting disk (kind 1) follow, with N from
+    _crossing_steps; for g4 their bounds carry its term of modulus c*r,
+    c = hypot(alpha, beta) (_linear_modulus).  Each bound
     starts from the region's edge and must pass its threshold, both moved
     outward by the relative margin mu = _BOUND_MARGIN, as are the bound's
     own factors, so that the rounding of the membership test, of the bound
@@ -531,8 +525,6 @@ def _retirements(spec, budget, eps_in, r_escape, kinds_only):
     trap = trapping_region(spec, eps_in, r_escape)
     if trap is not None:
         entries.append((trap, 0, 0))
-    if not kinds_only:
-        return entries
     mu = _BOUND_MARGIN
     cones = escape_cones(spec)
     disk = contracting_disk(spec)
@@ -597,12 +589,12 @@ def _float_image(r: float, theta4: float, m: int, k: float, n: int,
 def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None) -> Point:
     """Order-n transplant of f4, radially saturated by prof when given.
 
-    Composes rotate(-m) -> angular rescale -> base map -> rescale back ->
-    rotate(+m) in angle space, so a boundary point whose local angle rounds
-    to -ulp is never re-wrapped to 2*pi (which the n/4 rescale would blow
-    up into a genuine jump).  For n = 4 the rescales are identities and the
-    quarter-turn rotations exact, so the evaluation reduces to _eval_f4 or
-    _eval_h (bitwise).
+    Composes rotation by -m sectors -> angular rescale -> base map ->
+    rescale back -> rotation by +m sectors in angle space, so a boundary
+    point whose local angle rounds to -ulp is never re-wrapped to 2*pi
+    (which the n/4 rescale would blow up into a genuine jump).  For n = 4
+    the rescales are identities and the quarter-turn rotations exact, so
+    the evaluation reduces to _eval_f4 or _eval_h (bitwise).
 
     The input type picks one of two implementations.  Arrays take the
     namespace formula, _sector_chart and _sector_image over numpy.  Floats

@@ -49,7 +49,7 @@ def _report(index, result, failures=None, note=""):
 
 def test_criterion_01_equivariance():
     # max |f(Rp) - R f(p)| <= 1e-12 (1+|p|^3), n = 2..8, 10^4 seeded points
-    _report(1, check_equivariance(samples=10_000))
+    _report(1, check_equivariance())
 
 
 def test_criterion_02_periodic_orbit():
@@ -148,6 +148,32 @@ def test_criterion_05_unfolding():
         failures.append(f"check verdict {result.passed} != clauses as stated {stated}")
     _report(5, result, failures,
             f"; spectral bound asserted below beta*={beta_star:.6f}")
+
+
+@pytest.mark.parametrize("k, statistic", [(1.02, 0.997080), (1.03, 1.005755)])
+def test_criterion_05_unfolding_verdict_across_k(k, statistic):
+    # The largest grid max sits at beta = 0.1, within 1e-4 below
+    # sup|mu|(0.1) = sqrt(3k^2/4 + 0.2k + 0.01), so the check's verdict is
+    # PASS exactly while beta*(k) = (sqrt(k^2+4) - 2k)/2 exceeds 0.1, i.e.
+    # for k below k_x ~ 1.0233, the root of 3k^2 + 0.8k - 3.96 where
+    # beta*(k_x) = 0.1.
+    beta_star = (math.sqrt(k * k + 4.0) - 2.0 * k) / 2.0
+    k_x = (math.sqrt(0.64 + 47.52) - 0.8) / 6.0
+    sup = math.sqrt(0.75 * k * k + 0.2 * k + 0.01)
+    result = check_unfolding(k)
+    failures = []
+    if not (abs(k_x - 1.0233) <= 5e-5
+            and abs((math.sqrt(k_x * k_x + 4.0) - 2.0 * k_x) / 2.0 - 0.1) <= 1e-12):
+        failures.append(f"beta* crosses 0.1 at k = {k_x!r}, not ~1.0233")
+    if not abs(result.statistic - statistic) <= 5e-7:
+        failures.append(f"statistic {result.statistic!r} != {statistic}")
+    if not sup - 1e-4 <= result.statistic <= sup:
+        failures.append(f"statistic {result.statistic!r} not within 1e-4 below "
+                        f"sup|mu|(0.1) {sup!r}")
+    if not result.passed == (beta_star > 0.1) == (k < k_x):
+        failures.append(f"verdict {result.passed} at beta* = {beta_star:.6f}")
+    _report(5, result, failures, f"; k={k} beta*={beta_star:.6f} "
+                                 f"check verdict {'PASS' if result.passed else 'FAIL'}")
 
 
 def test_criterion_06_properness():

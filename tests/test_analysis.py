@@ -5,16 +5,15 @@ import pytest
 
 from znmap.analysis import (
     DEFAULT_SEED,
-    boundary_smoothness_check,
     classify_batch,
     equivariance_residual,
     find_periodic,
     iterate,
-    properness_check,
     seeded_points,
     spectral_scan,
 )
-from znmap.maps import TWO_PI, MapSpec, eval_map, from_polar, jac_map, rotate, to_polar
+from znmap.maps import TWO_PI, MapSpec, _rotation, eval_map, from_polar, jac_map, to_polar
+from znmap.verify import _GLUING_H, _gluing, check_properness
 
 K = 1.1
 P = (1.0 / math.sqrt(K - 1.0), 0.0)
@@ -38,7 +37,7 @@ def test_iterate_fixed_origin():
 def test_iterate_periodic_orbit_tracks_rotations():
     orb = iterate(F4, P, 12)
     for j, p in enumerate(orb.points):
-        assert close(p, rotate(P, j, 4), 1e-12)
+        assert close(p, _rotation(j, 4)(*P), 1e-12)
 
 
 def test_iterate_contracting_orbit():
@@ -221,7 +220,7 @@ def test_equivariance_residual_values():
 
 
 def rotate_per_point(p, m, n):
-    """maps.rotate as a chain of branches taken for each point."""
+    """maps._rotation as a chain of branches taken for each point."""
     mm = m % n
     x, y = p
     if (4 * mm) % n == 0:
@@ -348,37 +347,33 @@ def test_sector_map_boundary_example():
 
 
 def test_boundary_smoothness_matrix_agreement():
-    rep = boundary_smoothness_check(K, 6, 1.0)
-    assert rep["passed"]
-    assert rep["final_mismatch"] <= 1e-6 * 2.0
-    assert all(b < a for a, b in zip(rep["mismatches"], rep["mismatches"][1:]))
+    mismatches, (j_hi, j_lo), origin_ratios = _gluing(K, 6, 1.0)
+    # the pass rule of check_gluing at (n, r) = (6, 1)
+    assert np.abs(j_hi - j_lo).max() <= 1e-6 * 2.0
+    assert all(b < a for a, b in zip(mismatches, mismatches[1:]))
+    assert origin_ratios[-1] < 1e-3
 
 
 def test_boundary_smoothness_order_four_single_formula():
-    rep = boundary_smoothness_check(K, 4, 1.0)
-    assert rep["final_mismatch"] <= 1e-9
+    _, (j_hi, j_lo), _ = _gluing(K, 4, 1.0)
+    assert np.abs(j_hi - j_lo).max() <= 1e-9
 
 
 def test_jac_fn_on_boundary_matches_one_sided_differences():
-    from znmap.analysis import _one_sided_jacobian
-    from znmap.maps import TWO_PI, _jac_fn, _transplant, from_polar
+    from znmap.maps import _jac_fn
 
     n, r = 6, 1.0
-    phi = TWO_PI / n
-    xi = from_polar((r, phi))
-    e_r = (math.cos(phi), math.sin(phi))
-    e_t = (-math.sin(phi), math.cos(phi))
-    fun = lambda p: _transplant(p, K, n, None)
-    analytic = _jac_fn(xi, K, n)
-    for sign in (+1.0, -1.0):
-        est = _one_sided_jacobian(fun, xi, e_r, e_t, sign, 1e-6, order=2)
+    assert _GLUING_H[-1] == 1e-6
+    analytic = _jac_fn(from_polar((r, TWO_PI / n)), K, n)
+    for est in _gluing(K, n, r)[1]:  # the one-sided stencil, each side
         assert np.abs(analytic - est).max() <= 1e-6
 
 
 def test_origin_differentiability_ratio():
-    rep = boundary_smoothness_check(K, 5, 1.0, h_sequence=(1e-2, 1e-3))
+    origin_ratios = _gluing(K, 5, 1.0)[2]
+    assert _GLUING_H[0] == 1e-3
     # |f| <= k r^3/(1+r^2) pulls the ratio down like h^2
-    assert rep["origin_ratios"][-1] <= 1.2e-6
+    assert origin_ratios[0] <= 1.2e-6
 
 
 def test_spectral_scan_bound_and_axes():
@@ -450,10 +445,13 @@ def test_spectral_scan_rejects_tiny_grid():
 
 
 def test_properness_lower_bounds():
-    rep = properness_check(K, 0.05, radii=(2.0, 10.0, 100.0))
-    assert rep["passed"]
-    by_r = {row["r"]: row for row in rep["rows"]}
-    assert by_r[10.0]["min_image_radius"] >= 0.25 * K * 10.0  # 2.75
-    assert by_r[100.0]["min_image_radius"] >= 0.25 * K * 100.0
+    result = check_properness(K)
+    assert result.passed
+    assert result.params["radii"] == [2, 10, 100] and result.params["beta"] == 0.05
+    # min over radii of (min image radius)/((k/4) r), e.g. 2.75 at r = 10
+    assert result.statistic >= 1.0
     # the bound holds for the undeformed map too
-    assert properness_check(K, 0.0, radii=(10.0,))["passed"]
+    g4 = MapSpec("g4", k=K)
+    for i in range(360):
+        img = eval_map(g4, from_polar((10.0, TWO_PI * i / 360)))
+        assert math.hypot(*img) >= 0.25 * K * 10.0

@@ -341,7 +341,7 @@ def test_kinds_match_plain_loop_across_regions(k, family, n, r_escape):
 def test_retirement_counts_at_the_default_k():
     # the counts the budgets of the sweep above straddle
     def counts(spec, budget, r_escape=1e6):
-        entries = znmap.maps._retirements(spec, budget, 1e-8, r_escape, True)
+        entries = znmap.maps._retirements(spec, budget, 1e-8, r_escape)
         return [(kind, count) for _, kind, count in entries]
 
     assert counts(FAMILIES["fn"], 10_000) == [(2, 235), (1, 74)]

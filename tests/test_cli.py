@@ -1,9 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import znmap
 from znmap.cli import main
 
 
@@ -269,6 +272,17 @@ def test_verify_selected_checks_pass(tmp_path, capsys):
     for c in report["checks"]:
         assert "tolerance" in c
         assert isinstance(c["pass"], bool)
+
+
+def test_version_is_the_one_in_pyproject(capsys):
+    # a regex, not tomllib: tomllib is missing on Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "([^"]*)"$', project, re.M)[1] == znmap.__version__
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"znmap {znmap.__version__}\n"
 
 
 def test_suite_all_is_exactly_the_acceptance_battery():

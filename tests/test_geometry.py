@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from znmap.maps import TWO_PI, from_polar, rotate, sector_of, to_polar
+from znmap.maps import TWO_PI, _rotation, from_polar, sector_of, to_polar
 from znmap.topology import angle_lift
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6,
@@ -40,19 +40,19 @@ def test_from_polar_examples():
 
 
 def test_rotate_quarter_turn_exact():
-    assert rotate((3.0, 1.0), 1, 4) == (-1.0, 3.0)
-    assert rotate((3.0, 1.0), 2, 4) == (-3.0, -1.0)
-    assert rotate((0.3, -0.7), 0, 11) == (0.3, -0.7)
+    assert _rotation(1, 4)(3.0, 1.0) == (-1.0, 3.0)
+    assert _rotation(2, 4)(3.0, 1.0) == (-3.0, -1.0)
+    assert _rotation(0, 11)(0.3, -0.7) == (0.3, -0.7)
 
 
 def test_rotate_order_six():
-    assert close(rotate((1.0, 0.0), 1, 6), (0.5, 0.8660254037844386))
+    assert close(_rotation(1, 6)(1.0, 0.0), (0.5, 0.8660254037844386))
 
 
 def test_rotate_half_turn_exact_any_even_order():
     # rotations that are multiples of a quarter turn stay exact
-    assert rotate((1.25, -2.5), 3, 6) == (-1.25, 2.5)
-    assert rotate((1.25, -2.5), 2, 8) == (2.5, 1.25)
+    assert _rotation(3, 6)(1.25, -2.5) == (-1.25, 2.5)
+    assert _rotation(2, 8)(1.25, -2.5) == (2.5, 1.25)
 
 
 def test_sector_of_examples():
@@ -93,7 +93,7 @@ def test_polar_round_trip(x, y):
 
 @given(finite_coord, finite_coord, st.integers(-20, 20), st.integers(2, 12))
 def test_rotate_preserves_norm(x, y, m, n):
-    q = rotate((x, y), m, n)
+    q = _rotation(m, n)(x, y)
     assert abs(math.hypot(*q) - math.hypot(x, y)) <= 1e-14 * (1.0 + math.hypot(x, y))
 
 
@@ -102,7 +102,7 @@ def test_rotate_full_turn_is_identity(x, y, n):
     p = (x, y)
     q = p
     for _ in range(n):
-        q = rotate(q, 1, n)
+        q = _rotation(1, n)(*q)
     assert close(q, p, 1e-12 * (1.0 + math.hypot(x, y)))
 
 
@@ -113,7 +113,7 @@ def test_sector_shifts_under_rotation(r, frac, n):
     theta = (frac * TWO_PI / n)
     p = from_polar((r, theta))
     j = sector_of(p, n)
-    jr = sector_of(rotate(p, 1, n), n)
+    jr = sector_of(_rotation(1, n)(*p), n)
     assert jr == j % n + 1
 
 

@@ -22,6 +22,7 @@ from znmap.maps import (
     _jac_f4_polar,
     _jac_fn,
     _radial_u,
+    _rotation,
     _sector_chart,
     _sector_image,
     _transplant,
@@ -30,7 +31,6 @@ from znmap.maps import (
     from_polar,
     jac_map,
     radial_u,
-    rotate,
     sector_of,
     step_batch,
     to_polar,
@@ -80,7 +80,7 @@ def test_f4_diagonal_value():
 
 def test_f4_maps_periodic_point_to_its_quarter_turn():
     p = (P_RADIUS, 0.0)
-    assert close(_eval_f4(p, K), rotate(p, 1, 4), 1e-12)
+    assert close(_eval_f4(p, K), _rotation(1, 4)(*p), 1e-12)
     # full period
     q = p
     for _ in range(4):
@@ -220,7 +220,7 @@ def test_fn_periodic_orbit_structure():
         pts.append(q)
     assert close(pts[-1], p, 1e-11)
     for j, pt in enumerate(pts[:-1], start=1):
-        assert close(pt, rotate(p, j, n), 1e-11)
+        assert close(pt, _rotation(j, n)(*p), 1e-11)
         assert not close(pt, p, 1e-3)
 
 
@@ -230,8 +230,8 @@ def test_fn_equivariance_all_orders():
         worst = 0.0
         for _ in range(400):
             p = tuple(rng.normal(0.0, 4.0, 2))
-            a = _transplant(rotate(p, 1, n), K, n, None)
-            b = rotate(_transplant(p, K, n, None), 1, n)
+            a = _transplant(_rotation(1, n)(*p), K, n, None)
+            b = _rotation(1, n)(*_transplant(p, K, n, None))
             worst = max(worst,
                         math.hypot(a[0] - b[0], a[1] - b[1])
                         / (1.0 + math.hypot(*p) ** 3))

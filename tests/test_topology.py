@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from znmap.maps import TWO_PI, MapSpec, eval_map, from_polar, rotate, sector_of, to_polar
+from znmap.maps import TWO_PI, MapSpec, _rotation, eval_map, from_polar, sector_of, to_polar
 from znmap.topology import basin_raster, estimate_rotation, image_curve, transversality_det
 
 K = 1.1
@@ -87,7 +87,7 @@ def test_image_curve_quarter_turn_symmetry():
     curve = image_curve(F4, 1.0, 360)
     for i in range(360):
         j = (i + 90) % 360
-        rotated = rotate(tuple(curve.points[i]), 1, 4)
+        rotated = _rotation(1, 4)(*curve.points[i])
         assert math.hypot(curve.points[j][0] - rotated[0],
                           curve.points[j][1] - rotated[1]) <= 1e-12
 
@@ -147,7 +147,7 @@ def test_transversality_numeric_agrees():
 # ---------------------------------------------------------------------------
 
 def test_rotation_rigid_adapter():
-    rot5 = lambda p: rotate(p, 1, 5)
+    rot5 = lambda p: _rotation(1, 5)(*p)
     est = estimate_rotation(rot5, (1.0, 0.0), max_iters=50)
     assert abs(est.slope - 0.2) <= 1e-12
     assert est.rational == (1, 5)
