@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import (TWO_PI, MapSpec, Point, _jac_entries, _retirements, _rotation, eval_map,
-                   jac_map, step_batch)
+from .maps import (_LIBM, TWO_PI, MapSpec, Point, _jac_entries, _retirements, _rotation,
+                   eval_map, eval_points, jac_map, step_batch)
 
 DEFAULT_SEED = 0x5EED
 
@@ -335,19 +335,21 @@ def equivariance_residual(spec, n: int, samples: int = 10_000, radius: float = 1
     """Max |f(R p) - R f(p)| over seeded points, probing order-n symmetry.
 
     With normalized=True each residual is divided by (1 + |p|^3) before
-    taking the max.
+    taking the max; NaN residuals are skipped.  All points go through
+    maps.eval_points, whose functions are math's own, so every residual is
+    bitwise that of eval_map taken point by point on floats (step_batch's
+    numpy functions may move the last bits).
     """
     pts = seeded_points(samples, radius, seed)
+    px, py = pts[:, 0], pts[:, 1]
     rot = _rotation(1, n)
-    worst = 0.0
-    for px, py in pts.tolist():  # Python floats: the scalar path is faster on them
-        f_rp = eval_map(spec, rot(px, py))
-        r_fp = rot(*eval_map(spec, (px, py)))
-        res = math.hypot(f_rp[0] - r_fp[0], f_rp[1] - r_fp[1])
-        if normalized:
-            res /= 1.0 + math.hypot(px, py) ** 3
-        worst = max(worst, res)
-    return worst
+    f_rp = eval_points(spec, *rot(px, py))
+    r_fp = rot(*eval_points(spec, px, py))
+    res = _LIBM.hypot(f_rp[0] - r_fp[0], f_rp[1] - r_fp[1])
+    if normalized:
+        # a float's ** 3 is libm's pow, which np.power need not be
+        res /= 1.0 + np.array([v ** 3 for v in _LIBM.hypot(px, py).tolist()])
+    return float(np.fmax.reduce(res, initial=0.0))
 
 
 def _eig_max_modulus(a, b, c, d):

@@ -22,10 +22,13 @@ same arithmetic (``+ - * /`` in one fixed order, and a few functions: trig,
 ``hypot``, ``expm1``, ``floor``, ``minimum`` and a select).  Arrays run one
 formula over ``numpy``; floats run it written out with ``math`` and plain
 ``if``s, which the tests pin bitwise to that formula over ``math``.  The
-two may differ by a few ulps where numpy's ``arctan2``/``hypot`` differ from
-``math``'s.  Jacobians are 2x2 numpy arrays
+two may differ by a few ulps where numpy's ``arctan2``/``hypot``/``expm1``
+differ from ``math``'s.  A third implementation, ``eval_points``, runs the
+array formula with ``math``'s own functions mapped over the elements
+(``_LIBM``): the float path's bits on arrays, for sampled checks, at about
+half its cost per point.  Jacobians are 2x2 numpy arrays
 ``[[a, b], [c, d]]``.  ``step_batch`` is ``eval_map`` on coordinate arrays,
-for raster/scan workloads.
+the fast one, for raster/scan workloads.
 
 Points are plain ``(x, y)`` tuples; polar pairs are ``(r, theta)`` with
 ``r >= 0`` and ``theta`` normalized to ``[0, 2*pi)`` (the origin gets
@@ -71,6 +74,28 @@ def _cube(v):
 # write them out with math
 _NUMPY = SimpleNamespace(cos=np.cos, sin=np.sin, hypot=np.hypot, atan2=np.arctan2, expm1=np.expm1,
                          floor=np.floor, minimum=np.minimum, where=np.where)
+
+
+def _libm(fun):
+    """fun, a function of floats, mapped over the elements of 1-D float arrays."""
+    return lambda *arrays: np.fromiter(map(fun, *[a.tolist() for a in arrays]), float,
+                                       arrays[0].size)
+
+
+def _expm1(v: float) -> float:
+    # inf where math raises, as numpy's does; _radial_u's select discards it
+    try:
+        return math.expm1(v)
+    except OverflowError:
+        return math.inf
+
+
+# _NUMPY with math's own functions: with numpy's exact or correctly rounded
+# + - * /, floor, minimum and where, the formulas on 1-D float arrays give
+# the float paths' bits (see eval_points)
+_LIBM = SimpleNamespace(cos=_libm(math.cos), sin=_libm(math.sin), hypot=_libm(math.hypot),
+                        atan2=_libm(math.atan2), expm1=_libm(_expm1),
+                        floor=np.floor, minimum=np.minimum, where=np.where)
 
 
 def _angle(xp, y, x):
@@ -586,7 +611,7 @@ def _float_image(r: float, theta4: float, m: int, k: float, n: int,
     return psi, 4.0 * phi / n + TWO_PI * m / n
 
 
-def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None) -> Point:
+def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None, xp=_NUMPY) -> Point:
     """Order-n transplant of f4, radially saturated by prof when given.
 
     Composes rotation by -m sectors -> angular rescale -> base map ->
@@ -596,23 +621,25 @@ def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None) -> Point
     the rescales are identities and the quarter-turn rotations exact, so
     the evaluation reduces to _eval_f4 or _eval_h (bitwise).
 
-    The input type picks one of two implementations.  Arrays take the
-    namespace formula, _sector_chart and _sector_image over numpy.  Floats
-    take _float_chart and _float_image, the same operations written out
-    with math, bitwise that formula over math (the tests pin this).  An
-    array result may differ from the float result by a few ulps, where
+    The input type picks the implementation.  Arrays take the namespace
+    formula, _sector_chart and _sector_image over xp (_NUMPY, or _LIBM for
+    eval_points, which adds the float path's origin shortcut and error).
+    Floats take _float_chart and _float_image, the same operations written
+    out with math, bitwise that formula over math (the tests pin this).  A
+    _NUMPY result may differ from the float result by a few ulps, where
     numpy's arctan2 and hypot differ from math's.
     """
     x, y = p
-    array = type(x) is np.ndarray
-    if not array and x == 0.0 and y == 0.0:
+    if type(x) is np.ndarray:
+        if n == 4:
+            return _eval_f4(p, k) if prof is None else _eval_h(p, k, prof, xp)
+        r, _, m, theta4 = _sector_chart(xp, p, n)
+        psi, theta_out = _sector_image(xp, r, theta4, m, k, n, prof)
+        return psi * xp.cos(theta_out), psi * xp.sin(theta_out)
+    if x == 0.0 and y == 0.0:
         return 0.0, 0.0
     if n == 4:
         return _eval_f4(p, k) if prof is None else _eval_h(p, k, prof)
-    if array:
-        r, _, m, theta4 = _sector_chart(_NUMPY, p, n)
-        psi, theta_out = _sector_image(_NUMPY, r, theta4, m, k, n, prof)
-        return psi * np.cos(theta_out), psi * np.sin(theta_out)
     r, _, m, theta4 = _float_chart(p, n)
     psi, theta_out = _float_image(r, theta4, m, k, n, prof)
     return psi * math.cos(theta_out), psi * math.sin(theta_out)
@@ -642,12 +669,13 @@ def _jac_fn(p: Point, k: float, n: int) -> np.ndarray:
     return chart_out @ d_polar @ chart_in_inv
 
 
-def _eval_h(p: Point, k: float, prof: RadialProfile) -> Point:
+def _eval_h(p: Point, k: float, prof: RadialProfile, xp=_NUMPY) -> Point:
     w1, w2 = _eval_f4(p, k)
     if type(w1) is np.ndarray:
-        s = np.hypot(w1, w2)
-        # u = s = 0 at the origin, where any finite scale will do
-        scale = radial_u(s, prof) / np.where(s > 0.0, s, 1.0)
+        s = xp.hypot(w1, w2)
+        # u = s = 0 at the origin, where any finite scale will do; where
+        # 0 < s <= r0 the scale is s/s = 1 exactly, as the float branch's identity
+        scale = _radial_u(xp, s, prof) / xp.where(s > 0.0, s, 1.0)
         return scale * w1, scale * w2
     s = math.hypot(w1, w2)
     if s <= prof.r0:  # identity branch, exact
@@ -670,6 +698,29 @@ def eval_map(spec, p: Point) -> Point:
     if spec.family == "h":
         return _eval_h(p, spec.k, spec.profile)
     return _transplant(p, spec.k, spec.n, spec.profile)  # fn (no profile) or hn
+
+
+def eval_points(spec: MapSpec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eval_map at each point of the 1-D float arrays (x, y), bitwise the
+    float path up to which NaN an operation on two NaNs gives: the array
+    formula over _LIBM, with the float path's origin shortcut (0.0, 0.0)
+    for fn/hn and, where n != 4, its ValueError for the first non-finite
+    point.  For sampled checks; step_batch is the faster numpy formula,
+    for rasters.  A callable is mapped point by point, as step_batch does."""
+    if callable(spec):
+        return step_batch(spec, x, y)
+    if spec.family in ("fn", "hn") and spec.n != 4:
+        bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+        if bad.size:
+            raise ValueError(f"non-finite point {(float(x[bad[0]]), float(y[bad[0]]))!r}")
+    with np.errstate(all="ignore"):  # as on floats: overflow gives inf, inf - inf NaN
+        if spec.family in ("f4", "g4"):
+            return eval_map(spec, (x, y))
+        if spec.family == "h":
+            return _eval_h((x, y), spec.k, spec.profile, _LIBM)
+        fx, fy = _transplant((x, y), spec.k, spec.n, spec.profile, _LIBM)
+    origin = (x == 0.0) & (y == 0.0)
+    return np.where(origin, 0.0, fx), np.where(origin, 0.0, fy)
 
 
 def _jac_fd(fun, p: Point, h: float) -> np.ndarray:

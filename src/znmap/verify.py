@@ -25,7 +25,8 @@ from .analysis import (  # noqa: F401
     seeded_points,
     spectral_scan,
 )
-from .maps import TWO_PI, MapSpec, default_profile, eval_map, from_polar, jac_map
+from .maps import (_LIBM, TWO_PI, MapSpec, default_profile, eval_map, eval_points, from_polar,
+                   jac_map)
 from .topology import basin_raster, estimate_rotation, image_curve, transversality_det
 from . import __version__
 
@@ -239,18 +240,23 @@ def check_unfolding(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResu
                        f"{scan.boundary_ok}; " + "; ".join(lines))
 
 
+def _image_radii(spec: MapSpec, r, theta: np.ndarray) -> np.ndarray:
+    """|f(p)| at the points p = from_polar((r, theta)) of an array theta
+    and an array or float r: from_polar, eval_map and math.hypot at each
+    point, bitwise, through maps.eval_points."""
+    return _LIBM.hypot(*eval_points(spec, r * _LIBM.cos(theta), r * _LIBM.sin(theta)))
+
+
 def check_properness(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResult:
     """Image radius of the beta = 0.05 deformation grows at least like
     (k/4)*r: min |g| over 360 angles on each circle r = 2, 10, 100 is at
     least (k/4)*r."""
     spec = MapSpec("g4", k=k, beta=0.05)
+    theta = TWO_PI * np.arange(360) / 360
     ratios = []
     ok = True
     for r in (2.0, 10.0, 100.0):
-        lo = math.inf
-        for i in range(360):
-            img = eval_map(spec, from_polar((r, TWO_PI * i / 360)))
-            lo = min(lo, math.hypot(*img))
+        lo = float(_image_radii(spec, r, theta).min())
         bound = 0.25 * k * r
         ok = ok and lo >= bound
         ratios.append(lo / bound)
@@ -267,15 +273,13 @@ _GLUING_H = (1e-3, 1e-4, 1e-5, 1e-6)
 def _gluing(k: float, n: int, r: float):
     """The measurements of the gluing check for fn of order n at the point
     xi of radius r on the sector boundary ray at angle phi = 2*pi/n:
-    (mismatches, sides, origin_ratios).
+    (mismatches, sides).
 
     A one-sided Jacobian estimate takes differences of step h along the ray
     direction e_r (values there are shared by both sector charts) and along
     +/-e_t into one side.  mismatches holds max|J+ - J-| of the plain
     forward quotients at each h of _GLUING_H; sides holds (J+, J-) from the
-    one-sided stencil (-3 f0 + 4 f(h) - f(2h)) / (2h) at the smallest h;
-    origin_ratios holds sup |f(p)|/|p| over 64 angles on each circle
-    |p| = h of _GLUING_H.
+    one-sided stencil (-3 f0 + 4 f(h) - f(2h)) / (2h) at the smallest h.
     """
     spec = MapSpec("fn", k=k, n=n)
     phi = TWO_PI / n
@@ -301,14 +305,16 @@ def _gluing(k: float, n: int, r: float):
     mismatches = [float(np.abs(side(+1.0, h, 1) - side(-1.0, h, 1)).max())
                   for h in _GLUING_H]
     sides = (side(+1.0, _GLUING_H[-1], 2), side(-1.0, _GLUING_H[-1], 2))
-    origin_ratios = []
-    for h in _GLUING_H:
-        sup = 0.0
-        for i in range(64):
-            img = eval_map(spec, from_polar((h, TWO_PI * i / 64)))
-            sup = max(sup, math.hypot(*img) / h)
-        origin_ratios.append(sup)
-    return mismatches, sides, origin_ratios
+    return mismatches, sides
+
+
+def _origin_ratios(k: float, n: int) -> list:
+    """sup |f(p)|/|p| for fn of order n over 64 angles on each circle
+    |p| = h of _GLUING_H."""
+    hs = np.repeat(_GLUING_H, 64)
+    theta = np.tile(TWO_PI * np.arange(64) / 64, len(_GLUING_H))
+    ratios = _image_radii(MapSpec("fn", k=k, n=n), hs, theta) / hs
+    return ratios.reshape(len(_GLUING_H), 64).max(axis=1).tolist()
 
 
 def check_gluing(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResult:
@@ -317,18 +323,20 @@ def check_gluing(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResult:
     strictly decreases along _GLUING_H, converging like O(h), the stencil's
     mismatch at the smallest h is at most 1e-6*(1+r^2) (the plain quotients
     keep a bias set by the one-sided second derivatives), and the origin
-    ratio at the smallest h, which vanishes like h^2, is below 1e-3."""
+    ratio at the smallest h (see _origin_ratios), which vanishes like h^2,
+    is below 1e-3."""
     ok = True
     worst = 0.0
     lines = []
     for n in (2, 3, 5, 6, 8):
+        ok = ok and _origin_ratios(k, n)[-1] < 1e-3
         for r in (0.5, 1.0, 2.0):
-            mismatches, (j_hi, j_lo), origin_ratios = _gluing(k, n, r)
+            mismatches, (j_hi, j_lo) = _gluing(k, n, r)
             final = float(np.abs(j_hi - j_lo).max())
             decreasing = all(b < a for a, b in zip(mismatches, mismatches[1:]))
             tol = 1e-6 * (1.0 + r * r)
             worst = max(worst, final / tol)
-            ok = ok and decreasing and final <= tol and origin_ratios[-1] < 1e-3
+            ok = ok and decreasing and final <= tol
             lines.append(f"n={n} r={r}: mismatch {final:.2e} decreasing={decreasing}")
     return CheckResult("gluing-smoothness", {"k": k, "n": [2, 3, 5, 6, 8],
                                              "r": [0.5, 1.0, 2.0],
@@ -405,13 +413,9 @@ def check_dissipativity(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Check
         spec = MapSpec("hn", k=k, n=n)
         radii = 2.0 * prof.r0 + (r_hi - 2.0 * prof.r0) * rng.random(1000)
         angles = TWO_PI * rng.random(1000)
-        for r, th in zip(radii.tolist(), angles.tolist()):
-            p = from_polar((r, th))
-            img = eval_map(spec, p)
-            ratio = math.hypot(*img) / r
-            worst_ratio = max(worst_ratio, ratio)
-            if ratio >= 1.0:
-                contraction_ok = False
+        ratios = _image_radii(spec, radii, angles) / radii
+        worst_ratio = max(worst_ratio, float(ratios.max()))
+        contraction_ok = contraction_ok and not (ratios >= 1.0).any()
     raster = basin_raster(MapSpec("hn", k=k, n=5), (-half, half, -half, half),
                           256, 256, budget=600, eps_in=1e-8, r_escape=1e3)
     counts = raster.counts()

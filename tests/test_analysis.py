@@ -13,7 +13,7 @@ from znmap.analysis import (
     spectral_scan,
 )
 from znmap.maps import TWO_PI, MapSpec, _rotation, eval_map, from_polar, jac_map, to_polar
-from znmap.verify import _GLUING_H, _gluing, check_properness
+from znmap.verify import _GLUING_H, _gluing, _image_radii, _origin_ratios, check_properness
 
 K = 1.1
 P = (1.0 / math.sqrt(K - 1.0), 0.0)
@@ -347,15 +347,15 @@ def test_sector_map_boundary_example():
 
 
 def test_boundary_smoothness_matrix_agreement():
-    mismatches, (j_hi, j_lo), origin_ratios = _gluing(K, 6, 1.0)
+    mismatches, (j_hi, j_lo) = _gluing(K, 6, 1.0)
     # the pass rule of check_gluing at (n, r) = (6, 1)
     assert np.abs(j_hi - j_lo).max() <= 1e-6 * 2.0
     assert all(b < a for a, b in zip(mismatches, mismatches[1:]))
-    assert origin_ratios[-1] < 1e-3
+    assert _origin_ratios(K, 6)[-1] < 1e-3
 
 
 def test_boundary_smoothness_order_four_single_formula():
-    _, (j_hi, j_lo), _ = _gluing(K, 4, 1.0)
+    _, (j_hi, j_lo) = _gluing(K, 4, 1.0)
     assert np.abs(j_hi - j_lo).max() <= 1e-9
 
 
@@ -370,10 +370,22 @@ def test_jac_fn_on_boundary_matches_one_sided_differences():
 
 
 def test_origin_differentiability_ratio():
-    origin_ratios = _gluing(K, 5, 1.0)[2]
+    origin_ratios = _origin_ratios(K, 5)
     assert _GLUING_H[0] == 1e-3
     # |f| <= k r^3/(1+r^2) pulls the ratio down like h^2
     assert origin_ratios[0] <= 1.2e-6
+
+
+@pytest.mark.parametrize("spec", [MapSpec("g4", k=K, beta=0.05), MapSpec("fn", k=K, n=5),
+                                  MapSpec("hn", k=K, n=7)])
+def test_image_radii_is_the_per_point_loop_bitwise(spec):
+    # the sampled checks' circles: from_polar, eval_map and math.hypot per point
+    theta = TWO_PI * np.arange(90) / 90
+    for r in (1e-6, 2.0, 100.0, np.linspace(7.0, 300.0, 90)):
+        radii = np.broadcast_to(r, theta.shape).tolist()
+        loop = [math.hypot(*eval_map(spec, from_polar((rv, t))))
+                for rv, t in zip(radii, theta.tolist())]
+        assert _image_radii(spec, r, theta).tolist() == loop
 
 
 def test_spectral_scan_bound_and_axes():

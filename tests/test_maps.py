@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import znmap.maps
+from znmap.analysis import seeded_points
 from znmap.maps import (
     K_MAX,
     TWO_PI,
@@ -28,6 +29,7 @@ from znmap.maps import (
     _transplant,
     default_profile,
     eval_map,
+    eval_points,
     from_polar,
     jac_map,
     radial_u,
@@ -447,6 +449,64 @@ def test_non_finite_input_raises_as_the_namespace_formula_does(family, p):
             # difference Jacobian of h
             if not (n == 4 and (entry is eval_map or family == "hn")):
                 assert got[0] == "ValueError" and "non-finite point" in got[1]
+
+
+def point_specs(k, n):
+    """f4, g4 with nonzero alpha/beta/delta, h with the default profile and
+    with one whose r0/r_half = 1000 sends expm1's argument past its
+    overflow below r0, fn and hn (both profiles) of order n, and a callable."""
+    tight = RadialProfile(1.5 / math.sqrt(k - 1.0), 0.0015 / math.sqrt(k - 1.0))
+    fn = MapSpec("fn", k=k, n=n)
+    return [MapSpec("f4", k=k), MapSpec("g4", k=k, alpha=0.02, beta=0.05, delta=0.003),
+            MapSpec("h", k=k), MapSpec("h", k=k, profile=tight), fn,
+            MapSpec("hn", k=k, n=n), MapSpec("hn", k=k, n=n, profile=tight),
+            lambda p: eval_map(fn, p)]
+
+
+def per_point(spec, x, y):
+    """The oracle of eval_points: eval_map at each point, raising the
+    first error it raises."""
+    images = [eval_map(spec, p) for p in zip(x.tolist(), y.tolist())]
+    return tuple(np.array([img[i] for img in images], dtype=float) for i in (0, 1))
+
+
+def nan_blind(fun):
+    """fun with every NaN of its arrays made one NaN.  IEEE 754 leaves open
+    which NaN an operation on two NaNs returns, and CPython's and numpy's
+    compiled multiplies pick different operands: h at (1e300, 1e300) gives
+    scale * w1 with both NaN, and the sign of the result differs."""
+    return lambda *args: tuple(np.where(np.isnan(a), np.nan, a) for a in fun(*args))
+
+
+def assert_eval_points_per_point(spec, pts):
+    x = np.array([p[0] for p in pts], dtype=float)
+    y = np.array([p[1] for p in pts], dtype=float)
+    assert (outcome(nan_blind(eval_points), spec, x, y)
+            == outcome(nan_blind(per_point), spec, x, y)), spec
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_eval_points_is_eval_map_per_point_on_edges(n):
+    # the origin, signed zeros, 1e300 and non-finite points, one at a time
+    # and in one batch (where fn/hn raise for the first non-finite point)
+    pts = edge_points(n)
+    for spec in point_specs(K, n):
+        for p in pts:
+            assert_eval_points_per_point(spec, [p])
+        assert_eval_points_per_point(spec, pts)
+        assert_eval_points_per_point(spec, [p for p in pts if math.isfinite(p[0] + p[1])])
+    with pytest.raises(ValueError, match=r"non-finite point \(nan, 0\.0\)"):
+        eval_points(MapSpec("fn", k=K, n=5), np.array([1.0, math.nan]), np.array([2.0, 0.0]))
+
+
+@given(st.sampled_from(ORDERS), st.floats(1.0005, 1.1547), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-3, 1e3), st.lists(st.tuples(st.floats(), st.floats()), max_size=8))
+def test_eval_points_is_eval_map_per_point(n, k, seed, radius, extra):
+    # seeded uniform points, where math's and numpy's atan2/hypot/expm1
+    # often differ in the last bit, and any floats at all
+    pts = seeded_points(64, radius, seed).tolist() + extra
+    for spec in point_specs(k, n):
+        assert_eval_points_per_point(spec, pts)
 
 
 # ---------------------------------------------------------------------------
