@@ -32,6 +32,10 @@ _SNAPSHOT_GAP = 32
 # (4,096 starts) in two measured 1.7-2.2x slower than the serial loop.
 _MIN_PART = 16384
 
+# Grid points per block of spectral_scan's f4/g4 path: the ~50 temporaries
+# of a block stay in L2, where a 1000^2 grid at once made each 8 MB.
+_SCAN_BLOCK = 16384
+
 
 @dataclass
 class Orbit:
@@ -340,15 +344,21 @@ def equivariance_residual(spec, n: int, samples: int = 10_000, radius: float = 1
     bitwise that of eval_map taken point by point on floats (step_batch's
     numpy functions may move the last bits).
     """
-    pts = seeded_points(samples, radius, seed)
-    px, py = pts[:, 0], pts[:, 1]
+    px, py = seeded_points(samples, radius, seed).T
+    return _max_residual(spec, n, px, py, _cubic_weight(px, py) if normalized else 1.0)
+
+
+def _cubic_weight(px, py) -> np.ndarray:
+    """1 + |p|^3; a float's ** 3 is libm's pow, which np.power need not be."""
+    return 1.0 + np.array([v ** 3 for v in _LIBM.hypot(px, py).tolist()])
+
+
+def _max_residual(spec, n: int, px, py, weight) -> float:
+    """equivariance_residual at the points (px, py), each divided by its weight."""
     rot = _rotation(1, n)
     f_rp = eval_points(spec, *rot(px, py))
     r_fp = rot(*eval_points(spec, px, py))
-    res = _LIBM.hypot(f_rp[0] - r_fp[0], f_rp[1] - r_fp[1])
-    if normalized:
-        # a float's ** 3 is libm's pow, which np.power need not be
-        res /= 1.0 + np.array([v ** 3 for v in _LIBM.hypot(px, py).tolist()])
+    res = _LIBM.hypot(f_rp[0] - r_fp[0], f_rp[1] - r_fp[1]) / weight
     return float(np.fmax.reduce(res, initial=0.0))
 
 
@@ -365,11 +375,13 @@ def _eig_max_modulus(a, b, c, d):
 def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
     """Max Jacobian eigenvalue modulus over an inclusive rectangular grid.
 
-    Vectorized for f4/g4: their analytic Jacobian entries are evaluated
-    on the whole grid at once.  Other families fall back to
-    per-point jac_map Jacobians, stacked in row-major order and sent
-    through one np.linalg.eigvals call.  Deterministic; ties go to the
-    first grid point in row-major order (y outer, x inner).
+    Vectorized for f4/g4: their analytic Jacobian entries are evaluated in
+    blocks of whole grid rows (about _SCAN_BLOCK points, the x row broadcast
+    against the block's y column), bitwise as on the whole grid at once.
+    Other families fall back to per-point jac_map Jacobians, stacked in
+    row-major order and sent through one np.linalg.eigvals call.
+    Deterministic; ties, and the first NaN if any, go to the first grid
+    point in row-major order (y outer, x inner).
     """
     xmin, xmax, ymin, ymax = region
     nx, ny = (grid, grid) if isinstance(grid, int) else grid
@@ -378,7 +390,10 @@ def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
     if not callable(spec) and spec.family in ("f4", "g4"):
-        mods = _eig_max_modulus(*_jac_entries(spec, *np.meshgrid(xs, ys)))
+        mods = np.empty((ny, nx))
+        rows = max(1, _SCAN_BLOCK // nx)
+        for lo in range(0, ny, rows):
+            mods[lo:lo + rows] = _eig_max_modulus(*_jac_entries(spec, xs, ys[lo:lo + rows, None]))
     else:
         jacs = np.array([jac_map(spec, (xv, yv)) for yv in ys for xv in xs])
         mods = np.abs(np.linalg.eigvals(jacs)).max(axis=1).reshape(ny, nx)

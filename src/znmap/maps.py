@@ -189,9 +189,7 @@ def _radial_u(xp, s, prof: RadialProfile):
 
 
 def radial_u(s, prof: RadialProfile):
-    """Evaluate the saturating radial response at s >= 0 (float or array)."""
-    if type(s) is np.ndarray:
-        return _radial_u(_NUMPY, s, prof)
+    """Evaluate the saturating radial response at a float s >= 0."""
     if s < 0.0:
         raise ValueError("radial response undefined for negative radius")
     if s <= prof.r0:

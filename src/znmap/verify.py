@@ -18,6 +18,8 @@ from . import singularity as sg
 # name stays importable here although check_local_attractor calls classify_kinds
 from .analysis import (  # noqa: F401
     DEFAULT_SEED,
+    _cubic_weight,
+    _max_residual,
     classify_batch,
     classify_kinds,
     equivariance_residual,
@@ -90,12 +92,11 @@ def check_equivariance(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckR
     points |p| <= 10."""
     tol = 1e-12
     samples = 10_000
-    worst = 0.0
-    for n in range(2, 9):
-        spec = MapSpec("fn", k=k, n=n)
-        res = equivariance_residual(spec, n, samples=samples, radius=10.0,
-                                    seed=seed, normalized=True)
-        worst = max(worst, res)
+    # equivariance_residual(normalized=True) for each n, the points and
+    # their weights drawn once
+    px, py = seeded_points(samples, 10.0, seed).T
+    weight = _cubic_weight(px, py)
+    worst = max(_max_residual(MapSpec("fn", k=k, n=n), n, px, py, weight) for n in range(2, 9))
     return CheckResult("equivariance", {"k": k, "n": "2..8", "samples": samples,
                                         "radius": 10.0},
                        worst, tol, worst <= tol,

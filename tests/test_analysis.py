@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import znmap.analysis as analysis
 from znmap.analysis import (
     DEFAULT_SEED,
+    _eig_max_modulus,
     classify_batch,
     equivariance_residual,
     find_periodic,
@@ -12,8 +14,10 @@ from znmap.analysis import (
     seeded_points,
     spectral_scan,
 )
-from znmap.maps import TWO_PI, MapSpec, _rotation, eval_map, from_polar, jac_map, to_polar
-from znmap.verify import _GLUING_H, _gluing, _image_radii, _origin_ratios, check_properness
+from znmap.maps import (TWO_PI, MapSpec, _jac_entries, _rotation, eval_map, from_polar, jac_map,
+                        to_polar)
+from znmap.verify import (_GLUING_H, _gluing, _image_radii, _origin_ratios, check_equivariance,
+                          check_properness)
 
 K = 1.1
 P = (1.0 / math.sqrt(K - 1.0), 0.0)
@@ -265,6 +269,15 @@ def test_equivariance_residual_is_the_per_point_rotation_bitwise(seed):
     assert res == equivariance_residual_per_point(spec, 4, 40, 5.0, seed) and res >= 0.1
 
 
+@pytest.mark.parametrize("seed, k", [(DEFAULT_SEED, 1.1), (5, 1.02), (7, 1.15)])
+def test_check_equivariance_is_the_max_of_the_per_order_residuals(seed, k):
+    # the check draws its points and weights once for all n; the statistic
+    # is bitwise the max of the public per-order residuals
+    per_order = [equivariance_residual(MapSpec("fn", k=k, n=n), n, normalized=True, seed=seed)
+                 for n in range(2, 9)]
+    assert check_equivariance(k, seed).statistic == max(per_order)
+
+
 def ray_image_check(spec, directions: int = 64, radii=None,
                     spread_tol: float = 1e-10) -> dict:
     """Check that each ray through the origin maps into a single ray with
@@ -449,6 +462,68 @@ def test_spectral_scan_fallback_ties_go_to_first_in_row_major_order():
     assert tied[0] == tied[1] == scan.max_modulus
     assert scan.argmax == (-2.0, 2.0)
     assert (scan.max_modulus, scan.argmax) == pointwise_scan(spec, region, 5, 5)
+
+
+def whole_grid_scan(spec, region, nx, ny):
+    """The f4/g4 path of spectral_scan on the whole meshgrid at once:
+    the oracle of its row blocks."""
+    xs = np.linspace(region[0], region[1], nx)
+    ys = np.linspace(region[2], region[3], ny)
+    mods = _eig_max_modulus(*_jac_entries(spec, *np.meshgrid(xs, ys)))
+    iy, ix = np.unravel_index(int(np.argmax(mods)), mods.shape)
+    return float(mods[iy, ix]), (float(xs[ix]), float(ys[iy])), nx * ny
+
+
+def assert_scan_is_whole_grid(spec, region, nx, ny):
+    scan = spectral_scan(spec, region, (nx, ny))
+    best, arg, samples = whole_grid_scan(spec, region, nx, ny)
+    # bits, so that a NaN maximum compares too
+    assert np.float64(scan.max_modulus).tobytes() == np.float64(best).tobytes()
+    assert (scan.argmax, scan.samples) == (arg, samples)
+    return scan
+
+
+G4_FULL = MapSpec("g4", k=K, alpha=0.1, beta=0.05, delta=0.01)
+
+
+@pytest.mark.parametrize("spec, region, nx, ny", [
+    (F4, (-20.0, 20.0, -20.0, 20.0), 1000, 1000),  # 1000 rows, 16 per block
+    (F4, (-3.0, 4.0, -2.5, 2.0), analysis._SCAN_BLOCK + 7, 3),  # one row per block
+    (F4, (-20.0, 20.0, -20.0, 20.0), 1000, 37),  # 37 rows: 16 + 16 + 5
+    # 5 rows: 2 + 2 + 1, the maximum in the last block
+    (F4, (-2.0, 2.0, -1.0, 2.0), analysis._SCAN_BLOCK // 2, 5),
+    (F4, (-20.0, 20.0, 0.0, 0.0), 1000, 2),
+    (F4, (0.0, 0.0, -20.0, 20.0), 2, 1000),
+    (G4_FULL, (-20.0, 20.0, -20.0, 20.0), 300, 300),
+    (G4_FULL, (-3.0, 4.0, -2.5, 2.0), 2000, 21),
+], ids=["f4-1000sq", "f4-wide-rows", "f4-ragged", "f4-last-row", "f4-x-axis", "f4-y-axis",
+        "g4-300sq", "g4-ragged"])
+def test_spectral_scan_blocks_are_the_whole_grid_bitwise(spec, region, nx, ny):
+    assert_scan_is_whole_grid(spec, region, nx, ny)
+
+
+@pytest.mark.parametrize("block", [1, 10, analysis._SCAN_BLOCK])
+@pytest.mark.parametrize("spec", [F4, G4_FULL], ids=["f4", "g4"])
+def test_spectral_scan_blocks_keep_the_first_nan(monkeypatch, spec, block):
+    # beyond |p| ~ 1.3e154 the squares overflow and the entries turn NaN;
+    # the first grid point is the origin, so the first NaN is not at index 0
+    monkeypatch.setattr(analysis, "_SCAN_BLOCK", block)
+    with np.errstate(all="ignore"):
+        scan = assert_scan_is_whole_grid(spec, (0.0, 1e160, 0.0, 1e160), 5, 7)
+        assert math.isnan(scan.max_modulus) and scan.argmax == (2.5e159, 0.0)
+        assert_scan_is_whole_grid(spec, (-1e155, 1e155, -1e155, 1e155), 301, 300)
+
+
+@pytest.mark.parametrize("block", [1, 5, 10])
+def test_spectral_scan_tie_across_blocks_goes_to_the_first(monkeypatch, block):
+    # the four corners of (-2, 2)^2 tie bit for bit; with blocks of one or
+    # two rows the tied rows 0 and 4 fall in different blocks
+    monkeypatch.setattr(analysis, "_SCAN_BLOCK", block)
+    xs = np.linspace(-2.0, 2.0, 5)
+    mods = _eig_max_modulus(*_jac_entries(F4, *np.meshgrid(xs, xs)))
+    assert mods[0, 0] == mods[0, 4] == mods[4, 0] == mods[4, 4] == mods.max()
+    scan = assert_scan_is_whole_grid(F4, (-2.0, 2.0, -2.0, 2.0), 5, 5)
+    assert scan.argmax == (-2.0, -2.0)
 
 
 def test_spectral_scan_rejects_tiny_grid():
