@@ -8,6 +8,7 @@ elementwise-deterministic, so grids may be partitioned arbitrarily.
 
 import contextvars
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import (_LIBM, TWO_PI, MapSpec, Point, _jac_entries, _retirements, _rotation,
-                   eval_map, eval_points, jac_map, step_batch)
+                   eval_map, eval_points, jac_map, jac_points, step_batch)
 
 DEFAULT_SEED = 0x5EED
 
@@ -32,8 +33,9 @@ _SNAPSHOT_GAP = 32
 # (4,096 starts) in two measured 1.7-2.2x slower than the serial loop.
 _MIN_PART = 16384
 
-# Grid points per block of spectral_scan's f4/g4 path: the ~50 temporaries
-# of a block stay in L2, where a 1000^2 grid at once made each 8 MB.
+# Grid points per block of spectral_scan: the ~50 temporaries of an f4/g4
+# block stay in L2, where a 1000^2 grid at once made each 8 MB; the _LIBM
+# Jacobians of other families hold a block's lists, not the grid's.
 _SCAN_BLOCK = 16384
 
 
@@ -353,11 +355,12 @@ def _cubic_weight(px, py) -> np.ndarray:
     return 1.0 + np.array([v ** 3 for v in _LIBM.hypot(px, py).tolist()])
 
 
-def _max_residual(spec, n: int, px, py, weight) -> float:
-    """equivariance_residual at the points (px, py), each divided by its weight."""
+def _max_residual(spec, n: int, px, py, weight, polar=None) -> float:
+    """equivariance_residual at the points (px, py), each divided by its
+    weight; polar is their chart for eval_points, if the caller has it."""
     rot = _rotation(1, n)
     f_rp = eval_points(spec, *rot(px, py))
-    r_fp = rot(*eval_points(spec, px, py))
+    r_fp = rot(*eval_points(spec, px, py, polar))
     res = _LIBM.hypot(f_rp[0] - r_fp[0], f_rp[1] - r_fp[1]) / weight
     return float(np.fmax.reduce(res, initial=0.0))
 
@@ -375,28 +378,35 @@ def _eig_max_modulus(a, b, c, d):
 def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
     """Max Jacobian eigenvalue modulus over an inclusive rectangular grid.
 
-    Vectorized for f4/g4: their analytic Jacobian entries are evaluated in
-    blocks of whole grid rows (about _SCAN_BLOCK points, the x row broadcast
-    against the block's y column), bitwise as on the whole grid at once.
-    Other families fall back to per-point jac_map Jacobians, stacked in
-    row-major order and sent through one np.linalg.eigvals call.
+    grid is an integer, or a pair (nx, ny) of them, of any integer type.
+    The grid runs in blocks of whole rows, about _SCAN_BLOCK points each.
+    f4/g4 take the closed-form modulus of their analytic Jacobian entries,
+    the x row broadcast against the block's y column.  Other families take
+    maps.jac_points, the jac_map Jacobian of every point of the block
+    bitwise, and np.linalg.eigvals.  Blocking changes no bit.
     Deterministic; ties, and the first NaN if any, go to the first grid
     point in row-major order (y outer, x inner).
     """
     xmin, xmax, ymin, ymax = region
-    nx, ny = (grid, grid) if isinstance(grid, int) else grid
+    try:
+        nx, ny = map(operator.index, (grid, grid) if np.ndim(grid) == 0 else grid)
+    except (TypeError, ValueError):
+        raise TypeError(f"grid must be an integer or a pair of integers; got {grid!r}") from None
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
-    if not callable(spec) and spec.family in ("f4", "g4"):
-        mods = np.empty((ny, nx))
-        rows = max(1, _SCAN_BLOCK // nx)
-        for lo in range(0, ny, rows):
-            mods[lo:lo + rows] = _eig_max_modulus(*_jac_entries(spec, xs, ys[lo:lo + rows, None]))
-    else:
-        jacs = np.array([jac_map(spec, (xv, yv)) for yv in ys for xv in xs])
-        mods = np.abs(np.linalg.eigvals(jacs)).max(axis=1).reshape(ny, nx)
+    closed_form = not callable(spec) and spec.family in ("f4", "g4")
+    mods = np.empty((ny, nx))
+    rows = max(1, _SCAN_BLOCK // nx)
+    for lo in range(0, ny, rows):
+        yb = ys[lo:lo + rows, None]
+        if closed_form:
+            mods[lo:lo + rows] = _eig_max_modulus(*_jac_entries(spec, xs, yb))
+        else:
+            gx, gy = np.broadcast_arrays(xs, yb)
+            jacs = jac_points(spec, gx.ravel(), gy.ravel())
+            mods[lo:lo + rows] = np.abs(np.linalg.eigvals(jacs)).max(axis=1).reshape(-1, nx)
     iy, ix = np.unravel_index(int(np.argmax(mods)), mods.shape)
     return SpectralSample(max_modulus=float(mods[iy, ix]),
                           argmax=(float(xs[ix]), float(ys[iy])),

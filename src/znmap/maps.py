@@ -23,12 +23,14 @@ same arithmetic (``+ - * /`` in one fixed order, and a few functions: trig,
 formula over ``numpy``; floats run it written out with ``math`` and plain
 ``if``s, which the tests pin bitwise to that formula over ``math``.  The
 two may differ by a few ulps where numpy's ``arctan2``/``hypot``/``expm1``
-differ from ``math``'s.  A third implementation, ``eval_points``, runs the
-array formula with ``math``'s own functions mapped over the elements
-(``_LIBM``): the float path's bits on arrays, for sampled checks, at about
-half its cost per point.  Jacobians are 2x2 numpy arrays
-``[[a, b], [c, d]]``.  ``step_batch`` is ``eval_map`` on coordinate arrays,
-the fast one, for raster/scan workloads.
+differ from ``math``'s.  A third implementation runs the array formulas
+with ``math``'s own functions mapped over the elements (``_LIBM``):
+``eval_points`` and ``jac_points`` give the float path's bits on arrays,
+maps and Jacobians, for sampled checks and spectral scans, at a fraction
+of its cost per point.  Jacobians are 2x2 numpy arrays ``[[a, b], [c, d]]``
+(``jac_points`` stacks them).  ``step_batch`` is ``eval_map`` on
+coordinate arrays, the fast one, for raster workloads.  ``polar_step``
+steps fn/hn from a polar pair that the caller already holds.
 
 Points are plain ``(x, y)`` tuples; polar pairs are ``(r, theta)`` with
 ``r >= 0`` and ``theta`` normalized to ``[0, 2*pi)`` (the origin gets
@@ -279,23 +281,21 @@ def _jac_f4_entries(x, y, k: float):
     return a, b, c, d
 
 
-def _jac_f4_polar(q: tuple[float, float], k: float) -> np.ndarray:
-    """Derivative in polar charts (source and target): upper triangular,
-    with angle derivative 3*sin^2*cos^2/(cos^6+sin^6)."""
-    r, theta = q
-    if r == 0.0:
-        raise ValueError("polar chart singular at origin")
-    c = math.cos(theta)
-    s = math.sin(theta)
+def _f4_polar_entries(xp, r, theta, k: float):
+    """Derivative of f4 in polar charts (source and target) at r > 0, over
+    the namespace xp (math for floats): upper triangular [[a11, a12],
+    [0, a22]], with angle derivative a22 = 3*sin^2*cos^2/(cos^6+sin^6)."""
+    c = xp.cos(theta)
+    s = xp.sin(theta)
     c3 = _cube(c)
     s3 = _cube(s)
-    m = math.hypot(c3, s3)  # sqrt(cos^6 + sin^6) >= 1/2
+    m = xp.hypot(c3, s3)  # sqrt(cos^6 + sin^6) >= 1/2
     r2 = r * r
     d = 1.0 + r2
     a11 = k * r2 * (3.0 + r2) / (d * d) * m
     a12 = k * _cube(r) / d * 3.0 * s * c * (s3 * s - c3 * c) / m
     a22 = 3.0 * s * s * c * c / (m * m)
-    return np.array([[a11, a12], [0.0, a22]])
+    return a11, a12, a22
 
 
 def _eval_g4(p: Point, k: float, alpha: float, beta: float, delta: float) -> Point:
@@ -322,27 +322,39 @@ def _jac_entries(spec, x, y):
     return _jac_g4_entries(x, y, spec.k, spec.alpha, spec.beta, spec.delta)
 
 
-def _sector_chart(xp, p: Point, n: int):
-    """Source chart of the order-n transplant at a nonzero point.
-
-    Returns (r, theta, m, theta4): polar coordinates with theta in
-    [0, 2*pi), the 0-based sector index m (sector_of minus one), and
-    the angle rotated back to sector 0 and rescaled to the base map's
-    quarter turn.
-    """
+def _polar(xp, p: Point):
+    """(hypot, _angle) of a point over the namespace xp."""
     x, y = p
-    theta = _angle(xp, y, x)
+    return xp.hypot(x, y), _angle(xp, y, x)
+
+
+def _sector_split(xp, theta, n: int):
+    """The sector part of the chart from the polar angle theta: the 0-based
+    sector index m (sector_of minus one) and the angle rotated back to
+    sector 0 and rescaled to the base map's quarter turn."""
     m = xp.minimum(xp.floor(theta * n / TWO_PI), n - 1)  # theta*n/(2*pi) may round to n
-    return xp.hypot(x, y), theta, m, (theta - TWO_PI * m / n) * n / 4.0
+    return m, (theta - TWO_PI * m / n) * n / 4.0
 
 
-def _float_chart(p: Point, n: int):
-    """_sector_chart of one float point, written out like _float_polar."""
-    r, theta = _float_polar(p)
+def _float_split(theta: float, n: int):
+    """_sector_split of one float angle, written out like _float_polar."""
     m = math.floor(theta * n / TWO_PI)
     if m > n - 1:  # theta*n/(2*pi) may round to n
         m = n - 1
-    return r, theta, m, (theta - TWO_PI * m / n) * n / 4.0
+    return m, (theta - TWO_PI * m / n) * n / 4.0
+
+
+def _sector_chart(xp, p: Point, n: int):
+    """Source chart of the order-n transplant at a nonzero point: (r, theta,
+    m, theta4), the polar pair with theta in [0, 2*pi) and _sector_split."""
+    r, theta = _polar(xp, p)
+    return (r, theta) + _sector_split(xp, theta, n)
+
+
+def _float_chart(p: Point, n: int):
+    """_sector_chart of one float point: _float_polar and _float_split."""
+    r, theta = _float_polar(p)
+    return (r, theta) + _float_split(theta, n)
 
 
 def sector_of(p: Point, n: int) -> int:
@@ -609,6 +621,32 @@ def _float_image(r: float, theta4: float, m: int, k: float, n: int,
     return psi, 4.0 * phi / n + TWO_PI * m / n
 
 
+def _sector_step(xp, r, theta, k: float, n: int, prof: RadialProfile | None):
+    """One order-n transplant step (n != 4) from the polar pair (r, theta)
+    of nonzero points, over the namespace xp."""
+    m, theta4 = _sector_split(xp, theta, n)
+    psi, theta_out = _sector_image(xp, r, theta4, m, k, n, prof)
+    return psi * xp.cos(theta_out), psi * xp.sin(theta_out)
+
+
+def _float_step(r: float, theta: float, k: float, n: int, prof: RadialProfile | None) -> Point:
+    """_sector_step of one float polar pair, written out like _float_polar."""
+    m, theta4 = _float_split(theta, n)
+    psi, theta_out = _float_image(r, theta4, m, k, n, prof)
+    return psi * math.cos(theta_out), psi * math.sin(theta_out)
+
+
+def polar_step(spec):
+    """The step of an fn/hn MapSpec with n != 4 as a function of the polar
+    pair (r, theta) = to_polar(p) of a nonzero float point p: bitwise
+    eval_map(spec, p), for callers that hold the pair already.  None for
+    every other map, whose step takes no sector chart."""
+    if callable(spec) or spec.family not in ("fn", "hn") or spec.n == 4:
+        return None
+    k, n, prof = spec.k, spec.n, spec.profile
+    return lambda r, theta: _float_step(r, theta, k, n, prof)
+
+
 def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None, xp=_NUMPY) -> Point:
     """Order-n transplant of f4, radially saturated by prof when given.
 
@@ -620,9 +658,9 @@ def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None, xp=_NUMP
     the evaluation reduces to _eval_f4 or _eval_h (bitwise).
 
     The input type picks the implementation.  Arrays take the namespace
-    formula, _sector_chart and _sector_image over xp (_NUMPY, or _LIBM for
+    formula, _polar and _sector_step over xp (_NUMPY, or _LIBM for
     eval_points, which adds the float path's origin shortcut and error).
-    Floats take _float_chart and _float_image, the same operations written
+    Floats take _float_polar and _float_step, the same operations written
     out with math, bitwise that formula over math (the tests pin this).  A
     _NUMPY result may differ from the float result by a few ulps, where
     numpy's arctan2 and hypot differ from math's.
@@ -631,16 +669,42 @@ def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None, xp=_NUMP
     if type(x) is np.ndarray:
         if n == 4:
             return _eval_f4(p, k) if prof is None else _eval_h(p, k, prof, xp)
-        r, _, m, theta4 = _sector_chart(xp, p, n)
-        psi, theta_out = _sector_image(xp, r, theta4, m, k, n, prof)
-        return psi * xp.cos(theta_out), psi * xp.sin(theta_out)
+        return _sector_step(xp, *_polar(xp, p), k, n, prof)
     if x == 0.0 and y == 0.0:
         return 0.0, 0.0
     if n == 4:
         return _eval_f4(p, k) if prof is None else _eval_h(p, k, prof)
-    r, _, m, theta4 = _float_chart(p, n)
-    psi, theta_out = _float_image(r, theta4, m, k, n, prof)
-    return psi * math.cos(theta_out), psi * math.sin(theta_out)
+    r, theta = _float_polar(p)
+    return _float_step(r, theta, k, n, prof)
+
+
+def _matrix(a, b, c, d) -> np.ndarray:
+    return np.array([[a, b], [c, d]])
+
+
+def _matrices(a, b, c, d) -> np.ndarray:
+    """The (N, 2, 2) stack of [[a, b], [c, d]] for 1-D arrays a and
+    arrays or floats b, c, d."""
+    out = np.empty((a.size, 2, 2))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = a, b, c, d
+    return out
+
+
+def _polar_chain(xp, mat, r, theta, theta4, psi, theta_out, k: float, n: int):
+    """_jac_fn's chain rule over the namespace xp, away from the origin,
+    from the chart (r, theta, theta4) and the image (psi, theta_out); mat
+    builds its 2x2 factors: _matrix for floats (xp = math), _matrices on
+    1-D arrays, whose stacked matmuls multiply each point's factors as the
+    float path does."""
+    a11, a12, a22 = _f4_polar_entries(xp, r, theta4, k)
+    a_n = np.array([[1.0, 0.0], [0.0, 4.0 / n]])
+    b_n = np.array([[1.0, 0.0], [0.0, n / 4.0]])
+    d_polar = a_n @ mat(a11, a12, 0.0, a22) @ b_n
+    ci, si = xp.cos(theta), xp.sin(theta)
+    co, so = xp.cos(theta_out), xp.sin(theta_out)
+    chart_in_inv = mat(ci, si, -si / r, ci / r)
+    chart_out = mat(co, -psi * so, so, psi * co)
+    return chart_out @ d_polar @ chart_in_inv
 
 
 def _jac_fn(p: Point, k: float, n: int) -> np.ndarray:
@@ -655,16 +719,8 @@ def _jac_fn(p: Point, k: float, n: int) -> np.ndarray:
     if x == 0.0 and y == 0.0:
         return np.zeros((2, 2))
     r, theta, m, theta4 = _float_chart(p, n)
-    inner = _jac_f4_polar((r, theta4), k)
-    a_n = np.array([[1.0, 0.0], [0.0, 4.0 / n]])
-    b_n = np.array([[1.0, 0.0], [0.0, n / 4.0]])
-    d_polar = a_n @ inner @ b_n
     psi, theta_out = _float_image(r, theta4, m, k, n, None)
-    ci, si = math.cos(theta), math.sin(theta)
-    co, so = math.cos(theta_out), math.sin(theta_out)
-    chart_in_inv = np.array([[ci, si], [-si / r, ci / r]])
-    chart_out = np.array([[co, -psi * so], [so, psi * co]])
-    return chart_out @ d_polar @ chart_in_inv
+    return _polar_chain(math, _matrix, r, theta, theta4, psi, theta_out, k, n)
 
 
 def _eval_h(p: Point, k: float, prof: RadialProfile, xp=_NUMPY) -> Point:
@@ -698,51 +754,87 @@ def eval_map(spec, p: Point) -> Point:
     return _transplant(p, spec.k, spec.n, spec.profile)  # fn (no profile) or hn
 
 
-def eval_points(spec: MapSpec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_finite(x: np.ndarray, y: np.ndarray) -> None:
+    """The float chart's ValueError, for the first non-finite point."""
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if bad.size:
+        raise ValueError(f"non-finite point {(float(x[bad[0]]), float(y[bad[0]]))!r}")
+
+
+def eval_points(spec: MapSpec, x: np.ndarray, y: np.ndarray,
+                polar=None) -> tuple[np.ndarray, np.ndarray]:
     """eval_map at each point of the 1-D float arrays (x, y), bitwise the
     float path up to which NaN an operation on two NaNs gives: the array
     formula over _LIBM, with the float path's origin shortcut (0.0, 0.0)
     for fn/hn and, where n != 4, its ValueError for the first non-finite
     point.  For sampled checks; step_batch is the faster numpy formula,
-    for rasters.  A callable is mapped point by point, as step_batch does."""
+    for rasters.  A callable is mapped point by point, as step_batch does.
+
+    polar, the pair _polar(_LIBM, (x, y)), spares fn/hn with n != 4 their
+    own chart: for callers that evaluate several orders at one sample."""
     if callable(spec):
         return step_batch(spec, x, y)
     if spec.family in ("fn", "hn") and spec.n != 4:
-        bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
-        if bad.size:
-            raise ValueError(f"non-finite point {(float(x[bad[0]]), float(y[bad[0]]))!r}")
+        _check_finite(x, y)
     with np.errstate(all="ignore"):  # as on floats: overflow gives inf, inf - inf NaN
         if spec.family in ("f4", "g4"):
             return eval_map(spec, (x, y))
         if spec.family == "h":
             return _eval_h((x, y), spec.k, spec.profile, _LIBM)
-        fx, fy = _transplant((x, y), spec.k, spec.n, spec.profile, _LIBM)
+        if polar is None or spec.n == 4:
+            fx, fy = _transplant((x, y), spec.k, spec.n, spec.profile, _LIBM)
+        else:
+            fx, fy = _sector_step(_LIBM, *polar, spec.k, spec.n, spec.profile)
     origin = (x == 0.0) & (y == 0.0)
     return np.where(origin, 0.0, fx), np.where(origin, 0.0, fy)
 
 
-def _jac_fd(fun, p: Point, h: float) -> np.ndarray:
-    x, y = p
+def _fd_entries(fun, x, y, h):
+    """Central-difference Jacobian entries (a, b, c, d) of fun, a map of
+    (x, y) pairs, with step h: floats, or arrays of points."""
     fxp = fun((x + h, y))
     fxm = fun((x - h, y))
     fyp = fun((x, y + h))
     fym = fun((x, y - h))
     inv = 0.5 / h
-    return np.array([
-        [(fxp[0] - fxm[0]) * inv, (fyp[0] - fym[0]) * inv],
-        [(fxp[1] - fxm[1]) * inv, (fyp[1] - fym[1]) * inv],
-    ])
+    return ((fxp[0] - fxm[0]) * inv, (fyp[0] - fym[0]) * inv,
+            (fxp[1] - fxm[1]) * inv, (fyp[1] - fym[1]) * inv)
 
 
 def jac_map(spec, p: Point) -> np.ndarray:
     """Jacobian of the map named by spec: analytic for f4/g4/fn, central
     finite differences for h/hn and callables."""
     if callable(spec) or spec.family in ("h", "hn"):
-        return _jac_fd(lambda q: eval_map(spec, q), p, 1e-7 * (1.0 + math.hypot(*p)))
+        x, y = p
+        return _matrix(*_fd_entries(lambda q: eval_map(spec, q), x, y,
+                                    1e-7 * (1.0 + math.hypot(x, y))))
     if spec.family == "fn":
         return _jac_fn(p, spec.k, spec.n)
-    a, b, c, d = _jac_entries(spec, p[0], p[1])
-    return np.array([[a, b], [c, d]])
+    return _matrix(*_jac_entries(spec, p[0], p[1]))
+
+
+def jac_points(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """jac_map at each point of the 1-D float arrays (x, y), bitwise up to
+    which NaN an operation on two NaNs gives: an (N, 2, 2) array.
+
+    f4/g4 stack their analytic entries.  fn runs _jac_fn's polar chain
+    over _LIBM, with the zero matrix at the origin and the float chart's
+    ValueError for the first non-finite point.  h/hn and callables take the
+    same central differences as jac_map through eval_points, which raises
+    that ValueError for hn (n != 4) where a stencil point is not finite.
+    """
+    with np.errstate(all="ignore"):  # as on floats: overflow gives inf, inf - inf NaN
+        if callable(spec) or spec.family in ("h", "hn"):
+            return _matrices(*_fd_entries(lambda q: eval_points(spec, *q), x, y,
+                                          1e-7 * (1.0 + _LIBM.hypot(x, y))))
+        if spec.family != "fn":
+            return _matrices(*_jac_entries(spec, x, y))
+        _check_finite(x, y)
+        r, theta, m, theta4 = _sector_chart(_LIBM, (x, y), spec.n)
+        psi, theta_out = _sector_image(_LIBM, r, theta4, m, spec.k, spec.n, None)
+        jac = _polar_chain(_LIBM, _matrices, r, theta, theta4, psi, theta_out, spec.k, spec.n)
+    jac[(x == 0.0) & (y == 0.0)] = 0.0
+    return jac
 
 
 def step_batch(spec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

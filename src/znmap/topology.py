@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .maps import TWO_PI, MapSpec, Point, eval_map, from_polar, to_polar
+from .maps import TWO_PI, MapSpec, Point, eval_map, from_polar, polar_step, to_polar
 # perfbench/spans.py wraps classify_batch under this module's name, so the
 # name stays importable here although basin_raster calls classify_kinds
 from .analysis import classify_batch, classify_kinds  # noqa: F401
@@ -129,12 +129,15 @@ def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate
     Iterates while the orbit stays away from the origin (|p| > 1e-12) and
     finite; needs at least 8 usable angles.  The slope uses the full lift
     span; the rational is the best approximation with denominator <= 64.
+    fn/hn with n != 4 step from the polar pair each iterate's angle needs
+    (maps.polar_step), so their chart is computed once per iterate.
     """
     x, y = float(p0[0]), float(p0[1])
     if x == 0.0 and y == 0.0:
         raise ValueError("rotation undefined for the origin orbit")
     angles = []
     p = (x, y)
+    step = polar_step(spec)
     cause = f"max_iters={max_iters} leaves too few angles"
     for _ in range(max_iters + 1):
         r, th = to_polar(p)
@@ -142,7 +145,7 @@ def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate
             cause = "orbit reached origin too fast"
             break
         angles.append(th)
-        p = eval_map(spec, p)
+        p = eval_map(spec, p) if step is None else step(r, th)
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
             cause = f"orbit overflowed after {len(angles)} iterates, too fast"
             break

@@ -27,8 +27,8 @@ from .analysis import (  # noqa: F401
     seeded_points,
     spectral_scan,
 )
-from .maps import (_LIBM, TWO_PI, MapSpec, default_profile, eval_map, eval_points, from_polar,
-                   jac_map)
+from .maps import (_LIBM, TWO_PI, MapSpec, _polar, default_profile, eval_map, eval_points,
+                   from_polar, jac_map)
 from .topology import basin_raster, estimate_rotation, image_curve, transversality_det
 from . import __version__
 
@@ -92,11 +92,13 @@ def check_equivariance(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckR
     points |p| <= 10."""
     tol = 1e-12
     samples = 10_000
-    # equivariance_residual(normalized=True) for each n, the points and
-    # their weights drawn once
+    # equivariance_residual(normalized=True) for each n, the points, their
+    # weights and their chart computed once
     px, py = seeded_points(samples, 10.0, seed).T
     weight = _cubic_weight(px, py)
-    worst = max(_max_residual(MapSpec("fn", k=k, n=n), n, px, py, weight) for n in range(2, 9))
+    polar = _polar(_LIBM, (px, py))
+    worst = max(_max_residual(MapSpec("fn", k=k, n=n), n, px, py, weight, polar)
+                for n in range(2, 9))
     return CheckResult("equivariance", {"k": k, "n": "2..8", "samples": samples,
                                         "radius": 10.0},
                        worst, tol, worst <= tol,

@@ -526,6 +526,73 @@ def test_spectral_scan_tie_across_blocks_goes_to_the_first(monkeypatch, block):
     assert scan.argmax == (-2.0, -2.0)
 
 
+def per_point_scan(spec, region, nx, ny):
+    """spectral_scan's former path for families without closed-form
+    moduli, the oracle: jac_map at each grid point in row-major order and
+    one np.linalg.eigvals call on their stack.  The coordinates go in as
+    floats: np.float64 operands despecialize CPython's float bytecodes in
+    the map kernels, which then pick the other NaN of an operation on two
+    NaNs, and the NaN bits that test_maps pins would depend on test order."""
+    xs = np.linspace(region[0], region[1], nx)
+    ys = np.linspace(region[2], region[3], ny)
+    jacs = np.array([jac_map(spec, (xv, yv)) for yv in ys.tolist() for xv in xs.tolist()])
+    mods = np.abs(np.linalg.eigvals(jacs)).max(axis=1).reshape(ny, nx)
+    iy, ix = np.unravel_index(int(np.argmax(mods)), mods.shape)
+    return float(mods[iy, ix]), (float(xs[ix]), float(ys[iy])), nx * ny
+
+
+FN5 = MapSpec("fn", k=K, n=5)
+SCAN_SPECS = [FN5, MapSpec("fn", k=K, n=4), MapSpec("h", k=K), MapSpec("hn", k=K, n=5),
+              MapSpec("hn", k=K, n=3), lambda p: eval_map(FN5, p)]
+SCAN_IDS = ["fn5", "fn4", "h", "hn5", "hn3", "callable"]
+
+
+@pytest.mark.parametrize("block", [1, 10, analysis._SCAN_BLOCK])
+@pytest.mark.parametrize("spec", SCAN_SPECS, ids=SCAN_IDS)
+def test_spectral_scan_is_the_per_point_scan(monkeypatch, spec, block):
+    # ragged grids, grids of several blocks, grids through the origin and
+    # the boundary rays, and one far enough out to overflow
+    monkeypatch.setattr(analysis, "_SCAN_BLOCK", block)
+    for region, nx, ny in [((-20.0, 20.0, -20.0, 20.0), 31, 31), ((-3.0, 4.0, -2.5, 2.0), 7, 13),
+                           ((-1.0, 1.0, -1.0, 1.0), 5, 5), ((0.5, 60.0, -0.3, 9.0), 23, 4),
+                           ((-2.0, 2.0, 1.0, 1.0), 3, 2)]:
+        scan = spectral_scan(spec, region, (nx, ny))
+        best, arg, samples = per_point_scan(spec, region, nx, ny)
+        assert np.float64(scan.max_modulus).tobytes() == np.float64(best).tobytes()
+        assert (scan.argmax, scan.samples) == (arg, samples), region
+    if not callable(spec):
+        # past |p| ~ 1e154 the Jacobians turn NaN and eigvals refuses them
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            spectral_scan(spec, (0.0, 1e160, 0.0, 1e160), 5)
+
+
+@pytest.mark.parametrize("block", [1, 5, 10])
+def test_spectral_scan_jacobian_tie_across_blocks_goes_to_the_first(monkeypatch, block):
+    # h is odd bit for bit, so its central differences at p and -p are
+    # equal bit for bit: the corners (-2, -2) and (2, 2) tie, and with
+    # blocks of one or two rows they fall in different blocks
+    spec = MapSpec("h", k=K)
+    monkeypatch.setattr(analysis, "_SCAN_BLOCK", block)
+    assert (jac_map(spec, (-2.0, -2.0)) == jac_map(spec, (2.0, 2.0))).all()
+    scan = spectral_scan(spec, (-2.0, 2.0, -2.0, 2.0), 5)
+    assert (scan.max_modulus, scan.argmax) == per_point_scan(spec, (-2.0, 2.0, -2.0, 2.0), 5, 5)[:2]
+    assert scan.argmax == (-2.0, -2.0)
+    assert np.abs(np.linalg.eigvals(jac_map(spec, (2.0, 2.0)))).max() == scan.max_modulus
+
+
+@pytest.mark.parametrize("grid", [np.int64(5), np.int32(5), (np.int16(5), 5), [5, np.uint8(5)]])
+def test_spectral_scan_takes_any_integer_grid(grid):
+    want = spectral_scan(F4, (-1, 1, -1, 1), 5)
+    got = spectral_scan(F4, (-1, 1, -1, 1), grid)
+    assert (got.max_modulus, got.argmax, got.samples) == (want.max_modulus, want.argmax, 25)
+
+
+@pytest.mark.parametrize("grid", [5.0, np.float64(5), (5, 5.5), (5, 5, 5), (5,), "5", None])
+def test_spectral_scan_rejects_a_non_integer_grid(grid):
+    with pytest.raises(TypeError, match="grid must be an integer or a pair of integers"):
+        spectral_scan(F4, (-1, 1, -1, 1), grid)
+
+
 def test_spectral_scan_rejects_tiny_grid():
     with pytest.raises(ValueError):
         spectral_scan(F4, (-1, 1, -1, 1), 1)

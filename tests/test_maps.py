@@ -18,20 +18,24 @@ from znmap.maps import (
     _eval_g4,
     _eval_h,
     _f4_polar,
+    _f4_polar_entries,
     _float_chart,
     _jac_entries,
-    _jac_f4_polar,
     _jac_fn,
+    _polar,
     _radial_u,
     _rotation,
     _sector_chart,
     _sector_image,
+    _sector_split,
     _transplant,
     default_profile,
     eval_map,
     eval_points,
     from_polar,
     jac_map,
+    jac_points,
+    polar_step,
     radial_u,
     sector_of,
     step_batch,
@@ -137,13 +141,16 @@ def test_jac_f4_matches_finite_differences():
         assert err <= 1e-6 * (1.0 + math.hypot(*p) ** 2)
 
 
+def jac_f4_polar(r, theta):
+    a11, a12, a22 = _f4_polar_entries(math, r, theta, K)
+    return np.array([[a11, a12], [0.0, a22]])
+
+
 def test_jac_f4_polar_examples():
     for th in (0.0, math.pi / 2):
-        jac = _jac_f4_polar((1.0, th), K)
+        jac = jac_f4_polar(1.0, th)
         assert np.allclose(jac, [[K, 0.0], [0.0, 0.0]], atol=1e-15)
-    assert abs(_jac_f4_polar((1.0, math.pi / 4), K)[1, 1] - 3.0) <= 1e-12
-    with pytest.raises(ValueError):
-        _jac_f4_polar((0.0, 0.3), K)
+    assert abs(jac_f4_polar(1.0, math.pi / 4)[1, 1] - 3.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +282,8 @@ def test_jac_fn_matches_finite_differences_interior():
 def test_polar_chart_derivative_same_on_both_boundary_charts():
     # the two sector formulas meet with equal polar derivatives at the ray
     for r in (0.5, 1.0, 2.0):
-        lhs = _jac_f4_polar((r, math.pi / 2), K)
-        rhs = _jac_f4_polar((r, 0.0), K)
+        lhs = jac_f4_polar(r, math.pi / 2)
+        rhs = jac_f4_polar(r, 0.0)
         assert np.abs(lhs - rhs).max() <= 1e-12 * (1.0 + r * r)
 
 
@@ -293,10 +300,19 @@ def test_polar_dispatch_rejects_non_finite_points(p):
 # float kernels against the namespace formula over math
 # ---------------------------------------------------------------------------
 
-def oracle_chart(p, n):
+def oracle_polar(p):
     x, y = p
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"non-finite point {p!r}")
+    return _polar(MATH, p)
+
+
+def oracle_split(theta, n):
+    return _sector_split(MATH, theta, n)
+
+
+def oracle_chart(p, n):
+    oracle_polar(p)
     return _sector_chart(MATH, p, n)
 
 
@@ -336,9 +352,11 @@ def oracle_to_polar(p):
 
 
 def on_oracle(fun, *args):
-    """fun(*args) with the float chart and image swapped for the oracle."""
+    """fun(*args) with the float polar pair, sector split and image, which
+    the float chart and step are made of, swapped for the oracle."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(znmap.maps, "_float_chart", oracle_chart)
+        mp.setattr(znmap.maps, "_float_polar", oracle_polar)
+        mp.setattr(znmap.maps, "_float_split", oracle_split)
         mp.setattr(znmap.maps, "_float_image", oracle_image)
         return fun(*args)
 
@@ -410,6 +428,20 @@ def test_float_kernel_is_the_namespace_formula_on_edges(n):
         assert outcome(to_polar, p) == outcome(oracle_to_polar, p), p
         assert outcome(sector_of, p, n) == outcome(on_oracle, sector_of, p, n), p
         assert outcome(_jac_fn, p, K, n) == outcome(on_oracle, _jac_fn, p, K, n), p
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_polar_step_is_eval_map(n):
+    # fn/hn with n != 4 step from the pair to_polar gives; other maps have
+    # no polar step
+    specs = [MapSpec("fn", k=K, n=n), MapSpec("hn", k=K, n=n)]
+    for spec in specs:
+        step = polar_step(spec)
+        assert (step is None) == (n == 4)
+        for p in edge_points(n) if step else []:
+            if math.isfinite(p[0] + p[1]) and (p[0] or p[1]):
+                assert bits(step(*to_polar(p))) == bits(eval_map(spec, p)), (spec, p)
+    assert polar_step(F4) is polar_step(MapSpec("h", k=K)) is polar_step(lambda p: p) is None
 
 
 @given(st.integers(2, 8), st.booleans(), st.floats(1.0005, 1.1547),
@@ -507,6 +539,73 @@ def test_eval_points_is_eval_map_per_point(n, k, seed, radius, extra):
     pts = seeded_points(64, radius, seed).tolist() + extra
     for spec in point_specs(k, n):
         assert_eval_points_per_point(spec, pts)
+
+
+def jac_per_point(spec, x, y):
+    """The oracle of jac_points: jac_map at each point, raising the first
+    error it raises; far out numpy's matmul of the fn chain would warn."""
+    with np.errstate(all="ignore"):
+        return np.array([jac_map(spec, p) for p in zip(x.tolist(), y.tolist())],
+                        dtype=float).reshape(-1, 2, 2)
+
+
+def assert_jac_points_per_point(spec, pts, same_error=True):
+    """jac_points against jac_map at each point, NaNs blind to which NaN.
+    Without same_error a raise need only raise the same type: h/hn raise
+    for the first point whose stencil has a non-finite point, and which
+    stencil point comes first differs between the two."""
+    x = np.array([p[0] for p in pts], dtype=float)
+    y = np.array([p[1] for p in pts], dtype=float)
+    got = outcome(nan_blind(jac_points), spec, x, y)
+    want = outcome(nan_blind(jac_per_point), spec, x, y)
+    if not same_error and got[0] == want[0] == "ValueError":
+        return
+    assert got == want, spec
+
+
+FAR = [(1e120, -3e119), (-7e119, 1e120), (2e154, 1e154), (1e300, -1e300),
+       (1.7976931348623157e308, 0.0), (0.0, -1.7976931348623157e308), (-5e-324, 0.0),
+       (1e-300, 1e-300)]
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_jac_points_is_jac_map_per_point_on_edges(n):
+    # the origin, boundary rays, signed zeros, points far out and
+    # non-finite points, one at a time and in one batch; the far points hit
+    # overflow in fn's chain and in h/hn's stencils
+    pts = edge_points(n) + FAR
+    for spec in point_specs(K, n):
+        for p in pts:
+            assert_jac_points_per_point(spec, [p])
+        assert_jac_points_per_point(spec, pts, same_error=False)
+        assert_jac_points_per_point(spec, [p for p in pts if math.isfinite(p[0] + p[1])],
+                                    same_error=False)
+
+
+@pytest.mark.parametrize("family", ["fn", "hn"])
+def test_jac_points_raises_where_jac_map_does(family):
+    # a non-finite point raises for fn (its chart) and hn (its stencil), as
+    # does a finite point whose stencil point x + h overflows for hn
+    spec = MapSpec(family, k=K, n=5)
+    pts = [(math.nan, 1.0), (2.0, math.inf)]
+    if family == "hn":
+        pts.append((1.7976931348623157e308, 0.0))
+    for p in pts:
+        with pytest.raises(ValueError, match="non-finite point"):
+            jac_map(spec, p)
+        with pytest.raises(ValueError, match="non-finite point"):
+            jac_points(spec, np.array([p[0]]), np.array([p[1]]))
+
+
+@given(st.sampled_from((2, 3, 4, 5, 6, 7, 8, 23)), st.floats(1.0005, 1.1547),
+       st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e3),
+       st.lists(st.tuples(st.floats(), st.floats()), max_size=4))
+def test_jac_points_is_jac_map_per_point(n, k, seed, radius, extra):
+    pts = seeded_points(16, radius, seed).tolist()
+    for spec in point_specs(k, n):
+        assert_jac_points_per_point(spec, pts + extra, same_error=False)
+        for p in extra:
+            assert_jac_points_per_point(spec, [p])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from znmap.maps import TWO_PI, MapSpec, _rotation, eval_map, from_polar, sector_of, to_polar
-from znmap.topology import basin_raster, estimate_rotation, image_curve, transversality_det
+from znmap.topology import (RotationEstimate, angle_lift, basin_raster, estimate_rotation,
+                            image_curve, transversality_det)
 
 K = 1.1
 P_RADIUS = 1.0 / math.sqrt(K - 1.0)
@@ -188,6 +190,62 @@ def test_rotation_rejects_origin_and_fast_collapse():
 def test_rotation_names_overflow():
     with pytest.raises(RuntimeError, match="overflowed"):
         estimate_rotation(lambda p: (p[0] * 1e200, p[1] * 1e200), (1.0, 0.5))
+
+
+def two_chart_rotation(spec, p0, max_iters=200):
+    """estimate_rotation as first written, the oracle: to_polar for each
+    iterate's angle, then eval_map, which takes the chart again."""
+    x, y = float(p0[0]), float(p0[1])
+    if x == 0.0 and y == 0.0:
+        raise ValueError("rotation undefined for the origin orbit")
+    angles = []
+    p = (x, y)
+    cause = f"max_iters={max_iters} leaves too few angles"
+    for _ in range(max_iters + 1):
+        r, th = to_polar(p)
+        if r <= 1e-12:
+            cause = "orbit reached origin too fast"
+            break
+        angles.append(th)
+        p = eval_map(spec, p)
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            cause = f"orbit overflowed after {len(angles)} iterates, too fast"
+            break
+    if len(angles) < 8:
+        raise RuntimeError(f"{cause} for a rotation estimate")
+    lift = angle_lift(angles)
+    slope = (lift[-1] - lift[0]) / (TWO_PI * (len(lift) - 1))
+    slope %= 1.0
+    frac = Fraction(slope).limit_denominator(64)
+    return RotationEstimate(slope=slope, rational=(frac.numerator, frac.denominator),
+                            iterates_used=len(angles))
+
+
+def rotation_outcome(fun, *args):
+    try:
+        return fun(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("family", ["fn", "hn"])
+def test_rotation_is_the_two_chart_loop(family, n):
+    # starts as the explore benchmark draws them (r 6 to 8, offsets into
+    # each sector), on a boundary ray, inside the contracting disk (the
+    # orbit reaches the origin, too fast or after enough angles), far out
+    # (fn overflows) and at the origin; max_iters 7 leaves too few angles
+    spec = MapSpec(family, k=K, n=n)
+    rng = np.random.default_rng(n)
+    starts = [from_polar((6.0 + 2.0 * rng.random(),
+                          (j % n + 0.05 + 0.2 * rng.random()) * TWO_PI / n)) for j in range(5)]
+    starts += [from_polar((7.0, TWO_PI / n)), (2.9, 0.3), (0.01, 0.01), (1e150, 1.0), (0.0, 0.0)]
+    for p0 in starts:
+        for max_iters in (200, 7):
+            got = rotation_outcome(estimate_rotation, spec, p0, max_iters)
+            assert got == rotation_outcome(two_chart_rotation, spec, p0, max_iters), p0
+    assert rotation_outcome(estimate_rotation, MapSpec("fn", k=K, n=n), (1e150, 1.0))[0] \
+        == "RuntimeError"
 
 
 # ---------------------------------------------------------------------------
