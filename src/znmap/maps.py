@@ -720,7 +720,14 @@ def _jac_fn(p: Point, k: float, n: int) -> np.ndarray:
         return np.zeros((2, 2))
     r, theta, m, theta4 = _float_chart(p, n)
     psi, theta_out = _float_image(r, theta4, m, k, n, None)
-    return _polar_chain(math, _matrix, r, theta, theta4, psi, theta_out, k, n)
+    # Outside (1e-300, 1e75) 1/r or r^3 overflows and matmul meets inf * 0:
+    # there the chain runs silently, as float arithmetic does.  Inside, the
+    # factors and their products are finite and np.errstate is skipped: it
+    # costs 1.2-1.9 us, 13-22% of an 11.4 us call (min of 9, 2-core VM).
+    if 1e-300 < r < 1e75:
+        return _polar_chain(math, _matrix, r, theta, theta4, psi, theta_out, k, n)
+    with np.errstate(all="ignore"):
+        return _polar_chain(math, _matrix, r, theta, theta4, psi, theta_out, k, n)
 
 
 def _eval_h(p: Point, k: float, prof: RadialProfile, xp=_NUMPY) -> Point:

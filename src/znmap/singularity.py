@@ -20,13 +20,16 @@ dropped (higher-filtration) part,
 
 Decompositions are therefore canonicalized: within each homogeneous degree
 the labels are ordered (generator index, then descending N-exponent, then
-B before A) and the linear system is solved with that pivot preference,
-zeroing the coefficients of dependent labels.  Rank and dimension results
-are computed in the label space together with the four relation classes
-above, which is independent of any representative choice.
+B before A), and a label in the span of the labels before it is dependent
+and gets coefficient zero.  Rank and dimension results are computed in the
+label space together with the four relation classes above, which is
+independent of any representative choice.
+
+One elimination serves all of it: _reduce and _extend on echelon rows of
+sparse exact vectors, for the labels of each degree, for rank_exact, and
+for the one matrix that build_Q and codimension_check each reduce.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -327,12 +330,8 @@ def _labels_of_degree(d: int):
         e = d - GEN_DEGREE[i]
         if e < 0 or e % 2:
             continue
-        monos = []
-        for b in range(e // 4 + 1):
-            for c in range(e // 4 + 1):
-                rem = e - 4 * b - 4 * c
-                if rem >= 0 and rem % 2 == 0:
-                    monos.append((rem // 2, b, c))
+        monos = [((e - 4 * (b + c)) // 2, b, c)
+                 for b in range(e // 4 + 1) for c in range(e // 4 + 1 - b)]
         monos.sort(key=lambda m: (-m[0], -m[2], -m[1]))
         out.extend(((m, i) for m in monos))
     return out
@@ -344,69 +343,62 @@ def _coords(vec: VecEq) -> dict:
             | {(1,) + key: c for key, c in vec.v.terms.items()})
 
 
+def _reduce(rows: list, vec: dict):
+    """(rest, coeffs): the sparse vector vec less its components along the
+    echelon rows, taken in order, and the sum of the rows' tags times those
+    components.  rest is empty exactly when vec lies in the rows' span."""
+    vec, coeffs = dict(vec), {}
+    for pivot, row, tag in rows:
+        if f := vec.get(pivot):
+            for key, c in row.items():
+                if s := vec.get(key, F0) - f * c:
+                    vec[key] = s
+                else:
+                    del vec[key]
+            for name, c in tag.items():
+                coeffs[name] = coeffs.get(name, F0) + f * c
+    return vec, coeffs
+
+
+def _extend(rows: list, vec: dict, name=None) -> None:
+    """Append vec to the echelon rows, reduced and scaled to 1 at its first
+    key (the row's pivot), unless it reduces to zero.  The row's tag
+    {name: Fraction} is the combination of named vectors that it equals."""
+    rest, coeffs = _reduce(rows, vec)
+    if rest:
+        pivot = next(iter(rest))
+        inv = F1 / rest[pivot]
+        tag = {lab: -c * inv for lab, c in coeffs.items()}
+        if name is not None:
+            tag[name] = inv
+        rows.append((pivot, {key: c * inv for key, c in rest.items()}, tag))
+
+
+def _sparse(row) -> dict:
+    """A row of Fractions as a sparse vector {column: Fraction}."""
+    return {j: v for j, v in enumerate(row) if v}
+
+
 _SOLVER_CACHE: dict = {}
 
 
-def _degree_solver(d: int):
-    """Gauss-Jordan elimination of the degree-d label columns, run once.
-
-    The pivot order is canonical (labels in _labels_of_degree order, the
-    first unused coordinate row with a nonzero entry).  The row operations
-    are recorded on an identity and kept sparse, as rows {coord: Fraction}
-    to apply to a right-hand side.  Returns (coords, pivots, checks): the
-    coordinates the labels reach, the (label, row) pairs whose products
-    give the pivot labels' coefficients, and the rows whose products must
-    vanish for a right-hand side in the span.
-    """
-    if d in _SOLVER_CACHE:
-        return _SOLVER_CACHE[d]
-    labels = _labels_of_degree(d)
-    if not labels:
-        raise ValueError(f"not in module span: no equivariant labels of degree {d}")
-    cols = [_coords(label_field(lab)) for lab in labels]
-    coords = sorted(set().union(*cols))
-    mat = [[col.get(cd, F0) for col in cols] for cd in coords]
-    nrows, ncols = len(coords), len(labels)
-    ops = [[F1 if ri == rj else F0 for rj in range(nrows)] for ri in range(nrows)]
-    used = [False] * nrows
-    pivot_row = {}
-    for ci in range(ncols):
-        piv = next((ri for ri in range(nrows) if not used[ri] and mat[ri][ci] != 0), None)
-        if piv is None:
-            continue  # dependent label: coefficient forced to zero
-        used[piv] = True
-        pivot_row[ci] = piv
-        inv = F1 / mat[piv][ci]
-        mat[piv] = [v * inv for v in mat[piv]]
-        ops[piv] = [v * inv for v in ops[piv]]
-        for ri in range(nrows):
-            if ri != piv and mat[ri][ci]:
-                f = mat[ri][ci]
-                mat[ri] = [v - f * w for v, w in zip(mat[ri], mat[piv])]
-                ops[ri] = [v - f * w for v, w in zip(ops[ri], ops[piv])]
-
-    def sparse(row):
-        return {cd: v for cd, v in zip(coords, row) if v}
-
-    solver = (frozenset(coords),
-              [(labels[ci], sparse(ops[ri])) for ci, ri in pivot_row.items()],
-              [sparse(ops[ri]) for ri in range(nrows) if not used[ri]])
-    _SOLVER_CACHE[d] = solver
-    return solver
-
-
 def _decompose_homogeneous(vec: VecEq, d: int) -> dict:
-    coords, pivots, checks = _degree_solver(d)
-    rhs = _coords(vec)
-
-    def apply(row):
-        return sum((row[cd] * c for cd, c in rhs.items() if cd in row), F0)
-
-    # A coordinate no label reaches keeps its nonzero right-hand side through
-    # the elimination, like any unused row that does not reduce to zero.
-    if not rhs.keys() <= coords or any(apply(row) for row in checks):
+    """module_decompose of a degree-d pair, against the echelon rows of the
+    degree-d labels, built once in canonical order and tagged by label (a
+    label in the span of those before it is dependent: coefficient 0)."""
+    if d not in _SOLVER_CACHE:
+        labels = _labels_of_degree(d)
+        if not labels:
+            raise ValueError(f"not in module span: no equivariant labels of degree {d}")
+        rows = []
+        for lab in labels:
+            _extend(rows, _coords(label_field(lab)), lab)
+        _SOLVER_CACHE[d] = labels, rows
+    labels, rows = _SOLVER_CACHE[d]
+    rest, coeffs = _reduce(rows, _coords(vec))
+    if rest:
         raise ValueError("not in module span: inconsistent coefficient system")
-    return {lab: c for lab, row in pivots if (c := apply(row))}
+    return {lab: c for lab in labels if (c := coeffs.get(lab))}
 
 
 def module_decompose(vec: VecEq) -> dict:
@@ -418,9 +410,9 @@ def module_decompose(vec: VecEq) -> dict:
     input exactly.  Raises ValueError for pairs outside the module span
     (non-equivariant input).
 
-    Each homogeneous part is solved by its degree's solver: the label
-    system is eliminated once per degree and cached (_degree_solver), and
-    each call applies the recorded row operations to its right-hand side.
+    Each homogeneous part is reduced against its degree's echelon basis of
+    label coordinates, built once per degree; the tags of the rows it takes
+    off give the coefficients.
     """
     if vec.degree() > 7:
         raise ValueError(f"input degree {vec.degree()} exceeds 7")
@@ -529,14 +521,18 @@ def build_Q() -> TangentMatrixQ:
     rel_rows = [_label_row(coeffs, GEN12, 5, name) for name, coeffs, _ in relations]
 
     fold_targets = [names.index(nm) for nm in ("N*S1.F", "T3.F", "T4.F", "A*S1.F")]
-    keep = [rows[i] for i in range(len(rows)) if i not in fold_targets]
-    if rank_exact(keep) != rank_exact(rows):
+    basis = []
+    for i, row in enumerate(rows):
+        if i not in fold_targets:
+            _extend(basis, _sparse(row))
+    if any(_reduce(basis, _sparse(rows[i]))[0] for i in fold_targets):
         raise RuntimeError("fold targets are not redundant; reduction changed")
     folded = {}
     for target, rel_row, (rel_name, _, _) in zip(fold_targets, rel_rows, relations):
         rows[target] = [v + w for v, w in zip(rows[target], rel_row)]
+        _extend(basis, _sparse(rows[target]))
         folded[target] = rel_name
-    if rank_exact(rows) != 12:
+    if len(basis) != 12:
         raise RuntimeError("completed reduction matrix does not have rank 12")
     return TangentMatrixQ(entries=rows, row_labels=names,
                           col_labels=[label_name(lab) for lab in GEN12],
@@ -544,46 +540,18 @@ def build_Q() -> TangentMatrixQ:
 
 
 def rank_exact(matrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
+    """Rank over the rationals: the size of the echelon basis of the rows.
 
-    Rows are scaled to integers first (rank-invariant); all arithmetic is
-    exact arbitrary-precision integer work.
+    Entries are taken exactly as Fraction(v), so the float 0.1 is not 1/10.
     """
-    rows = []
-    width = None
+    basis, widths = [], set()
     for row in matrix:
         fr = [v if isinstance(v, Fraction) else Fraction(v) for v in row]
-        if width is None:
-            width = len(fr)
-        elif len(fr) != width:
+        widths.add(len(fr))
+        if len(widths) > 1:
             raise ValueError("ragged matrix")
-        lcm = math.lcm(*(v.denominator for v in fr))
-        rows.append([v.numerator * (lcm // v.denominator) for v in fr])
-    if not rows or width == 0:
-        return 0
-    nrows = len(rows)
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, width):
-                num = rows[i][j] * rows[r][c] - rows[i][c] * rows[r][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise AssertionError("fraction-free elimination lost exactness")
-                rows[i][j] = q
-            rows[i][c] = 0
-        prev = rows[r][c]
-        r += 1
-        rank += 1
-        if r == nrows:
-            break
-    return rank
+        _extend(basis, _sparse(fr))
+    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -619,19 +587,20 @@ def codimension_check() -> CodimensionReport:
     i.e. codimension 3 with complement {X1, X2, N*X2}.
     """
     n, a, b = make_invariants()
+
+    def label_row(vec, context):
+        return _sparse(_label_row(module_decompose(vec), LABELS18, 7, context))
+
     multipliers = [Poly2.const(1), n, a, b, n * n]
-    rows = []
+    basis = []
     for name, g in cleared_tangent_generators():
         for mult in multipliers:
             vec = g.scale(mult).truncate(7)
-            if vec.is_zero():
-                continue
-            coeffs = module_decompose(vec)
-            rows.append(_label_row(coeffs, LABELS18, 7, name))
+            if not vec.is_zero():
+                _extend(basis, label_row(vec, name))
     for _, coeffs, _ in generator_relations():
-        rows.append(_label_row(coeffs, LABELS18, 7, "relation"))
-
-    dim_tangent = rank_exact(rows)
+        _extend(basis, _sparse(_label_row(coeffs, LABELS18, 7, "relation")))
+    dim_tangent = len(basis)
 
     x1, x2, x3, x4 = make_equivariants()
     targets = {
@@ -639,14 +608,14 @@ def codimension_check() -> CodimensionReport:
         "X3": x3,
         "3*N*X2+X4": x2.scale(n * 3) + x4,
     }
-    memberships = {}
-    for name, vec in targets.items():
-        vrow = _label_row(module_decompose(vec), LABELS18, 7, name)
-        memberships[name] = rank_exact(rows + [vrow]) == dim_tangent
+    memberships = {name: not _reduce(basis, label_row(vec, name))[0]
+                   for name, vec in targets.items()}
 
     def adjoin(fields):
-        extra = [_label_row(module_decompose(f), LABELS18, 7, "complement") for f in fields]
-        return rank_exact(rows + extra)
+        extended = list(basis)
+        for f in fields:
+            _extend(extended, label_row(f, "complement"))
+        return len(extended)
 
     dim_v2 = adjoin([x1, x2, x2.scale(n)])
     dim_v1 = adjoin([x1, x2, x4])

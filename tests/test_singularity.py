@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from znmap.singularity import (
     GEN12,
@@ -115,6 +117,68 @@ def decompose_per_call(vec: VecEq) -> dict:
         part = VecEq(parts_u.get(d, Poly2()), parts_v.get(d, Poly2()))
         out.update(eliminate_per_call(part, d))
     return out
+
+
+def rank_bareiss(matrix) -> int:
+    """Oracle for rank_exact: fraction-free (Bareiss) elimination of the
+    rows scaled to integers, all of it exact integer work."""
+    rows = []
+    width = None
+    for row in matrix:
+        fr = [v if isinstance(v, Fraction) else Fraction(v) for v in row]
+        if width is None:
+            width = len(fr)
+        elif len(fr) != width:
+            raise ValueError("ragged matrix")
+        lcm = math.lcm(*(v.denominator for v in fr))
+        rows.append([v.numerator * (lcm // v.denominator) for v in fr])
+    if not rows or width == 0:
+        return 0
+    nrows = len(rows)
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, width):
+                num = rows[i][j] * rows[r][c] - rows[i][c] * rows[r][j]
+                q, rem = divmod(num, prev)
+                assert not rem, "fraction-free elimination lost exactness"
+                rows[i][j] = q
+            rows[i][c] = 0
+        prev = rows[r][c]
+        r += 1
+        rank += 1
+        if r == nrows:
+            break
+    return rank
+
+
+def codimension_rows():
+    """The rows codimension_check reduces, built here on their own: the
+    tangent rows with the relations, the three membership targets, and the
+    four complement fields X1, X2, N*X2 and X4."""
+    n, a, b = make_invariants()
+    rows = []
+    for name, g in cleared_tangent_generators():
+        for mult in (Poly2.const(1), n, a, b, n * n):
+            vec = g.scale(mult).truncate(7)
+            if not vec.is_zero():
+                rows.append(_label_row(module_decompose(vec), LABELS18, 7, name))
+    rows += [_label_row(coeffs, LABELS18, 7, "relation")
+             for _, coeffs, _ in generator_relations()]
+    x1, x2, x3, x4 = make_equivariants()
+
+    def as_row(f):
+        return _label_row(module_decompose(f), LABELS18, 7, "test")
+
+    targets = [as_row(f) for f in (x1.scale(n), x3, x2.scale(n * 3) + x4)]
+    complement = [as_row(f) for f in (x1, x2, x2.scale(n), x4)]
+    return rows, targets, complement
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +440,68 @@ def test_rank_exact_invariant_under_scaling_and_permutation():
     assert rank_exact(scaled) == 12
     permuted = list(reversed(q.entries))
     assert rank_exact(permuted) == 12
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=7),
+    st.sampled_from([0.0, -0.0, 0.1, 0.5, -2.5, 1e-300]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 4 rows of width 0..4 over int, Fraction and float entries,
+    then up to 3 zero rows, repeated rows or sums of a row and a multiple
+    of another, inserted anywhere."""
+    width = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=width, max_size=width), max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if kind == "zero" or not rows:
+            new = [draw(st.sampled_from([0, 0.0, F(0)])) for _ in range(width)]
+        else:
+            i = draw(st.integers(0, len(rows) - 1))
+            j = draw(st.integers(0, len(rows) - 1))
+            c = draw(st.integers(-2, 2)) if kind == "combination" else 0
+            new = [F(u) + c * F(v) for u, v in zip(rows[i], rows[j])]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+@given(small_matrices())
+def test_rank_exact_is_the_bareiss_rank(matrix):
+    assert rank_exact(matrix) == rank_bareiss(matrix)
+    assert rank_exact([tuple(row) for row in reversed(matrix)]) == rank_bareiss(matrix)
+
+
+def test_rank_exact_is_the_bareiss_rank_on_the_reduction_rows():
+    q = build_Q()
+    unfolded = [list(row) for row in q.entries]
+    for j, target in enumerate(q.folded):
+        unfolded[target] = [v - w for v, w in zip(q.entries[target], q.relations[j])]
+    kept = [row for i, row in enumerate(unfolded) if i not in q.folded]
+    assert rank_bareiss(kept) == rank_bareiss(unfolded)  # the fold targets are redundant
+    matrices = [q.entries, unfolded, kept, q.relations]
+    matrices += [q.entries[:i] + q.entries[i + 1:] for i in range(len(q.entries))]
+    for m in matrices:
+        assert rank_exact(m) == rank_bareiss(m)
+    assert rank_bareiss(q.entries) == 12
+
+
+def test_codimension_check_is_the_bareiss_rank_of_its_rows():
+    rows, targets, complement = codimension_rows()
+    rep = codimension_check()
+    assert rank_exact(rows) == rank_bareiss(rows) == rep.dim_tangent == 15
+    for name, t in zip(rep.memberships, targets):
+        assert rank_exact(rows + [t]) == rank_bareiss(rows + [t]) == 15, name
+        assert rep.memberships[name]
+    for c in complement:
+        assert rank_exact(rows + [c]) == rank_bareiss(rows + [c]) == 16
+    x1, x2, n_x2, x4 = complement
+    assert rank_exact(rows + [x1, x2, n_x2]) == rank_bareiss(rows + [x1, x2, n_x2]) == rep.dim_with_v2
+    assert rank_exact(rows + [x1, x2, x4]) == rank_bareiss(rows + [x1, x2, x4]) == rep.dim_with_v1
 
 
 # ---------------------------------------------------------------------------
