@@ -380,11 +380,12 @@ _BOUND_MARGIN = 1e-9
 def _linear_modulus(spec):
     """c with |g(p) - f4(p)| = c*|p| exactly, or None.
 
-    g4 with delta = 0 adds the linear map alpha*I + beta*J to f4, a rotation
-    scaled by c = hypot(alpha, beta); f4, fn, h and hn have c = 0 (their
-    own bounds on |f(p)| follow from f4's).  None for callables and for g4
-    with delta != 0: its term delta*r^2*(-y, x) has modulus |delta|*r^3,
-    which outgrows psi(r) ~ k*r far out.
+    g4 with delta = 0 adds the linear map alpha*I + beta*J to f4, the
+    rotation by phi = atan2(beta, alpha) scaled by c = hypot(alpha, beta);
+    f4, fn, h and hn have c = 0 (their own bounds on |f(p)| follow from
+    f4's).  None for callables and for g4 with delta != 0: its term
+    delta*r^2*(-y, x) has modulus |delta|*r^3, which outgrows psi(r) ~ k*r
+    far out.
     """
     if callable(spec):
         return None
@@ -393,8 +394,8 @@ def _linear_modulus(spec):
     return math.hypot(spec.alpha, spec.beta) if spec.delta == 0.0 else None
 
 
-def _cone_edge(k: float, c: float = 0.0):
-    """(a, m_a, r_lo) of the cones about the sector boundary rays, or None.
+def _cone_edge(k: float, c: float = 0.0, phi: float = 0.0):
+    """(a, m_a, r_lo, c_par) of the cones about the sector boundary rays, or None.
 
     The cones hold the points with chart angle theta4 (see _sector_chart)
     within a = atan(eps), eps = min(0.1, sqrt((k-1)/(3k))), of 0 or pi/2.
@@ -403,26 +404,40 @@ def _cone_edge(k: float, c: float = 0.0):
     where psi(r) = k r^3/(1+r^2) and m(t) = hypot(cos^3 t, sin^3 t).  On the
     cones m >= m_a = m(a) and the image angle is at most atan(eps^3) < a.
 
-    A term of modulus c*r added to the step (see _linear_modulus) leaves the
-    image radius at least psi(r)*m_a - c*r, and turns the image direction
-    by at most asin(c/(g(r)*m_a)), g(r) = psi(r)/r = k r^2/(1+r^2).  r_lo is
-    the least radius where g(r)*m_a >= 1 + margin + c, so that every radius
-    r >= r_lo grows by at least the factor 1 + margin, and where the image
-    angle atan(eps^3) + asin(c/(g(r)*m_a)) is at most (1-margin)*a.  As
-    g(r) increases, both hold on all of r >= r_lo.  With c = 0, r_lo solves
-    psi(r)*m_a = (1+margin)*r.  None when either needs g(r) >= k.
+    A term c*Rot(phi) p added to the step of f4 (see _linear_modulus) has
+    modulus c*r and, at a point of true angle theta within a of the x-axis,
+    angle theta + phi, while f4(p) has angle pi/2 + atan(tan^3 theta).  The
+    angle between them lies within w = a - atan(eps^3) of phi - pi/2, and
+    the same holds about every boundary ray, as the term commutes with the
+    quarter turn.  As |A + B| >= |A| + |B|*cos(angle), the image radius is
+    at least psi(r)*m_a + c_par*r, where c_par = c*cos(min(pi, |phi - pi/2|
+    + w)) with the angle taken in [-pi, pi]: c_par = c*cos(w) when the term
+    points straight outward (phi = pi/2), -c when it points straight inward
+    (phi = -pi/2).  The term turns
+    the image direction by at most asin(c/(g(r)*m_a)), g(r) = psi(r)/r =
+    k r^2/(1+r^2).  r_lo is the least radius where g(r)*m_a >= 1 + margin -
+    c_par, so that every radius r >= r_lo grows by at least the factor
+    1 + margin, and where the image angle atan(eps^3) + asin(c/(g(r)*m_a))
+    is at most (1-margin)*a.  As g(r) increases, both hold on all of
+    r >= r_lo.  With c = 0, r_lo solves psi(r)*m_a = (1+margin)*r.  None
+    when either needs g(r) >= k.
     """
     d = _MARGIN
     eps = min(0.1, math.sqrt((k - 1.0) / (3.0 * k)))
     a = math.atan(eps)
     m_a = math.sqrt((1.0 + eps ** 6) / (1.0 + eps * eps) ** 3)
+    image = math.atan(eps ** 3)
+    # the term's least share along f4(p): their angle lies within a - image
+    # of phi - pi/2, taken in [-pi, pi]
+    off = abs(math.remainder(phi - 0.5 * math.pi, TWO_PI)) + a - image
+    c_par = c * math.cos(min(math.pi, off))
     # the least g(r)*m_a the angle bound needs: c/sin of the turn it allows
-    turn = c / math.sin((1.0 - d) * a - math.atan(eps ** 3))
-    if not (k * m_a > 1.0 + d + c and k * m_a > turn):
+    turn = c / math.sin((1.0 - d) * a - image)
+    if not (k * m_a > 1.0 + d - c_par and k * m_a > turn):
         return None
-    r_lo = max(math.sqrt((1.0 + d + c) / (k * m_a - 1.0 - d - c)),
+    r_lo = max(math.sqrt((1.0 + d - c_par) / (k * m_a - 1.0 - d + c_par)),
                math.sqrt(turn / (k * m_a - turn)))
-    return a, m_a, r_lo
+    return a, m_a, r_lo, c_par
 
 
 @dataclass(frozen=True)
@@ -430,13 +445,15 @@ class ConeRegion:
     """Annular cones about the sector boundary rays: r_lo <= |p| <= r_hi
     with chart angle theta4 (see _sector_chart) within cone of 0 or of
     pi/2, where m(theta4) >= m_a.  Built by trapping_region and
-    escape_cones."""
+    escape_cones; for escape cones one step maps radius r to at least
+    psi(r)*m_a + shift*r (shift = c_par of _cone_edge, signed)."""
 
     r_lo: float
     r_hi: float
     cone: float
     m_a: float
     n: int
+    shift: float = 0.0
 
     def contains(self, x, y, r2):
         """Whether the points of arrays (x, y), r2 = x*x + y*y, lie in the
@@ -487,7 +504,7 @@ def trapping_region(spec, eps_in: float, r_escape: float) -> ConeRegion | None:
     edge = _cone_edge(spec.k)
     if edge is None:
         return None
-    cone, m_a, r_lo = edge
+    cone, m_a, r_lo, _ = edge
     k, prof, d = spec.k, spec.profile, _MARGIN
     # k*r^3 overflows near r = 5.6e102
     r_hi = min(0.5 * r_escape, 1e100)
@@ -502,22 +519,25 @@ def escape_cones(spec) -> ConeRegion | None:
     """The escape cones of an f4/fn map or of g4 with delta = 0, or None.
 
     The cones of _cone_edge with no upper radius: r >= r_lo, where r_lo
-    accounts for g4's term of modulus c*r, c = hypot(alpha, beta) (c = 0
-    for f4/fn).  One step maps them into themselves, with image chart angle
-    at most (1-margin)*a and image radius at least psi(r)*m_a - c*r >=
-    (1+margin)*r, so every orbit in them escapes.  At k = 1.1, r_lo = 3.46
-    for f4/fn and 5.58 for g4 with beta = 0.05.  None for callables, for
-    h/hn (they contract far out), for g4 with delta != 0 (see
-    _linear_modulus) and when _cone_edge finds no r_lo.
+    accounts for g4's term c*Rot(phi) p, c = hypot(alpha, beta) and
+    phi = atan2(beta, alpha) (c = 0 for f4/fn), through its share c_par
+    along f4's image, kept as the region's shift.  One step maps them into
+    themselves, with image chart angle at most (1-margin)*a and image
+    radius at least psi(r)*m_a + c_par*r >= (1+margin)*r, so every orbit in
+    them escapes.  At k = 1.1, r_lo = 3.46 for f4/fn, 2.668 for g4 with
+    beta = 0.05 (the term points outward, c_par = 0.0498) and 5.58 with
+    beta = -0.05 (inward, c_par = -c).  None for callables, for h/hn (they
+    contract far out), for g4 with delta != 0 (see _linear_modulus) and
+    when _cone_edge finds no r_lo.
     """
     c = _linear_modulus(spec)
     if c is None or spec.family in ("h", "hn"):
         return None
-    edge = _cone_edge(spec.k, c)
+    edge = _cone_edge(spec.k, c, math.atan2(spec.beta, spec.alpha))
     if edge is None:
         return None
-    cone, m_a, r_lo = edge
-    return ConeRegion(r_lo, math.inf, cone, m_a, spec.n)
+    cone, m_a, r_lo, c_par = edge
+    return ConeRegion(r_lo, math.inf, cone, m_a, spec.n, c_par)
 
 
 def contracting_disk(spec) -> Disk | None:
@@ -550,12 +570,15 @@ def _retirements(spec, budget, eps_in, r_escape):
     The h/hn trapping region decides kind 0 with N = 0.  The escape cones
     (kind 2) and the contracting disk (kind 1) follow, with N from
     _crossing_steps; for g4 their bounds carry its term of modulus c*r,
-    c = hypot(alpha, beta) (_linear_modulus).  Each bound
-    starts from the region's edge and must pass its threshold, both moved
-    outward by the relative margin mu = _BOUND_MARGIN, as are the bound's
-    own factors, so that the rounding of the membership test, of the bound
-    and of the plain loop's threshold test cannot decide a point otherwise.
-    Entries with N > budget never retire and are left out."""
+    c = hypot(alpha, beta) (_linear_modulus): the disk's as +c, the cones'
+    as their signed shift c_par (escape_cones), which is -c only where the
+    term points straight inward.  Each bound starts from the region's edge
+    and must pass its threshold, both moved outward by the relative margin
+    mu = _BOUND_MARGIN, as are the bound's own factors (each shift moved
+    toward the side that slows the bound), so that the rounding of the
+    membership test, of the bound and of the plain loop's threshold test
+    cannot decide a point otherwise.  Entries with N > budget never retire
+    and are left out."""
     entries = []
     trap = trapping_region(spec, eps_in, r_escape)
     if trap is not None:
@@ -563,14 +586,15 @@ def _retirements(spec, budget, eps_in, r_escape):
     mu = _BOUND_MARGIN
     cones = escape_cones(spec)
     disk = contracting_disk(spec)
-    c = (1.0 + mu) * (_linear_modulus(spec) or 0.0)  # None only where there is no region
     if cones is not None:
         beyond = r_escape * (1.0 + mu)
+        shift = cones.shift * (1.0 - mu if cones.shift > 0.0 else 1.0 + mu)
         entries.append((cones, 2, _crossing_steps(
-            spec.k, cones.r_lo * (1.0 - mu), cones.m_a * (1.0 - mu), -c,
+            spec.k, cones.r_lo * (1.0 - mu), cones.m_a * (1.0 - mu), shift,
             lambda r: r > beyond, budget)))
     if disk is not None:
         within = abs(eps_in) * (1.0 - mu)
+        c = (1.0 + mu) * _linear_modulus(spec)  # not None where there is a disk
         entries.append((disk, 1, _crossing_steps(
             spec.k, disk.radius * (1.0 + mu), 1.0 + mu, c, lambda r: r < within, budget)))
     return [entry for entry in entries if entry[2] <= budget]
@@ -580,7 +604,8 @@ def _crossing_steps(k: float, rho: float, gain: float, shift: float, passed,
                     budget: int) -> int:
     """The steps the 1-D bound rho -> rho*(gain*g(rho) + shift),
     g(r) = psi(r)/r = k r^2/(1+r^2), takes from rho until passed(rho), or
-    budget + 1 if it takes more than budget steps.  With shift = 0 the
+    budget + 1 if it takes more than budget steps.  The shift is signed
+    (negative where a linear term may pull inward); with shift = 0 the
     step is gain*psi(rho)."""
     for t in range(budget + 1):
         if passed(rho):
@@ -588,8 +613,8 @@ def _crossing_steps(k: float, rho: float, gain: float, shift: float, passed,
         # k*rho/(1 + 1/rho^2) overflows only where k*rho does; rho^2 stays
         # positive while rho is above eps_in, whose square is a normal float
         nxt = gain * (k * rho / (1.0 + 1.0 / (rho * rho))) + shift * rho
-        if nxt == rho or math.isnan(nxt):  # stuck, as at rho = inf (inf - inf
-            break                          # for g4) below an infinite r_escape
+        if nxt == rho or math.isnan(nxt):  # stuck, as at rho = inf (or NaN
+            break                          # there) below an infinite r_escape
         rho = nxt
     return budget + 1
 

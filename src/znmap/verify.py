@@ -28,7 +28,7 @@ from .analysis import (  # noqa: F401
     spectral_scan,
 )
 from .maps import (_LIBM, TWO_PI, MapSpec, _polar, default_profile, eval_map, eval_points,
-                   from_polar, jac_map)
+                   from_polar, jac_map, radial_u)
 from .topology import basin_raster, estimate_rotation, image_curve, transversality_det
 from . import __version__
 
@@ -404,6 +404,12 @@ def check_dissipativity(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Check
     is (-20*s, 20*s)^2, s = P(k)/P(1.1), so that as k -> 1 the radii stay in
     order (2*r0 = 4*P(k) passes 100 below k ~ 1.0016) and the window still
     reaches past 2*r0; at k = 1.1 they are exactly 100 and 20.
+
+    The pass rule also needs u(psi(2*r0))/(2*r0) < 1, psi(r) = k r^3/(1+r^2):
+    the ratio |h(p)|/|p| at the point (2*r0, 0) on a boundary ray, where
+    m(theta4) = 1.  It is the supremum of the ratio over |p| >= 2*r0, and it
+    crosses 1 at k ~ 1.149906 (1.0000554 at k = 1.15), where the samples
+    miss it; at k = 1.1 it is 0.97025.  The statistic stays the sampled one.
     """
     prof = default_profile(k)
     scale = _p_scale(k)
@@ -422,7 +428,9 @@ def check_dissipativity(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Check
     raster = basin_raster(MapSpec("hn", k=k, n=5), (-half, half, -half, half),
                           256, 256, budget=600, eps_in=1e-8, r_escape=1e3)
     counts = raster.counts()
-    ok = contraction_ok and counts["escaped"] == 0
+    r = 2.0 * prof.r0
+    on_ray = radial_u(k * r ** 3 / (1.0 + r * r), prof) / r
+    ok = contraction_ok and on_ray < 1.0 and counts["escaped"] == 0
     return CheckResult("dissipativity", {"k": k, "points": 1000,
                                          "radius_range": [2 * prof.r0, r_hi],
                                          "raster": 256, "r_escape": 1e3},

@@ -238,6 +238,41 @@ def test_criterion_10_dissipativity_near_k_one(monkeypatch):
     assert windows == [(-20.0, 20.0, -20.0, 20.0)]
 
 
+def _ray_ratio(k):
+    """|h(p)|/|p| at p = (2*r0, 0), r0 = 2/sqrt(k-1), written out: the
+    supremum of the ratio over |p| >= 2*r0, on the boundary rays."""
+    r0 = 2.0 / math.sqrt(k - 1.0)
+    r = 2.0 * r0
+    w = k * r ** 3 / (1.0 + r * r) - r0
+    return (r0 + 0.5 * w + 0.5 * r0 * (1.0 - math.exp(-w / r0))) / r
+
+
+@pytest.mark.parametrize("k, passes", [(1.0005, True), (1.1, True), (1.14, True),
+                                       (1.15, False)])
+def test_criterion_10_dissipativity_verdict_across_k(k, passes):
+    # The ratio on the rays crosses 1 at k_d ~ 1.149906.  At k = 1.15 it is
+    # 1.0000554, but the sampled statistic (0.998174) stays below 1 and no
+    # raster pixel escapes: only the closed form fails the check there.
+    lo, hi = 1.1, 1.15
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _ray_ratio(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    ratio = _ray_ratio(k)
+    result = check_dissipativity(k)
+    failures = []
+    if not abs(hi - 1.149906) <= 1e-6:
+        failures.append(f"the ratio on the rays crosses 1 at k = {hi!r}, not ~1.149906")
+    if not result.passed == passes == (ratio < 1.0):
+        failures.append(f"verdict {result.passed} at ratio {ratio!r} on the rays")
+    if not (result.statistic < 1.0 and "'escaped': 0" in result.detail):
+        failures.append(f"statistic {result.statistic!r}, {result.detail}")
+    _report(10, result, failures, f"; k={k} ray ratio={ratio:.7f} "
+                                  f"check verdict {'PASS' if result.passed else 'FAIL'}")
+
+
 def test_criterion_11_singularity():
     # exact: rank 12, codimension 3 with complement {X1, X2, N*X2}
     _report(11, check_singularity())

@@ -118,9 +118,10 @@ def test_matches_plain_loop_across_budgets(family, r_escape):
     # within a few steps, and would repeat a state from step 134 to 217 on,
     # so these budgets fall before, between and after the retirements; 74
     # and 235 are the retirement counts of the disk and the cones, 60 and
-    # 530 those of g4.
+    # 159 those of g4 (158 and 160 straddle its cones' count), and 530 that
+    # of g4's cones with beta = -0.05.
     xs, ys = grid(WINDOW, 24)
-    for budget in (0, 1, 60, 74, 133, 235, 260, 261, 530, 600):
+    for budget in (0, 1, 60, 74, 133, 158, 159, 160, 235, 260, 261, 530, 600):
         kinds = assert_same(FAMILIES[family], xs, ys, budget, r_escape=r_escape)
     if family in ("h", "hn"):
         assert (kinds == 0).sum() > 400  # the outer cycle is in the window
@@ -281,17 +282,26 @@ def test_no_trapping_region(spec, eps_in, r_escape):
 # classify_kinds: one (k, family, n) per case, with r_escape cycled so that
 # each appears with every family.  The budgets fall on both sides of the
 # retirement counts at k = 1.1 (74 for the disk, 235 for the cones; 60 and
-# 530 for g4 with beta = 0.05).  The plain loop runs lingering starts to the
-# full budget of 10,000: starts near r_lo below k = 1.1, where the counts
-# run into the thousands, and starts caught by the outer cycle of h/hn.  To
-# keep that affordable, f4 runs it at every k, fn, h and g4 from k = 1.1 on,
-# and hn never.
-KINDS_BUDGETS = (0, 1, 60, 74, 200, 235, 530, 600, 10_000)
+# 159 for g4 with beta = 0.05, 530 for its cones with beta = -0.05).  The
+# plain loop runs lingering starts to the full budget of 10,000: starts near
+# r_lo below k = 1.1, where the counts run into the thousands, and starts
+# caught by the outer cycle of h/hn.  To keep that affordable, f4 runs it at
+# every k, fn, h and g4 from k = 1.1 on, and hn never.
+KINDS_BUDGETS = (0, 1, 60, 74, 158, 159, 160, 200, 235, 530, 600, 10_000)
 KINDS_SWEEP = [(k, family, n, (1e3, 1e6, 1e200)[i % 3])
                for i, (k, (family, n)) in enumerate(
                    (k, fn) for k in (1.0005, 1.01, 1.1, 1.15)
                    for fn in (("f4", 4), ("fn", 3), ("fn", 5), ("fn", 8), ("h", 4),
                               ("hn", 5), ("g4", 4)))]
+# g4's cones with its linear term (alpha, beta) pointing straight inward
+# (at k = 1.1 r_lo = 5.58, as with no regard to its direction), at a slant
+# outward (c_par = 0.037, r_lo = 2.83) and at a slant inward (c_par =
+# -0.034, r_lo = 4.55); KINDS_SWEEP has g4 with beta = 0.05, straight
+# outward (r_lo = 2.668).
+G4_SWEEP = [(k, alpha, beta, (1e3, 1e6, 1e200)[i % 3])
+            for i, (k, (alpha, beta)) in enumerate(
+                (k, ab) for k in (1.0005, 1.01, 1.1, 1.15)
+                for ab in ((0.0, -0.05), (0.03, 0.04), (-0.04, -0.03)))]
 
 
 def _region_starts(spec, r_escape):
@@ -308,7 +318,7 @@ def _region_starts(spec, r_escape):
     radii = [p * (1.0 - 1e-12), p * (1.0 + 1e-12), 0.5 * disk.radius,
              disk.radius * (1.0 - 1e-12), disk.radius * (1.0 + 1e-12), 1.01 * disk.radius,
              0.5 * r_escape, 1.01 * r_escape]
-    if cones is not None:  # g4 with beta = 0.05 has none below k = 1.0658
+    if cones is not None:  # g4 with beta = 0.05 has none below k = 1.0076
         assert cones.cone == a
         radii += [0.99 * cones.r_lo, cones.r_lo * (1.0 - 1e-12), cones.r_lo * (1.0 + 1e-12),
                   1.01 * cones.r_lo, 2.0 * cones.r_lo, 10.0 * cones.r_lo]
@@ -326,8 +336,21 @@ def _region_starts(spec, r_escape):
 @pytest.mark.parametrize("k, family, n, r_escape", KINDS_SWEEP)
 def test_kinds_match_plain_loop_across_regions(k, family, n, r_escape):
     spec = MapSpec(family, k=k, n=n, beta=0.05 if family == "g4" else 0.0)
+    _assert_kinds_across_budgets(spec, r_escape,
+                                 full=family == "f4" or (k >= 1.1 and family != "hn"))
+
+
+@pytest.mark.parametrize("k, alpha, beta, r_escape", G4_SWEEP)
+def test_g4_kinds_match_plain_loop_across_regions(k, alpha, beta, r_escape):
+    _assert_kinds_across_budgets(MapSpec("g4", k=k, alpha=alpha, beta=beta), r_escape,
+                                 full=k >= 1.1)
+
+
+def _assert_kinds_across_budgets(spec, r_escape, full):
+    """classify_kinds at every budget of KINDS_BUDGETS (the last one, 10,000,
+    only if full) gives the kinds the plain loop has decided by then, on the
+    starts of _region_starts."""
     xs, ys = _region_starts(spec, r_escape)
-    full = family == "f4" or (k >= 1.1 and family != "hn")
     budgets = KINDS_BUDGETS if full else KINDS_BUDGETS[:-1]
     with np.errstate(over="ignore", invalid="ignore"):  # f4 overflows past 5.6e102
         ref_kinds, ref_steps = plain_classify(spec, xs, ys, budgets[-1], r_escape=r_escape)
@@ -348,11 +371,36 @@ def test_retirement_counts_at_the_default_k():
     assert counts(FAMILIES["fn"], 234) == [(1, 74)]
     assert counts(FAMILIES["fn"], 10_000, math.inf) == [(1, 74)]  # r_escape is never passed
     assert counts(FAMILIES["hn"], 10_000) == [(0, 0), (1, 74)]  # the trapping region first
-    # g4 with beta = 0.05: r_lo = 5.58 and disk radius 2.517
-    assert counts(FAMILIES["g4"], 10_000) == [(2, 530), (1, 60)]
-    assert counts(FAMILIES["g4"], 529) == [(1, 60)]
+    # g4 with beta = 0.05: r_lo = 2.668 and disk radius 2.517
+    assert counts(FAMILIES["g4"], 10_000) == [(2, 159), (1, 60)]
+    assert counts(FAMILIES["g4"], 158) == [(1, 60)]
     assert counts(FAMILIES["g4"], 10_000, math.inf) == [(1, 60)]
+    # beta = -0.05 turns the term straight inward: r_lo = 5.58
+    assert counts(MapSpec("g4", k=K, beta=-0.05), 10_000) == [(2, 530), (1, 60)]
+    assert counts(MapSpec("g4", k=K, beta=-0.05), 529) == [(1, 60)]
     assert counts(MapSpec("g4", k=K), 10_000) == [(2, 235), (1, 74)]  # alpha = beta = 0
+
+
+def test_bound_shifts_lean_to_the_slow_side(monkeypatch):
+    # The cones' bound grows the radius by at least c_par*r per step and
+    # the disk's by at most c*r: _retirements moves each shift by the
+    # relative margin 1e-9 toward the side that takes more steps.
+    shifts = []
+    crossing = znmap.maps._crossing_steps
+
+    def spy(k, rho, gain, shift, passed, budget):
+        shifts.append(shift)
+        return crossing(k, rho, gain, shift, passed, budget)
+
+    monkeypatch.setattr(znmap.maps, "_crossing_steps", spy)
+    for beta in (0.05, -0.05):
+        spec = MapSpec("g4", k=K, beta=beta)
+        shifts.clear()
+        znmap.maps._retirements(spec, 10_000, 1e-8, 1e6)
+        c_par = escape_cones(spec).shift
+        cones, disk = shifts
+        assert cones < c_par and cones == pytest.approx(c_par, rel=2e-9)
+        assert disk > abs(beta) and disk == pytest.approx(abs(beta), rel=2e-9)
 
 
 def _region_specs(k, n, r0, r_half, alpha, beta):
@@ -366,40 +414,81 @@ def _psi(r, k):
     return k * r ** 3 / (1.0 + r * r)
 
 
-def _m_a(k):
+def _cone_angles(k):
+    """eps and the cone half-angle a = atan(eps) of the escape cones."""
     eps = min(0.1, math.sqrt((k - 1.0) / (3.0 * k)))
+    return eps, math.atan(eps)
+
+
+def _m_a(k):
+    eps, _ = _cone_angles(k)
     return math.sqrt((1.0 + eps ** 6) / (1.0 + eps * eps) ** 3)
 
 
-@settings(max_examples=40, deadline=None)
+def _angle_limit(k):
+    # the c below which g4's image direction can stay in the cones:
+    # c < k*m_a*sin((1-1e-6)*a - atan(eps^3))
+    eps, a = _cone_angles(k)
+    return k * _m_a(k) * math.sin((1.0 - 1e-6) * a - math.atan(eps ** 3))
+
+
+def _c_par(k, alpha, beta):
+    """The least share c*cos(angle) of g4's term c*Rot(phi) p along f4(p)
+    on the cones: at true angle theta within a of the x-axis, f4(p) has
+    angle pi/2 + atan(tan^3 theta) and the term theta + phi, so the angle
+    between them is phi - pi/2 + (theta - atan(tan^3 theta)), and the last
+    part increases with theta from -w to w, w = a - atan(eps^3)."""
+    eps, a = _cone_angles(k)
+    off = abs(math.remainder(math.atan2(beta, alpha) - 0.5 * math.pi, TWO_PI))
+    return math.hypot(alpha, beta) * math.cos(min(math.pi, off + a - math.atan(eps ** 3)))
+
+
+@settings(max_examples=60, deadline=None)
 @given(k=st.floats(1.0, K_MAX, exclude_min=True, exclude_max=True),
        r0=st.floats(1.0, 4.0, exclude_min=True), r_half=st.floats(0.05, 20.0),
-       n=st.integers(2, 8), c_share=st.floats(0.0, 1.2), phase=st.floats(0.0, 1.0),
+       n=st.integers(2, 8), c_share=st.floats(0.0, 1.2), wide=st.booleans(),
+       phase=st.floats(0.0, 1.0),
        starts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
                                  st.booleans(), st.integers(0, 7)), min_size=1, max_size=8))
 # c = 0.11 at k = 1.15: g4's r_lo is set by the angle bound, not the radius bound
 @example(k=1.15, r0=2.0, r_half=2.0, n=5, c_share=0.11 / (1.15 * _m_a(1.15) - 1.0),
-         phase=0.3, starts=[(0.0, 0.0, False, 0), (0.5, 1.0, True, 3), (1.0, 0.7, False, 1)])
-def test_cones_and_disk_are_forward_invariant(k, r0, r_half, n, c_share, phase, starts):
+         wide=False, phase=0.3,
+         starts=[(0.0, 0.0, False, 0), (0.5, 1.0, True, 3), (1.0, 0.7, False, 1)])
+# beta = 0.05 at k = 1.1: the term points straight outward (r_lo = 2.668)
+@example(k=K, r0=2.0, r_half=2.0, n=5, c_share=0.05 / _angle_limit(K), wide=True,
+         phase=0.25, starts=[(0.0, 0.0, False, 0), (0.5, 1.0, True, 3), (1.0, 1.0, False, 1)])
+# a disk start at r = 2.6e-108, whose image radius psi(r) is subnormal
+@example(k=1.046875, r0=2.0, r_half=1.0, n=6, c_share=0.0, wide=False, phase=0.0,
+         starts=[(3.1087575336384035e-217, 0.0, False, 0)])
+def test_cones_and_disk_are_forward_invariant(k, r0, r_half, n, c_share, wide, phase, starts):
     # The bounds classify_kinds counts with hold at every step: the radius at
-    # least m_a * psi(r) - c * r on the cones, at most psi(r) + c * r on the
-    # disk, where c = hypot(alpha, beta) for g4 (delta = 0) and 0 for the
-    # others.  g4's c is drawn as a share of k*m_a - 1, which it must stay
-    # below for g4 to have cones.
-    c_g4 = c_share * max(k * _m_a(k) - 1.0, 0.0)
+    # least m_a * psi(r) + c_par * r, and at least (1 + 1e-6) r, on the
+    # cones, at most psi(r) + c * r on the disk, where c = hypot(alpha, beta)
+    # for g4 (delta = 0) and 0 for the others, and c_par (_c_par) is the
+    # part of g4's term that surely points along f4(p).  g4's c is drawn as
+    # a share of k*m_a - 1, which it must stay below for cones at every
+    # phase, or (wide) of the angle limit, below which it has cones where
+    # the term points outward.  Below r ~ 1e-103 psi(r) is subnormal, and
+    # the map and _psi may round it a few units of the least subnormal apart.
+    tiny = 8.0 * math.ulp(0.0)
+    c_g4 = c_share * max(_angle_limit(k) if wide else k * _m_a(k) - 1.0, 0.0)
     alpha, beta = c_g4 * math.cos(TWO_PI * phase), c_g4 * math.sin(TWO_PI * phase)
     for spec in _region_specs(k, n, r0, r_half, alpha, beta):
         c = math.hypot(alpha, beta) if spec.family == "g4" else 0.0
+        c_par = _c_par(k, alpha, beta) if spec.family == "g4" else 0.0
         disk = contracting_disk(spec)
         pts = [(disk.radius * math.sqrt(s) * math.cos(TWO_PI * w),
                 disk.radius * math.sqrt(s) * math.sin(TWO_PI * w)) for s, w, _, _ in starts]
-        regions = [(disk, pts, lambda r, r1: r1 <= (_psi(r, k) + c * r) * (1.0 + 1e-12))]
+        regions = [(disk, pts,
+                    lambda r, r1: r1 <= (_psi(r, k) + c * r) * (1.0 + 1e-12) + tiny)]
         cones = escape_cones(spec)
         if cones is not None:
+            assert cones.shift == pytest.approx(c_par, rel=1e-12, abs=1e-300)
             # log-uniform radius in [r_lo, 1e30 r_lo], far below where f4 overflows
             trap = ConeRegion(cones.r_lo, 1e30 * cones.r_lo, cones.cone, cones.m_a, spec.n)
             regions.append((cones, [_trap_start(trap, *start) for start in starts],
-                            lambda r, r1: r1 >= (cones.m_a * _psi(r, k) - c * r) * (1.0 - 1e-12)))
+                            lambda r, r1: r1 >= max(cones.m_a * _psi(r, k) + c_par * r,
+                                                    (1.0 + 1e-6) * r) * (1.0 - 1e-12)))
         for region, pts, bound in regions:
             pts = [q for q in pts if inside_point(region, q)]  # edge starts lie outside
             if not pts:
@@ -427,9 +516,9 @@ def test_no_cones_or_disk(spec):
 
 
 @pytest.mark.parametrize("k, c, radius", [
-    (K, 0.2, 1.632989419587642),  # c > k*m_a - 1 - 1e-6 = 0.0837
+    (K, 0.2, 1.632989419587642),  # c above the angle limit 0.1068
     (1.15, 0.112, 1.8410041347211077),  # the angle bound needs g(r)*m_a > k*m_a
-    (1.0005, 0.05, 4.337221331844653),  # g4's cones start at k = 1.0658
+    (1.0005, 0.05, 4.337221331844653),  # g4's cones start at k = 1.0076
 ])
 def test_a_disk_but_no_cones(k, c, radius):
     spec = MapSpec("g4", k=k, alpha=0.6 * c, beta=0.8 * c)
@@ -440,9 +529,10 @@ def test_a_disk_but_no_cones(k, c, radius):
 
 
 def test_g4_cones_near_the_angle_limit():
-    # At k = 1.15 the radius bound alone gives r_lo = 6.95 for c = 0.11;
-    # the image direction turns by up to asin(c/(g(r)*m_a)), which needs
-    # g(r)*m_a >= c/sin((1-1e-6)*a - atan(eps^3)), so r_lo = 8.27 instead.
+    # At k = 1.15 the radius bound alone gives r_lo = 1.92 for beta = 0.11
+    # (6.95 if the term pointed straight inward); the image direction turns
+    # by up to asin(c/(g(r)*m_a)), which needs g(r)*m_a >= c/sin((1-1e-6)*a
+    # - atan(eps^3)), so r_lo = 8.27 instead.
     cones = escape_cones(MapSpec("g4", k=1.15, beta=0.11))
     assert cones.r_lo == pytest.approx(8.27453175952928, rel=1e-9)
     g = 1.15 * cones.r_lo ** 2 / (1.0 + cones.r_lo ** 2)
@@ -450,6 +540,49 @@ def test_g4_cones_near_the_angle_limit():
     turn = math.atan(eps ** 3) + math.asin(0.11 / (g * cones.m_a))
     assert turn == pytest.approx((1.0 - 1e-6) * cones.cone, rel=1e-12)
     assert g * cones.m_a > 1.0 + 1e-6 + 0.11
+
+
+@pytest.mark.parametrize("beta, r_lo, c_par", [
+    (0.05, 2.668343214111544, 0.04975680981805182),  # straight outward
+    (-0.05, 5.581589837368759, -0.05),  # straight inward: as with no regard to phi
+    (0.09, 2.3177163503761222, 0.08956225767249326),  # set by the angle bound
+])
+def test_g4_cone_edge_in_closed_form(beta, r_lo, c_par):
+    # At k = 1.1, a = atan(0.1): beta*J p points along f4(p) up to
+    # w = a - atan(1e-3) for beta > 0, straight against it for beta < 0, so
+    # c_par = beta*cos(w) or beta, and r_lo solves g(r)*m_a = 1 + 1e-6 -
+    # c_par, unless the angle bound asks for more.
+    eps, a = _cone_angles(K)
+    cones = escape_cones(MapSpec("g4", k=K, beta=beta))
+    assert cones.shift == pytest.approx(c_par, rel=1e-12)
+    assert cones.shift == (beta * math.cos(a - math.atan(eps ** 3)) if beta > 0 else beta)
+    assert cones.r_lo == pytest.approx(r_lo, rel=1e-12)
+    x = 1.0 + 1e-6 - c_par
+    by_radius = math.sqrt(x / (K * _m_a(K) - x))
+    turn = abs(beta) / math.sin((1.0 - 1e-6) * a - math.atan(eps ** 3))
+    by_angle = math.sqrt(turn / (K * _m_a(K) - turn))
+    assert r_lo == pytest.approx(max(by_radius, by_angle), rel=1e-12)
+    # r_lo lies outside the continued period-4 orbit through the axes, of
+    # radius sqrt((1-beta)/(k-1+beta)) (2.517 at beta = 0.05), which the
+    # cones must not hold as it never escapes, and outside the disk
+    assert r_lo > math.sqrt((1.0 - beta) / (K - 1.0 + beta))
+    assert r_lo > contracting_disk(MapSpec("g4", k=K, beta=beta)).radius
+
+
+def test_g4_cones_depend_on_the_direction_of_the_term():
+    # c = 0.09 lies above k*m_a - 1 - 1e-6 = 0.0837, the most the radius
+    # bound allows a term pointing straight inward, and below the angle
+    # limit 0.1068: cones for beta = 0.09, none for beta = -0.09
+    assert escape_cones(MapSpec("g4", k=K, beta=0.09)) is not None
+    assert escape_cones(MapSpec("g4", k=K, beta=-0.09)) is None
+    assert K * _m_a(K) - 1.0 - 1e-6 < 0.09 < _angle_limit(K)
+    # c = 0 and straight inward keep the bounds that ignore the direction
+    fn = escape_cones(FAMILIES["fn"])
+    assert (escape_cones(FAMILIES["f4"]).r_lo, fn.r_lo) == (3.456436920080992,) * 2
+    assert fn.shift == 0.0
+    for alpha, beta in [(0.0, -0.05), (-0.0, -0.05), (0.0, -0.02)]:
+        cones = escape_cones(MapSpec("g4", k=K, alpha=alpha, beta=beta))
+        assert cones.shift == beta
 
 
 def _cone_regions():
@@ -577,12 +710,14 @@ def test_escaping_pixels_retire_early(family, step_calls):
     # 128^2 = 16,384 pixels stay on one thread.  Without the cones and the
     # disk the escaping pixels run to r_escape, about 138 steps each: f4,
     # fn and g4 take 857,064, 1,018,714 and 903,644 point-steps that way.
-    # g4's regions start further out and in (r_lo = 5.58, disk radius 2.517).
-    # With them the counts are 20,012, 17,760 and 71,492.  The bound allows
-    # 1% above those, so a change that retires fewer pixels, or later, fails.
+    # g4's disk is smaller (radius 2.517) and its cones start closer in
+    # (r_lo = 2.668; 5.58 if its term is taken to point straight inward,
+    # which takes 71,492 point-steps).  With them the counts are 20,012,
+    # 17,760 and 20,892.  The bound allows 1% above those, so a change that
+    # retires fewer pixels, or later, fails.
     raster = basin_raster(FAMILIES[family], (-5.0, 5.0, -5.0, 5.0), 128, 128)
     assert raster.counts()["escaped"] > 5_000
-    assert step_calls[1] <= 1.01 * {"f4": 20_012, "fn": 17_760, "g4": 71_492}[family]
+    assert step_calls[1] <= 1.01 * {"f4": 20_012, "fn": 17_760, "g4": 20_892}[family]
 
 
 def test_fixed_points_of_identity_retire_at_once(step_calls):
