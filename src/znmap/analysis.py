@@ -19,6 +19,9 @@ from .maps import (_LIBM, TWO_PI, MapSpec, Point, _jac_entries, _retirements, _r
                    eval_map, eval_points, jac_map, jac_points, step_batch)
 
 DEFAULT_SEED = 0x5EED
+DEFAULT_BUDGET = 10_000
+DEFAULT_EPS_IN = 1e-8
+DEFAULT_R_ESCAPE = 1e6
 
 # Largest step gap between the repeat-detection snapshots of classify_batch.
 # A cycle of period up to this is caught at most two gaps after it is
@@ -92,8 +95,8 @@ def iterate(spec, p0: Point, num_steps: int) -> Orbit:
     return Orbit(spec=spec, start=points[0], points=points, escaped=escaped)
 
 
-def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
-                   eps_in: float = 1e-8, r_escape: float = 1e6):
+def classify_batch(spec: MapSpec, xs, ys, budget: int = DEFAULT_BUDGET,
+                   eps_in: float = DEFAULT_EPS_IN, r_escape: float = DEFAULT_R_ESCAPE):
     """Classify many starts at once: 1 = converged, 2 = escaped, 0 = undecided.
 
     Returns (kinds, steps) arrays; steps is -1 for undecided entries.
@@ -133,8 +136,9 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = 10_000,
     return _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only=False)
 
 
-def classify_kinds(spec: MapSpec, xs, ys, budget: int = 10_000,
-                   eps_in: float = 1e-8, r_escape: float = 1e6) -> np.ndarray:
+def classify_kinds(spec: MapSpec, xs, ys, budget: int = DEFAULT_BUDGET,
+                   eps_in: float = DEFAULT_EPS_IN,
+                   r_escape: float = DEFAULT_R_ESCAPE) -> np.ndarray:
     """The kinds of classify_batch, bitwise, without the steps.
 
     Besides the retirements of classify_batch, a point is retired as soon
@@ -334,6 +338,14 @@ def find_periodic(spec, guess: Point, period: int, tol: float = 1e-12,
                       for d in range(1, period) if period % d == 0)
     return PeriodicOrbit(point=p, period=period, orbit=orbit,
                          multipliers=mults, residual=residual, minimal=minimal)
+
+
+def continue_periodic(specs, guess: Point, period: int):
+    """Yield find_periodic along specs, each solve started where the last one ended."""
+    for spec in specs:
+        orb = find_periodic(spec, guess, period)
+        guess = orb.point
+        yield orb
 
 
 def equivariance_residual(spec, n: int, samples: int = 10_000, radius: float = 10.0,

@@ -8,7 +8,8 @@ and binary PGM (P5) rasters with 255 = converged, 0 = escaped,
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage error, 3 I/O failure.  ZNMAP_SEED overrides the default seed
-(0x5EED); an explicit --seed wins over both.
+(0x5EED); an explicit --seed wins over both.  Both take an integer
+literal in any base Python reads (24301, 0x5EED, 0o57355, 0b...).
 """
 
 import argparse
@@ -20,8 +21,9 @@ import sys
 import numpy as np
 
 from . import singularity as sg
-from .analysis import DEFAULT_SEED, find_periodic, iterate
-from .maps import FAMILIES, MapSpec, RadialProfile, eval_map
+from .analysis import (DEFAULT_BUDGET, DEFAULT_EPS_IN, DEFAULT_R_ESCAPE, DEFAULT_SEED,
+                       continue_periodic, iterate)
+from .maps import FAMILIES, K_DEFAULT, MapSpec, RadialProfile, eval_map, orbit_radius
 from .topology import basin_raster, estimate_rotation, image_curve
 from .verify import CHECKS_BY_NAME, TOOL_VERSION, run_suite
 
@@ -30,18 +32,22 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _seed(text: str) -> int:
+    return int(text, 0)
+
+
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("ZNMAP_SEED")
     if env is not None:
-        return int(env, 0)
+        return _seed(env)
     return DEFAULT_SEED
 
 
 def _add_family_flags(sub):
     sub.add_argument("--family", choices=FAMILIES, default="f4")
-    sub.add_argument("--k", type=float, default=1.1)
+    sub.add_argument("--k", type=float, default=K_DEFAULT)
     sub.add_argument("--n", type=int, default=4, help="symmetry order of fn/hn")
     sub.add_argument("--alpha", type=float, default=None, help="g4 radial deformation")
     sub.add_argument("--beta", type=float, default=None, help="g4 rotational deformation")
@@ -146,16 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'all' or comma-separated check names")
     p.add_argument("--json", dest="json_path", default=None,
                    help="write the JSON report here")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = subs.add_parser("basin", help="rasterize orbit classification to PGM")
     _add_family_flags(p)
     p.add_argument("--window", type=float, nargs=4, required=True,
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
     p.add_argument("--res", type=int, default=256)
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--eps-in", type=float, default=1e-8)
-    p.add_argument("--r-escape", type=float, default=1e6)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--eps-in", type=float, default=DEFAULT_EPS_IN)
+    p.add_argument("--r-escape", type=float, default=DEFAULT_R_ESCAPE)
     p.add_argument("--out", required=True, help="PGM path")
 
     p = subs.add_parser("curve", help="image of a circle as CSV")
@@ -172,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("unfold-scan",
                         help="continue the period-4 orbit across a parameter range")
-    p.add_argument("--k", type=float, default=1.1)
+    p.add_argument("--k", type=float, default=K_DEFAULT)
     p.add_argument("--alpha", default="0")
     p.add_argument("--beta", default="0")
     p.add_argument("--delta", default="0")
@@ -237,8 +243,7 @@ def _cmd_basin(parser, args) -> int:
 def _cmd_curve(parser, args) -> int:
     spec = _spec_from_args(args)
     curve = image_curve(spec, args.radius, args.samples)
-    rows = [(float(t), float(p[0]), float(p[1]))
-            for t, p in zip(curve.thetas, curve.points)]
+    rows = np.column_stack([curve.thetas, curve.points]).tolist()
     _write_text(args.out, _csv(("theta", "x", "y"), rows))
     return 0
 
@@ -259,18 +264,9 @@ def _cmd_unfold_scan(parser, args) -> int:
         parser.error("exactly one of --alpha/--beta/--delta must be a range "
                      "(start:stop:count)")
     scan_name = ranges[0]
-    scan_values = values[scan_name]
-    fixed = {name: v for name, v in values.items() if name != scan_name}
-    warm = (1.0 / math.sqrt(args.k - 1.0), 0.0)
-    rows = []
-    for v in scan_values:
-        params = dict(fixed)
-        params[scan_name] = float(v)
-        orb = find_periodic(MapSpec("g4", k=args.k, **params), warm, 4, tol=1e-12)
-        warm = orb.point
-        m1, m2 = (abs(m) for m in orb.multipliers)
-        rows.append((float(v), float(orb.point[0]), float(orb.point[1]),
-                     float(orb.residual), float(m1), float(m2)))
+    specs = [MapSpec("g4", k=args.k, **{**values, scan_name: float(v)}) for v in values[scan_name]]
+    rows = [(getattr(spec, scan_name), *orb.point, orb.residual, *map(abs, orb.multipliers))
+            for spec, orb in zip(specs, continue_periodic(specs, (orbit_radius(args.k), 0.0), 4))]
     header = (scan_name, "x", "y", "residual", "mult1_mod", "mult2_mod")
     _write_text(args.out, _csv(header, rows))
     return 0

@@ -52,6 +52,7 @@ TWO_PI = 2.0 * math.pi
 
 K_MIN = 1.0
 K_MAX = 2.0 / math.sqrt(3.0)
+K_DEFAULT = 1.1
 
 FAMILIES = ("f4", "g4", "fn", "h", "hn")
 
@@ -59,6 +60,11 @@ FAMILIES = ("f4", "g4", "fn", "h", "hn")
 def validate_k(k: float) -> None:
     if not (K_MIN < k < K_MAX):
         raise ValueError(f"k must lie in (1, 2/sqrt(3)) ~ (1, {K_MAX:.8f}); got {k}")
+
+
+def orbit_radius(k: float) -> float:
+    """P(k) = (k-1)^(-1/2): P = (P(k), 0) lies on the period-n orbit."""
+    return 1.0 / math.sqrt(k - 1.0)
 
 
 def _check_order(n: int) -> None:
@@ -174,12 +180,12 @@ class RadialProfile:
     r_half: float
 
     def __post_init__(self):
-        if not (self.r0 > 0.0 and self.r_half > 0.0):
-            raise ValueError("profile radii must be positive")
+        if not (0.0 < self.r0 < math.inf and 0.0 < self.r_half < math.inf):
+            raise ValueError("profile radii must be positive and finite")
 
 
 def default_profile(k: float) -> RadialProfile:
-    r0 = 2.0 / math.sqrt(k - 1.0)
+    r0 = 2.0 * orbit_radius(k)
     return RadialProfile(r0, r0)
 
 
@@ -213,7 +219,7 @@ class MapSpec:
     """
 
     family: str
-    k: float = 1.1
+    k: float = K_DEFAULT
     n: int = 4
     alpha: float = 0.0
     beta: float = 0.0
@@ -229,9 +235,11 @@ class MapSpec:
             raise ValueError(f"family {self.family!r} has symmetry order 4, got n={self.n}")
         if self.family != "g4" and (self.alpha or self.beta or self.delta):
             raise ValueError("alpha/beta/delta apply to the g4 family only")
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.delta))):
+            raise ValueError("alpha/beta/delta must be finite")
         if self.family in ("h", "hn"):
             prof = self.profile if self.profile is not None else default_profile(self.k)
-            if prof.r0 <= 1.0 / math.sqrt(self.k - 1.0):
+            if prof.r0 <= orbit_radius(self.k):
                 raise ValueError("profile must keep r0 above the periodic-orbit radius")
             object.__setattr__(self, "profile", prof)
         elif self.profile is not None:

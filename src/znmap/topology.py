@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .maps import TWO_PI, MapSpec, Point, eval_map, from_polar, polar_step, to_polar
-# perfbench/spans.py wraps classify_batch under this module's name, so the
-# name stays importable here although basin_raster calls classify_kinds
-from .analysis import classify_batch, classify_kinds  # noqa: F401
+from .maps import _LIBM, TWO_PI, MapSpec, Point, eval_map, eval_points, polar_step, to_polar
+# classify_batch is unused here, but perfbench/spans.py wraps it by this module's name
+from .analysis import (DEFAULT_BUDGET, DEFAULT_EPS_IN, DEFAULT_R_ESCAPE,  # noqa: F401
+                       classify_batch, classify_kinds)
 
 
 @dataclass
@@ -51,8 +51,8 @@ class RotationEstimate:
 
 
 def basin_raster(spec: MapSpec, window: tuple, width: int, height: int,
-                 budget: int = 10_000, eps_in: float = 1e-8,
-                 r_escape: float = 1e6) -> BasinRaster:
+                 budget: int = DEFAULT_BUDGET, eps_in: float = DEFAULT_EPS_IN,
+                 r_escape: float = DEFAULT_R_ESCAPE) -> BasinRaster:
     """Classify the orbit of every pixel center.
 
     Row 0 is the top of the window (max y); pixel centers are sampled, not
@@ -83,14 +83,16 @@ def basin_raster(spec: MapSpec, window: tuple, width: int, height: int,
 
 
 def image_curve(spec, radius: float, samples: int) -> CurveSample:
-    """Image of the circle of the given radius at equally spaced angles."""
+    """Image of the circle of the given radius at equally spaced angles:
+    eval_map at from_polar((radius, theta)) for each angle, bitwise up to
+    which NaN an operation on two NaNs gives, through maps.eval_points
+    (which raises the float path's ValueError where it would)."""
     if samples < 4:
         raise ValueError("need at least 4 samples")
     thetas = np.arange(samples) * TWO_PI / samples
-    pts = np.empty((samples, 2))
-    for i, th in enumerate(thetas):
-        pts[i] = eval_map(spec, from_polar((radius, th)))
-    return CurveSample(thetas=thetas, points=pts)
+    with np.errstate(invalid="ignore"):  # as on floats, inf * 0.0 gives NaN
+        x, y = radius * _LIBM.cos(thetas), radius * _LIBM.sin(thetas)
+    return CurveSample(thetas=thetas, points=np.column_stack(eval_points(spec, x, y)))
 
 
 def transversality_det(k: float, theta: float) -> float:

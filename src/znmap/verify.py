@@ -17,23 +17,24 @@ from . import singularity as sg
 # perfbench/spans.py wraps classify_batch under this module's name, so the
 # name stays importable here although check_local_attractor calls classify_kinds
 from .analysis import (  # noqa: F401
+    DEFAULT_EPS_IN,
     DEFAULT_SEED,
     _cubic_weight,
     _max_residual,
     classify_batch,
     classify_kinds,
+    continue_periodic,
     equivariance_residual,
     find_periodic,
     seeded_points,
     spectral_scan,
 )
-from .maps import (_LIBM, TWO_PI, MapSpec, _polar, default_profile, eval_map, eval_points,
-                   from_polar, jac_map, radial_u)
+from .maps import (_LIBM, K_DEFAULT, TWO_PI, MapSpec, _polar, default_profile, eval_map,
+                   eval_points, from_polar, jac_map, orbit_radius, radial_u)
 from .topology import basin_raster, estimate_rotation, image_curve, transversality_det
 from . import __version__
 
 TOOL_VERSION = f"znmap {__version__}"
-K_DEFAULT = 1.1
 
 
 @dataclass
@@ -79,12 +80,9 @@ class VerificationReport:
 
 
 def _p_scale(k: float) -> float:
-    """P(k)/P(K_DEFAULT), P(k) = (k-1)^(-1/2) the radius of the period-n
-    orbit: the factor by which checks tuned at K_DEFAULT scale their radii
-    and tolerances.  Both radii use one expression, so the factor is
-    exactly 1.0 at K_DEFAULT (the constant 1/sqrt(0.1) would give
-    0.9999999999999997 and move the pinned report)."""
-    return (1.0 / math.sqrt(k - 1.0)) / (1.0 / math.sqrt(K_DEFAULT - 1.0))
+    """P(k)/P(K_DEFAULT), P = maps.orbit_radius: the factor by which checks tuned
+    at K_DEFAULT scale their radii and tolerances; exactly 1.0 at K_DEFAULT."""
+    return orbit_radius(k) / orbit_radius(K_DEFAULT)
 
 
 def check_equivariance(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResult:
@@ -111,7 +109,6 @@ def check_periodic_orbit(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Chec
     ((3k-2)/k)^n (to 1e-10 relative) and 0 (below 1e-12).  The guess and
     the position tolerance scale with P so that both hold for every valid
     k; at k = 1.1 they are exactly (3.0, 0.1) and 1e-10."""
-    target = (1.0 / math.sqrt(k - 1.0), 0.0)
     scale = _p_scale(k)
     guess = (3.0 * scale, 0.1 * scale)
     tol = 1e-10 * scale
@@ -122,7 +119,7 @@ def check_periodic_orbit(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Chec
     for n in range(2, 9):
         spec = MapSpec("fn", k=k, n=n)
         orb = find_periodic(spec, guess, n, tol=1e-12)
-        pos_err = math.hypot(orb.point[0] - target[0], orb.point[1] - target[1])
+        pos_err = math.hypot(orb.point[0] - orbit_radius(k), orb.point[1])
         gap = min(abs(abs(m) - 1.0) for m in orb.multipliers)
         small, big = sorted(abs(m) for m in orb.multipliers)
         unstable = ((3.0 * k - 2.0) / k) ** n
@@ -147,12 +144,11 @@ def check_local_attractor(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Che
     pts = seeded_points(1000, 0.9, seed)
     for n in (2, 4, 5, 8):
         spec = MapSpec("fn", k=k, n=n)
-        kinds = classify_kinds(spec, pts[:, 0], pts[:, 1], budget=200,
-                               eps_in=1e-8, r_escape=1e6)
+        kinds = classify_kinds(spec, pts[:, 0], pts[:, 1], budget=200)
         all_converged = all_converged and bool((kinds == 1).all())
     ok = worst_entry <= 1e-14 and all_converged
     return CheckResult("local-attractor", {"k": k, "starts": 1000, "radius": 0.9,
-                                           "budget": 200, "eps_in": 1e-8},
+                                           "budget": 200, "eps_in": DEFAULT_EPS_IN},
                        worst_entry, 1e-14, ok,
                        f"all starts converged: {all_converged}")
 
@@ -197,20 +193,17 @@ def scan_unfolding(k: float = K_DEFAULT) -> UnfoldingScan:
     For beta = 0.01..0.1 (ten values) one row of the rotational deformation
     g4 = f4 + beta*(-y, x): the max of the Jacobian eigenvalue modulus on
     the 300 x 300 grid over [-20, 20]^2, where it sits, and the residual of
-    the period-4 orbit continued from P through the previous beta.
+    the period-4 orbit continued from P through the previous beta
+    (analysis.continue_periodic, as ``znmap unfold-scan`` continues it).
     ``boundary_ok`` says that the Jacobian at the origin is
     [[alpha, -beta], [beta, alpha]] and that the origin is stable exactly
     inside alpha^2 + beta^2 = 1, at probes on both sides of the circle.
     """
-    warm = (1.0 / math.sqrt(k - 1.0), 0.0)
+    specs = [MapSpec("g4", k=k, beta=float(beta)) for beta in np.linspace(0.01, 0.1, 10)]
     rows = []
-    for beta in np.linspace(0.01, 0.1, 10):
-        spec = MapSpec("g4", k=k, beta=float(beta))
+    for spec, orb in zip(specs, continue_periodic(specs, (orbit_radius(k), 0.0), 4)):
         scan = spectral_scan(spec, (-20.0, 20.0, -20.0, 20.0), _UNFOLDING_GRID)
-        orb = find_periodic(spec, warm, 4, tol=1e-12)
-        warm = orb.point
-        rows.append(UnfoldingRow(float(beta), scan.max_modulus, scan.argmax,
-                                 orb.residual))
+        rows.append(UnfoldingRow(spec.beta, scan.max_modulus, scan.argmax, orb.residual))
     boundary_ok = True
     for alpha, beta in ((0.3, 0.4), (0.6, 0.79), (0.6, 0.81), (0.999, 0.0),
                         (1.001, 0.0), (0.0, 0.9995), (0.0, 1.0005), (-0.7, 0.7)):

@@ -74,12 +74,13 @@ def test_criterion_02_fails_on_inexact_multipliers(monkeypatch):
     assert result.statistic <= result.tolerance  # the orbit itself is found
 
 
-@pytest.mark.parametrize("k", [1.01, 1.001, 1.0005])
+@pytest.mark.parametrize("k", [1.01, 1.001, 1.0005, 1.15])
 def test_criterion_02_periodic_orbit_near_k_one(k):
     # P = (k-1)^(-1/2) is 10, 31.6 and 44.7 here; the guess scales with P,
     # since Newton from the fixed (3.0, 0.1) lands on the origin for n = 8,
     # and so does the tolerance on |p - P|, which an absolute 1e-10 misses
-    # at k = 1.0005 (1.09e-10, about 2e-12 relative)
+    # at k = 1.0005 (1.09e-10, about 2e-12 relative).  The criterion holds
+    # for every valid k, so 1.15, near the top of the range, passes too.
     p_radius = 1.0 / math.sqrt(k - 1.0)
     result = check_periodic_orbit(k)
     assert result.passed, result.detail
@@ -196,10 +197,11 @@ def test_criterion_09_rotation_numbers():
     _report(9, check_rotation())
 
 
-@pytest.mark.parametrize("k", [1.01, 1.001])
+@pytest.mark.parametrize("k", [1.01, 1.001, 1.0005, 1.15])
 def test_criterion_09_rotation_numbers_near_k_one(k):
-    # P is 10 and 31.6 here: starts at the fixed radii 6 to 8 would lie
-    # inside the period-n orbit and fall into the origin, so they scale with P
+    # P is 10, 31.6 and 44.7 here: starts at the fixed radii 6 to 8 would
+    # lie inside the period-n orbit and fall into the origin, so they scale
+    # with P.  The criterion holds for every valid k, 1.15 included.
     result = check_rotation(k)
     assert result.passed, result.statistic
     assert result.statistic <= 1e-3

@@ -508,7 +508,6 @@ def test_cones_and_disk_are_forward_invariant(k, r0, r_half, n, c_share, wide, p
     MapSpec("g4", k=K, delta=-1e-12),
     lambda p: p,
     MapSpec("g4", k=K, alpha=0.6, beta=0.8),  # c = 1: the linear term alone does not shrink
-    MapSpec("g4", k=K, beta=math.nan),
 ])
 def test_no_cones_or_disk(spec):
     assert escape_cones(spec) is None

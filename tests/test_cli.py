@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import znmap
+from znmap.analysis import find_periodic
 from znmap.cli import main
+from znmap.maps import MapSpec
+from znmap.verify import scan_unfolding
 
 
 def run(argv, capsys):
@@ -69,10 +72,20 @@ def test_usage_error_unknown_flag(capsys):
     (["orbit", "--family", "f4", "--x0", "inf", "--y0", "0"], None),
     (["orbit", "--family", "g4", "--x0", "nan", "--y0", "0"], None),
     (["orbit", "--family", "h", "--x0", "0", "--y0", "nan"], None),
+    (["basin", "--family", "g4", "--beta", "nan", "--window", "-5", "5", "-5", "5",
+      "--res", "8", "--out", "unused.pgm"], None),
+    (["eval", "--family", "g4", "--beta", "nan", "--x0", "1", "--y0", "1"], None),
+    (["orbit", "--family", "g4", "--delta=-inf", "--x0", "1", "--y0", "1"], None),
+    (["unfold-scan", "--alpha", "inf", "--beta", "0:0.1:3"], None),
+    (["unfold-scan", "--k", "1", "--beta", "0:0.1:3"], None),
+    (["eval", "--family", "h", "--r0", "7", "--r-half", "inf", "--x0", "100", "--y0", "1"], None),
+    (["rotation", "--family", "hn", "--n", "5", "--r0", "inf", "--x0", "6", "--y0", "0.5"], None),
 ], ids=["unfold-scan-beta", "orbit-steps", "curve-samples", "rotation-origin",
         "eval-nan", "verify-seed-env", "eval-n-on-f4", "verify-beta-on-fn",
         "basin-r0-on-g4", "rotation-r-half-without-r0", "eval-f4-nan", "eval-g4-inf",
-        "eval-h-nan", "orbit-f4-inf", "orbit-g4-nan", "orbit-h-nan"])
+        "eval-h-nan", "orbit-f4-inf", "orbit-g4-nan", "orbit-h-nan", "basin-g4-beta-nan",
+        "eval-g4-beta-nan", "orbit-g4-delta-inf", "unfold-scan-alpha-inf", "unfold-scan-k-one",
+        "eval-h-r-half-inf", "rotation-hn-r0-inf"])
 def test_usage_error_for_bad_values_names_the_command(capsys, monkeypatch, argv, env_seed):
     if env_seed is not None:
         monkeypatch.setenv("ZNMAP_SEED", env_seed)
@@ -232,6 +245,26 @@ def test_unfold_scan_beta_range(tmp_path, capsys):
         assert abs(math.hypot(x, y) - expected) <= 1e-8
 
 
+def test_unfold_scan_is_the_warm_started_chain(tmp_path, capsys):
+    # unfold-scan and verify's unfolding check continue the orbit one way:
+    # find_periodic from P = ((k-1)^(-1/2), 0), each solve started where
+    # the previous one ended; the CSV's 17 significant digits round-trip
+    path = tmp_path / "scan.csv"
+    code, _, _ = run(["unfold-scan", "--beta", "0.01:0.1:10", "--out", str(path)], capsys)
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+    warm = (1.0 / math.sqrt(1.1 - 1.0), 0.0)
+    chain = []
+    for beta in np.linspace(0.01, 0.1, 10).tolist():
+        orb = find_periodic(MapSpec("g4", k=1.1, beta=beta), warm, 4)
+        warm = orb.point
+        chain.append([beta, *orb.point, orb.residual, *(float(abs(m)) for m in orb.multipliers)])
+    assert [list(map(float.hex, row)) for row in rows] == [list(map(float.hex, row))
+                                                          for row in chain]
+    residuals = [row.residual for row in scan_unfolding(1.1).rows]
+    assert list(map(float.hex, residuals)) == [float.hex(row[3]) for row in rows]
+
+
 def test_unfold_scan_requires_exactly_one_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["unfold-scan", "--k", "1.1", "--alpha", "0:0.1:5",
@@ -323,6 +356,15 @@ def test_verify_seed_env_override(tmp_path, capsys, monkeypatch):
                       "--json", str(path)], capsys)
     assert code == 0
     assert json.loads(path.read_text())["seed"] == 77
+    # --seed reads an integer literal as ZNMAP_SEED does: 0x5EED is the default
+    monkeypatch.delenv("ZNMAP_SEED")
+    reports = []
+    for flags in ([], ["--seed", "0x5EED"], ["--seed", "24301"]):
+        code, _, _ = run(["verify", "--suite", "negative-control", *flags,
+                          "--json", str(path)], capsys)
+        assert code == 0
+        reports.append(path.read_bytes())
+    assert reports[1] == reports[0] == reports[2]
 
 
 def test_verify_json_deterministic(tmp_path, capsys):

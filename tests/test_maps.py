@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import znmap.maps
 from znmap.analysis import seeded_points
 from znmap.maps import (
+    K_DEFAULT,
     K_MAX,
     TWO_PI,
     MapSpec,
@@ -36,6 +37,7 @@ from znmap.maps import (
     from_polar,
     jac_map,
     jac_points,
+    orbit_radius,
     polar_step,
     radial_u,
     sector_of,
@@ -734,6 +736,26 @@ def test_mapspec_family_constraints():
         MapSpec("h", profile=RadialProfile(1.0, 1.0))  # r0 below orbit radius
     spec = MapSpec("hn", n=5)
     assert spec.profile is not None and spec.profile.r0 > P_RADIUS
+
+
+def test_non_finite_map_parameters_are_rejected():
+    for params in ({"alpha": math.nan}, {"beta": math.inf}, {"delta": -math.inf},
+                   {"beta": 0.05, "delta": math.nan}):
+        with pytest.raises(ValueError, match="alpha/beta/delta must be finite"):
+            MapSpec("g4", **params)
+    for r0, r_half in ((math.inf, 7.0), (7.0, math.inf), (math.nan, 7.0), (7.0, -math.nan)):
+        with pytest.raises(ValueError, match="profile radii must be positive and finite"):
+            RadialProfile(r0, r_half)
+
+
+def test_orbit_radius_and_default_profile_in_closed_form():
+    # P(k) and r0 = 2 P(k) bitwise, on a grid with both ends' neighbours
+    ks = [math.nextafter(1.0, 2.0), math.nextafter(K_MAX, 1.0), 1.0005, 1.15, K_DEFAULT]
+    ks += np.linspace(1.0, K_MAX, 2001)[1:-1].tolist()
+    for k in ks:
+        assert orbit_radius(k) == 1.0 / math.sqrt(k - 1.0), k
+        assert default_profile(k).r0 == 2.0 / math.sqrt(k - 1.0), k
+    assert MapSpec("f4").k == K_DEFAULT == 1.1
 
 
 def test_mapspec_echo_names_the_selecting_parameters():

@@ -108,6 +108,23 @@ def test_image_curve_order_five_cusps():
     assert radii.max() <= 0.5 * K + 1e-12
 
 
+@pytest.mark.parametrize("spec", [
+    F4, MapSpec("g4", k=K, alpha=0.02, beta=0.05, delta=0.003), MapSpec("fn", k=K, n=5),
+    MapSpec("h", k=K), MapSpec("hn", k=K, n=7), lambda p: (p[0] + p[1], p[0] * p[1]),
+], ids=["f4", "g4", "fn", "h", "hn", "callable"])
+def test_image_curve_is_the_per_point_loop(spec):
+    # eval_map at from_polar((radius, theta)) for each angle, bit for bit,
+    # every NaN taken as one NaN (which NaN a two-NaN operation gives is
+    # left open); at radius 1e200 the images overflow
+    def one_nan_bits(points):
+        return np.where(np.isnan(points), np.nan, points).tobytes()
+
+    for radius in (0.0, 1.7, 1e200):
+        curve = image_curve(spec, radius, 90)
+        loop = [eval_map(spec, from_polar((radius, t))) for t in curve.thetas.tolist()]
+        assert one_nan_bits(curve.points) == one_nan_bits(np.array(loop, dtype=float)), radius
+
+
 def test_image_curve_needs_samples():
     with pytest.raises(ValueError):
         image_curve(F4, 1.0, 3)
