@@ -242,6 +242,8 @@ def _cmd_basin(parser, args) -> int:
 
 def _cmd_curve(parser, args) -> int:
     spec = _spec_from_args(args)
+    if not math.isfinite(args.radius):  # the library would give NaN images
+        raise ValueError(f"non-finite radius {args.radius!r}")
     curve = image_curve(spec, args.radius, args.samples)
     rows = np.column_stack([curve.thetas, curve.points]).tolist()
     _write_text(args.out, _csv(("theta", "x", "y"), rows))

@@ -32,6 +32,14 @@ of its cost per point.  Jacobians are 2x2 numpy arrays ``[[a, b], [c, d]]``
 coordinate arrays, the fast one, for raster workloads.  ``polar_step``
 steps fn/hn from a polar pair that the caller already holds.
 
+Every evaluator runs its formula's own arithmetic at every point: the
+origin gives the zeros the formula gives, and NaN or inf what IEEE gives
+(NaN, mostly), with no raise or warning from ``eval_map``, ``jac_map``,
+``eval_points`` or ``jac_points`` (``step_batch`` runs under the caller's
+``np.errstate``).  The one exception is the fn Jacobian, zero at the
+origin.  So fn/hn at n = 4 are f4/h bit for bit, origin included.  The
+input checks ``to_polar`` and ``sector_of`` raise ValueError instead.
+
 Points are plain ``(x, y)`` tuples; polar pairs are ``(r, theta)`` with
 ``r >= 0`` and ``theta`` normalized to ``[0, 2*pi)`` (the origin gets
 ``theta = 0``).  Sectors of order ``n`` are indexed ``1..n`` with the
@@ -117,10 +125,8 @@ def _angle(xp, y, x):
 def _float_polar(p: Point) -> tuple[float, float]:
     """hypot and _angle of one float point, written out with math and plain
     ifs: the same operations in the same order, so the same bits, without
-    the namespace's calls.  Raises ValueError for a non-finite point."""
+    the namespace's calls."""
     x, y = p
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"non-finite point {p!r}")
     theta = math.atan2(y, x)
     if theta < 0.0:
         theta += TWO_PI
@@ -130,7 +136,11 @@ def _float_polar(p: Point) -> tuple[float, float]:
 
 
 def to_polar(p: Point) -> tuple[float, float]:
-    """Convert (x, y) to (r, theta) with theta in [0, 2*pi)."""
+    """Convert (x, y) to (r, theta) with theta in [0, 2*pi), and the origin
+    to (0, 0).  Raises ValueError for a non-finite point."""
+    x, y = p
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite point {p!r}")
     r, theta = _float_polar(p)
     if r == 0.0:
         return 0.0, 0.0
@@ -204,6 +214,12 @@ def radial_u(s, prof: RadialProfile):
         return s
     w = s - prof.r0
     return prof.r0 + 0.5 * w + 0.5 * prof.r_half * (-math.expm1(-w / prof.r_half))
+
+
+def ray_image_radius(k: float, r: float, prof: RadialProfile) -> float:
+    """u(psi(r)), psi(r) = k r^3/(1+r^2): |h(p)| for h/hn at |p| = r on a
+    boundary ray (m(theta4) = 1), the most on that circle (m <= 1)."""
+    return radial_u(k * (r * r * r) / (1.0 + r * r), prof)
 
 
 @dataclass(frozen=True)
@@ -346,6 +362,8 @@ def _sector_split(xp, theta, n: int):
 
 def _float_split(theta: float, n: int):
     """_sector_split of one float angle, written out like _float_polar."""
+    if theta != theta:  # NaN, where math.floor raises and np.floor gives NaN
+        return theta, theta
     m = math.floor(theta * n / TWO_PI)
     if m > n - 1:  # theta*n/(2*pi) may round to n
         m = n - 1
@@ -353,25 +371,20 @@ def _float_split(theta: float, n: int):
 
 
 def _sector_chart(xp, p: Point, n: int):
-    """Source chart of the order-n transplant at a nonzero point: (r, theta,
+    """Source chart of the order-n transplant at a point: (r, theta,
     m, theta4), the polar pair with theta in [0, 2*pi) and _sector_split."""
     r, theta = _polar(xp, p)
     return (r, theta) + _sector_split(xp, theta, n)
 
 
-def _float_chart(p: Point, n: int):
-    """_sector_chart of one float point: _float_polar and _float_split."""
-    r, theta = _float_polar(p)
-    return (r, theta) + _float_split(theta, n)
-
-
 def sector_of(p: Point, n: int) -> int:
-    """1-based sector index j with theta(p) in [2*pi*(j-1)/n, 2*pi*j/n)."""
+    """1-based sector index j with theta(p) in [2*pi*(j-1)/n, 2*pi*j/n);
+    ValueError at the origin and (from to_polar) at a non-finite point."""
     _check_order(n)
     x, y = p
     if x == 0.0 and y == 0.0:
         raise ValueError("sector undefined at origin")
-    return _float_chart(p, n)[2] + 1
+    return _float_split(to_polar(p)[1], n)[0] + 1
 
 
 # The relative margin of the closed-form regions below: on the radius, and
@@ -517,8 +530,7 @@ def trapping_region(spec, eps_in: float, r_escape: float) -> ConeRegion | None:
     # k*r^3 overflows near r = 5.6e102
     r_hi = min(0.5 * r_escape, 1e100)
     if not (r_lo * (1.0 + d) <= prof.r0 and abs(eps_in) < r_lo < r_hi
-            and radial_u(k * (r_hi * r_hi * r_hi) / (1.0 + r_hi * r_hi), prof)
-            <= (1.0 - d) * r_hi):
+            and ray_image_radius(k, r_hi, prof) <= (1.0 - d) * r_hi):
         return None
     return ConeRegion(r_lo, r_hi, cone, m_a, spec.n)
 
@@ -656,7 +668,7 @@ def _float_image(r: float, theta4: float, m: int, k: float, n: int,
 
 def _sector_step(xp, r, theta, k: float, n: int, prof: RadialProfile | None):
     """One order-n transplant step (n != 4) from the polar pair (r, theta)
-    of nonzero points, over the namespace xp."""
+    of points, over the namespace xp."""
     m, theta4 = _sector_split(xp, theta, n)
     psi, theta_out = _sector_image(xp, r, theta4, m, k, n, prof)
     return psi * xp.cos(theta_out), psi * xp.sin(theta_out)
@@ -688,25 +700,19 @@ def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None, xp=_NUMP
     point whose local angle rounds to -ulp is never re-wrapped to 2*pi
     (which the n/4 rescale would blow up into a genuine jump).  For n = 4
     the rescales are identities and the quarter-turn rotations exact, so
-    the evaluation reduces to _eval_f4 or _eval_h (bitwise).
+    the transplant is _eval_f4 or _eval_h itself, on floats and arrays.
 
     The input type picks the implementation.  Arrays take the namespace
     formula, _polar and _sector_step over xp (_NUMPY, or _LIBM for
-    eval_points, which adds the float path's origin shortcut and error).
-    Floats take _float_polar and _float_step, the same operations written
-    out with math, bitwise that formula over math (the tests pin this).  A
-    _NUMPY result may differ from the float result by a few ulps, where
-    numpy's arctan2 and hypot differ from math's.
+    eval_points).  Floats take _float_polar and _float_step, the same
+    operations written out with math, bitwise that formula over math (the
+    tests pin this).  A _NUMPY result may differ from the float result by
+    a few ulps, where numpy's arctan2 and hypot differ from math's.
     """
-    x, y = p
-    if type(x) is np.ndarray:
-        if n == 4:
-            return _eval_f4(p, k) if prof is None else _eval_h(p, k, prof, xp)
-        return _sector_step(xp, *_polar(xp, p), k, n, prof)
-    if x == 0.0 and y == 0.0:
-        return 0.0, 0.0
     if n == 4:
-        return _eval_f4(p, k) if prof is None else _eval_h(p, k, prof)
+        return _eval_f4(p, k) if prof is None else _eval_h(p, k, prof, xp)
+    if type(p[0]) is np.ndarray:
+        return _sector_step(xp, *_polar(xp, p), k, n, prof)
     r, theta = _float_polar(p)
     return _float_step(r, theta, k, n, prof)
 
@@ -751,12 +757,14 @@ def _jac_fn(p: Point, k: float, n: int) -> np.ndarray:
     x, y = p
     if x == 0.0 and y == 0.0:
         return np.zeros((2, 2))
-    r, theta, m, theta4 = _float_chart(p, n)
+    r, theta = _float_polar(p)
+    m, theta4 = _float_split(theta, n)
     psi, theta_out = _float_image(r, theta4, m, k, n, None)
-    # Outside (1e-300, 1e75) 1/r or r^3 overflows and matmul meets inf * 0:
-    # there the chain runs silently, as float arithmetic does.  Inside, the
-    # factors and their products are finite and np.errstate is skipped: it
-    # costs 1.2-1.9 us, 13-22% of an 11.4 us call (min of 9, 2-core VM).
+    # Outside (1e-300, 1e75) 1/r or r^3 overflows and matmul meets inf * 0,
+    # and a NaN r is outside too: there the chain runs silently, as float
+    # arithmetic does.  Inside, the factors and their products are finite
+    # and np.errstate is skipped: it costs 1.2-1.9 us, 13-22% of an 11.4 us
+    # call (min of 9, 2-core VM).
     if 1e-300 < r < 1e75:
         return _polar_chain(math, _matrix, r, theta, theta4, psi, theta_out, k, n)
     with np.errstate(all="ignore"):
@@ -789,44 +797,27 @@ def eval_map(spec, p: Point) -> Point:
         return _eval_f4(p, spec.k)
     if spec.family == "g4":
         return _eval_g4(p, spec.k, spec.alpha, spec.beta, spec.delta)
-    if spec.family == "h":
-        return _eval_h(p, spec.k, spec.profile)
-    return _transplant(p, spec.k, spec.n, spec.profile)  # fn (no profile) or hn
-
-
-def _check_finite(x: np.ndarray, y: np.ndarray) -> None:
-    """The float chart's ValueError, for the first non-finite point."""
-    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
-    if bad.size:
-        raise ValueError(f"non-finite point {(float(x[bad[0]]), float(y[bad[0]]))!r}")
+    return _transplant(p, spec.k, spec.n, spec.profile)  # fn, h (n = 4) or hn
 
 
 def eval_points(spec: MapSpec, x: np.ndarray, y: np.ndarray,
                 polar=None) -> tuple[np.ndarray, np.ndarray]:
     """eval_map at each point of the 1-D float arrays (x, y), bitwise the
-    float path up to which NaN an operation on two NaNs gives: the array
-    formula over _LIBM, with the float path's origin shortcut (0.0, 0.0)
-    for fn/hn and, where n != 4, its ValueError for the first non-finite
-    point.  For sampled checks; step_batch is the faster numpy formula,
-    for rasters.  A callable is mapped point by point, as step_batch does.
+    float path up to which NaN an operation on two NaNs gives, origin and
+    non-finite points included: the array formula over _LIBM.  For sampled
+    checks; step_batch is the faster numpy formula, for rasters.  A
+    callable is mapped point by point, as step_batch does.
 
     polar, the pair _polar(_LIBM, (x, y)), spares fn/hn with n != 4 their
     own chart: for callers that evaluate several orders at one sample."""
     if callable(spec):
         return step_batch(spec, x, y)
-    if spec.family in ("fn", "hn") and spec.n != 4:
-        _check_finite(x, y)
     with np.errstate(all="ignore"):  # as on floats: overflow gives inf, inf - inf NaN
-        if spec.family in ("f4", "g4"):
+        if spec.family == "g4":
             return eval_map(spec, (x, y))
-        if spec.family == "h":
-            return _eval_h((x, y), spec.k, spec.profile, _LIBM)
         if polar is None or spec.n == 4:
-            fx, fy = _transplant((x, y), spec.k, spec.n, spec.profile, _LIBM)
-        else:
-            fx, fy = _sector_step(_LIBM, *polar, spec.k, spec.n, spec.profile)
-    origin = (x == 0.0) & (y == 0.0)
-    return np.where(origin, 0.0, fx), np.where(origin, 0.0, fy)
+            return _transplant((x, y), spec.k, spec.n, spec.profile, _LIBM)
+        return _sector_step(_LIBM, *polar, spec.k, spec.n, spec.profile)
 
 
 def _fd_entries(fun, x, y, h):
@@ -858,10 +849,8 @@ def jac_points(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     which NaN an operation on two NaNs gives: an (N, 2, 2) array.
 
     f4/g4 stack their analytic entries.  fn runs _jac_fn's polar chain
-    over _LIBM, with the zero matrix at the origin and the float chart's
-    ValueError for the first non-finite point.  h/hn and callables take the
-    same central differences as jac_map through eval_points, which raises
-    that ValueError for hn (n != 4) where a stencil point is not finite.
+    over _LIBM, with the zero matrix at the origin.  h/hn and callables
+    take the same central differences as jac_map through eval_points.
     """
     with np.errstate(all="ignore"):  # as on floats: overflow gives inf, inf - inf NaN
         if callable(spec) or spec.family in ("h", "hn"):
@@ -869,7 +858,6 @@ def jac_points(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
                                           1e-7 * (1.0 + _LIBM.hypot(x, y))))
         if spec.family != "fn":
             return _matrices(*_jac_entries(spec, x, y))
-        _check_finite(x, y)
         r, theta, m, theta4 = _sector_chart(_LIBM, (x, y), spec.n)
         psi, theta_out = _sector_image(_LIBM, r, theta4, m, spec.k, spec.n, None)
         jac = _polar_chain(_LIBM, _matrices, r, theta, theta4, psi, theta_out, spec.k, spec.n)

@@ -85,8 +85,8 @@ def basin_raster(spec: MapSpec, window: tuple, width: int, height: int,
 def image_curve(spec, radius: float, samples: int) -> CurveSample:
     """Image of the circle of the given radius at equally spaced angles:
     eval_map at from_polar((radius, theta)) for each angle, bitwise up to
-    which NaN an operation on two NaNs gives, through maps.eval_points
-    (which raises the float path's ValueError where it would)."""
+    which NaN an operation on two NaNs gives, through maps.eval_points (a
+    non-finite radius gives NaN images, as eval_map does)."""
     if samples < 4:
         raise ValueError("need at least 4 samples")
     thetas = np.arange(samples) * TWO_PI / samples
@@ -129,18 +129,22 @@ def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate
     """Average angular advance per iterate, as a fraction of a full turn.
 
     Iterates while the orbit stays away from the origin (|p| > 1e-12) and
-    finite; needs at least 8 usable angles.  The slope uses the full lift
-    span; the rational is the best approximation with denominator <= 64.
+    finite; needs at least 8 usable angles (max_iters below 7 is a
+    ValueError before any step; an orbit that stops short, a RuntimeError).
+    The slope uses the full lift span; the rational is the best
+    approximation with denominator <= 64.
     fn/hn with n != 4 step from the polar pair each iterate's angle needs
     (maps.polar_step), so their chart is computed once per iterate.
     """
     x, y = float(p0[0]), float(p0[1])
     if x == 0.0 and y == 0.0:
         raise ValueError("rotation undefined for the origin orbit")
+    if max_iters + 1 < 8:
+        raise ValueError(f"max_iters={max_iters} leaves too few angles; "
+                         "the estimate needs max_iters >= 7")
     angles = []
     p = (x, y)
     step = polar_step(spec)
-    cause = f"max_iters={max_iters} leaves too few angles"
     for _ in range(max_iters + 1):
         r, th = to_polar(p)
         if r <= 1e-12:
@@ -151,7 +155,7 @@ def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
             cause = f"orbit overflowed after {len(angles)} iterates, too fast"
             break
-    if len(angles) < 8:
+    if len(angles) < 8:  # the loop broke early, which set cause
         raise RuntimeError(f"{cause} for a rotation estimate")
     lift = angle_lift(angles)
     slope = (lift[-1] - lift[0]) / (TWO_PI * (len(lift) - 1))

@@ -30,7 +30,7 @@ from .analysis import (  # noqa: F401
     spectral_scan,
 )
 from .maps import (_LIBM, K_DEFAULT, TWO_PI, MapSpec, _polar, default_profile, eval_map,
-                   eval_points, from_polar, jac_map, orbit_radius, radial_u)
+                   eval_points, from_polar, jac_map, orbit_radius, ray_image_radius)
 from .topology import basin_raster, estimate_rotation, image_curve, transversality_det
 from . import __version__
 
@@ -422,7 +422,7 @@ def check_dissipativity(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Check
                           256, 256, budget=600, eps_in=1e-8, r_escape=1e3)
     counts = raster.counts()
     r = 2.0 * prof.r0
-    on_ray = radial_u(k * r ** 3 / (1.0 + r * r), prof) / r
+    on_ray = ray_image_radius(k, r, prof) / r
     ok = contraction_ok and on_ray < 1.0 and counts["escaped"] == 0
     return CheckResult("dissipativity", {"k": k, "points": 1000,
                                          "radius_range": [2 * prof.r0, r_hi],

@@ -80,12 +80,21 @@ def test_usage_error_unknown_flag(capsys):
     (["unfold-scan", "--k", "1", "--beta", "0:0.1:3"], None),
     (["eval", "--family", "h", "--r0", "7", "--r-half", "inf", "--x0", "100", "--y0", "1"], None),
     (["rotation", "--family", "hn", "--n", "5", "--r0", "inf", "--x0", "6", "--y0", "0.5"], None),
+    (["curve", "--family", "f4", "--radius", "nan"], None),
+    (["curve", "--family", "g4", "--beta", "0.05", "--radius=-inf"], None),
+    (["curve", "--family", "fn", "--n", "5", "--radius", "inf"], None),
+    (["curve", "--family", "h", "--radius", "nan"], None),
+    (["curve", "--family", "hn", "--n", "7", "--radius", "nan"], None),
+    (["rotation", "--family", "fn", "--n", "5", "--x0", "6", "--y0", "0.5", "--iters", "3"], None),
+    (["rotation", "--family", "fn", "--n", "5", "--x0", "6", "--y0", "0.5", "--iters", "-5"], None),
 ], ids=["unfold-scan-beta", "orbit-steps", "curve-samples", "rotation-origin",
         "eval-nan", "verify-seed-env", "eval-n-on-f4", "verify-beta-on-fn",
         "basin-r0-on-g4", "rotation-r-half-without-r0", "eval-f4-nan", "eval-g4-inf",
         "eval-h-nan", "orbit-f4-inf", "orbit-g4-nan", "orbit-h-nan", "basin-g4-beta-nan",
         "eval-g4-beta-nan", "orbit-g4-delta-inf", "unfold-scan-alpha-inf", "unfold-scan-k-one",
-        "eval-h-r-half-inf", "rotation-hn-r0-inf"])
+        "eval-h-r-half-inf", "rotation-hn-r0-inf", "curve-f4-radius-nan", "curve-g4-radius-inf",
+        "curve-fn-radius-inf", "curve-h-radius-nan", "curve-hn-radius-nan", "rotation-iters-3",
+        "rotation-iters-negative"])
 def test_usage_error_for_bad_values_names_the_command(capsys, monkeypatch, argv, env_seed):
     if env_seed is not None:
         monkeypatch.setenv("ZNMAP_SEED", env_seed)

@@ -21,7 +21,8 @@ from znmap.maps import (
     _eval_h,
     _f4_polar,
     _f4_polar_entries,
-    _float_chart,
+    _float_polar,
+    _float_split,
     _jac_entries,
     _jac_fn,
     _polar,
@@ -52,8 +53,9 @@ F4 = MapSpec("f4", k=K)
 # The namespace that runs maps.py's array formulas (_angle, _sector_chart,
 # _f4_polar, _sector_image, _radial_u) on floats: the oracle of the float
 # kernels, which write the same operations out with math and plain ifs.
+# Its floor passes NaN through, as np.floor does (math.floor raises).
 MATH = SimpleNamespace(cos=math.cos, sin=math.sin, hypot=math.hypot, atan2=math.atan2,
-                       expm1=math.expm1, floor=math.floor,
+                       expm1=math.expm1, floor=lambda v: math.floor(v) if v == v else v,
                        minimum=lambda a, b: b if b < a else a,
                        where=lambda cond, a, b: a if cond else b)
 
@@ -209,11 +211,39 @@ def test_jac_g4_matches_finite_differences():
 # order-n transplants
 # ---------------------------------------------------------------------------
 
+SIGNED_ZEROS = [(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+
+
 def test_fn_order_four_is_f4_bitwise():
-    rng = np.random.default_rng(4)
-    for _ in range(1000):
-        p = tuple(rng.normal(0.0, 3.0, 2))
-        assert _transplant(p, K, 4, None) == _eval_f4(p, K)
+    # fn and hn at n = 4 are f4 and h: the same bits on floats, through
+    # eval_points and through step_batch, the origin and signed zeros
+    # included (every NaN taken as one NaN, see one_nan)
+    pts = [tuple(p) for p in np.random.default_rng(4).normal(0.0, 3.0, (1000, 2)).tolist()]
+    pts += SIGNED_ZEROS + edge_points(4)
+    x = np.array([p[0] for p in pts])
+    y = np.array([p[1] for p in pts])
+    pairs = ((F4, MapSpec("fn", k=K, n=4)), (MapSpec("h", k=K), MapSpec("hn", k=K, n=4)))
+    for plain, order_four in pairs:
+        for p in pts:
+            assert (bits(one_nan(eval_map(order_four, p)))
+                    == bits(one_nan(eval_map(plain, p)))), (plain.family, p)
+        for batch in (eval_points, step_batch):
+            with np.errstate(all="ignore"):
+                assert (bits(one_nan(batch(order_four, x, y)))
+                        == bits(one_nan(batch(plain, x, y)))), plain.family
+
+
+def test_origin_is_one_point_for_every_evaluator():
+    # eval_map, eval_points and step_batch run the same formula at the
+    # origin, with no case of their own: the same signed zeros
+    x = np.array([p[0] for p in SIGNED_ZEROS])
+    y = np.array([p[1] for p in SIGNED_ZEROS])
+    specs = [F4, MapSpec("g4", k=K, alpha=0.02, beta=0.05, delta=0.003), MapSpec("h", k=K)]
+    specs += [MapSpec(family, k=K, n=n) for family in ("fn", "hn") for n in range(2, 34)]
+    for spec in specs:
+        want = tuple(np.array(c) for c in zip(*(eval_map(spec, p) for p in SIGNED_ZEROS)))
+        assert bits(eval_points(spec, x, y)) == bits(want), spec
+        assert bits(step_batch(spec, x, y)) == bits(want), spec
 
 
 def test_fn_axis_ray_maps_to_next_boundary():
@@ -293,10 +323,16 @@ def test_polar_chart_derivative_same_on_both_boundary_charts():
 @pytest.mark.parametrize("p", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
                                (1.0, math.inf), (-math.inf, 1.0), (1.0, -math.inf)])
 def test_polar_dispatch_rejects_non_finite_points(p):
-    with pytest.raises(ValueError):
-        _transplant(p, K, 5, None)
-    with pytest.raises(ValueError):
-        _transplant(p, K, 5, default_profile(K))
+    # to_polar and sector_of are the input checks; the transplant itself
+    # runs its arithmetic, which gives NaN, with no raise and no warning
+    with pytest.raises(ValueError, match="non-finite point"):
+        to_polar(p)
+    with pytest.raises(ValueError, match="non-finite point"):
+        sector_of(p, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for prof in (None, default_profile(K)):
+            assert all(map(math.isnan, _transplant(p, K, 5, prof))), prof
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +340,6 @@ def test_polar_dispatch_rejects_non_finite_points(p):
 # ---------------------------------------------------------------------------
 
 def oracle_polar(p):
-    x, y = p
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"non-finite point {p!r}")
     return _polar(MATH, p)
 
 
@@ -315,7 +348,6 @@ def oracle_split(theta, n):
 
 
 def oracle_chart(p, n):
-    oracle_polar(p)
     return _sector_chart(MATH, p, n)
 
 
@@ -334,9 +366,6 @@ def oracle_eval_h(p, k, prof):
 
 def oracle_transplant(p, k, n, prof):
     """_transplant on floats as the namespace formula over math gives it."""
-    x, y = p
-    if x == 0.0 and y == 0.0:
-        return 0.0, 0.0
     if n == 4:
         return _eval_f4(p, k) if prof is None else oracle_eval_h(p, k, prof)
     r, _, m, theta4 = oracle_chart(p, n)
@@ -436,10 +465,10 @@ def test_clamp_points_reach_the_clamp():
     for n in (23, 33):
         clamped = [p for p in clamp_points()
                    if math.floor((math.atan2(p[1], p[0]) + TWO_PI) * n / TWO_PI) == n]
-        assert clamped and all(_float_chart(p, n)[2] == n - 1 for p in clamped)
+        assert clamped and all(_float_split(_float_polar(p)[1], n)[0] == n - 1 for p in clamped)
     wrapped = [p for p in edge_points(5) if p[0] > 0.0 and p[1] < 0.0
                and math.atan2(p[1], p[0]) + TWO_PI == TWO_PI]
-    assert wrapped and all(_float_chart(p, 5)[1] == 0.0 for p in wrapped)
+    assert wrapped and all(_float_polar(p)[1] == 0.0 for p in wrapped)
 
 
 @pytest.mark.parametrize("n", ORDERS)
@@ -498,16 +527,15 @@ def test_float_radial_u_is_the_namespace_formula(s, r0, r_half):
 
 @pytest.mark.parametrize("family", ["fn", "hn"])
 @pytest.mark.parametrize("p", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, math.nan)])
-def test_non_finite_input_raises_as_the_namespace_formula_does(family, p):
-    for n in range(2, 9):
-        spec = MapSpec(family, k=K, n=n)
-        for entry in (eval_map, jac_map):
-            got = outcome(entry, spec, p)
-            assert got == outcome(on_oracle, entry, spec, p), (n, entry)
-            # n = 4 is f4/h itself, which gives NaN; so does the finite
-            # difference Jacobian of h
-            if not (n == 4 and (entry is eval_map or family == "hn")):
-                assert got[0] == "ValueError" and "non-finite point" in got[1]
+def test_non_finite_input_gives_nan_as_the_namespace_formula_does(family, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(2, 9):
+            spec = MapSpec(family, k=K, n=n)
+            for entry in (eval_map, jac_map):
+                got = nan_blind(entry)(spec, p)
+                assert bits(got) == bits(nan_blind(on_oracle)(entry, spec, p)), (n, entry)
+                assert np.isnan(got).any(), (n, entry)
 
 
 def point_specs(k, n):
@@ -523,8 +551,7 @@ def point_specs(k, n):
 
 
 def per_point(spec, x, y):
-    """The oracle of eval_points: eval_map at each point, raising the
-    first error it raises."""
+    """The oracle of eval_points: eval_map at each point."""
     images = [eval_map(spec, p) for p in zip(x.tolist(), y.tolist())]
     return tuple(np.array([img[i] for img in images], dtype=float) for i in (0, 1))
 
@@ -539,15 +566,17 @@ def assert_eval_points_per_point(spec, pts):
 @pytest.mark.parametrize("n", ORDERS)
 def test_eval_points_is_eval_map_per_point_on_edges(n):
     # the origin, signed zeros, 1e300 and non-finite points, one at a time
-    # and in one batch (where fn/hn raise for the first non-finite point)
+    # and in one batch
     pts = edge_points(n)
     for spec in point_specs(K, n):
         for p in pts:
             assert_eval_points_per_point(spec, [p])
         assert_eval_points_per_point(spec, pts)
         assert_eval_points_per_point(spec, [p for p in pts if math.isfinite(p[0] + p[1])])
-    with pytest.raises(ValueError, match=r"non-finite point \(nan, 0\.0\)"):
-        eval_points(MapSpec("fn", k=K, n=5), np.array([1.0, math.nan]), np.array([2.0, 0.0]))
+    # a non-finite point gives NaN and leaves the other points alone
+    fn5 = MapSpec("fn", k=K, n=5)
+    fx, fy = eval_points(fn5, np.array([1.0, math.nan]), np.array([2.0, 0.0]))
+    assert (fx[0], fy[0]) == eval_map(fn5, (1.0, 2.0)) and math.isnan(fx[1]) and math.isnan(fy[1])
 
 
 @given(st.sampled_from(ORDERS), st.floats(1.0005, 1.1547), st.integers(0, 2 ** 32 - 1),
@@ -561,24 +590,17 @@ def test_eval_points_is_eval_map_per_point(n, k, seed, radius, extra):
 
 
 def jac_per_point(spec, x, y):
-    """The oracle of jac_points: jac_map at each point, raising the first
-    error it raises."""
+    """The oracle of jac_points: jac_map at each point."""
     return np.array([jac_map(spec, p) for p in zip(x.tolist(), y.tolist())],
                     dtype=float).reshape(-1, 2, 2)
 
 
-def assert_jac_points_per_point(spec, pts, same_error=True):
-    """jac_points against jac_map at each point, NaNs blind to which NaN.
-    Without same_error a raise need only raise the same type: h/hn raise
-    for the first point whose stencil has a non-finite point, and which
-    stencil point comes first differs between the two."""
+def assert_jac_points_per_point(spec, pts):
+    """jac_points against jac_map at each point, NaNs blind to which NaN."""
     x = np.array([p[0] for p in pts], dtype=float)
     y = np.array([p[1] for p in pts], dtype=float)
-    got = outcome(nan_blind(jac_points), spec, x, y)
-    want = outcome(nan_blind(jac_per_point), spec, x, y)
-    if not same_error and got[0] == want[0] == "ValueError":
-        return
-    assert got == want, spec
+    assert (outcome(nan_blind(jac_points), spec, x, y)
+            == outcome(nan_blind(jac_per_point), spec, x, y)), spec
 
 
 FAR = [(1e120, -3e119), (-7e119, 1e120), (2e154, 1e154), (1e300, -1e300),
@@ -595,24 +617,44 @@ def test_jac_points_is_jac_map_per_point_on_edges(n):
     for spec in point_specs(K, n):
         for p in pts:
             assert_jac_points_per_point(spec, [p])
-        assert_jac_points_per_point(spec, pts, same_error=False)
-        assert_jac_points_per_point(spec, [p for p in pts if math.isfinite(p[0] + p[1])],
-                                    same_error=False)
+        assert_jac_points_per_point(spec, pts)
+        assert_jac_points_per_point(spec, [p for p in pts if math.isfinite(p[0] + p[1])])
 
 
 @pytest.mark.parametrize("family", ["fn", "hn"])
-def test_jac_points_raises_where_jac_map_does(family):
-    # a non-finite point raises for fn (its chart) and hn (its stencil), as
-    # does a finite point whose stencil point x + h overflows for hn
+def test_jac_points_gives_nan_where_jac_map_does(family):
+    # a non-finite point gives NaN entries for fn (its chart) and hn (its
+    # stencil), with no raise and no warning; so does the largest float,
+    # whose hn stencil point x + h overflows to inf (a point the caller
+    # never passed)
     spec = MapSpec(family, k=K, n=5)
-    pts = [(math.nan, 1.0), (2.0, math.inf)]
-    if family == "hn":
-        pts.append((1.7976931348623157e308, 0.0))
-    for p in pts:
-        with pytest.raises(ValueError, match="non-finite point"):
-            jac_map(spec, p)
-        with pytest.raises(ValueError, match="non-finite point"):
-            jac_points(spec, np.array([p[0]]), np.array([p[1]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in [(math.nan, 1.0), (2.0, math.inf), (1.7976931348623157e308, 0.0)]:
+            assert np.isnan(jac_map(spec, p)).all(), p
+            assert np.isnan(jac_points(spec, np.array([p[0]]), np.array([p[1]]))).all(), p
+
+
+EXTENDED = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.7976931348623157e308,
+            -1.7976931348623157e308]
+
+
+@given(st.sampled_from(("f4", "g4", "fn", "h", "hn")), st.sampled_from(ORDERS),
+       st.one_of(st.sampled_from(EXTENDED), st.floats()),
+       st.one_of(st.sampled_from(EXTENDED), st.floats()))
+def test_evaluators_never_raise_or_warn_on_the_extended_domain(family, n, x, y):
+    # every evaluator runs its arithmetic at NaN, +-inf, +-0.0 and the
+    # largest float, and the array entry points give eval_map's and
+    # jac_map's bits at each point, NaN blind
+    spec = (MapSpec("g4", k=K, alpha=0.02, beta=0.05, delta=0.003) if family == "g4"
+            else MapSpec(family, k=K, n=n if family in ("fn", "hn") else 4))
+    ax, ay = np.array([x]), np.array([y])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        image, jac = eval_map(spec, (x, y)), jac_map(spec, (x, y))
+        images, jacs = eval_points(spec, ax, ay), jac_points(spec, ax, ay)
+    assert bits(one_nan(tuple(c[0] for c in images))) == bits(one_nan(image))
+    assert bits(one_nan(jacs[0])) == bits(one_nan(jac))
 
 
 @given(st.sampled_from((2, 3, 4, 5, 6, 7, 8, 23)), st.floats(1.0005, 1.1547),
@@ -621,7 +663,7 @@ def test_jac_points_raises_where_jac_map_does(family):
 def test_jac_points_is_jac_map_per_point(n, k, seed, radius, extra):
     pts = seeded_points(16, radius, seed).tolist()
     for spec in point_specs(k, n):
-        assert_jac_points_per_point(spec, pts + extra, same_error=False)
+        assert_jac_points_per_point(spec, pts + extra)
         for p in extra:
             assert_jac_points_per_point(spec, [p])
 

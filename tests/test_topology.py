@@ -204,6 +204,22 @@ def test_rotation_rejects_origin_and_fast_collapse():
         estimate_rotation(F4, (0.01, 0.01))
 
 
+def test_rotation_rejects_too_few_iterates_before_stepping():
+    # max_iters + 1 angles at most, and the estimate needs 8: max_iters
+    # below 7 is a bad value, like a start at the origin, not a failed orbit
+    steps = []
+
+    def counted(p):
+        steps.append(p)
+        return eval_map(F4, p)
+
+    for max_iters in (6, 3, 0, -5):
+        with pytest.raises(ValueError, match=f"max_iters={max_iters} leaves too few angles"):
+            estimate_rotation(counted, (2.0, 0.0), max_iters=max_iters)
+    assert steps == []
+    assert estimate_rotation(counted, (2.0, 0.0), max_iters=7).iterates_used == 8
+
+
 def test_rotation_names_overflow():
     with pytest.raises(RuntimeError, match="overflowed"):
         estimate_rotation(lambda p: (p[0] * 1e200, p[1] * 1e200), (1.0, 0.5))
@@ -251,7 +267,7 @@ def test_rotation_is_the_two_chart_loop(family, n):
     # starts as the explore benchmark draws them (r 6 to 8, offsets into
     # each sector), on a boundary ray, inside the contracting disk (the
     # orbit reaches the origin, too fast or after enough angles), far out
-    # (fn overflows) and at the origin; max_iters 7 leaves too few angles
+    # (fn overflows) and at the origin; max_iters 7 leaves exactly 8 angles
     spec = MapSpec(family, k=K, n=n)
     rng = np.random.default_rng(n)
     starts = [from_polar((6.0 + 2.0 * rng.random(),
