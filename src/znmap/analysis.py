@@ -292,14 +292,19 @@ def _solve2(jac: np.ndarray, rhs) -> tuple[float, float]:
     return u, v
 
 
-def find_periodic(spec, guess: Point, period: int, tol: float = 1e-12,
-                  max_iter: int = 50) -> PeriodicOrbit:
+_NEWTON_TOL = 1e-12  # residual |f^period(p) - p| at which find_periodic stops
+_NEWTON_MAX_ITER = 50
+
+
+def find_periodic(spec, guess: Point, period: int) -> PeriodicOrbit:
     """Newton-refine a periodic point of the given period.
 
     Newton runs on f^period(p) - p with a finite-difference Jacobian of the
-    composite (works across sector charts); multipliers come from chaining
-    the per-point Jacobians along the refined orbit.  Minimality is probed
-    on every proper divisor with threshold 10*tol and reported as a flag.
+    composite (works across sector charts) until the residual is at most
+    _NEWTON_TOL, for at most _NEWTON_MAX_ITER steps; multipliers come from
+    chaining the per-point Jacobians along the refined orbit.  Minimality is
+    probed on every proper divisor with threshold 10*_NEWTON_TOL and reported
+    as a flag.
     The orbit, the probes and the residual all come from the iterates of
     the last residual evaluation: nothing is re-evaluated after convergence.
     """
@@ -307,14 +312,14 @@ def find_periodic(spec, guess: Point, period: int, tol: float = 1e-12,
         raise ValueError("period must be >= 1")
     p = (float(guess[0]), float(guess[1]))
     residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         orbit = [p]
         for _ in range(period):
             orbit.append(eval_map(spec, orbit[-1]))
         fp = orbit.pop()
         gx, gy = fp[0] - p[0], fp[1] - p[1]
         residual = math.hypot(gx, gy)
-        if residual <= tol:
+        if residual <= _NEWTON_TOL:
             break
         h = 1e-7 * (1.0 + math.hypot(*p))
         cols = []
@@ -327,14 +332,14 @@ def find_periodic(spec, guess: Point, period: int, tol: float = 1e-12,
         du, dv = _solve2(jac, (gx, gy))
         p = (p[0] - du, p[1] - dv)
     else:
-        raise RuntimeError(f"no convergence after {max_iter} Newton iterations "
+        raise RuntimeError(f"no convergence after {_NEWTON_MAX_ITER} Newton iterations "
                            f"(residual {residual:.3e})")
 
     prod = np.eye(2)
     for pt in orbit:
         prod = jac_map(spec, pt) @ prod
     mults = tuple(np.linalg.eigvals(prod))
-    minimal = not any(math.hypot(orbit[d][0] - p[0], orbit[d][1] - p[1]) <= 10.0 * tol
+    minimal = not any(math.hypot(orbit[d][0] - p[0], orbit[d][1] - p[1]) <= 10.0 * _NEWTON_TOL
                       for d in range(1, period) if period % d == 0)
     return PeriodicOrbit(point=p, period=period, orbit=orbit,
                          multipliers=mults, residual=residual, minimal=minimal)
@@ -395,9 +400,11 @@ def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
     f4/g4 take the closed-form modulus of their analytic Jacobian entries,
     the x row broadcast against the block's y column.  Other families take
     maps.jac_points, the jac_map Jacobian of every point of the block
-    bitwise, and np.linalg.eigvals.  Blocking changes no bit.
-    Deterministic; ties, and the first NaN if any, go to the first grid
-    point in row-major order (y outer, x inner).
+    bitwise, and np.linalg.eigvals of each Jacobian with four finite
+    entries; the others get a NaN modulus.  Blocking changes no bit, and
+    far-out points that overflow warn of nothing.  Deterministic; ties, and
+    the first NaN if any, go to the first grid point in row-major order
+    (y outer, x inner).
     """
     xmin, xmax, ymin, ymax = region
     try:
@@ -411,14 +418,18 @@ def spectral_scan(spec, region: tuple, grid: int | tuple) -> SpectralSample:
     closed_form = not callable(spec) and spec.family in ("f4", "g4")
     mods = np.empty((ny, nx))
     rows = max(1, _SCAN_BLOCK // nx)
-    for lo in range(0, ny, rows):
-        yb = ys[lo:lo + rows, None]
-        if closed_form:
-            mods[lo:lo + rows] = _eig_max_modulus(*_jac_entries(spec, xs, yb))
-        else:
-            gx, gy = np.broadcast_arrays(xs, yb)
-            jacs = jac_points(spec, gx.ravel(), gy.ravel())
-            mods[lo:lo + rows] = np.abs(np.linalg.eigvals(jacs)).max(axis=1).reshape(-1, nx)
+    with np.errstate(all="ignore"):  # as in jac_points: overflow gives inf or NaN
+        for lo in range(0, ny, rows):
+            yb = ys[lo:lo + rows, None]
+            if closed_form:
+                mods[lo:lo + rows] = _eig_max_modulus(*_jac_entries(spec, xs, yb))
+            else:
+                gx, gy = np.broadcast_arrays(xs, yb)
+                jacs = jac_points(spec, gx.ravel(), gy.ravel())
+                finite = np.isfinite(jacs).all(axis=(1, 2))
+                block = np.full(len(jacs), np.nan)
+                block[finite] = np.abs(np.linalg.eigvals(jacs[finite])).max(axis=1)
+                mods[lo:lo + rows] = block.reshape(-1, nx)
     iy, ix = np.unravel_index(int(np.argmax(mods)), mods.shape)
     return SpectralSample(max_modulus=float(mods[iy, ix]),
                           argmax=(float(xs[ix]), float(ys[iy])),

@@ -20,7 +20,6 @@ import sys
 
 import numpy as np
 
-from . import singularity as sg
 from .analysis import (DEFAULT_BUDGET, DEFAULT_EPS_IN, DEFAULT_R_ESCAPE, DEFAULT_SEED,
                        continue_periodic, iterate)
 from .maps import FAMILIES, K_DEFAULT, MapSpec, RadialProfile, eval_map, orbit_radius
@@ -275,6 +274,8 @@ def _cmd_unfold_scan(parser, args) -> int:
 
 
 def _cmd_singularity(parser, args) -> int:
+    from . import singularity as sg  # only this command needs the exact layer
+
     q = sg.build_Q()
     rank = sg.rank_exact(q.entries)
     rep = sg.codimension_check()

@@ -6,6 +6,14 @@ and the codimension-3 complement.
 Everything here is exact: coefficients are ``fractions.Fraction`` and no
 floating point enters.
 
+The fixed objects are module constants, built once at import: the
+invariants N, A, B, the generators X1..X4 (GENERATORS), the matrix germs
+S_GERMS and T_GERMS, the numerator NUMERATOR, the 12 cleared tangent
+generators TANGENT_GENERATORS (a dict by name, "dF.X1" .. "T4.F") and the
+four RELATIONS.  Nothing mutates them.  The package and its CLI import this
+module only when a singularity command or check runs, so that build stays
+out of ``import znmap``.
+
 Coordinates on the module of equivariant pairs use labels
 ``N^a * A^b * B^c * X_i`` (invariant monomial times generator).  The four
 generator fields are not free over the invariants: two exact degree-5
@@ -32,6 +40,7 @@ for the one matrix that build_Q and codimension_check each reduce.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -201,79 +210,72 @@ class MatrixGerm:
 
 
 # ---------------------------------------------------------------------------
-# generators
+# the fixed objects, built once at import
 # ---------------------------------------------------------------------------
 
-def make_invariants():
-    """Hilbert basis of the invariant ring: N = x^2+y^2,
-    A = x^4+y^4-6x^2y^2, B = (x^2-y^2)xy."""
-    n = X * X + Y * Y
-    a = X ** 4 + Y ** 4 - Poly2.const(6) * X * X * Y * Y
-    b = (X * X - Y * Y) * X * Y
-    return n, a, b
+# Hilbert basis of the invariant ring
+N = X * X + Y * Y
+A = X ** 4 + Y ** 4 - Poly2.const(6) * X * X * Y * Y
+B = (X * X - Y * Y) * X * Y
 
+# module generators
+X1 = VecEq(X, Y)
+X2 = VecEq(-Y, X)
+X3 = VecEq(X * (X * X - Poly2.const(3) * Y * Y), Y * (Y * Y - Poly2.const(3) * X * X))
+X4 = VecEq(-Y * (Y * Y - Poly2.const(3) * X * X), X * (X * X - Poly2.const(3) * Y * Y))
+GENERATORS = (X1, X2, X3, X4)
 
-def make_equivariants():
-    """Module generators X1 = (x,y), X2 = (-y,x), X3, X4."""
-    x1 = VecEq(X, Y)
-    x2 = VecEq(-Y, X)
-    x3 = VecEq(X * (X * X - Poly2.const(3) * Y * Y),
-               Y * (Y * Y - Poly2.const(3) * X * X))
-    x4 = VecEq(-Y * (Y * Y - Poly2.const(3) * X * X),
-               X * (X * X - Poly2.const(3) * Y * Y))
-    return x1, x2, x3, x4
+# matrix germs S1..S4 and their quarter-turn partners T_j = C*S_j with
+# C = [[0, 1], [-1, 0]]
+S_GERMS = (
+    MatrixGerm(Poly2.const(1), Poly2(), Poly2(), Poly2.const(1)),
+    MatrixGerm(X * X, X * Y, X * Y, Y * Y),
+    MatrixGerm(-(X * X), X * Y, X * Y, -(Y * Y)),
+    MatrixGerm(Poly2(), X * X * X * Y, X * Y * Y * Y, Poly2()),
+)
+T_GERMS = tuple(MatrixGerm(s.c, s.d, -s.a, -s.b) for s in S_GERMS)
 
+# P = (-y^3, x^3), the numerator of the quartic map with k = 1
+NUMERATOR = VecEq(-(Y * Y * Y), X * X * X)
 
-def make_matrix_germs():
-    """Matrix-germ generators S1..S4 and their quarter-turn partners
-    T_j = C*S_j with C = [[0, 1], [-1, 0]]."""
-    zero = Poly2()
-    one = Poly2.const(1)
-    s1 = MatrixGerm(one, zero, zero, one)
-    s2 = MatrixGerm(X * X, X * Y, X * Y, Y * Y)
-    s3 = MatrixGerm(-(X * X), X * Y, X * Y, -(Y * Y))
-    s4 = MatrixGerm(zero, X * X * X * Y, X * Y * Y * Y, zero)
-    def turn(s):
-        return MatrixGerm(s.c, s.d, -s.a, -s.b)
-    return (s1, s2, s3, s4), tuple(turn(s) for s in (s1, s2, s3, s4))
+# The 12 tangent-space generators with denominators cleared.  The
+# derivative terms use the quotient rule cleared by (1+N)^2:
+# (1+N)*(dP . X_i) - (grad N . X_i)*P; the matrix-germ terms are S_j*P and
+# T_j*P (cleared by 1+N).  Scalar invariant units do not affect the
+# rank/membership results downstream.
+_DP = MatrixGerm(NUMERATOR.u.dx(), NUMERATOR.u.dy(), NUMERATOR.v.dx(), NUMERATOR.v.dy())
+TANGENT_GENERATORS = {
+    **{f"dF.X{i}": _DP.apply(xi).scale(Poly2.const(1) + N)
+       - NUMERATOR.scale(N.dx() * xi.u + N.dy() * xi.v)
+       for i, xi in enumerate(GENERATORS, start=1)},
+    **{f"S{j}.F": sj.apply(NUMERATOR) for j, sj in enumerate(S_GERMS, start=1)},
+    **{f"T{j}.F": tj.apply(NUMERATOR) for j, tj in enumerate(T_GERMS, start=1)},
+}
 
-
-def base_numerator() -> VecEq:
-    """P = (-y^3, x^3), the numerator of the quartic map with k = 1."""
-    return VecEq(-(Y * Y * Y), X * X * X)
-
-
-def cleared_tangent_generators():
-    """The 12 tangent-space generators with denominators cleared.
-
-    The derivative terms use the quotient rule cleared by (1+N)^2:
-    (1+N)*(dP . X_i) - (grad N . X_i)*P; the matrix-germ terms are S_j*P
-    and T_j*P (cleared by 1+N).  Scalar invariant units do not affect the
-    rank/membership results downstream.
-    """
-    n, _, _ = make_invariants()
-    xs = make_equivariants()
-    ss, ts = make_matrix_germs()
-    p = base_numerator()
-    one = Poly2.const(1)
-    dp = MatrixGerm(p.u.dx(), p.u.dy(), p.v.dx(), p.v.dy())
-    dn = (n.dx(), n.dy())
-    out = []
-    for i, xi in enumerate(xs, start=1):
-        dn_xi = dn[0] * xi.u + dn[1] * xi.v
-        g = dp.apply(xi).scale(one + n) - p.scale(dn_xi)
-        out.append((f"dF.X{i}", g))
-    for j, sj in enumerate(ss, start=1):
-        out.append((f"S{j}.F", sj.apply(p)))
-    for j, tj in enumerate(ts, start=1):
-        out.append((f"T{j}.F", tj.apply(p)))
-    return out
+# The four relation classes among the degree-5/7 labels, each as (name,
+# {label: coeff}, vector field of the represented class).  The first two
+# are exact zero identities among the generator products; the last two
+# rewrite N^3*X1 and N^3*X2 (dropped, higher-filtration content) through
+# kept labels.
+RELATIONS = (
+    ("A*X1-4*B*X2-N*X3",
+     {((0, 1, 0), 1): F1, ((0, 0, 1), 2): Fraction(-4), ((1, 0, 0), 3): Fraction(-1)},
+     X1.scale(A) - X2.scale(B * 4) - X3.scale(N)),
+    ("A*X2+4*B*X1-N*X4",
+     {((0, 1, 0), 2): F1, ((0, 0, 1), 1): Fraction(4), ((1, 0, 0), 4): Fraction(-1)},
+     X2.scale(A) + X1.scale(B * 4) - X4.scale(N)),
+    ("A*X3+4*B*X4 (= N^3*X1)",
+     {((0, 1, 0), 3): F1, ((0, 0, 1), 4): Fraction(4)},
+     X3.scale(A) + X4.scale(B * 4) - X1.scale(N ** 3)),
+    ("A*X4-4*B*X3 (= N^3*X2)",
+     {((0, 1, 0), 4): F1, ((0, 0, 1), 3): Fraction(-4)},
+     X4.scale(A) - X3.scale(B * 4) - X2.scale(N ** 3)),
+)
 
 
 def verify_invariant_relation() -> bool:
     """Exact check of the invariant-ring relation N^4 = A^2 + 16 B^2."""
-    n, a, b = make_invariants()
-    return (n ** 4 - a * a - Poly2.const(16) * b * b).is_zero()
+    return (N ** 4 - A * A - Poly2.const(16) * B * B).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +319,7 @@ def label_degree(label) -> int:
 
 def label_field(label) -> VecEq:
     (a, b, c), i = label
-    n, aa, bb = make_invariants()
-    mono = (n ** a) * (aa ** b) * (bb ** c)
-    return make_equivariants()[i - 1].scale(mono)
+    return GENERATORS[i - 1].scale((N ** a) * (A ** b) * (B ** c))
 
 
 def _labels_of_degree(d: int):
@@ -379,22 +379,23 @@ def _sparse(row) -> dict:
     return {j: v for j, v in enumerate(row) if v}
 
 
-_SOLVER_CACHE: dict = {}
+@cache
+def _label_basis(d: int) -> tuple:
+    """(labels, rows): the degree-d labels in canonical order and the
+    echelon rows of their fields, tagged by label (a label in the span of
+    those before it is dependent: coefficient 0)."""
+    labels = _labels_of_degree(d)
+    if not labels:
+        raise ValueError(f"not in module span: no equivariant labels of degree {d}")
+    rows = []
+    for lab in labels:
+        _extend(rows, _coords(label_field(lab)), lab)
+    return tuple(labels), tuple(rows)
 
 
 def _decompose_homogeneous(vec: VecEq, d: int) -> dict:
-    """module_decompose of a degree-d pair, against the echelon rows of the
-    degree-d labels, built once in canonical order and tagged by label (a
-    label in the span of those before it is dependent: coefficient 0)."""
-    if d not in _SOLVER_CACHE:
-        labels = _labels_of_degree(d)
-        if not labels:
-            raise ValueError(f"not in module span: no equivariant labels of degree {d}")
-        rows = []
-        for lab in labels:
-            _extend(rows, _coords(label_field(lab)), lab)
-        _SOLVER_CACHE[d] = labels, rows
-    labels, rows = _SOLVER_CACHE[d]
+    """module_decompose of a degree-d pair, against _label_basis(d)."""
+    labels, rows = _label_basis(d)
     rest, coeffs = _reduce(rows, _coords(vec))
     if rest:
         raise ValueError("not in module span: inconsistent coefficient system")
@@ -423,32 +424,6 @@ def module_decompose(vec: VecEq) -> dict:
         part = VecEq(parts_u.get(d, Poly2()), parts_v.get(d, Poly2()))
         out.update(_decompose_homogeneous(part, d))
     return out
-
-
-def generator_relations():
-    """The four relation classes among the degree-5/7 labels.
-
-    The first two are exact zero identities among the generator products;
-    the last two rewrite N^3*X1 and N^3*X2 (dropped, higher-filtration
-    content) through kept labels.  Each entry is (name, {label: coeff},
-    vector field of the represented class).
-    """
-    n, a, b = make_invariants()
-    x1, x2, x3, x4 = make_equivariants()
-    rel = []
-    rel.append(("A*X1-4*B*X2-N*X3",
-                {((0, 1, 0), 1): F1, ((0, 0, 1), 2): Fraction(-4), ((1, 0, 0), 3): Fraction(-1)},
-                x1.scale(a) - x2.scale(b * 4) - x3.scale(n)))
-    rel.append(("A*X2+4*B*X1-N*X4",
-                {((0, 1, 0), 2): F1, ((0, 0, 1), 1): Fraction(4), ((1, 0, 0), 4): Fraction(-1)},
-                x2.scale(a) + x1.scale(b * 4) - x4.scale(n)))
-    rel.append(("A*X3+4*B*X4 (= N^3*X1)",
-                {((0, 1, 0), 3): F1, ((0, 0, 1), 4): Fraction(4)},
-                x3.scale(a) + x4.scale(b * 4) - x1.scale(n ** 3)))
-    rel.append(("A*X4-4*B*X3 (= N^3*X2)",
-                {((0, 1, 0), 4): F1, ((0, 0, 1), 3): Fraction(-4)},
-                x4.scale(a) - x3.scale(b * 4) - x2.scale(n ** 3)))
-    return rel
 
 
 # ---------------------------------------------------------------------------
@@ -498,27 +473,25 @@ def build_Q() -> TangentMatrixQ:
     candidate, while the completed matrix has the representative-free rank
     dim(row span + relation span) = 12.
     """
-    gens = dict(cleared_tangent_generators())
-    n, a, _ = make_invariants()
+    gens = TANGENT_GENERATORS
     candidates = [
-        ("N*dF.X1", gens["dF.X1"].scale(n)),
-        ("N*dF.X2", gens["dF.X2"].scale(n)),
+        ("N*dF.X1", gens["dF.X1"].scale(N)),
+        ("N*dF.X2", gens["dF.X2"].scale(N)),
         ("dF.X3", gens["dF.X3"]),
         ("dF.X4", gens["dF.X4"]),
-        ("N*S1.F", gens["S1.F"].scale(n)),
+        ("N*S1.F", gens["S1.F"].scale(N)),
         ("S2.F", gens["S2.F"]),
         ("S3.F", gens["S3.F"]),
         ("S4.F", gens["S4.F"]),
-        ("N*T1.F", gens["T1.F"].scale(n)),
+        ("N*T1.F", gens["T1.F"].scale(N)),
         ("T2.F", gens["T2.F"]),
         ("T3.F", gens["T3.F"]),
         ("T4.F", gens["T4.F"]),
-        ("A*S1.F", gens["S1.F"].scale(a)),
+        ("A*S1.F", gens["S1.F"].scale(A)),
     ]
     names = [name for name, _ in candidates]
     rows = [_label_row(module_decompose(vec), GEN12, 5, name) for name, vec in candidates]
-    relations = generator_relations()
-    rel_rows = [_label_row(coeffs, GEN12, 5, name) for name, coeffs, _ in relations]
+    rel_rows = [_label_row(coeffs, GEN12, 5, name) for name, coeffs, _ in RELATIONS]
 
     fold_targets = [names.index(nm) for nm in ("N*S1.F", "T3.F", "T4.F", "A*S1.F")]
     basis = []
@@ -528,7 +501,7 @@ def build_Q() -> TangentMatrixQ:
     if any(_reduce(basis, _sparse(rows[i]))[0] for i in fold_targets):
         raise RuntimeError("fold targets are not redundant; reduction changed")
     folded = {}
-    for target, rel_row, (rel_name, _, _) in zip(fold_targets, rel_rows, relations):
+    for target, rel_row, (rel_name, _, _) in zip(fold_targets, rel_rows, RELATIONS):
         rows[target] = [v + w for v, w in zip(rows[target], rel_row)]
         _extend(basis, _sparse(rows[target]))
         folded[target] = rel_name
@@ -586,27 +559,24 @@ def codimension_check() -> CodimensionReport:
 
     i.e. codimension 3 with complement {X1, X2, N*X2}.
     """
-    n, a, b = make_invariants()
-
     def label_row(vec, context):
         return _sparse(_label_row(module_decompose(vec), LABELS18, 7, context))
 
-    multipliers = [Poly2.const(1), n, a, b, n * n]
+    multipliers = [Poly2.const(1), N, A, B, N * N]
     basis = []
-    for name, g in cleared_tangent_generators():
+    for name, g in TANGENT_GENERATORS.items():
         for mult in multipliers:
             vec = g.scale(mult).truncate(7)
             if not vec.is_zero():
                 _extend(basis, label_row(vec, name))
-    for _, coeffs, _ in generator_relations():
+    for _, coeffs, _ in RELATIONS:
         _extend(basis, _sparse(_label_row(coeffs, LABELS18, 7, "relation")))
     dim_tangent = len(basis)
 
-    x1, x2, x3, x4 = make_equivariants()
     targets = {
-        "N*X1": x1.scale(n),
-        "X3": x3,
-        "3*N*X2+X4": x2.scale(n * 3) + x4,
+        "N*X1": X1.scale(N),
+        "X3": X3,
+        "3*N*X2+X4": X2.scale(N * 3) + X4,
     }
     memberships = {name: not _reduce(basis, label_row(vec, name))[0]
                    for name, vec in targets.items()}
@@ -617,8 +587,8 @@ def codimension_check() -> CodimensionReport:
             _extend(extended, label_row(f, "complement"))
         return len(extended)
 
-    dim_v2 = adjoin([x1, x2, x2.scale(n)])
-    dim_v1 = adjoin([x1, x2, x4])
+    dim_v2 = adjoin([X1, X2, X2.scale(N)])
+    dim_v1 = adjoin([X1, X2, X4])
     passed = (dim_tangent == 15 and all(memberships.values())
               and dim_v2 == 18 and dim_v1 == 18)
     return CodimensionReport(dim_tangent=dim_tangent, memberships=memberships,

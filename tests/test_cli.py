@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +299,18 @@ def test_singularity_stdout_and_json(tmp_path, capsys):
     assert payload["complement"] == ["X1", "X2", "N*X2"]
     assert payload["invariant_relation_holds"] is True
     assert len(payload["entries"]) == 13
+
+
+def test_import_leaves_out_the_exact_layer():
+    # znmap.singularity builds its constants at import; only the singularity
+    # command and check import it, so a fresh interpreter that imports the
+    # package and the CLI and builds the parser does not
+    child = ("import sys, znmap, znmap.cli; znmap.cli.build_parser(); "
+             "print('znmap.singularity' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(znmap.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout == "False\n"
 
 
 def test_verify_selected_checks_pass(tmp_path, capsys):

@@ -14,21 +14,16 @@ from znmap.singularity import (
     _label_row,
     _labels_of_degree,
     build_Q,
-    cleared_tangent_generators,
     codimension_check,
-    generator_relations,
     label_degree,
     label_field,
     label_name,
-    make_equivariants,
-    make_invariants,
-    make_matrix_germs,
     module_decompose,
     rank_exact,
     verify_invariant_relation,
-    base_numerator,
 )
 import znmap.singularity as sg
+from znmap.verify import check_singularity
 
 F = Fraction
 
@@ -162,22 +157,20 @@ def codimension_rows():
     """The rows codimension_check reduces, built here on their own: the
     tangent rows with the relations, the three membership targets, and the
     four complement fields X1, X2, N*X2 and X4."""
-    n, a, b = make_invariants()
+    n = sg.N
     rows = []
-    for name, g in cleared_tangent_generators():
-        for mult in (Poly2.const(1), n, a, b, n * n):
+    for name, g in sg.TANGENT_GENERATORS.items():
+        for mult in (Poly2.const(1), n, sg.A, sg.B, n * n):
             vec = g.scale(mult).truncate(7)
             if not vec.is_zero():
                 rows.append(_label_row(module_decompose(vec), LABELS18, 7, name))
-    rows += [_label_row(coeffs, LABELS18, 7, "relation")
-             for _, coeffs, _ in generator_relations()]
-    x1, x2, x3, x4 = make_equivariants()
+    rows += [_label_row(coeffs, LABELS18, 7, "relation") for _, coeffs, _ in sg.RELATIONS]
 
     def as_row(f):
         return _label_row(module_decompose(f), LABELS18, 7, "test")
 
-    targets = [as_row(f) for f in (x1.scale(n), x3, x2.scale(n * 3) + x4)]
-    complement = [as_row(f) for f in (x1, x2, x2.scale(n), x4)]
+    targets = [as_row(f) for f in (sg.X1.scale(n), sg.X3, sg.X2.scale(n * 3) + sg.X4)]
+    complement = [as_row(f) for f in (sg.X1, sg.X2, sg.X2.scale(n), sg.X4)]
     return rows, targets, complement
 
 
@@ -196,24 +189,22 @@ def test_poly_arithmetic_stays_exact():
 
 
 def test_invariant_values():
-    n, a, b = make_invariants()
-    assert evaluate(n, 1, 2) == 5
-    assert evaluate(a, 1, 1) == -4
-    assert evaluate(b, 2, 1) == 6
+    assert evaluate(sg.N, 1, 2) == 5
+    assert evaluate(sg.A, 1, 1) == -4
+    assert evaluate(sg.B, 2, 1) == 6
 
 
 def test_invariant_relation_exact_and_spot_checks():
     assert verify_invariant_relation()
-    n, a, b = make_invariants()
     for pt in ((2, 1), (1, 0), (3, -2)):
-        assert evaluate(n, *pt) ** 4 == evaluate(a, *pt) ** 2 + 16 * evaluate(b, *pt) ** 2
+        assert evaluate(sg.N, *pt) ** 4 == evaluate(sg.A, *pt) ** 2 + 16 * evaluate(sg.B, *pt) ** 2
 
 
 def test_equivariant_generators():
-    x1, x2, x3, x4 = make_equivariants()
-    assert x2.u == Poly2({(0, 1): -1}) and x2.v == Poly2({(1, 0): 1})
-    assert evaluate_field(x3, 1, 0) == (1, 0)
-    for f in (x1, x2, x3, x4):
+    assert sg.GENERATORS == (sg.X1, sg.X2, sg.X3, sg.X4)
+    assert sg.X2.u == Poly2({(0, 1): -1}) and sg.X2.v == Poly2({(1, 0): 1})
+    assert evaluate_field(sg.X3, 1, 0) == (1, 0)
+    for f in sg.GENERATORS:
         assert check_equivariance(f)
 
 
@@ -223,16 +214,13 @@ def test_check_equivariance_rejects_reflection():
 
 
 def test_invariant_multiples_stay_equivariant():
-    n, a, b = make_invariants()
-    x1 = make_equivariants()[0]
-    assert check_equivariance(x1.scale(n + a * 2 + b))
+    assert check_equivariance(sg.X1.scale(sg.N + sg.A * 2 + sg.B))
 
 
 def test_matrix_germs_equivariant_and_t2_display():
-    ss, ts = make_matrix_germs()
-    for m in ss + ts:
+    for m in sg.S_GERMS + sg.T_GERMS:
         assert check_matrix_equivariance(m)
-    t2 = ts[1]
+    t2 = sg.T_GERMS[1]
     assert t2.a == Poly2({(1, 1): 1})          # xy
     assert t2.b == Poly2({(0, 2): 1})          # y^2
     assert t2.c == Poly2({(2, 0): -1})         # -x^2
@@ -244,28 +232,58 @@ def test_matrix_germs_equivariant_and_t2_display():
 # ---------------------------------------------------------------------------
 
 def test_cleared_generators_all_equivariant():
-    for name, g in cleared_tangent_generators():
+    assert list(sg.TANGENT_GENERATORS) == (
+        [f"dF.X{i}" for i in range(1, 5)] + [f"S{j}.F" for j in range(1, 5)]
+        + [f"T{j}.F" for j in range(1, 5)])
+    for name, g in sg.TANGENT_GENERATORS.items():
         assert check_equivariance(g), name
 
 
 def test_s1_term_is_the_numerator():
-    gens = dict(cleared_tangent_generators())
-    p = base_numerator()
-    assert (gens["S1.F"] - p).is_zero()
-    coeffs = module_decompose(p)
+    assert (sg.TANGENT_GENERATORS["S1.F"] - sg.NUMERATOR).is_zero()
+    coeffs = module_decompose(sg.NUMERATOR)
     assert coeffs == {((1, 0, 0), 2): F(3, 4), ((0, 0, 0), 4): F(1, 4)}
 
 
 def test_t2_term_is_minus_b_x2():
-    gens = dict(cleared_tangent_generators())
-    _, _, b = make_invariants()
-    x2 = make_equivariants()[1]
-    assert (gens["T2.F"] + x2.scale(b)).is_zero()
+    assert (sg.TANGENT_GENERATORS["T2.F"] + sg.X2.scale(sg.B)).is_zero()
 
 
 def test_generator_relations_are_exact():
-    for name, _, vec in generator_relations():
+    assert len(sg.RELATIONS) == 4
+    for name, _, vec in sg.RELATIONS:
         assert vec.is_zero(), name
+
+
+def terms_of(obj):
+    """A constant's polynomials as lists of (key, coeff) in dict order,
+    which _extend's pivots follow."""
+    if isinstance(obj, Poly2):
+        return list(obj.terms.items())
+    if isinstance(obj, VecEq):
+        return [terms_of(obj.u), terms_of(obj.v)]
+    if isinstance(obj, MatrixGerm):
+        return [terms_of(p) for p in (obj.a, obj.b, obj.c, obj.d)]
+    if isinstance(obj, dict):
+        return [(key, terms_of(v)) for key, v in obj.items()]
+    if isinstance(obj, tuple):
+        return [terms_of(v) for v in obj]
+    return obj
+
+
+CONSTANTS = ("X", "Y", "N", "A", "B", "X1", "X2", "X3", "X4", "GENERATORS", "S_GERMS",
+             "T_GERMS", "NUMERATOR", "TANGENT_GENERATORS", "RELATIONS")
+
+
+def test_no_computation_changes_a_constant():
+    before = {name: terms_of(getattr(sg, name)) for name in CONSTANTS}
+    build_Q()
+    codimension_check()
+    assert check_singularity().passed
+    for d in range(1, 8):
+        for lab in _labels_of_degree(d):
+            module_decompose(label_field(lab))
+    assert {name: terms_of(getattr(sg, name)) for name in CONSTANTS} == before
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +291,12 @@ def test_generator_relations_are_exact():
 # ---------------------------------------------------------------------------
 
 def test_decompose_simple_labels():
-    n, a, _ = make_invariants()
-    x1, x2, _, _ = make_equivariants()
-    assert module_decompose(x1.scale(n)) == {((1, 0, 0), 1): F(1)}
-    assert module_decompose(x2.scale(a)) == {((0, 1, 0), 2): F(1)}
+    assert module_decompose(sg.X1.scale(sg.N)) == {((1, 0, 0), 1): F(1)}
+    assert module_decompose(sg.X2.scale(sg.A)) == {((0, 1, 0), 2): F(1)}
 
 
 def test_decompose_round_trip_on_all_generators():
-    for name, g in cleared_tangent_generators():
+    for name, g in sg.TANGENT_GENERATORS.items():
         coeffs = module_decompose(g)
         assert (recompose(coeffs) - g).is_zero(), name
 
@@ -293,7 +309,8 @@ def test_decompose_rejects_non_equivariant():
 
 def test_decompose_matches_per_call_elimination(monkeypatch):
     # every vector that build_Q and codimension_check decompose, starting
-    # from an empty solver cache, in the same order and with the same dicts
+    # from an empty cache of label bases, in the same order and with the
+    # same dicts
     seen = []
     solve = sg.module_decompose
 
@@ -302,7 +319,7 @@ def test_decompose_matches_per_call_elimination(monkeypatch):
         seen.append((vec, out))
         return out
 
-    monkeypatch.setattr(sg, "_SOLVER_CACHE", {})
+    sg._label_basis.cache_clear()
     monkeypatch.setattr(sg, "module_decompose", recording)
     build_Q()
     codimension_check()
@@ -328,7 +345,7 @@ def test_decompose_rejection_routes_match_per_call_elimination(vec, d):
 
 
 def test_decompose_result_is_a_fresh_dict():
-    p = base_numerator()
+    p = sg.NUMERATOR
     first = module_decompose(p)
     expected = dict(first)
     first[((1, 0, 0), 2)] = F(99)
@@ -339,17 +356,15 @@ def test_decompose_result_is_a_fresh_dict():
 
 
 def test_decompose_rejects_large_degree():
-    n, _, _ = make_invariants()
-    x1 = make_equivariants()[0]
     with pytest.raises(ValueError):
-        module_decompose(x1.scale(n ** 4))  # degree 9
+        module_decompose(sg.X1.scale(sg.N ** 4))  # degree 9
 
 
 def test_candidate_degrees_are_five_and_seven():
     # no even-degree content anywhere in the reduction candidates
     q = build_Q()
-    gens = dict(cleared_tangent_generators())
-    n, a, _ = make_invariants()
+    gens = sg.TANGENT_GENERATORS
+    n, a = sg.N, sg.A
     vecs = [gens["dF.X1"].scale(n), gens["dF.X2"].scale(n), gens["dF.X3"],
             gens["dF.X4"], gens["S1.F"].scale(n), gens["S2.F"], gens["S3.F"],
             gens["S4.F"], gens["T1.F"].scale(n), gens["T2.F"], gens["T3.F"],

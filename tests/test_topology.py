@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from znmap.maps import TWO_PI, MapSpec, _rotation, eval_map, from_polar, sector_of, to_polar
+from znmap.maps import (TWO_PI, MapSpec, _rotation, eval_map, from_polar, jac_map, sector_of,
+                        to_polar)
 from znmap.topology import (RotationEstimate, angle_lift, basin_raster, estimate_rotation,
                             image_curve, transversality_det)
 
@@ -159,6 +160,19 @@ def test_transversality_numeric_agrees():
     for th in (0.3, 0.8, 2.0, 4.5):
         assert abs(transversality_det(K, th)
                    - transversality_det_numeric(K, th)) <= 1e-8
+
+
+@pytest.mark.parametrize("k", [1.0005, 1.1, 1.15])
+def test_transversality_det_is_the_map_s_own(k):
+    # det[gamma, gamma'] from f4 itself: gamma = f4(p(theta)) on the unit
+    # circle and gamma' = Df4(p(theta)) (-sin theta, cos theta), so the
+    # closed form that the astroid check evaluates cannot drift from the map
+    spec = MapSpec("f4", k=k)
+    for th in np.linspace(0.0, TWO_PI, 721).tolist():
+        p = (math.cos(th), math.sin(th))
+        gx, gy = eval_map(spec, p)
+        dgx, dgy = jac_map(spec, p) @ (-math.sin(th), math.cos(th))
+        assert abs(gx * dgy - gy * dgx - transversality_det(k, th)) <= 1e-14, th
 
 
 # ---------------------------------------------------------------------------
