@@ -24,7 +24,7 @@ from .analysis import (DEFAULT_BUDGET, DEFAULT_EPS_IN, DEFAULT_R_ESCAPE, DEFAULT
                        continue_periodic, iterate)
 from .maps import FAMILIES, K_DEFAULT, MapSpec, RadialProfile, eval_map, orbit_radius
 from .topology import basin_raster, estimate_rotation, image_curve
-from .verify import CHECKS_BY_NAME, TOOL_VERSION, run_suite
+from .verify import TOOL_VERSION, run_suite
 
 
 def _fmt(v: float) -> str:
@@ -208,12 +208,8 @@ def _cmd_orbit(parser, args) -> int:
 
 def _cmd_verify(parser, args) -> int:
     spec = _spec_from_args(args)
-    if args.suite == "all":
-        names = list(CHECKS_BY_NAME)
-    else:
-        names = [s.strip() for s in args.suite.split(",") if s.strip()]
-        if not names:
-            parser.error("--suite names no checks")
+    names = (None if args.suite == "all"
+             else [s.strip() for s in args.suite.split(",") if s.strip()])
     seed = _resolve_seed(args)
     report = run_suite(names, k=args.k, seed=seed, spec_echo=spec.echo())
     for c in report.checks:

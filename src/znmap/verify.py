@@ -5,10 +5,16 @@ and applies its pass rule itself, and returns a CheckResult with its
 parameters, the measured statistic, the tolerance it was held to, and the
 pass flag.  ``run_suite`` executes a list of checks (default: all twelve)
 and assembles a VerificationReport; the CLI serializes that report as JSON
-and the acceptance tests assert each check individually.
+and the acceptance tests assert each check individually.  On Linux the
+checks run on one process per available CPU (the caller and forked
+workers), elsewhere in the calling process; the report's order and bytes
+do not depend on which process ran a check.
 """
 
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +38,7 @@ from .analysis import (  # noqa: F401
 from .maps import (_LIBM, K_DEFAULT, TWO_PI, MapSpec, _polar, default_profile, eval_map,
                    eval_points, from_polar, jac_map, orbit_radius, ray_image_radius)
 from .topology import basin_raster, estimate_rotation, image_curve, transversality_det
-from . import __version__
+from . import __version__, analysis
 
 TOOL_VERSION = f"znmap {__version__}"
 
@@ -483,14 +489,111 @@ CHECKS_BY_NAME = {
 
 def run_suite(names=None, k: float = K_DEFAULT, seed: int = DEFAULT_SEED,
               spec_echo: dict | None = None) -> VerificationReport:
-    """Run the named checks (all twelve by default) into a report."""
-    if names is None:
-        names = list(CHECKS_BY_NAME)
-    checks = []
+    """Run the named checks (all twelve by default) into a report.
+
+    Every name is checked before any check runs: an empty list or an
+    unknown name raises ValueError.  On Linux the checks run on the calling
+    process and one forked worker per other available CPU
+    (analysis._available_cpus), at most one process per distinct check;
+    elsewhere, or with one CPU, they run in the calling process.  A name
+    given twice runs its check once.  The report lists the checks in the
+    order named, with the same bytes however they were spread; if checks
+    raise, the exception of the first of them in that order is raised.
+    """
+    names = list(CHECKS_BY_NAME) if names is None else list(names)
+    if not names:
+        raise ValueError("the suite names no checks")
     for name in names:
         if name not in CHECKS_BY_NAME:
             raise ValueError(f"unknown check {name!r}; known: "
                              f"{list(CHECKS_BY_NAME)}")
-        checks.append(CHECKS_BY_NAME[name](k=k, seed=seed))
+    distinct = list(dict.fromkeys(names))
+    outcomes = _run_checks([CHECKS_BY_NAME[name] for name in distinct], k, seed)
+    checks = []
+    for name in names:
+        outcome = outcomes.get(distinct.index(name))
+        if outcome is None:
+            raise RuntimeError(f"check {name!r} was lost: its worker process "
+                               "ended without sending a result")
+        if isinstance(outcome, BaseException):
+            raise outcome
+        checks.append(outcome)
     return VerificationReport(tool=TOOL_VERSION, seed=seed,
                               spec=spec_echo or {"k": k}, checks=checks)
+
+
+def _run_checks(checks: list, k: float, seed: int) -> dict:
+    """{index: CheckResult or the exception it raised} for each check of
+    checks (at most 256), run by this process and the workers it forks.
+
+    The workers are forked before any check runs, so that no thread the
+    checks start is alive at fork time.  Every process takes check indices
+    in order from one pipe, one byte per read, so the first check starts
+    first and the rest balance by themselves.  A worker that ends without
+    sending its results leaves their indices out."""
+    import signal  # not at module level, where it would add to every import
+
+    forks = min(analysis._available_cpus(), len(checks)) - 1 if sys.platform == "linux" else 0
+    tasks_r, tasks_w = os.pipe()
+    os.write(tasks_w, bytes(range(len(checks))))
+    os.close(tasks_w)
+    workers = {}  # pid: the read end of the worker's result pipe
+    try:
+        for _ in range(forks):
+            result_r, result_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # too many processes: this one takes their share
+                os.close(result_r)
+                os.close(result_w)
+                break
+            if pid == 0:
+                _work(tasks_r, result_w, checks, k, seed)
+            workers[pid] = result_r
+            os.close(result_w)
+        outcomes = _take_checks(tasks_r, checks, k, seed)
+        for result_r in workers.values():
+            outcomes.update(_read_outcomes(result_r))
+        return outcomes
+    finally:
+        os.close(tasks_r)
+        for pid, result_r in workers.items():
+            os.close(result_r)
+            # stops the worker of an interrupted suite; one that has sent
+            # its results has already left
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _take_checks(tasks_r: int, checks: list, k: float, seed: int) -> dict:
+    """Run the checks whose indices this process reads from tasks_r until it
+    is empty: {index: CheckResult or the exception it raised}."""
+    outcomes = {}
+    while task := os.read(tasks_r, 1):
+        try:
+            outcomes[task[0]] = checks[task[0]](k=k, seed=seed)
+        except Exception as exc:  # raised by run_suite, in suite order
+            outcomes[task[0]] = exc
+    return outcomes
+
+
+def _work(tasks_r: int, result_w: int, checks: list, k: float, seed: int):
+    """The forked worker: take checks, send their outcomes pickled down
+    result_w, and leave the process without returning to the caller."""
+    try:
+        data = memoryview(pickle.dumps(_take_checks(tasks_r, checks, k, seed)))
+        while data:
+            data = data[os.write(result_w, data):]
+    finally:
+        os._exit(0)
+
+
+def _read_outcomes(result_r: int) -> dict:
+    """The outcomes a worker sent down result_r, {} if it sent none whole."""
+    chunks = []
+    while chunk := os.read(result_r, 1 << 16):
+        chunks.append(chunk)
+    try:
+        return pickle.loads(b"".join(chunks))
+    except Exception:  # cut short, or an exception that does not rebuild
+        return {}
