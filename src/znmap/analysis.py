@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_BUDGET, DEFAULT_EPS_IN, DEFAULT_R_ESCAPE
 from .maps import (_LIBM, TWO_PI, MapSpec, Point, _jac_entries, _retirements, _rotation,
                    eval_map, eval_points, jac_map, jac_points, step_batch)
 
 DEFAULT_SEED = 0x5EED
-DEFAULT_BUDGET = 10_000
-DEFAULT_EPS_IN = 1e-8
-DEFAULT_R_ESCAPE = 1e6
 
 # Largest step gap between the repeat-detection snapshots of classify_batch.
 # A cycle of period up to this is caught at most two gaps after it is
@@ -359,9 +357,11 @@ def equivariance_residual(spec, n: int, samples: int = 10_000, radius: float = 1
 
     With normalized=True each residual is divided by (1 + |p|^3) before
     taking the max; NaN residuals are skipped.  All points go through
-    maps.eval_points, whose functions are math's own, so every residual is
-    bitwise that of eval_map taken point by point on floats (step_batch's
-    numpy functions may move the last bits).
+    maps.eval_points, whose functions give libm's bits, so every map value
+    is bitwise that of eval_map taken point by point on floats (step_batch's
+    numpy functions may move the last bits).  The max is that of math.hypot
+    residuals bitwise: np.hypot finds the largest, and only those within a
+    relative 1e-12 of it, the candidates, are recomputed with math.hypot.
     """
     px, py = seeded_points(samples, radius, seed).T
     return _max_residual(spec, n, px, py, _cubic_weight(px, py) if normalized else 1.0)
@@ -378,8 +378,16 @@ def _max_residual(spec, n: int, px, py, weight, polar=None) -> float:
     rot = _rotation(1, n)
     f_rp = eval_points(spec, *rot(px, py))
     r_fp = rot(*eval_points(spec, px, py, polar))
-    res = _LIBM.hypot(f_rp[0] - r_fp[0], f_rp[1] - r_fp[1]) / weight
-    return float(np.fmax.reduce(res, initial=0.0))
+    dx, dy = f_rp[0] - r_fp[0], f_rp[1] - r_fp[1]
+    # np.hypot is within an ulp or so of math.hypot, so the largest
+    # math.hypot residual lies among these candidates (NaN is never one);
+    # where math.hypot overflows to inf silently, np.hypot warns
+    with np.errstate(over="ignore"):
+        res = np.hypot(dx, dy) / weight
+    near = res >= float(np.fmax.reduce(res, initial=0.0)) * (1.0 - 1e-12)
+    if np.ndim(weight):
+        weight = weight[near]
+    return float(np.fmax.reduce(_LIBM.hypot(dx[near], dy[near]) / weight, initial=0.0))
 
 
 def _eig_max_modulus(a, b, c, d):

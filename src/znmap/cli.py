@@ -13,18 +13,13 @@ literal in any base Python reads (24301, 0x5EED, 0o57355, 0b...).
 """
 
 import argparse
-import json
 import math
 import os
 import sys
 
-import numpy as np
-
-from .analysis import (DEFAULT_BUDGET, DEFAULT_EPS_IN, DEFAULT_R_ESCAPE, DEFAULT_SEED,
-                       continue_periodic, iterate)
-from .maps import FAMILIES, K_DEFAULT, MapSpec, RadialProfile, eval_map, orbit_radius
-from .topology import basin_raster, estimate_rotation, image_curve
-from .verify import TOOL_VERSION, run_suite
+# the parser needs only these; each command imports what it runs, so
+# --version and usage errors load neither numpy nor a znmap submodule
+from . import DEFAULT_BUDGET, DEFAULT_EPS_IN, DEFAULT_R_ESCAPE, FAMILIES, K_DEFAULT, TOOL_VERSION
 
 
 def _fmt(v: float) -> str:
@@ -41,6 +36,8 @@ def _resolve_seed(args) -> int:
     env = os.environ.get("ZNMAP_SEED")
     if env is not None:
         return _seed(env)
+    from .analysis import DEFAULT_SEED
+
     return DEFAULT_SEED
 
 
@@ -57,9 +54,11 @@ def _add_family_flags(sub):
                      help="radial excess halving scale of h/hn")
 
 
-def _spec_from_args(args) -> MapSpec:
+def _spec_from_args(args):
     """The MapSpec the family flags name.  MapSpec checks which parameters
     each family takes; main reports its ValueError as a usage error."""
+    from .maps import MapSpec, RadialProfile
+
     if args.r_half is not None and args.r0 is None:
         raise ValueError("--r-half requires --r0")
     profile = None
@@ -102,6 +101,8 @@ def _csv(header, rows) -> str:
 
 
 def raster_to_pgm(raster) -> bytes:
+    import numpy as np
+
     codes = np.zeros_like(raster.kinds, dtype=np.uint8)
     codes[raster.kinds == 0] = 128
     codes[raster.kinds == 1] = 255
@@ -120,6 +121,8 @@ def _parse_range(parser, text: str, name: str):
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 2:
         parser.error(f"--{name}: range count must be at least 2")
+    import numpy as np
+
     return np.linspace(start, stop, count)
 
 
@@ -190,6 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(parser, args) -> int:
+    from .maps import eval_map
+
     spec = _spec_from_args(args)
     x, y = eval_map(spec, _start(args))
     sys.stdout.write(f"x={_fmt(x)} y={_fmt(y)}\n")
@@ -197,6 +202,8 @@ def _cmd_eval(parser, args) -> int:
 
 
 def _cmd_orbit(parser, args) -> int:
+    from .analysis import iterate
+
     spec = _spec_from_args(args)
     orb = iterate(spec, _start(args), args.steps)
     rows = [(i, float(p[0]), float(p[1])) for i, p in enumerate(orb.points)]
@@ -207,6 +214,10 @@ def _cmd_orbit(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
+    import json
+
+    from .verify import run_suite
+
     spec = _spec_from_args(args)
     names = (None if args.suite == "all"
              else [s.strip() for s in args.suite.split(",") if s.strip()])
@@ -224,6 +235,8 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _cmd_basin(parser, args) -> int:
+    from .topology import basin_raster
+
     spec = _spec_from_args(args)
     raster = basin_raster(spec, tuple(args.window), args.res, args.res,
                           budget=args.budget, eps_in=args.eps_in, r_escape=args.r_escape)
@@ -236,6 +249,10 @@ def _cmd_basin(parser, args) -> int:
 
 
 def _cmd_curve(parser, args) -> int:
+    import numpy as np
+
+    from .topology import image_curve
+
     spec = _spec_from_args(args)
     if not math.isfinite(args.radius):  # the library would give NaN images
         raise ValueError(f"non-finite radius {args.radius!r}")
@@ -246,6 +263,8 @@ def _cmd_curve(parser, args) -> int:
 
 
 def _cmd_rotation(parser, args) -> int:
+    from .topology import estimate_rotation
+
     spec = _spec_from_args(args)
     est = estimate_rotation(spec, _start(args), max_iters=args.iters)
     sys.stdout.write(f"slope={est.slope:.6f} "
@@ -254,9 +273,12 @@ def _cmd_rotation(parser, args) -> int:
 
 
 def _cmd_unfold_scan(parser, args) -> int:
+    from .analysis import continue_periodic
+    from .maps import MapSpec, orbit_radius
+
     values = {name: _parse_range(parser, getattr(args, name), name)
               for name in ("alpha", "beta", "delta")}
-    ranges = [name for name, v in values.items() if isinstance(v, np.ndarray)]
+    ranges = [name for name, v in values.items() if not isinstance(v, float)]
     if len(ranges) != 1:
         parser.error("exactly one of --alpha/--beta/--delta must be a range "
                      "(start:stop:count)")
@@ -270,7 +292,9 @@ def _cmd_unfold_scan(parser, args) -> int:
 
 
 def _cmd_singularity(parser, args) -> int:
-    from . import singularity as sg  # only this command needs the exact layer
+    import json
+
+    from . import singularity as sg
 
     q = sg.build_Q()
     rank = sg.rank_exact(q.entries)

@@ -24,7 +24,10 @@ formula over ``numpy``; floats run it written out with ``math`` and plain
 ``if``s, which the tests pin bitwise to that formula over ``math``.  The
 two may differ by a few ulps where numpy's ``arctan2``/``hypot``/``expm1``
 differ from ``math``'s.  A third implementation runs the array formulas
-with ``math``'s own functions mapped over the elements (``_LIBM``):
+with libm's own results (``_LIBM``): ``math``'s ``hypot``, ``atan2`` and
+``expm1`` mapped over the elements, and numpy's ``cos`` and ``sin``, whose
+float64 loops call the C library as ``math`` does (the tests pin them to
+``math`` bitwise, with numpy's SIMD dispatch on and off):
 ``eval_points`` and ``jac_points`` give the float path's bits on arrays,
 maps and Jacobians, for sampled checks and spectral scans, at a fraction
 of its cost per point.  Jacobians are 2x2 numpy arrays ``[[a, b], [c, d]]``
@@ -54,15 +57,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import FAMILIES, K_DEFAULT
+
 Point = tuple[float, float]
 
 TWO_PI = 2.0 * math.pi
 
 K_MIN = 1.0
 K_MAX = 2.0 / math.sqrt(3.0)
-K_DEFAULT = 1.1
-
-FAMILIES = ("f4", "g4", "fn", "h", "hn")
 
 
 def validate_k(k: float) -> None:
@@ -106,10 +108,10 @@ def _expm1(v: float) -> float:
         return math.inf
 
 
-# _NUMPY with math's own functions: with numpy's exact or correctly rounded
-# + - * /, floor, minimum and where, the formulas on 1-D float arrays give
-# the float paths' bits (see eval_points)
-_LIBM = SimpleNamespace(cos=_libm(math.cos), sin=_libm(math.sin), hypot=_libm(math.hypot),
+# _NUMPY with math's own functions (np.cos and np.sin give libm's bits):
+# with numpy's exact or correctly rounded + - * /, floor, minimum and where,
+# the formulas on 1-D float arrays give the float paths' bits (see eval_points)
+_LIBM = SimpleNamespace(cos=np.cos, sin=np.sin, hypot=_libm(math.hypot),
                         atan2=_libm(math.atan2), expm1=_libm(_expm1),
                         floor=np.floor, minimum=np.minimum, where=np.where)
 

@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import DEFAULT_BUDGET, DEFAULT_EPS_IN, DEFAULT_R_ESCAPE
 from .maps import _LIBM, TWO_PI, MapSpec, Point, eval_map, eval_points, polar_step, to_polar
 # classify_batch is unused here, but perfbench/spans.py wraps it by this module's name
-from .analysis import (DEFAULT_BUDGET, DEFAULT_EPS_IN, DEFAULT_R_ESCAPE,  # noqa: F401
-                       classify_batch, classify_kinds)
+from .analysis import classify_batch, classify_kinds  # noqa: F401
 
 
 @dataclass

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_EPS_IN, K_DEFAULT, TOOL_VERSION, analysis
 # perfbench/spans.py wraps classify_batch under this module's name, so the
 # name stays importable here although check_local_attractor calls classify_kinds
 from .analysis import (  # noqa: F401
-    DEFAULT_EPS_IN,
     DEFAULT_SEED,
     _NEWTON_TOL,
     _cubic_weight,
@@ -35,12 +35,9 @@ from .analysis import (  # noqa: F401
     seeded_points,
     spectral_scan,
 )
-from .maps import (_LIBM, K_DEFAULT, TWO_PI, MapSpec, _polar, default_profile, eval_map,
+from .maps import (_LIBM, TWO_PI, MapSpec, _polar, default_profile, eval_map,
                    eval_points, from_polar, jac_map, orbit_radius, ray_image_radius)
 from .topology import basin_raster, estimate_rotation, image_curve, transversality_det
-from . import __version__, analysis
-
-TOOL_VERSION = f"znmap {__version__}"
 
 
 @dataclass

@@ -14,8 +14,8 @@ from znmap.analysis import (
     seeded_points,
     spectral_scan,
 )
-from znmap.maps import (TWO_PI, MapSpec, _jac_entries, _rotation, eval_map, from_polar, jac_map,
-                        jac_points, to_polar)
+from znmap.maps import (TWO_PI, MapSpec, _jac_entries, _libm, _rotation, eval_map, eval_points,
+                        from_polar, jac_map, jac_points, to_polar)
 from znmap.verify import (_GLUING_H, _gluing, _image_radii, _origin_ratios, check_equivariance,
                           check_properness)
 
@@ -275,6 +275,58 @@ def test_check_equivariance_is_the_max_of_the_per_order_residuals(seed, k):
     per_order = [equivariance_residual(MapSpec("fn", k=k, n=n), n, normalized=True, seed=seed)
                  for n in range(2, 9)]
     assert check_equivariance(k, seed).statistic == max(per_order)
+
+
+def all_math_max_residual(spec, n, px, py, weight):
+    """The reduction _max_residual replaces: math.hypot at every residual."""
+    rot = _rotation(1, n)
+    f_rp = eval_points(spec, *rot(px, py))
+    r_fp = rot(*eval_points(spec, px, py))
+    res = _libm(math.hypot)(f_rp[0] - r_fp[0], f_rp[1] - r_fp[1]) / weight
+    return float(np.fmax.reduce(res, initial=0.0))
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5, 7])
+def test_max_residual_is_the_all_math_reduction_bitwise(seed):
+    px, py = seeded_points(10_000, 10.0, seed).T
+    weight = analysis._cubic_weight(px, py)
+    for n in range(2, 9):
+        spec = MapSpec("fn", k=K, n=n)
+        for w in (weight, 1.0):
+            got = analysis._max_residual(spec, n, px, py, w)
+            assert got.hex() == all_math_max_residual(spec, n, px, py, w).hex(), (n, w)
+
+
+def test_max_residual_on_ties_nan_inf_and_zeros():
+    # under the quarter turn, p -> (x, 0) has the residual hypot(y, x)
+    def first(p):
+        return p[0], 0.0
+
+    def assert_all_math(px, py, w):
+        want = all_math_max_residual(first, 4, px, py, w)
+        assert analysis._max_residual(first, 4, px, py, w).hex() == want.hex()
+
+    # np.hypot is below math.hypot at a and above it at c (10 such points of
+    # these 2,000 on x86-64 with numpy 2.4); weighing c so that numpy ranks it
+    # first makes math rank a first: the max must come from math's ranking
+    x, y = seeded_points(2_000, 10.0, 7).T
+    fast, libm = np.hypot(y, x), _libm(math.hypot)(y, x)
+    for a in np.flatnonzero(fast < libm):
+        for c in np.flatnonzero(fast > libm):
+            assert_all_math(x[[a, c]], y[[a, c]],
+                            np.array([1.0, fast[c] / np.nextafter(fast[a], math.inf)]))
+    cases = [(x, y),
+             (np.append(x, math.nan), np.append(y, 1.0)),
+             (np.append(x, math.inf), np.append(y, math.nan)),
+             (np.zeros(5), np.array([0.0, -0.0, 0.0, -0.0, 0.0])),
+             (np.array([math.nan, 0.0]), np.array([1.0, math.nan])),
+             (np.array([1e308, 1.7e308]), np.array([1e308, 1.7e308]))]
+    for px, py in cases:
+        for w in (1.0, np.linspace(1.0, 1.001, px.size)):
+            assert_all_math(px, py, w)
+    assert analysis._max_residual(first, 4, *cases[2], 1.0) == math.inf
+    assert analysis._max_residual(first, 4, *cases[4], 1.0) == 0.0  # all NaN
+    assert analysis._max_residual(MapSpec("fn", k=K, n=4), 4, x, y, 1.0) == 0.0  # exact
 
 
 def ray_image_check(spec, directions: int = 64, radii=None,

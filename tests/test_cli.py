@@ -301,18 +301,96 @@ def test_singularity_stdout_and_json(tmp_path, capsys):
     assert len(payload["entries"]) == 13
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=str(Path(znmap.__file__).parents[1]))
+
+
 def test_import_leaves_out_the_exact_layer():
-    # znmap.singularity builds its constants at import; only the singularity
-    # command and check import it, so a fresh interpreter that imports the
-    # package and the CLI and builds the parser does not; nor does it load a
-    # process pool (run_suite forks with os alone)
+    # importing the package and the CLI and building the parser loads no
+    # znmap submodule but the CLI, not numpy, not json, and no process pool
+    # (run_suite forks with os alone): the package resolves its other names
+    # on first use
     child = ("import sys, znmap, znmap.cli; znmap.cli.build_parser(); "
-             "print([m in sys.modules for m in "
-             "('znmap.singularity', 'multiprocessing', 'concurrent.futures')])")
-    env = dict(os.environ, PYTHONPATH=str(Path(znmap.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
+             "('znmap', 'numpy', 'json', 'multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", child], env=_child_env(), capture_output=True,
                           text=True, check=True, timeout=120)
-    assert proc.stdout == "[False, False, False]\n"
+    assert proc.stdout == "['znmap', 'znmap.cli']\n"
+
+
+_LOADS_CHILD = """\
+import sys
+from znmap.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m == "numpy" or m.startswith("znmap.")))
+"""
+
+_WITH_ANALYSIS = ["numpy", "znmap.analysis", "znmap.cli", "znmap.maps"]
+_WITH_TOPOLOGY = sorted(_WITH_ANALYSIS + ["znmap.topology"])
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["--version"], 0, ["znmap.cli"]),
+    (["eval", "--x0", "1"], 2, ["znmap.cli"]),  # argparse's usage error
+    (["basin", "--res", "x"], 2, ["znmap.cli"]),
+    (["eval", "--family", "fn", "--n", "5", "--x0", "1", "--y0", "0"], 0,
+     ["numpy", "znmap.cli", "znmap.maps"]),
+    (["orbit", "--x0", "1", "--y0", "0", "--steps", "3"], 0, _WITH_ANALYSIS),
+    (["unfold-scan", "--beta", "0:0.1:2"], 0, _WITH_ANALYSIS),
+    (["rotation", "--family", "fn", "--n", "5", "--x0", "6", "--y0", "0.5"], 0, _WITH_TOPOLOGY),
+    (["curve", "--samples", "4"], 0, _WITH_TOPOLOGY),
+    (["basin", "--window", "-1", "1", "-1", "1", "--res", "4", "--out", "{tmp}/b.pgm"], 0,
+     _WITH_TOPOLOGY),
+    (["singularity"], 0, ["znmap.cli", "znmap.singularity"]),
+    (["verify", "--suite", "negative-control"], 0,
+     sorted(_WITH_TOPOLOGY + ["znmap.verify"])),
+])
+def test_each_command_loads_what_it_runs(tmp_path, argv, code, loaded):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _LOADS_CHILD, *argv], env=_child_env(),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert proc.stdout.splitlines()[-1].split() == [str(code), *loaded]
+
+
+def test_package_names_are_their_modules_objects():
+    import importlib
+
+    assert sum(map(len, znmap._EXPORTS.values())) == 29
+    for module, names in znmap._EXPORTS.items():
+        mod = importlib.import_module(f"znmap.{module}")
+        assert getattr(znmap, module) is mod
+        for name in names:
+            assert getattr(znmap, name) is getattr(mod, name)
+            assert name in znmap.__all__ and name in dir(znmap)
+    from znmap import MapSpec as spec_class, verify
+    assert spec_class is znmap.maps.MapSpec and verify is znmap.verify
+    with pytest.raises(AttributeError, match="nope"):
+        znmap.nope
+    with pytest.raises(ImportError):
+        from znmap import nope  # noqa: F401
+
+
+def test_parser_constants_have_one_owner():
+    # the package defines them; the modules use its objects
+    import znmap.analysis
+    import znmap.maps
+    import znmap.topology
+    import znmap.verify
+
+    owners = {"FAMILIES": [znmap.maps], "K_DEFAULT": [znmap.maps, znmap.verify],
+              "TOOL_VERSION": [znmap.verify],
+              **{name: [znmap.analysis, znmap.topology]
+                 for name in ("DEFAULT_BUDGET", "DEFAULT_EPS_IN", "DEFAULT_R_ESCAPE")}}
+    src = Path(znmap.__file__).parent
+    for name, modules in owners.items():
+        assert all(getattr(m, name) is getattr(znmap, name) for m in modules), name
+        defined = [path.name for path in sorted(src.glob("*.py"))
+                   if re.search(rf"^{name} =", path.read_text(encoding="utf-8"), re.M)]
+        assert defined == ["__init__.py"], name
+    assert znmap.TOOL_VERSION == f"znmap {znmap.__version__}"
 
 
 def test_verify_selected_checks_pass(tmp_path, capsys):

@@ -1,0 +1,51 @@
+"""numpy picks its SIMD loops at run time, by CPU.  The outputs that rest on
+numpy's float functions are rerun in a subprocess with every dispatch
+target this CPU offers turned off (NPY_DISABLE_CPU_FEATURES acts on that
+process alone) and must keep every byte."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import znmap
+
+# the verify report at two seeds, and the Jacobian scans of the families
+# that take _LIBM's cos and sin (f4/g4 take closed forms over numpy)
+CHILD = """\
+import sys
+from znmap import MapSpec, spectral_scan
+from znmap.cli import main
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print([t for t in __cpu_dispatch__ if __cpu_features__.get(t)])
+for seed in ("0x5EED", "5"):
+    print("exit", main(["verify", "--suite", "all", "--seed", seed, "--json", "-"]))
+for family, n in (("fn", 5), ("h", 4), ("hn", 5)):
+    s = spectral_scan(MapSpec(family, n=n), (-20.0, 20.0, -20.0, 20.0), 31)
+    print(family, n, s.max_modulus.hex(), *(v.hex() for v in s.argmax))
+"""
+
+
+def run_child(**env) -> list:
+    env = dict(os.environ, PYTHONPATH=str(Path(znmap.__file__).parents[1]), **env)
+    proc = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+    return proc.stdout.splitlines()
+
+
+def test_outputs_keep_their_bytes_with_simd_dispatch_off():
+    default = run_child()
+    targets = ast.literal_eval(default[0])  # the child's active dispatch targets
+    if not targets:
+        pytest.skip("numpy reports no dispatch target on this CPU")
+    plain = run_child(NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    assert plain[0] == "[]"
+    assert default.count("exit 1") == 2  # unfolding fails by design
+    assert plain[1:] == default[1:]

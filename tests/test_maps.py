@@ -589,6 +589,28 @@ def test_eval_points_is_eval_map_per_point(n, k, seed, radius, extra):
         assert_eval_points_per_point(spec, pts)
 
 
+def assert_libm_bits(fun, math_fun, x):
+    """fun on the array x gives math_fun's bits at every element, NaN for NaN."""
+    got, want = fun(x), np.array([math_fun(v) for v in x.tolist()], dtype=float)
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    bad = np.flatnonzero(got[~nan].view(np.int64) != want[~nan].view(np.int64))
+    assert bad.size == 0, x[~nan][bad[:5]]
+
+
+@pytest.mark.parametrize("fun, math_fun", [(znmap.maps._LIBM.cos, math.cos),
+                                           (znmap.maps._LIBM.sin, math.sin)])
+def test_libm_cos_and_sin_are_math_bitwise(fun, math_fun):
+    # _LIBM takes numpy's cos and sin, whose float64 loops give libm's bits:
+    # 10^6 points at the scales the formulas reach, and the signed zeros and
+    # NaN (inf never reaches them)
+    rng = np.random.default_rng(0x5EED)
+    for scale in (1.0, 10.0, 1e3, 1e6):
+        assert_libm_bits(fun, math_fun, rng.uniform(-scale, scale, 250_000))
+    assert_libm_bits(fun, math_fun, np.array([0.0, -0.0, math.nan, -math.nan, 5e-324, -5e-324,
+                                              math.pi, TWO_PI, 1e-300]))
+
+
 def jac_per_point(spec, x, y):
     """The oracle of jac_points: jac_map at each point."""
     return np.array([jac_map(spec, p) for p in zip(x.tolist(), y.tolist())],
