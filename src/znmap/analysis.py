@@ -97,12 +97,18 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = DEFAULT_BUDGET,
                    eps_in: float = DEFAULT_EPS_IN, r_escape: float = DEFAULT_R_ESCAPE):
     """Classify many starts at once: 1 = converged, 2 = escaped, 0 = undecided.
 
-    Returns (kinds, steps) arrays; steps is -1 for undecided entries.
-    Thresholds are tested before each step, so a start already inside
-    eps_in classifies at step 0; eps_in must square to a finite normal
-    float, else the test against it would underflow or overflow.  Where
-    x*x + y*y overflows (|p| above about 1.34e154) with finite
-    coordinates, escape is decided by hypot(x, y) > r_escape instead.
+    Returns (kinds, steps) arrays.  The kinds are those of the plain loop,
+    which steps every live start until it converges, escapes or uses the
+    whole budget, bitwise at every budget.  steps[i] is the step at which
+    start i was decided: the step its orbit crossed eps_in or r_escape, or
+    the earlier step at which it entered a closed-form region that decided
+    it; so 0 <= steps[i] <= the plain loop's steps, and steps[i] is -1
+    exactly where the start is undecided.  xs and ys are raveled and must
+    have the same size.  Thresholds are tested before each step, so a start
+    already inside eps_in classifies at step 0; eps_in must square to a
+    finite normal float, else the test against it would underflow or
+    overflow.  Where x*x + y*y overflows (|p| above about 1.34e154) with
+    finite coordinates, escape is decided by hypot(x, y) > r_escape instead.
 
     ``spec`` must be pure: one step maps each point by a deterministic
     function of that point's (x, y) bits alone, with no state carried
@@ -110,17 +116,24 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = DEFAULT_BUDGET,
     several threads at once (every MapSpec is; a callable spec must be
     too).  A point whose state repeats, bit for bit, a state it had at an
     earlier step then cycles forever through states that all passed both
-    tests, so it is retired at once as undecided: the same kind and steps
-    the full budget would give, without spending it.  Repeats are found by
-    comparing every step with a per-point snapshot of the state retaken at
-    steps 0, 1, 2, 4, ... (Brent's schedule), at most _SNAPSHOT_GAP steps
-    apart.  For h/hn a point is also retired as undecided as soon as it
-    lies in the closed-form trapping region of the outer period-n cycle
-    (maps.trapping_region, built once per call from eps_in and r_escape):
-    the region maps into itself with margins far above the rounding of a
-    step and lies strictly between eps_in and r_escape, so the plain loop
-    would give such a point kind 0 and steps -1 at every budget.
-    classify_kinds retires more points, at the cost of their steps.
+    tests, so it is retired at once as undecided, without spending the
+    budget.  Repeats are found by comparing every step with a per-point
+    snapshot of the state retaken at steps 0, 1, 2, 4, ... (Brent's
+    schedule), at most _SNAPSHOT_GAP steps apart.
+
+    A point is also retired as soon as it lies in a closed-form region
+    whose fate is known, the entries of maps._retirements (built once per
+    call from budget, eps_in and r_escape), the one owner of this rule:
+    the trapping region of the outer period-n cycle of h/hn (kind 0: it
+    maps into itself strictly between eps_in and r_escape), the escape
+    cones about the sector boundary rays (kind 2) of f4/fn and of g4 with
+    delta = 0, and the contracting disk about the origin (kind 1) of
+    f4/fn/h/hn and of g4 with delta = 0.  A point in a region at step t is
+    retired only while t + N <= budget, where N is the number of steps the
+    region's 1-D radius bound takes from its edge to pass r_escape or
+    eps_in (0 for the trapping region), so the plain loop would decide it
+    the same way within the budget.  Callables and g4 with delta != 0 get
+    no region.  The loop tests membership on its coordinate arrays only.
 
     A batch of at least 2 * _MIN_PART starts is split into contiguous
     parts, one thread per CPU available to the process (at most one part
@@ -131,33 +144,6 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = DEFAULT_BUDGET,
     in every part, and the first exception raised by any part is re-raised
     here after all parts have finished.
     """
-    return _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only=False)
-
-
-def classify_kinds(spec: MapSpec, xs, ys, budget: int = DEFAULT_BUDGET,
-                   eps_in: float = DEFAULT_EPS_IN,
-                   r_escape: float = DEFAULT_R_ESCAPE) -> np.ndarray:
-    """The kinds of classify_batch, bitwise, without the steps.
-
-    Besides the retirements of classify_batch, a point is retired as soon
-    as it lies in a closed-form region whose fate is known: the escape
-    cones about the sector boundary rays (kind 2) of f4/fn and of g4 with
-    delta = 0, and the contracting disk about the origin (kind 1) of
-    f4/fn/h/hn and of g4 with delta = 0.  A point in a region at step t is
-    retired only while t + N <= budget, where N is the number of steps the
-    region's 1-D radius bound takes from its edge to pass r_escape or
-    eps_in, so the plain loop would decide it the same way within the
-    budget, and the kinds are those of classify_batch at every budget.
-    Callables and g4 with delta != 0 get no region.  maps._retirements,
-    the one owner of this rule, states the regions, their bounds and N;
-    the loop tests membership on its coordinate arrays only.
-    """
-    return _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only=True)[0]
-
-
-def _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only):
-    """classify_batch, or with kinds_only the retirements of classify_kinds
-    too, and no steps (None)."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if not eps_in < r_escape:
@@ -168,20 +154,19 @@ def _classify(spec, xs, ys, budget, eps_in, r_escape, kinds_only):
                          f"(|eps_in| in about [1.5e-154, 1.3e154]); got {eps_in!r}")
     x = np.asarray(xs, dtype=float).ravel()  # never written in place
     y = np.asarray(ys, dtype=float).ravel()
+    if x.size != y.size:
+        raise ValueError(f"xs and ys must have the same size; got {x.size} and {y.size}")
     npts = x.size
     kinds = np.zeros(npts, dtype=np.uint8)
-    steps = None if kinds_only else np.full(npts, -1, dtype=np.int64)
+    steps = np.full(npts, -1, dtype=np.int64)
     regions = _retirements(spec, budget, eps_in, r_escape)
-    if not kinds_only:  # only an undecided retirement leaves steps exact (-1)
-        regions = [entry for entry in regions if entry[1] == 0]
     parts = max(1, min(_available_cpus(), npts // _MIN_PART))
     cuts = [npts * i // parts for i in range(parts + 1)]
     errors = [None] * parts
 
     def run(i):
         lo, hi = cuts[i], cuts[i + 1]
-        _classify_part(spec, x[lo:hi], y[lo:hi], kinds[lo:hi],
-                       None if steps is None else steps[lo:hi],
+        _classify_part(spec, x[lo:hi], y[lo:hi], kinds[lo:hi], steps[lo:hi],
                        budget, eps_in, r_escape, regions)
 
     def work(i):
@@ -218,10 +203,11 @@ def _available_cpus() -> int:
 
 def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, regions):
     """The serial loop of classify_batch: classify the starts (x, y), writing
-    into kinds and steps (the same length, kinds 0, steps -1; or steps None).
-    A live point in a region of regions, the (region, kind, N) entries of
-    maps._retirements, is retired with that region's kind, leaving its steps
-    alone.  x, y and the regions' membership tests are arrays only."""
+    into kinds and steps (the same length, kinds 0, steps -1).  A live point
+    in a region of regions, the (region, kind, N) entries of
+    maps._retirements, is retired with that region's kind, and with the
+    step it entered it unless the kind is 0.  x, y and the regions'
+    membership tests are arrays only."""
     idx = np.arange(x.size)
     eps2 = eps_in * eps_in
     # Clamped so that an infinite radius (r2 = inf) always escapes.
@@ -247,9 +233,9 @@ def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, regions):
                         keep[over] = np.hypot(x[over], y[over]) <= r_escape
                         fin = np.flatnonzero(~keep)
                         conv = r2[fin] <= esc2
-                kinds[idx[fin]] = np.where(conv, 1, 2)
-                if steps is not None:
-                    steps[idx[fin]] = t
+                done = idx[fin]
+                kinds[done] = np.where(conv, 1, 2)
+                steps[done] = t
             if t:  # at t = 0 the snapshot is the state itself
                 # A repeat keeps kind 0 and steps -1; y is compared only
                 # where the x bits already match.
@@ -258,7 +244,10 @@ def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, regions):
             for region, kind, count in regions:
                 if t + count <= budget:
                     hit = keep & region.contains(x, y, r2)
-                    kinds[idx[hit]] = kind
+                    if kind:  # a kind-0 retirement keeps kind 0 and steps -1
+                        done = idx[hit]
+                        kinds[done] = kind
+                        steps[done] = t
                     keep &= ~hit
             if not keep.all():
                 x, y, idx = x[keep], y[keep], idx[keep]

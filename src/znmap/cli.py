@@ -8,8 +8,8 @@ and binary PGM (P5) rasters with 255 = converged, 0 = escaped,
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage error, 3 I/O failure.  ZNMAP_SEED overrides the default seed
-(0x5EED); an explicit --seed wins over both.  Both take an integer
-literal in any base Python reads (24301, 0x5EED, 0o57355, 0b...).
+(0x5EED); an explicit --seed wins over both.  Both take a non-negative
+integer literal in any base Python reads (24301, 0x5EED, 0o57355, 0b...).
 """
 
 import argparse
@@ -27,7 +27,10 @@ def _fmt(v: float) -> str:
 
 
 def _seed(text: str) -> int:
-    return int(text, 0)
+    seed = int(text, 0)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative; got {text}")
+    return seed
 
 
 def _resolve_seed(args) -> int:
@@ -341,7 +344,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](parser, args)
-    except ValueError as exc:  # a bad value that argparse's types let through
+    # a bad value that argparse's types let through, or ZNMAP_SEED's
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(f"{args.command}: {exc}")
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import DEFAULT_BUDGET, DEFAULT_EPS_IN, DEFAULT_R_ESCAPE
 from .maps import _LIBM, TWO_PI, MapSpec, Point, eval_map, eval_points, polar_step, to_polar
-# classify_batch is unused here, but perfbench/spans.py wraps it by this module's name
-from .analysis import classify_batch, classify_kinds  # noqa: F401
+from .analysis import classify_batch
 
 
 @dataclass
@@ -56,17 +55,10 @@ def basin_raster(spec: MapSpec, window: tuple, width: int, height: int,
     """Classify the orbit of every pixel center.
 
     Row 0 is the top of the window (max y); pixel centers are sampled, not
-    corners.  The kinds are those of classify_batch, computed by
-    classify_kinds: a pixel is retired as soon as it enters a region whose
-    fate is known in closed form (the escape cones of f4/fn, the
-    contracting disk of f4/fn/h/hn, both of them for g4 with delta = 0,
-    the trapping region of h/hn), but only at a step t with
-    t + N <= budget, where N is the number of steps the region's 1-D
-    radius bound needs from its edge to pass r_escape or eps_in; so the
-    kinds are bitwise those of the plain loop at every budget.  The
-    stepping is elementwise, so a raster of at least 2 * 16,384 pixels runs
-    on one thread per CPU available to the process (see classify_batch)
-    with kinds bitwise those of the serial loop.
+    corners.  The kinds are those of classify_batch: bitwise those of the
+    plain loop at every budget, with pixels retired early in the closed-form
+    regions whose fate is known, and a raster of at least 2 * 16,384 pixels
+    split over one thread per CPU available to the process.
     """
     if width < 1 or height < 1:
         raise ValueError("raster dimensions must be positive")
@@ -76,7 +68,7 @@ def basin_raster(spec: MapSpec, window: tuple, width: int, height: int,
     xs = xmin + (np.arange(width) + 0.5) * (xmax - xmin) / width
     ys = ymax - (np.arange(height) + 0.5) * (ymax - ymin) / height
     gx, gy = np.meshgrid(xs, ys)
-    kinds = classify_kinds(spec, gx.ravel(), gy.ravel(), budget, eps_in, r_escape)
+    kinds = classify_batch(spec, gx.ravel(), gy.ravel(), budget, eps_in, r_escape)[0]
     return BasinRaster(window=tuple(window), width=width, height=height,
                        kinds=kinds.reshape(height, width), budget=budget,
                        eps_in=eps_in, r_escape=r_escape)

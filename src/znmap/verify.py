@@ -20,15 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DEFAULT_EPS_IN, K_DEFAULT, TOOL_VERSION, analysis
-# perfbench/spans.py wraps classify_batch under this module's name, so the
-# name stays importable here although check_local_attractor calls classify_kinds
-from .analysis import (  # noqa: F401
+from .analysis import (
     DEFAULT_SEED,
     _NEWTON_TOL,
     _cubic_weight,
     _max_residual,
     classify_batch,
-    classify_kinds,
     continue_periodic,
     equivariance_residual,
     find_periodic,
@@ -139,7 +136,7 @@ def check_periodic_orbit(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Chec
 
 def check_local_attractor(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckResult:
     """Zero derivative at the origin; small starts all fall into the origin
-    (classify_kinds: kinds only, so starts retire in the contracting disk)."""
+    (classify_batch, which retires them in the contracting disk)."""
     worst_entry = 0.0
     for spec in [MapSpec("fn", k=k, n=n) for n in range(2, 9)] + [MapSpec("f4", k=k)]:
         worst_entry = max(worst_entry, float(np.abs(jac_map(spec, (0.0, 0.0))).max()))
@@ -147,7 +144,7 @@ def check_local_attractor(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> Che
     pts = seeded_points(1000, 0.9, seed)
     for n in (2, 4, 5, 8):
         spec = MapSpec("fn", k=k, n=n)
-        kinds = classify_kinds(spec, pts[:, 0], pts[:, 1], budget=200)
+        kinds = classify_batch(spec, pts[:, 0], pts[:, 1], budget=200)[0]
         all_converged = all_converged and bool((kinds == 1).all())
     ok = worst_entry <= 1e-14 and all_converged
     return CheckResult("local-attractor", {"k": k, "starts": 1000, "radius": 0.9,
@@ -488,15 +485,18 @@ def run_suite(names=None, k: float = K_DEFAULT, seed: int = DEFAULT_SEED,
               spec_echo: dict | None = None) -> VerificationReport:
     """Run the named checks (all twelve by default) into a report.
 
-    Every name is checked before any check runs: an empty list or an
-    unknown name raises ValueError.  On Linux the checks run on the calling
-    process and one forked worker per other available CPU
-    (analysis._available_cpus), at most one process per distinct check;
-    elsewhere, or with one CPU, they run in the calling process.  A name
+    The seed and every name are checked before any check runs: a negative
+    seed, an empty list or an unknown name raises ValueError.  On Linux the
+    checks run on the calling process and one forked worker per other
+    available CPU (analysis._available_cpus), at most one process per
+    distinct check; elsewhere, or with one CPU, they run in the calling
+    process.  A name
     given twice runs its check once.  The report lists the checks in the
     order named, with the same bytes however they were spread; if checks
     raise, the exception of the first of them in that order is raised.
     """
+    if seed < 0:  # numpy's generators would reject it inside a check
+        raise ValueError(f"seed must be non-negative; got {seed}")
     names = list(CHECKS_BY_NAME) if names is None else list(names)
     if not names:
         raise ValueError("the suite names no checks")

@@ -87,10 +87,19 @@ def test_classify_orbit_rejects_bad_thresholds():
 @pytest.mark.parametrize("start, kind", [((0.5, 0.5), "converged"),
                                          ((10.0, 0.0), "escaped"), (P, "undecided")])
 def test_classify_orbit_callable_matches_spec(start, kind):
+    # a callable gets no closed-form region, so the spec may decide sooner
     by_spec = classify_one(F4, start, budget=300)
     by_callable = classify_one(lambda p: eval_map(F4, p), start, budget=300)
-    assert by_spec == by_callable
-    assert by_spec[0] == kind
+    assert by_spec[0] == by_callable[0] == kind
+    assert (by_spec[1] == -1) == (kind == "undecided")
+    assert 0 <= by_spec[1] <= by_callable[1] or by_spec[1] == by_callable[1] == -1
+
+
+@pytest.mark.parametrize("start", [(0.5, 0.5), (10.0, 0.0), P])
+def test_classify_orbit_callable_matches_spec_without_regions(start, undecided_retirements):
+    # without the cones and the disk the spec decides at the callable's step
+    by_callable = classify_one(lambda p: eval_map(F4, p), start, budget=300)
+    assert classify_one(F4, start, budget=300) == by_callable
 
 
 def test_classify_batch_matches_single_calls():

@@ -1,13 +1,15 @@
-"""classify_batch and classify_kinds against the plain stepping loop.
+"""classify_batch against the plain stepping loop.
 
 classify_batch retires a point as undecided once its state repeats a
 floating-point state bit for bit or, for h/hn, once it enters the trapping
 region of the outer cycle; it also splits large batches across threads.
-All three may change only the work done, never the kinds or steps.
-classify_kinds also retires points in the escape cones and the contracting
-disk, which changes their steps but must never change a kind.  So the tests
-here compare against ``plain_classify``: the loop that steps every live
-point until it converges, escapes or uses the whole budget.
+All three may change only the work done, never the kinds or steps.  It also
+retires points in the escape cones and the contracting disk, at the step
+they enter them, which may make their steps smaller but must never change a
+kind.  So the tests here compare against ``plain_classify``: the loop that
+steps every live point until it converges, escapes or uses the whole
+budget.  Under ``undecided_retirements_only`` (conftest.py) the cones and
+the disk retire nothing, and the steps too must be the plain loop's.
 """
 
 import math
@@ -19,7 +21,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import znmap.analysis
 import znmap.maps
-from znmap.analysis import classify_batch, classify_kinds
+from conftest import undecided_retirements_only
+from znmap.analysis import classify_batch
 from znmap.maps import (K_MAX, TWO_PI, ConeRegion, Disk, MapSpec, RadialProfile,
                         contracting_disk, escape_cones, eval_map, step_batch,
                         trapping_region)
@@ -75,16 +78,32 @@ def grid(window, res):
     return gx.ravel(), gy.ravel()
 
 
-def assert_same(spec, xs, ys, budget, eps_in=1e-8, r_escape=1e6):
-    """classify_batch gives the plain loop's kinds and steps, classify_kinds
-    its kinds."""
-    kinds, steps = classify_batch(spec, xs, ys, budget, eps_in, r_escape)
-    ref_kinds, ref_steps = plain_classify(spec, xs, ys, budget, eps_in, r_escape)
+def assert_decided_no_later(kinds, steps, ref_kinds, ref_steps):
+    """The contract of classify_batch against the plain loop's (ref_kinds,
+    ref_steps): the same kinds bitwise, steps -1 exactly where the kind is
+    0, and elsewhere a step from 0 to the plain loop's."""
     np.testing.assert_array_equal(kinds, ref_kinds)
-    np.testing.assert_array_equal(steps, ref_steps)
-    np.testing.assert_array_equal(classify_kinds(spec, xs, ys, budget, eps_in, r_escape),
-                                  ref_kinds)
+    np.testing.assert_array_equal(steps == -1, kinds == 0)
+    decided = kinds != 0
+    assert (steps[decided] >= 0).all() and (steps[decided] <= ref_steps[decided]).all()
+
+
+def assert_matches(ref, spec, xs, ys, *args):
+    """classify_batch(spec, xs, ys, *args) keeps its contract against ref,
+    the plain loop's (kinds, steps), and under undecided_retirements_only
+    gives ref bitwise."""
+    assert_decided_no_later(*classify_batch(spec, xs, ys, *args), *ref)
+    with undecided_retirements_only():
+        kinds, steps = classify_batch(spec, xs, ys, *args)
+    np.testing.assert_array_equal(kinds, ref[0])
+    np.testing.assert_array_equal(steps, ref[1])
     return kinds
+
+
+def assert_same(spec, xs, ys, budget, eps_in=1e-8, r_escape=1e6):
+    """assert_matches against plain_classify."""
+    return assert_matches(plain_classify(spec, xs, ys, budget, eps_in, r_escape),
+                          spec, xs, ys, budget, eps_in, r_escape)
 
 
 def edge_starts(eps_in, r_escape):
@@ -279,7 +298,7 @@ def test_no_trapping_region(spec, eps_in, r_escape):
     assert trapping_region(spec, eps_in, r_escape) is None
 
 
-# classify_kinds: one (k, family, n) per case, with r_escape cycled so that
+# Every region: one (k, family, n) per case, with r_escape cycled so that
 # each appears with every family.  The budgets fall on both sides of the
 # retirement counts at k = 1.1 (74 for the disk, 235 for the cones; 60 and
 # 159 for g4 with beta = 0.05, 530 for its cones with beta = -0.05).  The
@@ -347,9 +366,10 @@ def test_g4_kinds_match_plain_loop_across_regions(k, alpha, beta, r_escape):
 
 
 def _assert_kinds_across_budgets(spec, r_escape, full):
-    """classify_kinds at every budget of KINDS_BUDGETS (the last one, 10,000,
-    only if full) gives the kinds the plain loop has decided by then, on the
-    starts of _region_starts."""
+    """classify_batch at every budget of KINDS_BUDGETS (the last one, 10,000,
+    only if full) gives the kinds the plain loop has decided by then, each
+    at a step no later than the plain loop's, on the starts of
+    _region_starts."""
     xs, ys = _region_starts(spec, r_escape)
     budgets = KINDS_BUDGETS if full else KINDS_BUDGETS[:-1]
     with np.errstate(over="ignore", invalid="ignore"):  # f4 overflows past 5.6e102
@@ -357,8 +377,8 @@ def _assert_kinds_across_budgets(spec, r_escape, full):
         for budget in budgets:
             # the plain loop at a smaller budget keeps what it decided by then
             want = np.where((ref_steps >= 0) & (ref_steps <= budget), ref_kinds, 0)
-            np.testing.assert_array_equal(
-                classify_kinds(spec, xs, ys, budget, r_escape=r_escape), want)
+            assert_decided_no_later(*classify_batch(spec, xs, ys, budget, r_escape=r_escape),
+                                    want, ref_steps)
 
 
 def test_retirement_counts_at_the_default_k():
@@ -461,7 +481,7 @@ def _c_par(k, alpha, beta):
 @example(k=1.046875, r0=2.0, r_half=1.0, n=6, c_share=0.0, wide=False, phase=0.0,
          starts=[(3.1087575336384035e-217, 0.0, False, 0)])
 def test_cones_and_disk_are_forward_invariant(k, r0, r_half, n, c_share, wide, phase, starts):
-    # The bounds classify_kinds counts with hold at every step: the radius at
+    # The bounds classify_batch counts with hold at every step: the radius at
     # least m_a * psi(r) + c_par * r, and at least (1 + 1e-6) r, on the
     # cones, at most psi(r) + c * r on the disk, where c = hypot(alpha, beta)
     # for g4 (delta = 0) and 0 for the others, and c_par (_c_par) is the
@@ -729,9 +749,38 @@ def test_fixed_points_of_identity_retire_at_once(step_calls):
 
 def test_scalar_starts():
     for start in [(0.5, 0.5), (3.1622776601683795, 0.0), (10.0, 0.0)]:
-        kinds, steps = classify_batch(FAMILIES["f4"], *start, budget=300)
-        ref_kinds, ref_steps = plain_classify(FAMILIES["f4"], [start[0]], [start[1]], 300)
-        assert (kinds.tolist(), steps.tolist()) == (ref_kinds.tolist(), ref_steps.tolist())
+        ref = plain_classify(FAMILIES["f4"], [start[0]], [start[1]], 300)
+        assert_matches(ref, FAMILIES["f4"], *start, 300)
+
+
+def test_region_retirements_take_the_step_of_entry():
+    # f4 at k = 1.1: the disk (N = 74) holds (0.5, 0.5) from step 0 and
+    # (3, 3) from step 1; the cones (N = 235) hold (10, 0) from step 0 and
+    # (1, 4) from step 1.  The plain loop decides them at steps 3, 6, 122
+    # and 139.  A region retires a point at step t only if t + N <= budget.
+    xs, ys = [0.5, 3.0, 10.0, 1.0], [0.5, 3.0, 0.0, 4.0]
+    f4 = FAMILIES["f4"]
+    for budget, kinds, steps in [(73, [1, 1, 0, 0], [3, 6, -1, -1]),
+                                 (74, [1, 1, 0, 0], [0, 6, -1, -1]),
+                                 (75, [1, 1, 0, 0], [0, 1, -1, -1]),
+                                 (234, [1, 1, 2, 2], [0, 1, 122, 139]),
+                                 (235, [1, 1, 2, 2], [0, 1, 0, 139]),
+                                 (236, [1, 1, 2, 2], [0, 1, 0, 1])]:
+        got = classify_batch(f4, xs, ys, budget)
+        assert (got[0].tolist(), got[1].tolist()) == (kinds, steps)
+        ref_kinds, ref_steps = plain_classify(f4, xs, ys, budget)
+        far = [122, 139] if budget >= 234 else [-1, -1]
+        assert (ref_kinds.tolist(), ref_steps.tolist()) == (kinds, [3, 6] + far)
+
+
+@pytest.mark.parametrize("xs, ys", [([0.5, 9.0], [0.5, 0.0, 3.0]),
+                                    ([0.5, 9.0, 3.0], [0.5, 0.0]),
+                                    ([[0.5, 9.0]], 0.5)])
+def test_rejects_starts_of_different_sizes(xs, ys, step_calls):
+    sizes = f"{np.size(xs)} and {np.size(ys)}"
+    with pytest.raises(ValueError, match=f"xs and ys must have the same size; got {sizes}"):
+        classify_batch(FAMILIES["f4"], xs, ys, budget=50)
+    assert step_calls == [0, 0]
 
 
 def test_rejects_negative_budget():
@@ -789,16 +838,14 @@ def test_split_matches_plain_loop(family, split):
     xs, ys = grid(WINDOW, 24)
     xs, ys = xs[:-1], ys[:-1]  # 575 starts: no part count divides them
     for budget in (0, 1, 261, 600):
-        ref_kinds, ref_steps = plain_classify(spec, xs, ys, budget)
+        ref = plain_classify(spec, xs, ys, budget)
         for cpus in (1, 2, 3, 7):
             sizes = split(cpus)
             sizes.clear()
-            kinds, steps = classify_batch(spec, xs, ys, budget)
-            np.testing.assert_array_equal(kinds, ref_kinds)
-            np.testing.assert_array_equal(steps, ref_steps)
+            assert_matches(ref, spec, xs, ys, budget)
+            # two classifications, each in the same parts
             assert sorted(sizes) == sorted([575 * (i + 1) // cpus - 575 * i // cpus
-                                            for i in range(cpus)])
-            np.testing.assert_array_equal(classify_kinds(spec, xs, ys, budget), ref_kinds)
+                                            for i in range(cpus)] * 2)
 
 
 def test_split_under_frequent_thread_switches(split):
@@ -806,17 +853,15 @@ def test_split_under_frequent_thread_switches(split):
     # part writing outside its own slice would show as a mismatch.
     spec = FAMILIES["g4"]
     xs, ys = grid(WINDOW, 24)
-    ref_kinds, ref_steps = plain_classify(spec, xs, ys, 261)
+    ref = plain_classify(spec, xs, ys, 261)
     sizes = split(7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        kinds, steps = classify_batch(spec, xs, ys, 261)
+        assert_matches(ref, spec, xs, ys, 261)
     finally:
         sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(kinds, ref_kinds)
-    np.testing.assert_array_equal(steps, ref_steps)
-    assert len(sizes) == 7
+    assert len(sizes) == 2 * 7
 
 
 def test_split_needs_two_full_parts(split):
@@ -857,7 +902,9 @@ def test_split_keeps_the_callers_errstate(split):
     with np.errstate(over="ignore", invalid="ignore"):
         for spec in FAMILIES.values():
             assert_same(spec, xs, ys, 300, r_escape=math.inf)
-    assert len(sizes) == 2 * 3 * len(FAMILIES)  # classify_batch and classify_kinds
+    # assert_same classifies twice: with every retirement and with the
+    # undecided ones only, each in 3 parts
+    assert len(sizes) == 2 * 3 * len(FAMILIES)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

@@ -107,6 +107,24 @@ def test_usage_error_for_bad_values_names_the_command(capsys, monkeypatch, argv,
     assert f"znmap: error: {argv[0]}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, env_seed, message", [
+    (["--seed", "-1"], None, "znmap verify: error: argument --seed: seed must be "
+                             "non-negative; got -1\n"),
+    (["--seed=-0x5EED"], "5", "znmap verify: error: argument --seed: seed must be "
+                              "non-negative; got -0x5EED\n"),
+    ([], "-1", "znmap: error: verify: seed must be non-negative; got -1\n"),
+], ids=["flag", "flag-over-env", "env"])
+def test_usage_error_for_negative_seed(capsys, monkeypatch, flags, env_seed, message):
+    # rejected before any check runs or any worker is forked
+    if env_seed is not None:
+        monkeypatch.setenv("ZNMAP_SEED", env_seed)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(message)
+
+
 def test_usage_error_for_empty_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", ","])

@@ -13,11 +13,14 @@ import pytest
 
 import znmap
 
-# the verify report at two seeds, and the Jacobian scans of the families
-# that take _LIBM's cos and sin (f4/g4 take closed forms over numpy)
+# the verify report at two seeds, the Jacobian scans of the families that
+# take _LIBM's cos and sin (f4/g4 take closed forms over numpy), and the
+# basin kinds of the five families on 192^2 pixels, enough for the thread
+# split, also over the outer cycle of h/hn
 CHILD = """\
+import hashlib
 import sys
-from znmap import MapSpec, spectral_scan
+from znmap import MapSpec, basin_raster, spectral_scan
 from znmap.cli import main
 
 try:
@@ -30,6 +33,12 @@ for seed in ("0x5EED", "5"):
 for family, n in (("fn", 5), ("h", 4), ("hn", 5)):
     s = spectral_scan(MapSpec(family, n=n), (-20.0, 20.0, -20.0, 20.0), 31)
     print(family, n, s.max_modulus.hex(), *(v.hex() for v in s.argmax))
+for family, n, beta in (("f4", 4, 0.0), ("g4", 4, 0.05), ("fn", 5, 0.0), ("h", 4, 0.0),
+                        ("hn", 5, 0.0)):
+    for half in (5.0, 14.0) if family in ("h", "hn") else (5.0,):
+        kinds = basin_raster(MapSpec(family, n=n, beta=beta), (-half, half, -half, half),
+                             192, 192).kinds
+        print("basin", family, n, half, hashlib.sha256(kinds.tobytes()).hexdigest())
 """
 
 
@@ -48,4 +57,5 @@ def test_outputs_keep_their_bytes_with_simd_dispatch_off():
     plain = run_child(NPY_DISABLE_CPU_FEATURES=" ".join(targets))
     assert plain[0] == "[]"
     assert default.count("exit 1") == 2  # unfolding fails by design
+    assert sum(line.startswith("basin ") for line in default) == 7
     assert plain[1:] == default[1:]

@@ -88,6 +88,19 @@ def test_every_name_is_checked_before_any_check_runs(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("seed", [-1, -0x5EED])
+def test_a_negative_seed_is_an_error_before_any_check_or_fork(monkeypatch, seed):
+    # numpy's generators reject it too, but only inside a check
+    calls = []
+    monkeypatch.setitem(verify.CHECKS_BY_NAME, "negative-control",
+                        lambda k, seed: calls.append(seed))
+    monkeypatch.setattr(os, "fork", lambda: calls.append("fork"))
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match=f"seed must be non-negative; got {seed}$"):
+        verify.run_suite(["negative-control", "astroid"], seed=seed)
+    assert calls == []
+
+
 def test_empty_suite_is_an_error():
     with pytest.raises(ValueError, match="the suite names no checks"):
         verify.run_suite([])
