@@ -39,6 +39,20 @@ _MIN_PART = 16384
 # Jacobians of other families hold a block's lists, not the grid's.
 _SCAN_BLOCK = 16384
 
+# glibc's dynamic malloc thresholds give classify_batch's freed 1-2 MB
+# temporaries back to the kernel after each call, to be faulted in again by
+# the next.  Fixing both (either alone ends the dynamic scheme) keeps that
+# heap, for the whole process, unless its environment sets glibc's own policy.
+try:
+    if (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc") and not (
+            any(name.startswith("MALLOC_") for name in os.environ)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        import ctypes
+        if ctypes.CDLL(None).mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD
+            ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+except (AttributeError, ImportError, OSError, ValueError):  # not glibc, or no ctypes
+    pass
+
 
 @dataclass
 class Orbit:
@@ -158,7 +172,7 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = DEFAULT_BUDGET,
         raise ValueError(f"xs and ys must have the same size; got {x.size} and {y.size}")
     npts = x.size
     kinds = np.zeros(npts, dtype=np.uint8)
-    steps = np.full(npts, -1, dtype=np.int64)
+    steps = np.zeros(npts, dtype=np.int64)
     regions = _retirements(spec, budget, eps_in, r_escape)
     parts = max(1, min(_available_cpus(), npts // _MIN_PART))
     cuts = [npts * i // parts for i in range(parts + 1)]
@@ -191,6 +205,7 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = DEFAULT_BUDGET,
     for exc in errors:
         if exc is not None:
             raise exc
+    steps[kinds == 0] = -1
     return kinds, steps
 
 
@@ -203,11 +218,12 @@ def _available_cpus() -> int:
 
 def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, regions):
     """The serial loop of classify_batch: classify the starts (x, y), writing
-    into kinds and steps (the same length, kinds 0, steps -1).  A live point
-    in a region of regions, the (region, kind, N) entries of
-    maps._retirements, is retired with that region's kind, and with the
-    step it entered it unless the kind is 0.  x, y and the regions'
-    membership tests are arrays only."""
+    into kinds and steps (the same length, both 0).  A decided start gets its
+    kind, and its step if above 0; an undecided one keeps kind 0, and
+    classify_batch gives it step -1.  A live point in a region of regions,
+    the (region, kind, N) entries of maps._retirements, is retired with that
+    region's kind, and with the step it entered it unless the kind is 0.
+    x, y and the regions' membership tests are arrays only."""
     idx = np.arange(x.size)
     eps2 = eps_in * eps_in
     # Clamped so that an infinite radius (r2 = inf) always escapes.
@@ -235,19 +251,21 @@ def _classify_part(spec, x, y, kinds, steps, budget, eps_in, r_escape, regions):
                         conv = r2[fin] <= esc2
                 done = idx[fin]
                 kinds[done] = np.where(conv, 1, 2)
-                steps[done] = t
+                if t:
+                    steps[done] = t
             if t:  # at t = 0 the snapshot is the state itself
-                # A repeat keeps kind 0 and steps -1; y is compared only
-                # where the x bits already match.
+                # A repeat keeps kind 0; y is compared only where the x
+                # bits already match.
                 rep = np.flatnonzero(x.view(np.int64) == sx.view(np.int64))
                 keep[rep[y[rep].view(np.int64) == sy[rep].view(np.int64)]] = False
             for region, kind, count in regions:
                 if t + count <= budget:
                     hit = keep & region.contains(x, y, r2)
-                    if kind:  # a kind-0 retirement keeps kind 0 and steps -1
+                    if kind:  # a kind-0 retirement keeps kind 0
                         done = idx[hit]
                         kinds[done] = kind
-                        steps[done] = t
+                        if t:
+                            steps[done] = t
                     keep &= ~hit
             if not keep.all():
                 x, y, idx = x[keep], y[keep], idx[keep]

@@ -27,7 +27,11 @@ def _fmt(v: float) -> str:
 
 
 def _seed(text: str) -> int:
-    seed = int(text, 0)
+    try:
+        seed = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError("seed must be an integer literal such as 5 or "
+                                         f"0x5EED; got {text}") from None
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be non-negative; got {text}")
     return seed

@@ -13,12 +13,16 @@ the disk retire nothing, and the steps too must be the plain loop's.
 """
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import znmap
 import znmap.analysis
 import znmap.maps
 from conftest import undecided_retirements_only
@@ -918,3 +922,63 @@ def test_only_the_threshold_test_ignores_overflow(split, cpus):
         with pytest.raises(FloatingPointError):
             classify_batch(FAMILIES["f4"], [0.5, 1.0, 1e120], [0.0, 0.0, 0.0],
                            budget=1, r_escape=math.inf)
+
+
+def _glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError):  # no confstr, or no such name
+        return False
+
+
+# A fresh process's minor faults in the second of two identical 512^2 f4
+# rasters, classified on argv[1] threads
+REPEATED_RASTER = """\
+import resource
+import sys
+import znmap.analysis
+from znmap import MapSpec
+from znmap.topology import basin_raster
+znmap.analysis._available_cpus = lambda: int(sys.argv[1])
+spec, window = MapSpec("f4", k=1.1), (-5.0, 5.0, -5.0, 5.0)
+first = basin_raster(spec, window, 512, 512).kinds
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+second = basin_raster(spec, window, 512, 512).kinds
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, (first == second).all())
+"""
+
+
+def repeated_raster_faults(cpus, **malloc_env):
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("MALLOC_") and name != "GLIBC_TUNABLES"}
+    env.update(malloc_env, PYTHONPATH=str(Path(znmap.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", REPEATED_RASTER, str(cpus)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    faults, same = proc.stdout.split()
+    assert same == "True"
+    return int(faults)
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are fixed on glibc alone")
+@pytest.mark.parametrize("cpus, bound", [(1, 100), (2, 1000)], ids=["serial", "two-threads"])
+def test_a_repeated_raster_keeps_its_memory(cpus, bound):
+    # znmap.analysis fixes glibc's malloc thresholds at import, so the heap
+    # that one 512^2 raster frees serves the next one; under the dynamic
+    # thresholds it went back to the kernel and took 5,200-5,800 minor faults
+    # to touch again.  Serial, in the main arena, the second raster takes 0;
+    # on two threads, each in its own arena, 80-150 (1-5 from the third
+    # raster on).  The split is
+    # pinned: at 16 threads a repeated raster still took 60-1,900 faults
+    # (the parent's took 1,800-4,000), too close for a fixed bound.
+    assert repeated_raster_faults(cpus) <= bound
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are fixed on glibc alone")
+@pytest.mark.parametrize("malloc_env", [{"MALLOC_MMAP_THRESHOLD_": "131072"},
+                                        {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"}],
+                         ids=["variable", "tunable"])
+def test_a_malloc_policy_in_the_environment_is_left_alone(malloc_env):
+    # a process that sets glibc's malloc policy keeps it: a fixed mmap
+    # threshold at glibc's initial 128 KiB maps and faults in the large
+    # temporaries anew on every raster
+    assert repeated_raster_faults(1, **malloc_env) > 1000

@@ -113,7 +113,11 @@ def test_usage_error_for_bad_values_names_the_command(capsys, monkeypatch, argv,
     (["--seed=-0x5EED"], "5", "znmap verify: error: argument --seed: seed must be "
                               "non-negative; got -0x5EED\n"),
     ([], "-1", "znmap: error: verify: seed must be non-negative; got -1\n"),
-], ids=["flag", "flag-over-env", "env"])
+    (["--seed", "abc"], None, "znmap verify: error: argument --seed: seed must be an "
+                              "integer literal such as 5 or 0x5EED; got abc\n"),
+    ([], "abc", "znmap: error: verify: seed must be an integer literal such as 5 or "
+                "0x5EED; got abc\n"),
+], ids=["flag", "flag-over-env", "env", "flag-not-an-integer", "env-not-an-integer"])
 def test_usage_error_for_negative_seed(capsys, monkeypatch, flags, env_seed, message):
     # rejected before any check runs or any worker is forked
     if env_seed is not None:
@@ -330,7 +334,7 @@ def test_import_leaves_out_the_exact_layer():
     # on first use
     child = ("import sys, znmap, znmap.cli; znmap.cli.build_parser(); "
              "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
-             "('znmap', 'numpy', 'json', 'multiprocessing', 'concurrent')))")
+             "('znmap', 'numpy', 'json', 'multiprocessing', 'concurrent', 'ctypes')))")
     proc = subprocess.run([sys.executable, "-c", child], env=_child_env(), capture_output=True,
                           text=True, check=True, timeout=120)
     assert proc.stdout == "['znmap', 'znmap.cli']\n"

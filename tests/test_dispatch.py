@@ -14,14 +14,19 @@ import pytest
 import znmap
 
 # the verify report at two seeds, the Jacobian scans of the families that
-# take _LIBM's cos and sin (f4/g4 take closed forms over numpy), and the
-# basin kinds of the five families on 192^2 pixels, enough for the thread
-# split, also over the outer cycle of h/hn
+# take _LIBM's cos and sin (f4/g4 take closed forms over numpy), the basin
+# kinds of the five families on 192^2 pixels, enough for the thread split,
+# also over the outer cycle of h/hn, and what the explore benchmark pins:
+# periodic points on the inner orbit of fn/hn and the outer cycle of hn
+# (fn has none), rotation rationals and the exact codimension computation
 CHILD = """\
 import hashlib
+import math
 import sys
-from znmap import MapSpec, basin_raster, spectral_scan
+from znmap import (MapSpec, basin_raster, estimate_rotation, find_periodic, from_polar,
+                   spectral_scan)
 from znmap.cli import main
+from znmap.singularity import codimension_check
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -39,6 +44,16 @@ for family, n, beta in (("f4", 4, 0.0), ("g4", 4, 0.05), ("fn", 5, 0.0), ("h", 4
         kinds = basin_raster(MapSpec(family, n=n, beta=beta), (-half, half, -half, half),
                              192, 192).kinds
         print("basin", family, n, half, hashlib.sha256(kinds.tobytes()).hexdigest())
+for family, guess in (("fn", (3.0, 0.1)), ("hn", (3.0, 0.1)), ("hn", (11.2, 0.1))):
+    point = find_periodic(MapSpec(family, n=5), guess, 5).point
+    print("orbit", family, *guess, *(v.hex() for v in point))
+for family in ("fn", "hn"):
+    for n in (5, 7):
+        start = from_polar((7.0, 0.3 * math.pi / n))
+        print("rotation", family, n, *estimate_rotation(MapSpec(family, n=n), start).rational)
+rep = codimension_check()
+print("codimension", rep.dim_tangent, rep.dim_with_v2, rep.dim_with_v1, rep.memberships,
+      rep.complement)
 """
 
 
@@ -58,4 +73,7 @@ def test_outputs_keep_their_bytes_with_simd_dispatch_off():
     assert plain[0] == "[]"
     assert default.count("exit 1") == 2  # unfolding fails by design
     assert sum(line.startswith("basin ") for line in default) == 7
+    assert sum(line.startswith("orbit ") for line in default) == 3
+    assert sum(line.startswith("rotation ") for line in default) == 4
+    assert default[-1].startswith("codimension ")
     assert plain[1:] == default[1:]
