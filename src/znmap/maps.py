@@ -17,23 +17,21 @@ Families (all fix the origin):
 A ``MapSpec`` names a map and checks its parameters; ``eval_map``,
 ``jac_map`` and ``step_batch`` evaluate it, and the per-family functions
 behind them are private.  Evaluators take ``(x, y)`` pairs of floats or of
-numpy arrays, and the input type picks one of two implementations of the
-same arithmetic (``+ - * /`` in one fixed order, and a few functions: trig,
-``hypot``, ``expm1``, ``floor``, ``minimum`` and a select).  Arrays run one
-formula over ``numpy``; floats run it written out with ``math`` and plain
-``if``s, which the tests pin bitwise to that formula over ``math``.  The
-two may differ by a few ulps where numpy's ``arctan2``/``hypot``/``expm1``
-differ from ``math``'s.  A third implementation runs the array formulas
-with libm's own results (``_LIBM``): ``math``'s ``hypot``, ``atan2`` and
-``expm1`` mapped over the elements, and numpy's ``cos`` and ``sin``, whose
-float64 loops call the C library as ``math`` does (the tests pin them to
-``math`` bitwise, with numpy's SIMD dispatch on and off):
-``eval_points`` and ``jac_points`` give the float path's bits on arrays,
-maps and Jacobians, for sampled checks and spectral scans, at a fraction
-of its cost per point.  Jacobians are 2x2 numpy arrays ``[[a, b], [c, d]]``
-(``jac_points`` stacks them).  ``step_batch`` is ``eval_map`` on
-coordinate arrays, the fast one, for raster workloads.  ``polar_step``
-steps fn/hn from a polar pair that the caller already holds.
+numpy arrays, and run one formula over three namespaces that differ only
+in their functions and selects (``_namespace``), picked by the input type.
+Floats take ``_FLOAT``, ``math`` with plain ``if``s; arrays ``_NUMPY``,
+numpy, which may differ by a few ulps where numpy's
+``arctan2``/``hypot``/``expm1`` differ from ``math``'s.  ``_LIBM`` is
+``_NUMPY`` with ``math``'s ``hypot``, ``atan2`` and ``expm1`` mapped over
+the elements and numpy's ``cos`` and ``sin``, whose float64 loops give
+libm's bits (the tests pin them to ``math``, with numpy's SIMD dispatch on
+and off, and each ``_FLOAT`` select to ``_LIBM``'s): ``eval_points`` and
+``jac_points`` give the float path's bits on arrays, for sampled checks and
+spectral scans, at a fraction of its cost per point.  Jacobians are 2x2
+numpy arrays ``[[a, b], [c, d]]`` (``jac_points`` stacks them).
+``step_batch`` is ``eval_map`` on coordinate arrays, the fast one, for
+raster workloads.  ``polar_step`` steps fn/hn from a polar pair that the
+caller already holds.
 
 Every evaluator runs its formula's own arithmetic at every point: the
 origin gives the zeros the formula gives, and NaN or inf what IEEE gives
@@ -52,8 +50,8 @@ the sector above them.
 """
 
 import math
+import types
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -88,12 +86,6 @@ def _cube(v):
     return v * v * v
 
 
-# the functions the array formulas need beyond + - * /; the float paths
-# write them out with math
-_NUMPY = SimpleNamespace(cos=np.cos, sin=np.sin, hypot=np.hypot, atan2=np.arctan2, expm1=np.expm1,
-                         floor=np.floor, minimum=np.minimum, where=np.where)
-
-
 def _libm(fun):
     """fun, a function of floats, mapped over the elements of 1-D float arrays."""
     return lambda *arrays: np.fromiter(map(fun, *[a.tolist() for a in arrays]), float,
@@ -101,40 +93,11 @@ def _libm(fun):
 
 
 def _expm1(v: float) -> float:
-    # inf where math raises, as numpy's does; _radial_u's select discards it
+    # inf where math raises, as numpy's does; the radial select discards it
     try:
         return math.expm1(v)
     except OverflowError:
         return math.inf
-
-
-# _NUMPY with math's own functions (np.cos and np.sin give libm's bits):
-# with numpy's exact or correctly rounded + - * /, floor, minimum and where,
-# the formulas on 1-D float arrays give the float paths' bits (see eval_points)
-_LIBM = SimpleNamespace(cos=np.cos, sin=np.sin, hypot=_libm(math.hypot),
-                        atan2=_libm(math.atan2), expm1=_libm(_expm1),
-                        floor=np.floor, minimum=np.minimum, where=np.where)
-
-
-def _angle(xp, y, x):
-    """atan2(y, x) normalized to [0, 2*pi)."""
-    theta = xp.atan2(y, x)
-    theta = xp.where(theta < 0.0, theta + TWO_PI, theta)
-    # a tiny negative atan2 result can round up to exactly 2*pi
-    return xp.where(theta >= TWO_PI, 0.0, theta)
-
-
-def _float_polar(p: Point) -> tuple[float, float]:
-    """hypot and _angle of one float point, written out with math and plain
-    ifs: the same operations in the same order, so the same bits, without
-    the namespace's calls."""
-    x, y = p
-    theta = math.atan2(y, x)
-    if theta < 0.0:
-        theta += TWO_PI
-        if theta >= TWO_PI:  # a tiny negative atan2 result can round up to exactly 2*pi
-            theta = 0.0
-    return math.hypot(x, y), theta
 
 
 def to_polar(p: Point) -> tuple[float, float]:
@@ -143,10 +106,10 @@ def to_polar(p: Point) -> tuple[float, float]:
     x, y = p
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"non-finite point {p!r}")
-    r, theta = _float_polar(p)
+    r = math.hypot(x, y)
     if r == 0.0:
         return 0.0, 0.0
-    return r, theta
+    return r, _float_angle(y, x)
 
 
 def from_polar(q: tuple[float, float]) -> Point:
@@ -201,13 +164,6 @@ def default_profile(k: float) -> RadialProfile:
     return RadialProfile(r0, r0)
 
 
-def _radial_u(xp, s, prof: RadialProfile):
-    """radial_u over the namespace xp, for s >= 0."""
-    w = s - prof.r0
-    tail = prof.r0 + 0.5 * w + 0.5 * prof.r_half * (-xp.expm1(-w / prof.r_half))
-    return xp.where(s <= prof.r0, s, tail)
-
-
 def radial_u(s, prof: RadialProfile):
     """Evaluate the saturating radial response at a float s >= 0."""
     if s < 0.0:
@@ -222,6 +178,69 @@ def ray_image_radius(k: float, r: float, prof: RadialProfile) -> float:
     """u(psi(r)), psi(r) = k r^3/(1+r^2): |h(p)| for h/hn at |p| = r on a
     boundary ray (m(theta4) = 1), the most on that circle (m <= 1)."""
     return radial_u(k * (r * r * r) / (1.0 + r * r), prof)
+
+
+def _namespace(name: str, cos, sin, hypot, angle, split, radial) -> types.ModuleType:
+    """What the step formula needs beyond + - * /: cos, sin, hypot and three
+    selects, its only branches.  angle(y, x) is atan2(y, x) in [0, 2*pi) (a
+    tiny negative atan2 can round up to 2*pi, which gives 0).  split(theta,
+    n) gives the 0-based sector index m of theta (sector_of minus one,
+    clamped to n - 1, as theta*n/(2*pi) may round to n) and the chart angle
+    theta4, theta turned back to sector 0 and rescaled to the base map's
+    quarter turn.  radial(s, prof) is radial_u at s >= 0.  _FLOAT runs them
+    with plain ifs, _NUMPY and _LIBM with numpy's where, floor and minimum.
+    A module object holds them: CPython 3.11 specializes calls of a
+    module's attributes, not of functions kept on a class instance, which
+    made a float fn/hn step 4-9% slower."""
+    ns = types.ModuleType(name)
+    ns.cos, ns.sin, ns.hypot = cos, sin, hypot
+    ns.angle, ns.split, ns.radial = angle, split, radial
+    return ns
+
+
+def _float_angle(y: float, x: float) -> float:
+    theta = math.atan2(y, x)
+    if theta < 0.0:
+        theta += TWO_PI
+        if theta >= TWO_PI:
+            theta = 0.0
+    return theta
+
+
+def _float_split(theta: float, n: int):
+    if theta != theta:  # NaN, where math.floor raises and np.floor gives NaN
+        return theta, theta
+    m = math.floor(theta * n / TWO_PI)
+    if m > n - 1:
+        m = n - 1
+    return m, (theta - TWO_PI * m / n) * n / 4.0
+
+
+def _array_namespace(name: str, hypot, atan2, expm1) -> types.ModuleType:
+    """The namespace on arrays: numpy's cos and sin, the given functions."""
+
+    def angle(y, x):
+        theta = atan2(y, x)
+        theta = np.where(theta < 0.0, theta + TWO_PI, theta)
+        return np.where(theta >= TWO_PI, 0.0, theta)
+
+    def split(theta, n):
+        m = np.minimum(np.floor(theta * n / TWO_PI), n - 1)
+        return m, (theta - TWO_PI * m / n) * n / 4.0
+
+    def radial(s, prof):
+        w = s - prof.r0
+        tail = prof.r0 + 0.5 * w + 0.5 * prof.r_half * (-expm1(-w / prof.r_half))
+        return np.where(s <= prof.r0, s, tail)
+
+    return _namespace(name, np.cos, np.sin, hypot, angle, split, radial)
+
+
+_FLOAT = _namespace("_FLOAT", math.cos, math.sin, math.hypot, _float_angle, _float_split, radial_u)
+_NUMPY = _array_namespace("_NUMPY", np.hypot, np.arctan2, np.expm1)
+# numpy's + - * /, floor, minimum and where are exact or correctly rounded,
+# so the formula on 1-D float arrays gives the float path's bits
+_LIBM = _array_namespace("_LIBM", _libm(math.hypot), _libm(math.atan2), _libm(_expm1))
 
 
 @dataclass(frozen=True)
@@ -284,17 +303,6 @@ def _eval_f4(p: Point, k: float) -> Point:
     return -k * _cube(y) / d, k * _cube(x) / d
 
 
-def _f4_polar(xp, r, theta, k: float):
-    """Polar form of f4: radius k*r^3/(1+r^2)*sqrt(cos^6 + sin^6), image
-    angle of (-sin^3, cos^3) in [0, 2*pi)."""
-    c = xp.cos(theta)
-    s = xp.sin(theta)
-    c3 = c * c * c
-    s3 = s * s * s
-    psi = k * (r * r * r) / (1.0 + r * r) * xp.hypot(c3, s3)
-    return psi, _angle(xp, c3, -s3)
-
-
 def _jac_f4_entries(x, y, k: float):
     x2 = x * x
     y2 = y * y
@@ -309,7 +317,7 @@ def _jac_f4_entries(x, y, k: float):
 
 def _f4_polar_entries(xp, r, theta, k: float):
     """Derivative of f4 in polar charts (source and target) at r > 0, over
-    the namespace xp (math for floats): upper triangular [[a11, a12],
+    the namespace xp (_FLOAT for floats): upper triangular [[a11, a12],
     [0, a22]], with angle derivative a22 = 3*sin^2*cos^2/(cos^6+sin^6)."""
     c = xp.cos(theta)
     s = xp.sin(theta)
@@ -346,37 +354,6 @@ def _jac_entries(spec, x, y):
     if spec.family == "f4":
         return _jac_f4_entries(x, y, spec.k)
     return _jac_g4_entries(x, y, spec.k, spec.alpha, spec.beta, spec.delta)
-
-
-def _polar(xp, p: Point):
-    """(hypot, _angle) of a point over the namespace xp."""
-    x, y = p
-    return xp.hypot(x, y), _angle(xp, y, x)
-
-
-def _sector_split(xp, theta, n: int):
-    """The sector part of the chart from the polar angle theta: the 0-based
-    sector index m (sector_of minus one) and the angle rotated back to
-    sector 0 and rescaled to the base map's quarter turn."""
-    m = xp.minimum(xp.floor(theta * n / TWO_PI), n - 1)  # theta*n/(2*pi) may round to n
-    return m, (theta - TWO_PI * m / n) * n / 4.0
-
-
-def _float_split(theta: float, n: int):
-    """_sector_split of one float angle, written out like _float_polar."""
-    if theta != theta:  # NaN, where math.floor raises and np.floor gives NaN
-        return theta, theta
-    m = math.floor(theta * n / TWO_PI)
-    if m > n - 1:  # theta*n/(2*pi) may round to n
-        m = n - 1
-    return m, (theta - TWO_PI * m / n) * n / 4.0
-
-
-def _sector_chart(xp, p: Point, n: int):
-    """Source chart of the order-n transplant at a point: (r, theta,
-    m, theta4), the polar pair with theta in [0, 2*pi) and _sector_split."""
-    r, theta = _polar(xp, p)
-    return (r, theta) + _sector_split(xp, theta, n)
 
 
 def sector_of(p: Point, n: int) -> int:
@@ -420,7 +397,7 @@ def _linear_modulus(spec):
 def _cone_edge(k: float, c: float = 0.0, phi: float = 0.0):
     """(a, m_a, r_lo, c_par) of the cones about the sector boundary rays, or None.
 
-    The cones hold the points with chart angle theta4 (see _sector_chart)
+    The cones hold the points with chart angle theta4 (see _namespace)
     within a = atan(eps), eps = min(0.1, sqrt((k-1)/(3k))), of 0 or pi/2.
     One step of f4 or fn maps chart (r, theta4) to radius psi(r)*m(theta4)
     and chart angle atan(tan^3 theta4), or its mirror image about pi/2,
@@ -466,7 +443,7 @@ def _cone_edge(k: float, c: float = 0.0, phi: float = 0.0):
 @dataclass(frozen=True)
 class ConeRegion:
     """Annular cones about the sector boundary rays: r_lo <= |p| <= r_hi
-    with chart angle theta4 (see _sector_chart) within cone of 0 or of
+    with chart angle theta4 (see _namespace) within cone of 0 or of
     pi/2, where m(theta4) >= m_a.  Built by trapping_region and
     escape_cones; for escape cones one step maps radius r to at least
     psi(r)*m_a + shift*r (shift = c_par of _cone_edge, signed)."""
@@ -641,46 +618,25 @@ def _crossing_steps(k: float, rho: float, gain: float, shift: float, passed,
     return budget + 1
 
 
-def _sector_image(xp, r, theta4, m, k: float, n: int, prof: RadialProfile | None):
-    """Image radius and angle of a chart point under the base map, rescaled
-    back to sector m+1 (the sector after the source sector m)."""
-    psi, phi = _f4_polar(xp, r, theta4, k)
-    if prof is not None:
-        psi = _radial_u(xp, psi, prof)
-    return psi, 4.0 * phi / n + TWO_PI * m / n
+def _sector_map(xp, r, theta, k: float, n: int, prof: RadialProfile | None):
+    """The order-n transplant step in polar form over the namespace xp:
+    (psi, theta_out, theta4) from the polar pair (r, theta) of points.
 
-
-def _float_image(r: float, theta4: float, m: int, k: float, n: int,
-                 prof: RadialProfile | None):
-    """_sector_image of one float chart point, written out like _float_polar."""
-    c = math.cos(theta4)
-    s = math.sin(theta4)
+    split gives the source sector m and the chart angle theta4.  The base
+    map takes chart (r, theta4) to radius psi = k*r^3/(1+r^2)*sqrt(cos^6 +
+    sin^6), saturated by radial when prof is given, and to the angle of
+    (-sin^3, cos^3), which the rescale takes back to sector m+1 (the
+    sector after the source sector) as theta_out.
+    """
+    m, theta4 = xp.split(theta, n)
+    c = xp.cos(theta4)
+    s = xp.sin(theta4)
     c3 = c * c * c
     s3 = s * s * s
-    psi = k * (r * r * r) / (1.0 + r * r) * math.hypot(c3, s3)
+    psi = k * (r * r * r) / (1.0 + r * r) * xp.hypot(c3, s3)
     if prof is not None:
-        psi = radial_u(psi, prof)
-    phi = math.atan2(c3, -s3)
-    if phi < 0.0:
-        phi += TWO_PI
-        if phi >= TWO_PI:
-            phi = 0.0
-    return psi, 4.0 * phi / n + TWO_PI * m / n
-
-
-def _sector_step(xp, r, theta, k: float, n: int, prof: RadialProfile | None):
-    """One order-n transplant step (n != 4) from the polar pair (r, theta)
-    of points, over the namespace xp."""
-    m, theta4 = _sector_split(xp, theta, n)
-    psi, theta_out = _sector_image(xp, r, theta4, m, k, n, prof)
-    return psi * xp.cos(theta_out), psi * xp.sin(theta_out)
-
-
-def _float_step(r: float, theta: float, k: float, n: int, prof: RadialProfile | None) -> Point:
-    """_sector_step of one float polar pair, written out like _float_polar."""
-    m, theta4 = _float_split(theta, n)
-    psi, theta_out = _float_image(r, theta4, m, k, n, prof)
-    return psi * math.cos(theta_out), psi * math.sin(theta_out)
+        psi = xp.radial(psi, prof)
+    return psi, 4.0 * xp.angle(c3, -s3) / n + TWO_PI * m / n, theta4
 
 
 def polar_step(spec):
@@ -691,7 +647,11 @@ def polar_step(spec):
     if callable(spec) or spec.family not in ("fn", "hn") or spec.n == 4:
         return None
     k, n, prof = spec.k, spec.n, spec.profile
-    return lambda r, theta: _float_step(r, theta, k, n, prof)
+
+    def step(r, theta):
+        psi, theta_out, _ = _sector_map(_FLOAT, r, theta, k, n, prof)
+        return psi * math.cos(theta_out), psi * math.sin(theta_out)
+    return step
 
 
 def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None, xp=_NUMPY) -> Point:
@@ -704,19 +664,18 @@ def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None, xp=_NUMP
     the rescales are identities and the quarter-turn rotations exact, so
     the transplant is _eval_f4 or _eval_h itself, on floats and arrays.
 
-    The input type picks the implementation.  Arrays take the namespace
-    formula, _polar and _sector_step over xp (_NUMPY, or _LIBM for
-    eval_points).  Floats take _float_polar and _float_step, the same
-    operations written out with math, bitwise that formula over math (the
-    tests pin this).  A _NUMPY result may differ from the float result by
-    a few ulps, where numpy's arctan2 and hypot differ from math's.
+    The input type picks the namespace of _sector_map: arrays take xp
+    (_NUMPY, or _LIBM for eval_points), floats _FLOAT.  A _NUMPY result
+    may differ from the float result by a few ulps, where numpy's arctan2
+    and hypot differ from math's.
     """
     if n == 4:
         return _eval_f4(p, k) if prof is None else _eval_h(p, k, prof, xp)
-    if type(p[0]) is np.ndarray:
-        return _sector_step(xp, *_polar(xp, p), k, n, prof)
-    r, theta = _float_polar(p)
-    return _float_step(r, theta, k, n, prof)
+    x, y = p
+    if type(x) is not np.ndarray:
+        xp = _FLOAT
+    psi, theta_out, _ = _sector_map(xp, xp.hypot(x, y), xp.angle(y, x), k, n, prof)
+    return psi * xp.cos(theta_out), psi * xp.sin(theta_out)
 
 
 def _matrix(a, b, c, d) -> np.ndarray:
@@ -731,12 +690,12 @@ def _matrices(a, b, c, d) -> np.ndarray:
     return out
 
 
-def _polar_chain(xp, mat, r, theta, theta4, psi, theta_out, k: float, n: int):
+def _polar_chain(xp, mat, r, theta, k: float, n: int):
     """_jac_fn's chain rule over the namespace xp, away from the origin,
-    from the chart (r, theta, theta4) and the image (psi, theta_out); mat
-    builds its 2x2 factors: _matrix for floats (xp = math), _matrices on
-    1-D arrays, whose stacked matmuls multiply each point's factors as the
-    float path does."""
+    from the polar pair (r, theta); mat builds its 2x2 factors: _matrix
+    for floats (xp = _FLOAT), _matrices on 1-D arrays, whose stacked
+    matmuls multiply each point's factors as the float path does."""
+    psi, theta_out, theta4 = _sector_map(xp, r, theta, k, n, None)
     a11, a12, a22 = _f4_polar_entries(xp, r, theta4, k)
     a_n = np.array([[1.0, 0.0], [0.0, 4.0 / n]])
     b_n = np.array([[1.0, 0.0], [0.0, n / 4.0]])
@@ -759,18 +718,16 @@ def _jac_fn(p: Point, k: float, n: int) -> np.ndarray:
     x, y = p
     if x == 0.0 and y == 0.0:
         return np.zeros((2, 2))
-    r, theta = _float_polar(p)
-    m, theta4 = _float_split(theta, n)
-    psi, theta_out = _float_image(r, theta4, m, k, n, None)
+    r, theta = math.hypot(x, y), _float_angle(y, x)
     # Outside (1e-300, 1e75) 1/r or r^3 overflows and matmul meets inf * 0,
     # and a NaN r is outside too: there the chain runs silently, as float
     # arithmetic does.  Inside, the factors and their products are finite
     # and np.errstate is skipped: it costs 1.2-1.9 us, 13-22% of an 11.4 us
     # call (min of 9, 2-core VM).
     if 1e-300 < r < 1e75:
-        return _polar_chain(math, _matrix, r, theta, theta4, psi, theta_out, k, n)
+        return _polar_chain(_FLOAT, _matrix, r, theta, k, n)
     with np.errstate(all="ignore"):
-        return _polar_chain(math, _matrix, r, theta, theta4, psi, theta_out, k, n)
+        return _polar_chain(_FLOAT, _matrix, r, theta, k, n)
 
 
 def _eval_h(p: Point, k: float, prof: RadialProfile, xp=_NUMPY) -> Point:
@@ -779,7 +736,7 @@ def _eval_h(p: Point, k: float, prof: RadialProfile, xp=_NUMPY) -> Point:
         s = xp.hypot(w1, w2)
         # u = s = 0 at the origin, where any finite scale will do; where
         # 0 < s <= r0 the scale is s/s = 1 exactly, as the float branch's identity
-        scale = _radial_u(xp, s, prof) / xp.where(s > 0.0, s, 1.0)
+        scale = xp.radial(s, prof) / np.where(s > 0.0, s, 1.0)
         return scale * w1, scale * w2
     s = math.hypot(w1, w2)
     if s <= prof.r0:  # identity branch, exact
@@ -810,8 +767,9 @@ def eval_points(spec: MapSpec, x: np.ndarray, y: np.ndarray,
     checks; step_batch is the faster numpy formula, for rasters.  A
     callable is mapped point by point, as step_batch does.
 
-    polar, the pair _polar(_LIBM, (x, y)), spares fn/hn with n != 4 their
-    own chart: for callers that evaluate several orders at one sample."""
+    polar, the pair (_LIBM.hypot(x, y), _LIBM.angle(y, x)), spares fn/hn
+    with n != 4 their own chart: for callers that evaluate several orders
+    at one sample."""
     if callable(spec):
         return step_batch(spec, x, y)
     with np.errstate(all="ignore"):  # as on floats: overflow gives inf, inf - inf NaN
@@ -819,7 +777,8 @@ def eval_points(spec: MapSpec, x: np.ndarray, y: np.ndarray,
             return eval_map(spec, (x, y))
         if polar is None or spec.n == 4:
             return _transplant((x, y), spec.k, spec.n, spec.profile, _LIBM)
-        return _sector_step(_LIBM, *polar, spec.k, spec.n, spec.profile)
+        psi, theta_out, _ = _sector_map(_LIBM, *polar, spec.k, spec.n, spec.profile)
+        return psi * _LIBM.cos(theta_out), psi * _LIBM.sin(theta_out)
 
 
 def _fd_entries(fun, x, y, h):
@@ -860,9 +819,7 @@ def jac_points(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
                                           1e-7 * (1.0 + _LIBM.hypot(x, y))))
         if spec.family != "fn":
             return _matrices(*_jac_entries(spec, x, y))
-        r, theta, m, theta4 = _sector_chart(_LIBM, (x, y), spec.n)
-        psi, theta_out = _sector_image(_LIBM, r, theta4, m, spec.k, spec.n, None)
-        jac = _polar_chain(_LIBM, _matrices, r, theta, theta4, psi, theta_out, spec.k, spec.n)
+        jac = _polar_chain(_LIBM, _matrices, _LIBM.hypot(x, y), _LIBM.angle(y, x), spec.k, spec.n)
     jac[(x == 0.0) & (y == 0.0)] = 0.0
     return jac
 

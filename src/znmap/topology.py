@@ -123,8 +123,8 @@ def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate
     Iterates while the orbit stays away from the origin (|p| > 1e-12) and
     finite; needs at least 8 usable angles (max_iters below 7 is a
     ValueError before any step; an orbit that stops short, a RuntimeError).
-    The slope uses the full lift span; the rational is the best
-    approximation with denominator <= 64.
+    The slope uses the full lift span, taken mod 1 into [0, 1); the
+    rational is the best approximation with denominator <= 64, mod 1.
     fn/hn with n != 4 step from the polar pair each iterate's angle needs
     (maps.polar_step), so their chart is computed once per iterate.
     """
@@ -152,6 +152,8 @@ def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate
     lift = angle_lift(angles)
     slope = (lift[-1] - lift[0]) / (TWO_PI * (len(lift) - 1))
     slope %= 1.0
-    frac = Fraction(slope).limit_denominator(64)
+    if slope == 1.0:  # a tiny negative slope rounds up to 1
+        slope = 0.0
+    frac = Fraction(slope).limit_denominator(64) % 1
     return RotationEstimate(slope=slope, rational=(frac.numerator, frac.denominator),
                             iterates_used=len(angles))

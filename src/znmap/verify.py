@@ -32,7 +32,7 @@ from .analysis import (
     seeded_points,
     spectral_scan,
 )
-from .maps import (_LIBM, TWO_PI, MapSpec, _polar, default_profile, eval_map,
+from .maps import (_LIBM, TWO_PI, MapSpec, default_profile, eval_map,
                    eval_points, from_polar, jac_map, orbit_radius, ray_image_radius)
 from .topology import basin_raster, estimate_rotation, image_curve, transversality_det
 
@@ -94,7 +94,7 @@ def check_equivariance(k: float = K_DEFAULT, seed: int = DEFAULT_SEED) -> CheckR
     # weights and their chart computed once
     px, py = seeded_points(samples, 10.0, seed).T
     weight = _cubic_weight(px, py)
-    polar = _polar(_LIBM, (px, py))
+    polar = _LIBM.hypot(px, py), _LIBM.angle(py, px)
     worst = max(_max_residual(MapSpec("fn", k=k, n=n), n, px, py, weight, polar)
                 for n in range(2, 9))
     return CheckResult("equivariance", {"k": k, "n": "2..8", "samples": samples,

@@ -617,11 +617,12 @@ def _cone_regions():
 def chart_contains(region, x, y):
     """The chart test of a ConeRegion, the oracle of its chart-free test:
     r_lo <= hypot(x, y) <= r_hi with chart angle theta4 (see
-    maps._sector_chart) within cone of 0 or pi/2.  Also returns each
+    maps._namespace) within cone of 0 or pi/2.  Also returns each
     point's clearance: its least relative distance to an edge, |r/r_lo - 1|,
     |r/r_hi - 1| and |theta4 - edge|/cone over both cone edges (NaN where a
     coordinate is not finite)."""
-    r, _, _, theta4 = znmap.maps._sector_chart(znmap.maps._NUMPY, (x, y), region.n)
+    xp = znmap.maps._NUMPY
+    r, theta4 = xp.hypot(x, y), xp.split(xp.angle(y, x), region.n)[1]
     a = region.cone
     near_axis = (theta4 <= a) | (theta4 >= 0.5 * math.pi - a)
     with np.errstate(invalid="ignore"):  # inf/inf where r_hi = inf

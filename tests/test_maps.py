@@ -1,7 +1,6 @@
 import math
 import struct
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,22 +14,16 @@ from znmap.maps import (
     TWO_PI,
     MapSpec,
     RadialProfile,
-    _angle,
+    _FLOAT,
+    _LIBM,
     _eval_f4,
     _eval_g4,
     _eval_h,
-    _f4_polar,
     _f4_polar_entries,
-    _float_polar,
-    _float_split,
     _jac_entries,
     _jac_fn,
-    _polar,
-    _radial_u,
     _rotation,
-    _sector_chart,
-    _sector_image,
-    _sector_split,
+    _sector_map,
     _transplant,
     default_profile,
     eval_map,
@@ -49,15 +42,6 @@ from znmap.maps import (
 K = 1.1
 P_RADIUS = 1.0 / math.sqrt(K - 1.0)  # 3.16227766...
 F4 = MapSpec("f4", k=K)
-
-# The namespace that runs maps.py's array formulas (_angle, _sector_chart,
-# _f4_polar, _sector_image, _radial_u) on floats: the oracle of the float
-# kernels, which write the same operations out with math and plain ifs.
-# Its floor passes NaN through, as np.floor does (math.floor raises).
-MATH = SimpleNamespace(cos=math.cos, sin=math.sin, hypot=math.hypot, atan2=math.atan2,
-                       expm1=math.expm1, floor=lambda v: math.floor(v) if v == v else v,
-                       minimum=lambda a, b: b if b < a else a,
-                       where=lambda cond, a, b: a if cond else b)
 
 
 def close(a, b, tol=1e-12):
@@ -99,20 +83,29 @@ def test_f4_maps_periodic_point_to_its_quarter_turn():
     assert close(q, p, 1e-12)
 
 
+def f4_polar(r, theta):
+    """f4 in polar form: the step formula at n = 4, (psi, theta_out)."""
+    return _sector_map(_FLOAT, r, theta, K, 4, None)[:2]
+
+
 def test_f4_polar_matches_examples():
-    psi, phi = _f4_polar(MATH, 1.0, math.pi / 4, K)
+    psi, phi = f4_polar(1.0, math.pi / 4)
     assert abs(psi - 0.275) <= 1e-15
     assert abs(phi - 3 * math.pi / 4) <= 1e-12
-    psi, phi = _f4_polar(MATH, 2.0, 0.0, K)
+    psi, phi = f4_polar(2.0, 0.0)
     assert abs(psi - 1.76) <= 1e-14
     assert abs(phi - math.pi / 2) <= 1e-15
 
 
 def test_f4_polar_angle_below_two_pi_for_caller_angles():
     # (-sin^3, cos^3) at 3*pi/2 sits a hair below the positive x-axis, so the
-    # wrapped atan2 rounds up to exactly 2*pi and must fold back to 0
-    _, phi = _f4_polar(MATH, 1.0, 1.5 * math.pi, K)
-    assert 0.0 <= phi < TWO_PI
+    # wrapped atan2 rounds up to exactly 2*pi, and the angle select must fold
+    # it back to 0, on floats and on arrays
+    c, s = math.cos(1.5 * math.pi), math.sin(1.5 * math.pi)
+    c3, s3 = c * c * c, s * s * s
+    assert math.atan2(c3, -s3) + TWO_PI == TWO_PI
+    assert _FLOAT.angle(c3, -s3) == 0.0
+    assert _LIBM.angle(np.array([c3]), np.array([-s3]))[0] == 0.0
 
 
 def test_f4_polar_consistent_with_cartesian():
@@ -122,7 +115,7 @@ def test_f4_polar_consistent_with_cartesian():
         th = TWO_PI * rng.random()
         p = from_polar((r, th))
         direct = _eval_f4(p, K)
-        via_polar = from_polar(_f4_polar(MATH, r, th, K))
+        via_polar = from_polar(f4_polar(r, th))
         assert close(direct, via_polar, 1e-12 * (1.0 + r ** 3))
 
 
@@ -147,7 +140,7 @@ def test_jac_f4_matches_finite_differences():
 
 
 def jac_f4_polar(r, theta):
-    a11, a12, a22 = _f4_polar_entries(math, r, theta, K)
+    a11, a12, a22 = _f4_polar_entries(_FLOAT, r, theta, K)
     return np.array([[a11, a12], [0.0, a22]])
 
 
@@ -336,62 +329,8 @@ def test_polar_dispatch_rejects_non_finite_points(p):
 
 
 # ---------------------------------------------------------------------------
-# float kernels against the namespace formula over math
+# the float selects against the array selects
 # ---------------------------------------------------------------------------
-
-def oracle_polar(p):
-    return _polar(MATH, p)
-
-
-def oracle_split(theta, n):
-    return _sector_split(MATH, theta, n)
-
-
-def oracle_chart(p, n):
-    return _sector_chart(MATH, p, n)
-
-
-def oracle_image(r, theta4, m, k, n, prof):
-    return _sector_image(MATH, r, theta4, m, k, n, prof)
-
-
-def oracle_eval_h(p, k, prof):
-    w1, w2 = _eval_f4(p, k)
-    s = math.hypot(w1, w2)
-    if s <= prof.r0:
-        return w1, w2
-    scale = _radial_u(MATH, s, prof) / MATH.where(s > 0.0, s, 1.0)
-    return scale * w1, scale * w2
-
-
-def oracle_transplant(p, k, n, prof):
-    """_transplant on floats as the namespace formula over math gives it."""
-    if n == 4:
-        return _eval_f4(p, k) if prof is None else oracle_eval_h(p, k, prof)
-    r, _, m, theta4 = oracle_chart(p, n)
-    psi, theta_out = oracle_image(r, theta4, m, k, n, prof)
-    return psi * math.cos(theta_out), psi * math.sin(theta_out)
-
-
-def oracle_to_polar(p):
-    x, y = p
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"non-finite point {p!r}")
-    r = math.hypot(x, y)
-    if r == 0.0:
-        return 0.0, 0.0
-    return r, _angle(MATH, y, x)
-
-
-def on_oracle(fun, *args):
-    """fun(*args) with the float polar pair, sector split and image, which
-    the float chart and step are made of, swapped for the oracle."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(znmap.maps, "_float_polar", oracle_polar)
-        mp.setattr(znmap.maps, "_float_split", oracle_split)
-        mp.setattr(znmap.maps, "_float_image", oracle_image)
-        return fun(*args)
-
 
 def bits(v):
     """The exact bits of a result: floats (sign of zero and NaN included),
@@ -465,23 +404,68 @@ def test_clamp_points_reach_the_clamp():
     for n in (23, 33):
         clamped = [p for p in clamp_points()
                    if math.floor((math.atan2(p[1], p[0]) + TWO_PI) * n / TWO_PI) == n]
-        assert clamped and all(_float_split(_float_polar(p)[1], n)[0] == n - 1 for p in clamped)
+        assert clamped and all(_FLOAT.split(_FLOAT.angle(p[1], p[0]), n)[0] == n - 1
+                               for p in clamped)
     wrapped = [p for p in edge_points(5) if p[0] > 0.0 and p[1] < 0.0
                and math.atan2(p[1], p[0]) + TWO_PI == TWO_PI]
-    assert wrapped and all(_float_polar(p)[1] == 0.0 for p in wrapped)
+    assert wrapped and all(_FLOAT.angle(p[1], p[0]) == 0.0 for p in wrapped)
+
+
+def float_select(name, *args):
+    """The _FLOAT select name at args, its sector index as a float."""
+    out = getattr(_FLOAT, name)(*args)
+    return tuple(float(v) for v in out) if isinstance(out, tuple) else out
+
+
+def libm_select(name, *args):
+    """The _LIBM select name at 1-element arrays of the float args, as
+    floats, under eval_points' np.errstate: the oracle of float_select."""
+    with np.errstate(all="ignore"):
+        out = getattr(_LIBM, name)(*(np.array([a]) if isinstance(a, float) else a for a in args))
+    return tuple(float(v[0]) for v in out) if isinstance(out, tuple) else float(out[0])
+
+
+def assert_select_bits(name, *args):
+    """float_select gives libm_select's bits, every NaN taken as one NaN."""
+    assert (outcome(nan_blind(float_select), name, *args)
+            == outcome(nan_blind(libm_select), name, *args)), (name, args)
+
+
+def assert_split_bits(theta, n):
+    # at theta = -0.0, the angle of (x > 0, -0.0), math.floor gives 0 and
+    # np.floor -0.0, so m and theta4 come out with opposite signs of zero;
+    # the steps and Jacobians agree all the same, which the *_on_edges
+    # tests of eval_points and jac_points show at (1.0, -0.0)
+    if theta == 0.0 and math.copysign(1.0, theta) < 0.0:
+        assert float_select("split", theta, n) == libm_select("split", theta, n) == (0.0, 0.0)
+    else:
+        assert_select_bits("split", theta, n)
 
 
 @pytest.mark.parametrize("n", ORDERS)
-def test_float_kernel_is_the_namespace_formula_on_edges(n):
-    prof = default_profile(K)
-    for p in edge_points(n):
-        for fam_prof in (None, prof):
-            assert (outcome(nan_blind(_transplant), p, K, n, fam_prof)
-                    == outcome(nan_blind(oracle_transplant), p, K, n, fam_prof)), (p, fam_prof)
-        assert outcome(nan_blind(to_polar), p) == outcome(nan_blind(oracle_to_polar), p), p
-        assert outcome(sector_of, p, n) == outcome(on_oracle, sector_of, p, n), p
-        assert (outcome(nan_blind(_jac_fn), p, K, n)
-                == outcome(nan_blind(on_oracle), _jac_fn, p, K, n)), p
+def test_float_selects_are_the_libm_selects_on_edges(n):
+    # the angle of each edge point (boundary rays, the clamp, the -ulp
+    # angles that round up to 2*pi, +-0, NaN and +-inf) and its split; the
+    # split's input is the angle select's output, which is never inf
+    for x, y in edge_points(n):
+        assert_select_bits("angle", y, x)
+        assert_split_bits(_FLOAT.angle(y, x), n)
+    for theta in (0.0, 5e-324, math.pi, math.nextafter(TWO_PI, 0.0), math.nan):
+        assert_split_bits(theta, n)
+
+
+def test_float_radial_is_the_libm_radial_on_edges():
+    # r0 and its neighbours, 0, inf and NaN; the two tight profiles send
+    # -w/r_half past 709 below r0, where the array select's expm1
+    # overflows to inf and its where discards it
+    tight = [RadialProfile(7.0, 1e-3), RadialProfile(1e3, 0.5)]
+    assert all(prof.r0 / prof.r_half > 709 for prof in tight)  # -w/r_half at s = 0
+    for prof in [default_profile(K)] + tight:
+        r0 = prof.r0
+        around = [r0, math.nextafter(r0, 0.0), math.nextafter(r0, math.inf),
+                  r0 * (1.0 - 1e-12), r0 * (1.0 + 1e-12), 0.5 * r0, 2.0 * r0]
+        for s in around + [0.0, -0.0, 5e-324, 1e308, math.inf, math.nan]:
+            assert_select_bits("radial", s, prof)
 
 
 @pytest.mark.parametrize("n", ORDERS)
@@ -498,44 +482,35 @@ def test_polar_step_is_eval_map(n):
     assert polar_step(F4) is polar_step(MapSpec("h", k=K)) is polar_step(lambda p: p) is None
 
 
-@given(st.integers(2, 8), st.booleans(), st.floats(1.0005, 1.1547),
+@given(st.integers(2, 33), st.floats(0.0, TWO_PI, exclude_max=True),
        st.floats(allow_nan=True, allow_infinity=True), st.floats(allow_nan=True, allow_infinity=True))
-def test_float_kernel_is_the_namespace_formula(n, saturated, k, x, y):
-    prof = default_profile(k) if saturated else None
-    p = (x, y)
-    assert (outcome(nan_blind(_transplant), p, k, n, prof)
-            == outcome(nan_blind(oracle_transplant), p, k, n, prof))
-    if saturated:
-        assert (outcome(nan_blind(_eval_h), p, k, prof)
-                == outcome(nan_blind(oracle_eval_h), p, k, prof))
-    assert outcome(nan_blind(to_polar), p) == outcome(nan_blind(oracle_to_polar), p)
-    if not (x == 0.0 and y == 0.0):
-        assert outcome(sector_of, p, n) == outcome(on_oracle, sector_of, p, n)
+def test_float_selects_are_the_libm_selects(n, theta, x, y):
+    assert_select_bits("angle", y, x)
+    assert_split_bits(_FLOAT.angle(y, x), n)
+    assert_split_bits(theta, n)
 
 
-@given(st.integers(2, 8), st.floats(1.0005, 1.1547),
-       st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
-def test_float_jacobian_is_the_namespace_formula(n, k, x, y):
-    assert outcome(_jac_fn, (x, y), k, n) == outcome(on_oracle, _jac_fn, (x, y), k, n)
-
-
-@given(st.floats(0.0, 1e308), st.floats(0.5, 50.0), st.floats(0.5, 50.0))
-def test_float_radial_u_is_the_namespace_formula(s, r0, r_half):
-    prof = RadialProfile(r0, r_half)
-    assert bits(radial_u(s, prof)) == bits(_radial_u(MATH, s, prof))
+@given(st.one_of(st.floats(0.0, math.inf), st.just(math.nan)), st.floats(0.5, 50.0),
+       st.floats(1e-3, 50.0))
+def test_float_radial_is_the_libm_radial(s, r0, r_half):
+    assert_select_bits("radial", s, RadialProfile(r0, r_half))
 
 
 @pytest.mark.parametrize("family", ["fn", "hn"])
 @pytest.mark.parametrize("p", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, math.nan)])
 def test_non_finite_input_gives_nan_as_the_namespace_formula_does(family, p):
+    # floats take the formula over _FLOAT, 1-element arrays over _LIBM:
+    # both give NaN, with no raise and no warning
+    ax, ay = np.array([p[0]]), np.array([p[1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in range(2, 9):
             spec = MapSpec(family, k=K, n=n)
-            for entry in (eval_map, jac_map):
-                got = nan_blind(entry)(spec, p)
-                assert bits(got) == bits(nan_blind(on_oracle)(entry, spec, p)), (n, entry)
-                assert np.isnan(got).any(), (n, entry)
+            image, images = nan_blind(eval_map)(spec, p), nan_blind(eval_points)(spec, ax, ay)
+            jac, jacs = nan_blind(jac_map)(spec, p), nan_blind(jac_points)(spec, ax, ay)
+            assert bits(image) == bits(tuple(float(c[0]) for c in images)), n
+            assert bits(jac) == bits(jacs[0]), n
+            assert np.isnan(image).any() and np.isnan(jac).any(), n
 
 
 def point_specs(k, n):

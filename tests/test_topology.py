@@ -186,6 +186,16 @@ def test_rotation_rigid_adapter():
     assert est.rational == (1, 5)
 
 
+@pytest.mark.parametrize("turn, slope", [(-1e-9, 0.9999999998408451), (-TWO_PI * 1e-17, 0.0)])
+def test_rotation_just_below_zero_stays_in_the_unit_interval(turn, slope):
+    # a turn by a tiny negative angle per step: its slope mod 1 lies just
+    # below 1, or rounds up to 1.0, which is 0; the rational, mod 1, is 0/1
+    c, s = math.cos(turn), math.sin(turn)
+    est = estimate_rotation(lambda p: (c * p[0] - s * p[1], s * p[0] + c * p[1]), (1.0, 0.3))
+    assert est.slope == slope and 0.0 <= est.slope < 1.0
+    assert est.rational == (0, 1)
+
+
 def test_rotation_base_family():
     est = estimate_rotation(F4, (2.0, 0.0))
     assert est.rational == (1, 4)
