@@ -7,11 +7,12 @@ elementwise-deterministic, so grids may be partitioned arbitrarily.
 """
 
 import contextvars
+import functools
 import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -64,12 +65,24 @@ class Orbit:
 
 @dataclass
 class PeriodicOrbit:
+    """A find_periodic solve; iterations counts its Newton updates (0 from a converged guess)."""
     point: Point
     period: int
     orbit: list
-    multipliers: tuple
     residual: float
     minimal: bool
+    _: KW_ONLY
+    spec: object
+    iterations: int
+
+    @functools.cached_property
+    def multipliers(self) -> tuple:
+        """Eigenvalues of the jac_map chain along orbit, computed on first read
+        (so that read, not the solve, raises what jac_map or eigvals raise)."""
+        prod = np.eye(2)
+        for pt in self.orbit:
+            prod = jac_map(self.spec, pt) @ prod
+        return tuple(np.linalg.eigvals(prod))
 
 
 @dataclass
@@ -284,17 +297,15 @@ def _compose(spec, p: Point, q: int) -> Point:
     return p
 
 
-def _solve2(jac: np.ndarray, rhs) -> tuple[float, float]:
-    # the Jacobian comes from finite differences (noise ~1e-9 relative), so
-    # "not invertible within tolerance" means conditioning worse than ~1e6
-    # or a derivative of f^q - id that vanishes to noise level
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    scale = float(np.abs(jac).max())
+def _solve2(a: float, b: float, c: float, d: float, g1: float, g2: float) -> tuple[float, float]:
+    # solves [[a, b], [c, d]] (u, v) = (g1, g2), a finite-difference Jacobian
+    # (noise ~1e-9 relative): "not invertible within tolerance" means conditioning
+    # worse than ~1e6, a derivative of f^q - id at noise level, or a NaN or inf entry
+    det = a * d - b * c
+    scale = max(abs(a), abs(b), abs(c), abs(d))
     if not (math.isfinite(det) and scale > 1e-8 and abs(det) > 1e-6 * scale * scale):
         raise RuntimeError("singular Newton system")
-    u = (jac[1, 1] * rhs[0] - jac[0, 1] * rhs[1]) / det
-    v = (-jac[1, 0] * rhs[0] + jac[0, 0] * rhs[1]) / det
-    return u, v
+    return (d * g1 - b * g2) / det, (-c * g1 + a * g2) / det
 
 
 _NEWTON_TOL = 1e-12  # residual |f^period(p) - p| at which find_periodic stops
@@ -306,18 +317,18 @@ def find_periodic(spec, guess: Point, period: int) -> PeriodicOrbit:
 
     Newton runs on f^period(p) - p with a finite-difference Jacobian of the
     composite (works across sector charts) until the residual is at most
-    _NEWTON_TOL, for at most _NEWTON_MAX_ITER steps; multipliers come from
-    chaining the per-point Jacobians along the refined orbit.  Minimality is
-    probed on every proper divisor with threshold 10*_NEWTON_TOL and reported
-    as a flag.
+    _NEWTON_TOL, for at most _NEWTON_MAX_ITER updates, on floats; the
+    multipliers are computed only when read.  Minimality is probed on every
+    proper divisor with threshold 10*_NEWTON_TOL and reported as a flag.
     The orbit, the probes and the residual all come from the iterates of
-    the last residual evaluation: nothing is re-evaluated after convergence.
+    the last residual evaluation: nothing is re-evaluated after convergence,
+    so the solve takes period*(5*iterations + 1) map evaluations.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     p = (float(guess[0]), float(guess[1]))
     residual = math.inf
-    for _ in range(_NEWTON_MAX_ITER):
+    for iterations in range(_NEWTON_MAX_ITER):
         orbit = [p]
         for _ in range(period):
             orbit.append(eval_map(spec, orbit[-1]))
@@ -332,22 +343,16 @@ def find_periodic(spec, guess: Point, period: int) -> PeriodicOrbit:
             fp_p = _compose(spec, (p[0] + dx, p[1] + dy), period)
             fp_m = _compose(spec, (p[0] - dx, p[1] - dy), period)
             cols.append(((fp_p[0] - fp_m[0]) / (2 * h), (fp_p[1] - fp_m[1]) / (2 * h)))
-        jac = np.array([[cols[0][0] - 1.0, cols[1][0]],
-                        [cols[0][1], cols[1][1] - 1.0]])
-        du, dv = _solve2(jac, (gx, gy))
+        (a, c), (b, d) = cols
+        du, dv = _solve2(a - 1.0, b, c, d - 1.0, gx, gy)
         p = (p[0] - du, p[1] - dv)
     else:
         raise RuntimeError(f"no convergence after {_NEWTON_MAX_ITER} Newton iterations "
                            f"(residual {residual:.3e})")
 
-    prod = np.eye(2)
-    for pt in orbit:
-        prod = jac_map(spec, pt) @ prod
-    mults = tuple(np.linalg.eigvals(prod))
     minimal = not any(math.hypot(orbit[d][0] - p[0], orbit[d][1] - p[1]) <= 10.0 * _NEWTON_TOL
                       for d in range(1, period) if period % d == 0)
-    return PeriodicOrbit(point=p, period=period, orbit=orbit,
-                         multipliers=mults, residual=residual, minimal=minimal)
+    return PeriodicOrbit(p, period, orbit, residual, minimal, spec=spec, iterations=iterations)
 
 
 def continue_periodic(specs, guess: Point, period: int):

@@ -208,9 +208,9 @@ def _float_angle(y: float, x: float) -> float:
 
 
 def _float_split(theta: float, n: int):
-    if theta != theta:  # NaN, where math.floor raises and np.floor gives NaN
-        return theta, theta
-    m = math.floor(theta * n / TWO_PI)
+    m = theta * n / TWO_PI
+    if math.isfinite(m):  # math.floor raises at inf and NaN, which np.floor passes on
+        m = math.floor(m)
     if m > n - 1:
         m = n - 1
     return m, (theta - TWO_PI * m / n) * n / 4.0
@@ -641,9 +641,9 @@ def _sector_map(xp, r, theta, k: float, n: int, prof: RadialProfile | None):
 
 def polar_step(spec):
     """The step of an fn/hn MapSpec with n != 4 as a function of the polar
-    pair (r, theta) = to_polar(p) of a nonzero float point p: bitwise
-    eval_map(spec, p), for callers that hold the pair already.  None for
-    every other map, whose step takes no sector chart."""
+    pair (r, theta) = to_polar(p) of a nonzero float point p, so a finite
+    theta: bitwise eval_map(spec, p), for callers that hold the pair
+    already.  None for every other map, whose step takes no sector chart."""
     if callable(spec) or spec.family not in ("fn", "hn") or spec.n == 4:
         return None
     k, n, prof = spec.k, spec.n, spec.profile

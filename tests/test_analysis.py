@@ -198,10 +198,10 @@ def test_find_periodic_orbit_residual_and_minimal_match_recomputation(period):
 
 @pytest.mark.parametrize("period", [1, 4, 8])
 def test_find_periodic_evaluates_nothing_after_convergence(period):
-    # A callable's multipliers take 4 finite-difference calls per orbit
-    # point; every other call belongs to a Newton iteration (period calls
-    # for the residual, 4*period for the composite's Jacobian) or to the
-    # residual evaluation that converged (period calls).
+    # Each Newton update takes period calls for the residual and 4*period
+    # for the composite's Jacobian, the residual evaluation that converged
+    # period more; the multipliers, on first read, take 4 finite-difference
+    # calls per orbit point.
     calls = []
 
     def f(p):
@@ -210,14 +210,71 @@ def test_find_periodic_evaluates_nothing_after_convergence(period):
 
     guess = (0.01, 0.01) if period == 1 else (3.0, 0.1)
     orb = find_periodic(f, guess, period)
-    assert len(calls) % (5 * period) == 0
-    assert calls[-5 * period:-4 * period] == orb.orbit
-    # restarted on the converged point: one residual evaluation, then the
-    # multipliers, and nothing else
+    assert orb.iterations >= 1
+    assert len(calls) == period * (5 * orb.iterations + 1)
+    assert calls[-period:] == orb.orbit
+    # restarted on the converged point: one residual evaluation, and nothing else
     calls.clear()
     again = find_periodic(f, orb.point, period)
-    assert len(calls) == 5 * period
+    assert again.iterations == 0
+    assert len(calls) == period
     assert again.orbit == orb.orbit and again.residual == orb.residual
+    calls.clear()
+    mults = again.multipliers
+    assert len(calls) == 4 * period
+    assert again.multipliers is mults and len(calls) == 4 * period
+
+
+# one solve of each family that takes at least one Newton update
+SOLVES = [
+    (F4, (3.0, 0.1), 4),
+    (MapSpec("g4", k=K, beta=0.05), P, 4),
+    (MapSpec("fn", k=K, n=5), (3.0, 0.1), 5),
+    (MapSpec("hn", k=K, n=5), (3.0, 0.1), 5),
+    (MapSpec("h", k=K), (11.2, 0.1), 4),
+    (lambda p: eval_map(F4, p), (3.0, 0.1), 4),
+]
+SOLVE_IDS = ["f4", "g4", "fn", "hn", "h", "callable"]
+
+
+def complex_bits(values):
+    return [(float(v.real).hex(), float(v.imag).hex()) for v in values]
+
+
+@pytest.mark.parametrize("spec, guess, period", SOLVES, ids=SOLVE_IDS)
+def test_find_periodic_computes_multipliers_only_when_read(spec, guess, period, monkeypatch):
+    # no jac_map or eigvals call until the first read, which then gives
+    # bitwise the eager chain of jac_map and eigvals along the orbit
+    jacs, eigs = [], []
+    jac, eigvals = analysis.jac_map, np.linalg.eigvals
+    monkeypatch.setattr(analysis, "jac_map", lambda *args: jacs.append(args) or jac(*args))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda *args: eigs.append(args) or eigvals(*args))
+    orb = find_periodic(spec, guess, period)
+    assert (jacs, eigs) == ([], [])
+    mults = orb.multipliers
+    assert [pt for _, pt in jacs] == orb.orbit and len(eigs) == 1
+    prod = np.eye(2)
+    for pt in orb.orbit:
+        prod = jac(spec, pt) @ prod
+    assert complex_bits(mults) == complex_bits(eigvals(prod))
+
+
+@pytest.mark.parametrize("spec, guess, period", SOLVES, ids=SOLVE_IDS)
+def test_find_periodic_point_and_orbit_are_floats(spec, guess, period):
+    orb = find_periodic(spec, guess, period)
+    assert orb.iterations >= 1
+    assert all(type(c) is float for pt in [orb.point, *orb.orbit] for c in pt)
+
+
+@pytest.mark.parametrize("entries", [
+    (math.nan, 1.0, 0.0, 1.0),   # NaN entry
+    (math.inf, 1.0, 0.0, 1.0),   # inf entry
+    (0.0, 0.0, 0.0, 0.0),        # zero matrix
+    (1.0, 2.0, 2.0, 4.0),        # rank 1
+], ids=["nan", "inf", "zero", "rank-1"])
+def test_solve2_raises_on_singular_systems(entries):
+    with pytest.raises(RuntimeError, match="singular Newton system"):
+        analysis._solve2(*entries, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -445,12 +445,14 @@ def assert_split_bits(theta, n):
 @pytest.mark.parametrize("n", ORDERS)
 def test_float_selects_are_the_libm_selects_on_edges(n):
     # the angle of each edge point (boundary rays, the clamp, the -ulp
-    # angles that round up to 2*pi, +-0, NaN and +-inf) and its split; the
-    # split's input is the angle select's output, which is never inf
+    # angles that round up to 2*pi, +-0, NaN and +-inf) and its split, then
+    # the split at a few more angles: +-inf, which no angle select gives,
+    # split to (n - 1, inf) and (-inf, NaN), as np.floor and np.minimum pass them on
     for x, y in edge_points(n):
         assert_select_bits("angle", y, x)
         assert_split_bits(_FLOAT.angle(y, x), n)
-    for theta in (0.0, 5e-324, math.pi, math.nextafter(TWO_PI, 0.0), math.nan):
+    for theta in (0.0, 5e-324, math.pi, math.nextafter(TWO_PI, 0.0), math.nan,
+                  math.inf, -math.inf):
         assert_split_bits(theta, n)
 
 
