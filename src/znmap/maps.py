@@ -16,22 +16,25 @@ Families (all fix the origin):
 
 A ``MapSpec`` names a map and checks its parameters; ``eval_map``,
 ``jac_map`` and ``step_batch`` evaluate it, and the per-family functions
-behind them are private.  Evaluators take ``(x, y)`` pairs of floats or of
-numpy arrays, and run one formula over three namespaces that differ only
-in their functions and selects (``_namespace``), picked by the input type.
-Floats take ``_FLOAT``, ``math`` with plain ``if``s; arrays ``_NUMPY``,
-numpy, which may differ by a few ulps where numpy's
-``arctan2``/``hypot``/``expm1`` differ from ``math``'s.  ``_LIBM`` is
-``_NUMPY`` with ``math``'s ``hypot``, ``atan2`` and ``expm1`` mapped over
-the elements and numpy's ``cos`` and ``sin``, whose float64 loops give
-libm's bits (the tests pin them to ``math``, with numpy's SIMD dispatch on
-and off, and each ``_FLOAT`` select to ``_LIBM``'s): ``eval_points`` and
-``jac_points`` give the float path's bits on arrays, for sampled checks and
-spectral scans, at a fraction of its cost per point.  Jacobians are 2x2
-numpy arrays ``[[a, b], [c, d]]`` (``jac_points`` stacks them).
-``step_batch`` is ``eval_map`` on coordinate arrays, the fast one, for
-raster workloads.  ``polar_step`` steps fn/hn from a polar pair that the
-caller already holds.
+behind them are private.  Two functions pick the formula for a MapSpec:
+``_step`` for the step and ``_jacobian`` for its Jacobian, each over one
+of three namespaces that differ only in their functions and selects
+(``_namespace``).  Every evaluator is a choice of namespace over them.
+``eval_map`` takes ``(x, y)`` pairs of floats, over ``_FLOAT`` (``math``
+with plain ``if``s), or of numpy arrays, over ``_NUMPY`` (numpy, which may
+differ by a few ulps where numpy's ``arctan2``/``hypot``/``expm1`` differ
+from ``math``'s); ``jac_map`` takes floats.  ``_LIBM`` is ``_NUMPY`` with
+``math``'s ``hypot``, ``atan2`` and ``expm1`` mapped over the elements and
+numpy's ``cos`` and ``sin``, whose float64 loops give libm's bits (the
+tests pin them to ``math``, with numpy's SIMD dispatch on and off, and
+each ``_FLOAT`` select to ``_LIBM``'s): ``eval_points`` and ``jac_points``
+run over it and give the float path's bits on arrays, for sampled checks
+and spectral scans, at a fraction of its cost per point.  The array entry
+points take their coordinates as float arrays.  Jacobians are 2x2 numpy
+arrays ``[[a, b], [c, d]]`` (``jac_points`` stacks them).  ``step_batch``
+is ``eval_map`` on coordinate arrays, the fast one, for raster workloads.
+``polar_step`` steps fn/hn from a polar pair that the caller already
+holds.
 
 Every evaluator runs its formula's own arithmetic at every point: the
 origin gives the zeros the formula gives, and NaN or inf what IEEE gives
@@ -654,30 +657,6 @@ def polar_step(spec):
     return step
 
 
-def _transplant(p: Point, k: float, n: int, prof: RadialProfile | None, xp=_NUMPY) -> Point:
-    """Order-n transplant of f4, radially saturated by prof when given.
-
-    Composes rotation by -m sectors -> angular rescale -> base map ->
-    rescale back -> rotation by +m sectors in angle space, so a boundary
-    point whose local angle rounds to -ulp is never re-wrapped to 2*pi
-    (which the n/4 rescale would blow up into a genuine jump).  For n = 4
-    the rescales are identities and the quarter-turn rotations exact, so
-    the transplant is _eval_f4 or _eval_h itself, on floats and arrays.
-
-    The input type picks the namespace of _sector_map: arrays take xp
-    (_NUMPY, or _LIBM for eval_points), floats _FLOAT.  A _NUMPY result
-    may differ from the float result by a few ulps, where numpy's arctan2
-    and hypot differ from math's.
-    """
-    if n == 4:
-        return _eval_f4(p, k) if prof is None else _eval_h(p, k, prof, xp)
-    x, y = p
-    if type(x) is not np.ndarray:
-        xp = _FLOAT
-    psi, theta_out, _ = _sector_map(xp, xp.hypot(x, y), xp.angle(y, x), k, n, prof)
-    return psi * xp.cos(theta_out), psi * xp.sin(theta_out)
-
-
 def _matrix(a, b, c, d) -> np.ndarray:
     return np.array([[a, b], [c, d]])
 
@@ -691,10 +670,15 @@ def _matrices(a, b, c, d) -> np.ndarray:
 
 
 def _polar_chain(xp, mat, r, theta, k: float, n: int):
-    """_jac_fn's chain rule over the namespace xp, away from the origin,
-    from the polar pair (r, theta); mat builds its 2x2 factors: _matrix
-    for floats (xp = _FLOAT), _matrices on 1-D arrays, whose stacked
-    matmuls multiply each point's factors as the float path does."""
+    """Cartesian Jacobian of fn via the polar chain rule over the namespace
+    xp, away from the origin, from the polar pair (r, theta).
+
+    The angular rescales contribute the constant diagonal factors
+    diag(1, 4/n) and diag(1, n/4) around the polar-chart derivative of the
+    base map; the result is conjugated back to Cartesian charts.  mat
+    builds the 2x2 factors: _matrix for floats (xp = _FLOAT), _matrices on
+    1-D arrays, whose stacked matmuls multiply each point's factors as the
+    float path does."""
     psi, theta_out, theta4 = _sector_map(xp, r, theta, k, n, None)
     a11, a12, a22 = _f4_polar_entries(xp, r, theta4, k)
     a_n = np.array([[1.0, 0.0], [0.0, 4.0 / n]])
@@ -705,29 +689,6 @@ def _polar_chain(xp, mat, r, theta, k: float, n: int):
     chart_in_inv = mat(ci, si, -si / r, ci / r)
     chart_out = mat(co, -psi * so, so, psi * co)
     return chart_out @ d_polar @ chart_in_inv
-
-
-def _jac_fn(p: Point, k: float, n: int) -> np.ndarray:
-    """Cartesian Jacobian of the order-n transplant via the polar chain rule.
-
-    The angular rescales contribute the constant diagonal factors
-    diag(1, 4/n) and diag(1, n/4) around the polar-chart derivative of the
-    base map; the result is conjugated back to Cartesian charts.  At the
-    origin the derivative is the zero matrix.
-    """
-    x, y = p
-    if x == 0.0 and y == 0.0:
-        return np.zeros((2, 2))
-    r, theta = math.hypot(x, y), _float_angle(y, x)
-    # Outside (1e-300, 1e75) 1/r or r^3 overflows and matmul meets inf * 0,
-    # and a NaN r is outside too: there the chain runs silently, as float
-    # arithmetic does.  Inside, the factors and their products are finite
-    # and np.errstate is skipped: it costs 1.2-1.9 us, 13-22% of an 11.4 us
-    # call (min of 9, 2-core VM).
-    if 1e-300 < r < 1e75:
-        return _polar_chain(_FLOAT, _matrix, r, theta, k, n)
-    with np.errstate(all="ignore"):
-        return _polar_chain(_FLOAT, _matrix, r, theta, k, n)
 
 
 def _eval_h(p: Point, k: float, prof: RadialProfile, xp=_NUMPY) -> Point:
@@ -745,82 +706,103 @@ def _eval_h(p: Point, k: float, prof: RadialProfile, xp=_NUMPY) -> Point:
     return scale * w1, scale * w2
 
 
+def _step(spec: MapSpec, x, y, xp, polar=None) -> Point:
+    """One step of spec at the floats or 1-D arrays (x, y) over the
+    namespace xp: the one place that picks a step formula.  polar, the
+    pair (xp.hypot(x, y), xp.angle(y, x)), spares fn/hn with n != 4 their
+    own chart.
+
+    fn/hn with n != 4 compose rotation by -m sectors -> angular rescale ->
+    base map -> rescale back -> rotation by +m sectors in angle space
+    (_sector_map), so a boundary point whose local angle rounds to -ulp is
+    never re-wrapped to 2*pi (which the n/4 rescale would blow up into a
+    genuine jump).  At n = 4 the rescales are identities and the
+    quarter-turn rotations exact, so fn and hn take f4's and h's
+    chart-free formulas and are f4 and h bit for bit.
+    """
+    if spec.n == 4:
+        if spec.family == "g4":
+            return _eval_g4((x, y), spec.k, spec.alpha, spec.beta, spec.delta)
+        if spec.profile is None:  # f4, fn
+            return _eval_f4((x, y), spec.k)
+        return _eval_h((x, y), spec.k, spec.profile, xp)  # h, hn
+    r, theta = (xp.hypot(x, y), xp.angle(y, x)) if polar is None else polar
+    psi, theta_out, _ = _sector_map(xp, r, theta, spec.k, spec.n, spec.profile)
+    return psi * xp.cos(theta_out), psi * xp.sin(theta_out)
+
+
 def eval_map(spec, p: Point) -> Point:
     """Evaluate one step of the map named by spec (or any callable).
 
-    For a MapSpec, p may hold floats or numpy arrays of coordinates.
+    For a MapSpec, p may hold floats, stepped over _FLOAT, or numpy arrays
+    of coordinates, taken as float arrays and stepped over _NUMPY.
     """
     if callable(spec):
         return spec(p)
-    if spec.family == "f4":
-        return _eval_f4(p, spec.k)
-    if spec.family == "g4":
-        return _eval_g4(p, spec.k, spec.alpha, spec.beta, spec.delta)
-    return _transplant(p, spec.k, spec.n, spec.profile)  # fn, h (n = 4) or hn
+    x, y = p
+    if type(x) is np.ndarray:
+        return _step(spec, np.asarray(x, dtype=float), np.asarray(y, dtype=float), _NUMPY)
+    return _step(spec, x, y, _FLOAT)
 
 
 def eval_points(spec: MapSpec, x: np.ndarray, y: np.ndarray,
                 polar=None) -> tuple[np.ndarray, np.ndarray]:
-    """eval_map at each point of the 1-D float arrays (x, y), bitwise the
-    float path up to which NaN an operation on two NaNs gives, origin and
-    non-finite points included: the array formula over _LIBM.  For sampled
-    checks; step_batch is the faster numpy formula, for rasters.  A
-    callable is mapped point by point, as step_batch does.
+    """eval_map at each point of the 1-D arrays (x, y), taken as float
+    arrays, bitwise the float path up to which NaN an operation on two
+    NaNs gives, origin and non-finite points included: the step over
+    _LIBM.  For sampled checks; step_batch is the faster numpy formula,
+    for rasters.  A callable is mapped point by point, as step_batch does.
 
     polar, the pair (_LIBM.hypot(x, y), _LIBM.angle(y, x)), spares fn/hn
     with n != 4 their own chart: for callers that evaluate several orders
     at one sample."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if callable(spec):
         return step_batch(spec, x, y)
     with np.errstate(all="ignore"):  # as on floats: overflow gives inf, inf - inf NaN
-        if spec.family == "g4":
-            return eval_map(spec, (x, y))
-        if polar is None or spec.n == 4:
-            return _transplant((x, y), spec.k, spec.n, spec.profile, _LIBM)
-        psi, theta_out, _ = _sector_map(_LIBM, *polar, spec.k, spec.n, spec.profile)
-        return psi * _LIBM.cos(theta_out), psi * _LIBM.sin(theta_out)
+        return _step(spec, x, y, _LIBM, polar)
 
 
-def _fd_entries(fun, x, y, h):
-    """Central-difference Jacobian entries (a, b, c, d) of fun, a map of
-    (x, y) pairs, with step h: floats, or arrays of points."""
-    fxp = fun((x + h, y))
-    fxm = fun((x - h, y))
-    fyp = fun((x, y + h))
-    fym = fun((x, y - h))
-    inv = 0.5 / h
-    return ((fxp[0] - fxm[0]) * inv, (fyp[0] - fym[0]) * inv,
-            (fxp[1] - fxm[1]) * inv, (fyp[1] - fym[1]) * inv)
+def _jacobian(spec, x, y, xp, mat, step) -> np.ndarray:
+    """The Jacobian of spec at the floats or 1-D arrays (x, y) over the
+    namespace xp, its 2x2 matrices built by mat: the one place that picks
+    a Jacobian formula.  f4/g4 take their analytic entries, fn the polar
+    chain (not at the origin, where it divides by r), and h/hn and
+    callables central differences of step, a function of (spec, point)."""
+    if callable(spec) or spec.family in ("h", "hn"):
+        h = 1e-7 * (1.0 + xp.hypot(x, y))
+        fxp, fxm = step(spec, (x + h, y)), step(spec, (x - h, y))
+        fyp, fym = step(spec, (x, y + h)), step(spec, (x, y - h))
+        inv = 0.5 / h
+        return mat((fxp[0] - fxm[0]) * inv, (fyp[0] - fym[0]) * inv,
+                   (fxp[1] - fxm[1]) * inv, (fyp[1] - fym[1]) * inv)
+    if spec.family != "fn":
+        return mat(*_jac_entries(spec, x, y))
+    # far out r^3 and near the origin 1/r overflow, and matmul meets inf * 0:
+    # the chain runs silently there, as float arithmetic does
+    with np.errstate(all="ignore"):
+        return _polar_chain(xp, mat, xp.hypot(x, y), xp.angle(y, x), spec.k, spec.n)
 
 
 def jac_map(spec, p: Point) -> np.ndarray:
-    """Jacobian of the map named by spec: analytic for f4/g4/fn, central
-    finite differences for h/hn and callables."""
-    if callable(spec) or spec.family in ("h", "hn"):
-        x, y = p
-        return _matrix(*_fd_entries(lambda q: eval_map(spec, q), x, y,
-                                    1e-7 * (1.0 + math.hypot(x, y))))
-    if spec.family == "fn":
-        return _jac_fn(p, spec.k, spec.n)
-    return _matrix(*_jac_entries(spec, p[0], p[1]))
+    """Jacobian of the map named by spec at the float point p: analytic for
+    f4/g4/fn, central finite differences for h/hn and callables."""
+    x, y = p
+    if not callable(spec) and spec.family == "fn" and x == 0.0 and y == 0.0:
+        return np.zeros((2, 2))
+    return _jacobian(spec, x, y, _FLOAT, _matrix, eval_map)
 
 
 def jac_points(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """jac_map at each point of the 1-D float arrays (x, y), bitwise up to
-    which NaN an operation on two NaNs gives: an (N, 2, 2) array.
-
-    f4/g4 stack their analytic entries.  fn runs _jac_fn's polar chain
-    over _LIBM, with the zero matrix at the origin.  h/hn and callables
-    take the same central differences as jac_map through eval_points.
-    """
+    """jac_map at each point of the 1-D arrays (x, y), taken as float
+    arrays, bitwise up to which NaN an operation on two NaNs gives: an
+    (N, 2, 2) array, the Jacobian over _LIBM, with central differences
+    through eval_points."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     with np.errstate(all="ignore"):  # as on floats: overflow gives inf, inf - inf NaN
-        if callable(spec) or spec.family in ("h", "hn"):
-            return _matrices(*_fd_entries(lambda q: eval_points(spec, *q), x, y,
-                                          1e-7 * (1.0 + _LIBM.hypot(x, y))))
-        if spec.family != "fn":
-            return _matrices(*_jac_entries(spec, x, y))
-        jac = _polar_chain(_LIBM, _matrices, _LIBM.hypot(x, y), _LIBM.angle(y, x), spec.k, spec.n)
-    jac[(x == 0.0) & (y == 0.0)] = 0.0
+        jac = _jacobian(spec, x, y, _LIBM, _matrices, lambda s, q: eval_points(s, *q))
+    if not callable(spec) and spec.family == "fn":
+        jac[(x == 0.0) & (y == 0.0)] = 0.0
     return jac
 
 

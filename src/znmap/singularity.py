@@ -137,13 +137,6 @@ class Poly2:
         res.terms = {(i, j - 1): c * j for (i, j), c in self.terms.items() if j > 0}
         return res
 
-    def homogeneous_parts(self) -> dict:
-        parts = {}
-        for (i, j), c in self.terms.items():
-            part = parts.setdefault(i + j, Poly2())
-            part.terms[(i, j)] = c
-        return parts
-
     def truncate(self, max_degree: int) -> "Poly2":
         res = Poly2()
         res.terms = {(i, j): c for (i, j), c in self.terms.items() if i + j <= max_degree}
@@ -380,26 +373,17 @@ def _sparse(row) -> dict:
 
 
 @cache
-def _label_basis(d: int) -> tuple:
-    """(labels, rows): the degree-d labels in canonical order and the
-    echelon rows of their fields, tagged by label (a label in the span of
-    those before it is dependent: coefficient 0)."""
-    labels = _labels_of_degree(d)
-    if not labels:
-        raise ValueError(f"not in module span: no equivariant labels of degree {d}")
+def _label_basis() -> tuple:
+    """(labels, rows): the labels of degrees 1-7, in degree order and in
+    canonical order within each degree, and the echelon rows of their
+    fields, tagged by label (a label in the span of those before it is
+    dependent: coefficient 0).  Fields of different degrees share no
+    coefficient, so each degree's rows are those of its own basis."""
+    labels = [lab for d in range(1, 8) for lab in _labels_of_degree(d)]
     rows = []
     for lab in labels:
         _extend(rows, _coords(label_field(lab)), lab)
     return tuple(labels), tuple(rows)
-
-
-def _decompose_homogeneous(vec: VecEq, d: int) -> dict:
-    """module_decompose of a degree-d pair, against _label_basis(d)."""
-    labels, rows = _label_basis(d)
-    rest, coeffs = _reduce(rows, _coords(vec))
-    if rest:
-        raise ValueError("not in module span: inconsistent coefficient system")
-    return {lab: c for lab in labels if (c := coeffs.get(lab))}
 
 
 def module_decompose(vec: VecEq) -> dict:
@@ -411,19 +395,16 @@ def module_decompose(vec: VecEq) -> dict:
     input exactly.  Raises ValueError for pairs outside the module span
     (non-equivariant input).
 
-    Each homogeneous part is reduced against its degree's echelon basis of
-    label coordinates, built once per degree; the tags of the rows it takes
-    off give the coefficients.
+    The pair is reduced against the echelon basis of label coordinates,
+    built once; the tags of the rows it takes off give the coefficients.
     """
     if vec.degree() > 7:
         raise ValueError(f"input degree {vec.degree()} exceeds 7")
-    parts_u = vec.u.homogeneous_parts()
-    parts_v = vec.v.homogeneous_parts()
-    out = {}
-    for d in sorted(set(parts_u) | set(parts_v)):
-        part = VecEq(parts_u.get(d, Poly2()), parts_v.get(d, Poly2()))
-        out.update(_decompose_homogeneous(part, d))
-    return out
+    labels, rows = _label_basis()
+    rest, coeffs = _reduce(rows, _coords(vec))
+    if rest:
+        raise ValueError("not in module span: inconsistent coefficient system")
+    return {lab: c for lab in labels if (c := coeffs.get(lab))}
 
 
 # ---------------------------------------------------------------------------

@@ -490,11 +490,9 @@ def test_boundary_smoothness_order_four_single_formula():
 
 
 def test_jac_fn_on_boundary_matches_one_sided_differences():
-    from znmap.maps import _jac_fn
-
     n, r = 6, 1.0
     assert _GLUING_H[-1] == 1e-6
-    analytic = _jac_fn(from_polar((r, TWO_PI / n)), K, n)
+    analytic = jac_map(MapSpec("fn", k=K, n=n), from_polar((r, TWO_PI / n)))
     for est in _gluing(K, n, r)[1]:  # the one-sided stencil, each side
         assert np.abs(analytic - est).max() <= 1e-6
 

@@ -21,10 +21,8 @@ from znmap.maps import (
     _eval_h,
     _f4_polar_entries,
     _jac_entries,
-    _jac_fn,
     _rotation,
     _sector_map,
-    _transplant,
     default_profile,
     eval_map,
     eval_points,
@@ -241,17 +239,18 @@ def test_origin_is_one_point_for_every_evaluator():
 
 def test_fn_axis_ray_maps_to_next_boundary():
     # the positive x-axis maps to the ray at angle 2*pi/6 with radius k/2
-    img = _transplant((1.0, 0.0), K, 6, None)
+    img = eval_map(MapSpec("fn", k=K, n=6), (1.0, 0.0))
     assert close(img, (0.275, 0.4763139720814412), 1e-12)
 
 
 def test_fn_periodic_orbit_structure():
     n = 6
+    spec = MapSpec("fn", k=K, n=n)
     p = (P_RADIUS, 0.0)
     q = p
     pts = []
     for _ in range(n):
-        q = _transplant(q, K, n, None)
+        q = eval_map(spec, q)
         pts.append(q)
     assert close(pts[-1], p, 1e-11)
     for j, pt in enumerate(pts[:-1], start=1):
@@ -262,11 +261,12 @@ def test_fn_periodic_orbit_structure():
 def test_fn_equivariance_all_orders():
     rng = np.random.default_rng(5)
     for n in range(2, 9):
+        spec = MapSpec("fn", k=K, n=n)
         worst = 0.0
         for _ in range(400):
             p = tuple(rng.normal(0.0, 4.0, 2))
-            a = _transplant(_rotation(1, n)(*p), K, n, None)
-            b = _rotation(1, n)(*_transplant(p, K, n, None))
+            a = eval_map(spec, _rotation(1, n)(*p))
+            b = _rotation(1, n)(*eval_map(spec, p))
             worst = max(worst,
                         math.hypot(a[0] - b[0], a[1] - b[1])
                         / (1.0 + math.hypot(*p) ** 3))
@@ -276,32 +276,35 @@ def test_fn_equivariance_all_orders():
 def test_fn_sector_image():
     rng = np.random.default_rng(6)
     for n in (3, 5, 7):
+        spec = MapSpec("fn", k=K, n=n)
         for _ in range(200):
             r = 0.1 + 6.0 * rng.random()
             j = rng.integers(1, n + 1)
             th = TWO_PI * (j - 1 + 0.02 + 0.96 * rng.random()) / n
-            img = _transplant(from_polar((r, th)), K, n, None)
+            img = eval_map(spec, from_polar((r, th)))
             assert sector_of(img, n) == j % n + 1
 
 
 def test_jac_fn_zero_at_origin_and_matches_f4():
-    assert np.abs(_jac_fn((0.0, 0.0), K, 7)).max() == 0.0
+    assert np.abs(jac_map(MapSpec("fn", k=K, n=7), (0.0, 0.0))).max() == 0.0
+    fn4 = MapSpec("fn", k=K, n=4)
     rng = np.random.default_rng(7)
     for _ in range(100):
         p = tuple(rng.normal(0.0, 2.0, 2))
-        assert np.abs(_jac_fn(p, K, 4) - jac_map(F4, p)).max() <= 1e-12
+        assert np.abs(jac_map(fn4, p) - jac_map(F4, p)).max() <= 1e-12
 
 
 def test_jac_fn_matches_finite_differences_interior():
     rng = np.random.default_rng(8)
     for n in (3, 5, 6):
+        spec = MapSpec("fn", k=K, n=n)
         for _ in range(40):
             r = 0.3 + 4.0 * rng.random()
             j = rng.integers(0, n)
             th = TWO_PI * (j + 0.1 + 0.8 * rng.random()) / n
             p = from_polar((r, th))
-            err = np.abs(_jac_fn(p, K, n)
-                         - fd_jacobian(lambda q: _transplant(q, K, n, None), p)).max()
+            err = np.abs(jac_map(spec, p)
+                         - fd_jacobian(lambda q: eval_map(spec, q), p)).max()
             assert err <= 1e-6 * (1.0 + r * r)
 
 
@@ -316,7 +319,7 @@ def test_polar_chart_derivative_same_on_both_boundary_charts():
 @pytest.mark.parametrize("p", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
                                (1.0, math.inf), (-math.inf, 1.0), (1.0, -math.inf)])
 def test_polar_dispatch_rejects_non_finite_points(p):
-    # to_polar and sector_of are the input checks; the transplant itself
+    # to_polar and sector_of are the input checks; the fn/hn step itself
     # runs its arithmetic, which gives NaN, with no raise and no warning
     with pytest.raises(ValueError, match="non-finite point"):
         to_polar(p)
@@ -324,8 +327,8 @@ def test_polar_dispatch_rejects_non_finite_points(p):
         sector_of(p, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for prof in (None, default_profile(K)):
-            assert all(map(math.isnan, _transplant(p, K, 5, prof))), prof
+        for spec in (MapSpec("fn", k=K, n=5), MapSpec("hn", k=K, n=5, profile=default_profile(K))):
+            assert all(map(math.isnan, eval_map(spec, p))), spec
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +537,14 @@ def per_point(spec, x, y):
 
 
 def assert_eval_points_per_point(spec, pts):
+    """eval_points against eval_map at each point, from the coordinates and
+    from the polar pair that callers may pass, NaNs blind to which NaN."""
     x = np.array([p[0] for p in pts], dtype=float)
     y = np.array([p[1] for p in pts], dtype=float)
-    assert (outcome(nan_blind(eval_points), spec, x, y)
-            == outcome(nan_blind(per_point), spec, x, y)), spec
+    want = outcome(nan_blind(per_point), spec, x, y)
+    assert outcome(nan_blind(eval_points), spec, x, y) == want, spec
+    polar = _LIBM.hypot(x, y), _LIBM.angle(y, x)
+    assert outcome(nan_blind(eval_points), spec, x, y, polar) == want, spec
 
 
 @pytest.mark.parametrize("n", ORDERS)
@@ -719,11 +726,12 @@ def test_eval_hn_dissipative_bound():
     prof = default_profile(K)
     rng = np.random.default_rng(9)
     for n in (2, 5, 8):
+        spec = MapSpec("hn", k=K, n=n, profile=prof)
         for _ in range(300):
             r = 2.0 * prof.r0 + 80.0 * rng.random()
             th = TWO_PI * rng.random()
             p = from_polar((r, th))
-            img = _transplant(p, K, n, prof)
+            img = eval_map(spec, p)
             assert math.hypot(*img) < r
             assert math.hypot(*img) <= max(r, radial_u(K * r, prof)) + 1e-9
 
@@ -733,9 +741,9 @@ def test_ray_property_for_ray_preserving_families():
     prof = default_profile(K)
     funs = [
         lambda p: _eval_f4(p, K),
-        lambda p: _transplant(p, K, 5, None),
+        lambda p: eval_map(MapSpec("fn", k=K, n=5), p),
         lambda p: _eval_h(p, K, prof),
-        lambda p: _transplant(p, K, 3, prof),
+        lambda p: eval_map(MapSpec("hn", k=K, n=3, profile=prof), p),
     ]
     for fun in funs:
         for i in range(64):
@@ -817,9 +825,9 @@ def test_eval_map_dispatch_matches_family_functions():
     p = (1.2, -0.7)
     assert eval_map(MapSpec("f4", k=K), p) == _eval_f4(p, K)
     assert eval_map(MapSpec("g4", k=K, beta=0.05), p) == _eval_g4(p, K, 0.0, 0.05, 0.0)
-    assert eval_map(MapSpec("fn", k=K, n=6), p) == _transplant(p, K, 6, None)
+    for spec in (MapSpec("fn", k=K, n=6), MapSpec("hn", k=K, n=6, profile=prof)):
+        assert eval_map(spec, p) == polar_step(spec)(*to_polar(p))
     assert eval_map(MapSpec("h", k=K), p) == _eval_h(p, K, prof)
-    assert eval_map(MapSpec("hn", k=K, n=6), p) == _transplant(p, K, 6, prof)
 
 
 def test_jac_map_finite_difference_fallback():
@@ -888,6 +896,22 @@ def test_step_batch_matches_scalar():
         for i, (x, y) in enumerate(pts):
             sx, sy = eval_map(spec, (x, y))
             assert math.hypot(bx[i] - sx, by[i] - sy) <= 1e-12 * (1.0 + math.hypot(x, y) ** 3)
+
+
+@pytest.mark.parametrize("spec", [F4, MapSpec("g4", k=K, alpha=0.02, beta=0.05, delta=0.003),
+                                  MapSpec("fn", k=K), MapSpec("fn", k=K, n=5), MapSpec("h", k=K),
+                                  MapSpec("hn", k=K), MapSpec("hn", k=K, n=7)])
+def test_integer_coordinate_arrays_step_as_float_arrays(spec):
+    # x*x and x^3 wrap in int64 from |x| ~ 2.1e6 on, in f4's formula (so
+    # in fn and hn at n = 4); every array entry point takes its coordinates
+    # as float arrays, so integer arrays give the bits of the same floats
+    xi = np.array([3_000_000, -7, 0, 2, 1 << 40, -(1 << 21)])
+    yi = np.array([0, 5, 0, -3, 12_345, 1 << 22])
+    xf, yf = xi.astype(float), yi.astype(float)
+    assert bits(step_batch(spec, xi, yi)) == bits(step_batch(spec, xf, yf))
+    assert bits(eval_map(spec, (xi, yi))) == bits(eval_map(spec, (xf, yf)))
+    assert bits(eval_points(spec, xi, yi)) == bits(eval_points(spec, xf, yf))
+    assert bits(jac_points(spec, xi, yi)) == bits(jac_points(spec, xf, yf))
 
 
 def test_step_batch_bitwise_equal_to_eval_map_for_rational_families():
