@@ -914,6 +914,18 @@ def test_integer_coordinate_arrays_step_as_float_arrays(spec):
     assert bits(jac_points(spec, xi, yi)) == bits(jac_points(spec, xf, yf))
 
 
+@pytest.mark.parametrize("spec", [F4, MapSpec("g4", k=K, alpha=0.02, beta=0.05, delta=0.003),
+                                  MapSpec("fn", k=K, n=5), MapSpec("h", k=K),
+                                  MapSpec("hn", k=K, n=7)])
+def test_mixed_float_and_array_input_steps_as_float_arrays(spec):
+    # one coordinate an array is enough for eval_map to step over numpy:
+    # the float coordinate broadcasts, with the bits of the broadcast arrays
+    arr = np.array([0.5, 2.0, -3.25, 0.0])
+    full = np.full(arr.shape, 1.0)
+    assert bits(eval_map(spec, (1.0, arr))) == bits(eval_map(spec, (full, arr)))
+    assert bits(eval_map(spec, (arr, 1.0))) == bits(eval_map(spec, (arr, full)))
+
+
 def test_step_batch_bitwise_equal_to_eval_map_for_rational_families():
     # f4 and g4 use only + - * /, so array and float evaluation round alike
     rng = np.random.default_rng(13)
