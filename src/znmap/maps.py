@@ -33,8 +33,6 @@ and spectral scans, at a fraction of its cost per point.  The array entry
 points take their coordinates as float arrays.  Jacobians are 2x2 numpy
 arrays ``[[a, b], [c, d]]`` (``jac_points`` stacks them).  ``step_batch``
 is ``eval_map`` on coordinate arrays, the fast one, for raster workloads.
-``polar_step`` steps fn/hn from a polar pair that the caller already
-holds.
 
 Every evaluator runs its formula's own arithmetic at every point: the
 origin gives the zeros the formula gives, and NaN or inf what IEEE gives
@@ -646,21 +644,6 @@ def _sector_map(xp, r, theta, k: float, n: int, prof: RadialProfile | None):
     if prof is not None:
         psi = xp.radial(psi, prof)
     return psi, 4.0 * xp.angle(c3, -s3) / n + TWO_PI * m / n, theta4
-
-
-def polar_step(spec):
-    """The step of an fn/hn MapSpec with n != 4 as a function of the polar
-    pair (r, theta) = to_polar(p) of a nonzero float point p, so a finite
-    theta: bitwise eval_map(spec, p), for callers that hold the pair
-    already.  None for every other map, whose step takes no sector chart."""
-    if callable(spec) or spec.family not in ("fn", "hn") or spec.n == 4:
-        return None
-    k, n, prof = spec.k, spec.n, spec.profile
-
-    def step(r, theta):
-        psi, theta_out, _ = _sector_map(_FLOAT, r, theta, k, n, prof)
-        return psi * math.cos(theta_out), psi * math.sin(theta_out)
-    return step
 
 
 def _matrix(a, b, c, d) -> np.ndarray:

@@ -3,7 +3,8 @@
 The rotation number is estimated from orbit angles via the continuous lift;
 for sector-advancing maps the lifted slope converges to (sector advance)/n
 per step, and the best small-denominator rational is read off with a
-continued-fraction truncation (denominators capped at 64).
+continued-fraction truncation (denominators capped at max(64, n), and at
+64 for a callable).
 """
 
 import math
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_BUDGET, DEFAULT_EPS_IN, DEFAULT_R_ESCAPE
-from .maps import _LIBM, TWO_PI, MapSpec, Point, eval_map, eval_points, polar_step, to_polar
+from .maps import _FLOAT, _LIBM, TWO_PI, MapSpec, Point, _step, eval_map, eval_points, to_polar
 from .analysis import classify_batch
 
 
@@ -45,7 +46,7 @@ class CurveSample:
 @dataclass
 class RotationEstimate:
     slope: float
-    rational: tuple  # (p, q), q <= 64
+    rational: tuple  # (p, q), q <= max(64, n); q <= 64 for a callable
     iterates_used: int
 
 
@@ -124,9 +125,11 @@ def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate
     finite; needs at least 8 usable angles (max_iters below 7 is a
     ValueError before any step; an orbit that stops short, a RuntimeError).
     The slope uses the full lift span, taken mod 1 into [0, 1); the
-    rational is the best approximation with denominator <= 64, mod 1.
-    fn/hn with n != 4 step from the polar pair each iterate's angle needs
-    (maps.polar_step), so their chart is computed once per iterate.
+    rational is the best approximation with denominator <= max(64, n)
+    for a MapSpec of order n (so 1/n stays reachable) and <= 64 for a
+    callable, mod 1.  A MapSpec steps through maps._step from the polar
+    pair that each iterate's angle needs, so fn/hn with n != 4 take their
+    chart once per iterate.
     """
     x, y = float(p0[0]), float(p0[1])
     if x == 0.0 and y == 0.0:
@@ -136,14 +139,14 @@ def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate
                          "the estimate needs max_iters >= 7")
     angles = []
     p = (x, y)
-    step = polar_step(spec)
+    on_spec = not callable(spec)
     for _ in range(max_iters + 1):
-        r, th = to_polar(p)
-        if r <= 1e-12:
+        polar = to_polar(p)
+        if polar[0] <= 1e-12:
             cause = "orbit reached origin too fast"
             break
-        angles.append(th)
-        p = eval_map(spec, p) if step is None else step(r, th)
+        angles.append(polar[1])
+        p = _step(spec, p[0], p[1], _FLOAT, polar) if on_spec else eval_map(spec, p)
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
             cause = f"orbit overflowed after {len(angles)} iterates, too fast"
             break
@@ -154,6 +157,6 @@ def estimate_rotation(spec, p0: Point, max_iters: int = 200) -> RotationEstimate
     slope %= 1.0
     if slope == 1.0:  # a tiny negative slope rounds up to 1
         slope = 0.0
-    frac = Fraction(slope).limit_denominator(64) % 1
+    frac = Fraction(slope).limit_denominator(max(64, spec.n) if on_spec else 64) % 1
     return RotationEstimate(slope=slope, rational=(frac.numerator, frac.denominator),
                             iterates_used=len(angles))

@@ -23,6 +23,7 @@ from znmap.maps import (
     _jac_entries,
     _rotation,
     _sector_map,
+    _step,
     default_profile,
     eval_map,
     eval_points,
@@ -30,7 +31,6 @@ from znmap.maps import (
     jac_map,
     jac_points,
     orbit_radius,
-    polar_step,
     radial_u,
     sector_of,
     step_batch,
@@ -474,17 +474,17 @@ def test_float_radial_is_the_libm_radial_on_edges():
 
 
 @pytest.mark.parametrize("n", ORDERS)
-def test_polar_step_is_eval_map(n):
-    # fn/hn with n != 4 step from the pair to_polar gives; other maps have
-    # no polar step
+def test_step_from_to_polars_pair_is_eval_map(n):
+    # estimate_rotation steps a MapSpec through _step with the pair to_polar
+    # gives: fn/hn with n != 4 take their chart from it, the rest ignore it
     specs = [MapSpec("fn", k=K, n=n), MapSpec("hn", k=K, n=n)]
+    if n == 4:
+        specs += [F4, MapSpec("g4", k=K, alpha=0.02, beta=0.05, delta=-0.01), MapSpec("h", k=K)]
     for spec in specs:
-        step = polar_step(spec)
-        assert (step is None) == (n == 4)
-        for p in edge_points(n) if step else []:
+        for p in edge_points(n):
             if math.isfinite(p[0] + p[1]) and (p[0] or p[1]):
-                assert bits(step(*to_polar(p))) == bits(eval_map(spec, p)), (spec, p)
-    assert polar_step(F4) is polar_step(MapSpec("h", k=K)) is polar_step(lambda p: p) is None
+                stepped = _step(spec, *p, _FLOAT, to_polar(p))
+                assert bits(stepped) == bits(eval_map(spec, p)), (spec, p)
 
 
 @given(st.integers(2, 33), st.floats(0.0, TWO_PI, exclude_max=True),
@@ -826,7 +826,7 @@ def test_eval_map_dispatch_matches_family_functions():
     assert eval_map(MapSpec("f4", k=K), p) == _eval_f4(p, K)
     assert eval_map(MapSpec("g4", k=K, beta=0.05), p) == _eval_g4(p, K, 0.0, 0.05, 0.0)
     for spec in (MapSpec("fn", k=K, n=6), MapSpec("hn", k=K, n=6, profile=prof)):
-        assert eval_map(spec, p) == polar_step(spec)(*to_polar(p))
+        assert eval_map(spec, p) == _step(spec, *p, _FLOAT, to_polar(p))
     assert eval_map(MapSpec("h", k=K), p) == _eval_h(p, K, prof)
 
 

@@ -184,6 +184,9 @@ def test_rotation_rigid_adapter():
     est = estimate_rotation(rot5, (1.0, 0.0), max_iters=50)
     assert abs(est.slope - 0.2) <= 1e-12
     assert est.rational == (1, 5)
+    # a callable has no order: its denominators stay capped at 64
+    est = estimate_rotation(lambda p: _rotation(1, 100)(*p), (1.0, 0.0))
+    assert abs(est.slope - 0.01) <= 1e-12 and est.rational == (1, 64)
 
 
 @pytest.mark.parametrize("turn, slope", [(-1e-9, 0.9999999998408451), (-TWO_PI * 1e-17, 0.0)])
@@ -219,6 +222,16 @@ def test_rotation_all_orders_both_families():
                 est = estimate_rotation(spec, p0, max_iters=200)
                 assert est.rational == (1, n)
                 assert abs(est.slope - 1.0 / n) <= 0.01
+
+
+@pytest.mark.parametrize("n", [65, 128, 256, 1000, 4096])
+@pytest.mark.parametrize("family", ["fn", "hn"])
+def test_rotation_past_order_64(family, n):
+    # the denominator cap is max(64, n) for a MapSpec, so 1/n stays
+    # reachable: with 64 these gave (1, 64) at n = 65 and (0, 1) from 128 on
+    est = estimate_rotation(MapSpec(family, k=K, n=n), from_polar((6.0, 0.05 * TWO_PI / n)))
+    assert est.rational == (1, n)
+    assert abs(est.slope * n - 1.0) < 1e-3
 
 
 def test_rotation_rejects_origin_and_fast_collapse():
