@@ -50,6 +50,7 @@ nonzero point belongs to exactly one sector and boundary rays belong to
 the sector above them.
 """
 
+import functools
 import math
 import types
 from dataclasses import dataclass
@@ -181,21 +182,24 @@ def ray_image_radius(k: float, r: float, prof: RadialProfile) -> float:
     return radial_u(k * (r * r * r) / (1.0 + r * r), prof)
 
 
-def _namespace(name: str, cos, sin, hypot, angle, split, radial) -> types.ModuleType:
-    """What the step formula needs beyond + - * /: cos, sin, hypot and three
+def _namespace(name: str, cos, sin, hypot, angle, split, radial, mend) -> types.ModuleType:
+    """What the step formula needs beyond + - * /: cos, sin, hypot and four
     selects, its only branches.  angle(y, x) is atan2(y, x) in [0, 2*pi) (a
     tiny negative atan2 can round up to 2*pi, which gives 0).  split(theta,
     n) gives the 0-based sector index m of theta (sector_of minus one,
     clamped to n - 1, as theta*n/(2*pi) may round to n) and the chart angle
     theta4, theta turned back to sector 0 and rescaled to the base map's
-    quarter turn.  radial(s, prof) is radial_u at s >= 0.  _FLOAT runs them
+    quarter turn.  radial(s, prof) is radial_u at s >= 0.  mend(value,
+    fallback, *args) is value where it is finite and fallback(*args) where
+    it is not; on arrays, fallback gets the elements of the array args
+    (of value's shape) at the non-finite ones alone, and the others whole.  _FLOAT runs them
     with plain ifs, _NUMPY and _LIBM with numpy's where, floor and minimum.
     A module object holds them: CPython 3.11 specializes calls of a
     module's attributes, not of functions kept on a class instance, which
     made a float fn/hn step 4-9% slower."""
     ns = types.ModuleType(name)
     ns.cos, ns.sin, ns.hypot = cos, sin, hypot
-    ns.angle, ns.split, ns.radial = angle, split, radial
+    ns.angle, ns.split, ns.radial, ns.mend = angle, split, radial, mend
     return ns
 
 
@@ -217,6 +221,17 @@ def _float_split(theta: float, n: int):
     return m, (theta - TWO_PI * m / n) * n / 4.0
 
 
+def _float_mend(value: float, fallback, *args) -> float:
+    return value if math.isfinite(value) else fallback(*args)
+
+
+def _array_mend(value, fallback, *args):
+    bad = ~np.isfinite(value)
+    if bad.any():  # value is the caller's own temporary
+        value[bad] = fallback(*(a[bad] if type(a) is np.ndarray else a for a in args))
+    return value
+
+
 def _array_namespace(name: str, hypot, atan2, expm1) -> types.ModuleType:
     """The namespace on arrays: numpy's cos and sin, the given functions."""
 
@@ -234,10 +249,11 @@ def _array_namespace(name: str, hypot, atan2, expm1) -> types.ModuleType:
         tail = prof.r0 + 0.5 * w + 0.5 * prof.r_half * (-expm1(-w / prof.r_half))
         return np.where(s <= prof.r0, s, tail)
 
-    return _namespace(name, np.cos, np.sin, hypot, angle, split, radial)
+    return _namespace(name, np.cos, np.sin, hypot, angle, split, radial, _array_mend)
 
 
-_FLOAT = _namespace("_FLOAT", math.cos, math.sin, math.hypot, _float_angle, _float_split, radial_u)
+_FLOAT = _namespace("_FLOAT", math.cos, math.sin, math.hypot, _float_angle, _float_split,
+                    radial_u, _float_mend)
 _NUMPY = _array_namespace("_NUMPY", np.hypot, np.arctan2, np.expm1)
 # numpy's + - * /, floor, minimum and where are exact or correctly rounded,
 # so the formula on 1-D float arrays gives the float path's bits
@@ -568,6 +584,169 @@ def contracting_disk(spec) -> Disk | None:
     return Disk(math.sqrt((1.0 - d - c) / (spec.k - 1.0 + d + c)))
 
 
+# The cells of the basin boundary's tables: _BOUNDARY_CELLS over the folded
+# chart angle [0, pi/4], the last of them in the band of width at least
+# _BOUNDARY_BAND below the diagonal pi/4, where B grows without bound.
+_BOUNDARY_CELLS = 1024
+_BOUNDARY_BAND = 0.01
+
+
+def _psi_inverse(k: float, v: np.ndarray) -> np.ndarray:
+    """psi^-1(v) at an array v > 0: the one real root r of k r^3 - v r^2 - v,
+    by Cardano.  With a = v/k, r = a/3 + c + a^2/(9c), c the real cube root
+    of a^3/27 + a/2 + a*sqrt(a^2/27 + 1/4): every term is positive."""
+    a = v / k
+    c = np.cbrt(a * (a * a / 27.0 + 0.5 + np.sqrt(a * a / 27.0 + 0.25)))
+    return a / 3.0 + c + a * a / (9.0 * c)
+
+
+def _radial_inverse(v: np.ndarray, prof: RadialProfile) -> np.ndarray:
+    """u^-1(v) at an array v >= 0: v up to r0, else r0 + w with Newton's
+    method from w = 0 on g(w) = u(r0 + w) - v, concave and increasing, whose
+    iterates increase to the root (the largest below it, in floats)."""
+    w = np.zeros_like(v)
+    for _ in range(100):
+        e = np.exp(-w / prof.r_half)
+        g = 0.5 * w + 0.5 * prof.r_half * (1.0 - e) - (v - prof.r0)
+        nxt = np.maximum(w - g / (0.5 + 0.5 * e), w)
+        if (nxt == w).all():
+            break
+        w = nxt
+    return np.where(v <= prof.r0, v, prof.r0 + w)
+
+
+@functools.cache
+def _boundary_levels(k: float, prof: RadialProfile | None) -> tuple:
+    """B along the angle orbits of the table's cell edges: levels[j][i] is
+    B(T^j(a_i)), T(t) = atan(tan^3 t), at the edges a_i = i*pi/(4*cells) up
+    to the band edge (see boundary_regions), for f4/fn (prof None) or h/hn.
+
+    The tangents cube from step to step, m = sqrt((1 + tan^6)/(1 +
+    tan^2)^3), and once every m rounds to 1 the level is P; each level
+    below is psi^-1(u^-1(B)/m) of the one above, u the identity for prof
+    None (where m rounds to 1, B stays the level above's).  Cached per (k,
+    prof); the arrays are read-only."""
+    width = 0.25 * math.pi / _BOUNDARY_CELLS
+    tau = np.tan(np.arange(_BOUNDARY_CELLS - math.ceil(_BOUNDARY_BAND / width) + 1) * width)
+    mods = []
+    while True:
+        t2 = tau * tau
+        mod = np.sqrt((1.0 + t2 * t2 * t2) / ((1.0 + t2) * (1.0 + t2) * (1.0 + t2)))
+        if (mod == 1.0).all():
+            break
+        mods.append(mod)
+        tau = tau * t2
+    b = np.full(tau.size, orbit_radius(k))
+    levels = [b]
+    for mod in reversed(mods):
+        v = b if prof is None else _radial_inverse(b, prof)
+        b = np.where(mod == 1.0, b, _psi_inverse(k, v / mod))
+        levels.append(b)
+    for b in levels:
+        b.flags.writeable = False
+    return tuple(reversed(levels))
+
+
+@dataclass(frozen=True, eq=False)
+class BoundaryRegion:
+    """The points whose folded chart angle falls in cell i of the table and
+    with lo2[i] < r2 < hi2[i], r2 = x*x + y*y.  Built by boundary_regions."""
+
+    lo2: np.ndarray
+    hi2: np.ndarray
+    n: int
+
+    def contains(self, x, y, r2):
+        """Whether the points of arrays (x, y), r2 = x*x + y*y, lie in the
+        region (arrays only; see _retirements).  With t = atan2(y, x)*n/(2*pi),
+        t mod 1 is the chart angle over pi/2, f = 1/2 - |t mod 1 - 1/2| the
+        folded one, and floor(2*cells*f) its cell (the last one for a NaN
+        angle, which comes with a NaN r2).  NaN and inf r2 lie outside."""
+        t = np.arctan2(y, x)
+        t *= self.n / TWO_PI  # in place, sparing large temporaries
+        t %= 1.0
+        t -= 0.5
+        t = np.abs(t, out=t)
+        t *= -2.0 * _BOUNDARY_CELLS
+        t += _BOUNDARY_CELLS
+        cell = np.fmin(t, _BOUNDARY_CELLS, out=t).astype(np.intp)
+        hit = np.take(self.lo2, cell, out=t) < r2
+        hit &= r2 < np.take(self.hi2, cell, out=t)
+        return hit
+
+
+def boundary_regions(spec, eps_in: float, r_escape: float):
+    """The regions inside and outside the basin boundary of an f4/fn/h/hn
+    map, (inside, outside, levels), each region possibly None, or None.
+
+    One step maps chart (r, t) (t the chart angle, see _namespace) to radius
+    u(psi(r)*m(t)) at chart angle T(t) = atan(tan^3 t), which commutes
+    with the mirror t -> pi/2 - t, with u the identity for f4/fn and the radial
+    response for h/hn (see _cone_edge): a skew product over T, increasing
+    in r.  So the basin of the origin is {r < B(t)}, where B(T(t)) =
+    u(psi(B(t))*m(t)) and B = P on the axes, where T fixes t: B(t) is P
+    pulled back along the angle orbit of t (_boundary_levels).  B is
+    symmetric about pi/4 and increases on [0, pi/4) to infinity: on the
+    diagonal m = 1/2 and r -> psi(r)/2 < r.
+
+    For f4/fn, rho = r/B(t) maps to rho' = F(rho, B(t)) = rho^3*(1 +
+    B^2)/(1 + rho^2*B^2), which is below rho for rho < 1 and above it for
+    rho > 1, and increases in rho; in B it increases for rho < 1 and
+    decreases for rho > 1.  Near rho = 1 one step moves 1 - rho by the
+    factor 1 + 2/(1 + B^2) at least.  The regions keep the relative margin
+    mu = _MARGIN from B, which dwarfs the rounding of a step, of B's table
+    and of a chart angle: the inside holds r < B(t)*(1 - mu) and converges,
+    the outside r > B(t)*(1 + mu) and escapes.  For h/hn, u increases, so
+    r > B(t) maps beyond B(T(t)), and the outside, held below r_hi of the
+    trapping region (whose conditions it takes), never converges and never
+    escapes (kind 0); near rho = 1, where u is not the identity (B above
+    r0, a few steps by the diagonal), 1 - rho shrinks by u's elasticity, at
+    least 1/2, per step, far from using up mu.  Their inside is f4's, as
+    u(s) <= s keeps an h/hn orbit below the f4 orbit of the same start.
+
+    The tables bracket B per cell of the folded chart angle: B increases on
+    [0, pi/4), so the lower end of the cell below and the upper end of the
+    cell above bound B on the cell and its two neighbours, which absorbs
+    the rounding of the computed angle (far below a cell, 7.7e-4 rad, at
+    any dispatch of numpy's arctan2).  The cells by the band of width at
+    least _BOUNDARY_BAND about pi/4, whose neighbours reach into it, keep
+    only B >= P inside and nothing outside: there float orbits leave the
+    diagonal, and B(t) is far above its value at the band edge t_w, which
+    bounds the retirement counts.
+
+    The inside needs every orbit in it below r_escape: its radii stay below
+    B(t_w).  The outside needs |eps_in| < P: its radii stay above
+    rho*P > P.  None for callables, g4 and fn/hn with n > 4096 (a chart
+    angle's rounding grows with n).
+    """
+    if callable(spec) or spec.family == "g4" or spec.n > 4096:
+        return None
+    k, d = spec.k, _MARGIN
+    p = orbit_radius(k)
+    levels = _boundary_levels(k, None)
+    cells = _BOUNDARY_CELLS
+    edge = levels[0].size - 1  # the band edge t_w: cells from edge - 1 on are by the band
+    clear = np.arange(edge - 1)  # the cells whose neighbours stay out of the band
+    inside = outside = None
+    if levels[0][edge] < r_escape:
+        lo = np.full(cells + 1, p)
+        lo[:edge - 1] = levels[0][np.maximum(clear - 1, 0)]
+        inside = BoundaryRegion(np.full(cells + 1, -1.0), (lo * (1.0 - d)) ** 2, spec.n)
+    cap = math.inf
+    if spec.profile is not None:
+        trap = trapping_region(spec, eps_in, r_escape)
+        cap = -1.0 if trap is None else trap.r_hi
+        outer = _boundary_levels(k, spec.profile)[0]
+    else:
+        outer = levels[0]
+    if abs(eps_in) < p and cap > 0.0:
+        hi = np.full(cells + 1, math.inf)
+        hi[:edge - 1] = outer[clear + 2]
+        top = min(cap * cap * (1.0 - _BOUND_MARGIN), np.finfo(float).max)
+        outside = BoundaryRegion((hi * (1.0 + d)) ** 2, np.full(cells + 1, top), spec.n)
+    return inside, outside, levels
+
+
 def _retirements(spec, budget, eps_in, r_escape):
     """The (region, kind, N) entries of analysis._classify_part: a live
     point in region at step t with t + N <= budget is retired with kind.
@@ -581,29 +760,72 @@ def _retirements(spec, budget, eps_in, r_escape):
     mu = _BOUND_MARGIN, as are the bound's own factors (each shift moved
     toward the side that slows the bound), so that the rounding of the
     membership test, of the bound and of the plain loop's threshold test
-    cannot decide a point otherwise.  Entries with N > budget never retire
-    and are left out.  At k = 1.1 and the default eps_in and r_escape, N is
-    235 for the cones of f4/fn, 74 for the disk of f4/fn/h/hn, 159 and 60 for g4
-    with beta = 0.05, and 530 and 60 with beta = -0.05."""
+    cannot decide a point otherwise.  Then the regions outside and inside
+    the basin boundary of f4/fn/h/hn (boundary_regions): outside, kind 2
+    for f4/fn with N from _boundary_steps, kind 0 with N = 0 for h/hn, as
+    the trapping region; inside, kind 1 with N from _boundary_steps.
+    Entries with N > budget never retire and are left out.  At k = 1.1 and
+    the default eps_in and r_escape, N is 235 for the cones of f4/fn, 74
+    for the disk of f4/fn/h/hn, 215 outside and 87 inside the boundary of
+    f4/fn (87 inside for h/hn), 159 and 60 for g4 with beta = 0.05, and
+    530 and 60 with beta = -0.05."""
     entries = []
     trap = trapping_region(spec, eps_in, r_escape)
     if trap is not None:
         entries.append((trap, 0, 0))
     mu = _BOUND_MARGIN
+    beyond = r_escape * (1.0 + mu)
+    within = abs(eps_in) * (1.0 - mu)
     cones = escape_cones(spec)
     disk = contracting_disk(spec)
     if cones is not None:
-        beyond = r_escape * (1.0 + mu)
         shift = cones.shift * (1.0 - mu if cones.shift > 0.0 else 1.0 + mu)
         entries.append((cones, 2, _crossing_steps(
             spec.k, cones.r_lo * (1.0 - mu), cones.m_a * (1.0 - mu), shift,
             lambda r: r > beyond, budget)))
     if disk is not None:
-        within = abs(eps_in) * (1.0 - mu)
         c = (1.0 + mu) * _linear_modulus(spec)  # not None where there is a disk
         entries.append((disk, 1, _crossing_steps(
             spec.k, disk.radius * (1.0 + mu), 1.0 + mu, c, lambda r: r < within, budget)))
+    regions = boundary_regions(spec, eps_in, r_escape)
+    if regions is not None:
+        inside, outside, levels = regions
+        d, p = _MARGIN, orbit_radius(spec.k)
+        chain = [float(b[-1]) for b in levels]  # B along the angle orbit of the band edge
+        if outside is not None and spec.profile is not None:
+            entries.append((outside, 0, 0))
+        elif outside is not None:
+            entries.append((outside, 2, _boundary_steps(
+                spec.k, chain, (1.0 + d) * (1.0 - mu), 1.0 - mu,
+                lambda rho, b: rho * p * (1.0 - mu) > beyond, budget)))
+        if inside is not None:
+            entries.append((inside, 1, _boundary_steps(
+                spec.k, chain, (1.0 - d) * (1.0 + mu), 1.0 + mu,
+                lambda rho, b: rho * b < within, budget)))
     return [entry for entry in entries if entry[2] <= budget]
+
+
+def _boundary_steps(k: float, chain, rho: float, lean: float, passed, budget: int) -> int:
+    """The steps the bound rho -> lean*F(rho, b) on rho = r/B(t) (F of
+    boundary_regions) takes from rho until passed(rho, b), or budget + 1 if
+    it takes more than budget steps, with b = B*(1 + _BOUND_MARGIN) for the
+    B of chain at each step and P after it.  Each bound starts at its
+    region's edge, the band edge t_w (chain is the pull-back along its
+    angle orbit): angle orbits keep their order and B increases on [0,
+    pi/4), so along any other orbit of the region B is smaller, and F,
+    increasing in rho and moving it more slowly the larger B is, keeps rho
+    no nearer 1.  So r = rho*B stays below rho*b on the inside (no start
+    there lies above the band edge's orbit) and above rho*P outside."""
+    p = orbit_radius(k)
+    for t in range(budget + 1):
+        b = (chain[t] if t < len(chain) else p) * (1.0 + _BOUND_MARGIN)
+        if passed(rho, b):
+            return t
+        nxt = lean * rho * (1.0 + b * b) / (1.0 / (rho * rho) + b * b)
+        if math.isnan(nxt) or (nxt == rho and t >= len(chain)):  # stuck
+            break
+        rho = nxt
+    return budget + 1
 
 
 def _crossing_steps(k: float, rho: float, gain: float, shift: float, passed,
@@ -640,10 +862,19 @@ def _sector_map(xp, r, theta, k: float, n: int, prof: RadialProfile | None):
     s = xp.sin(theta4)
     c3 = c * c * c
     s3 = s * s * s
-    psi = k * (r * r * r) / (1.0 + r * r) * xp.hypot(c3, s3)
+    mod = xp.hypot(c3, s3)
+    psi = k * (r * r * r) / (1.0 + r * r) * mod
     if prof is not None:
-        psi = xp.radial(psi, prof)
+        # k*r^3 overflows from r ~ 5.6e102 on, k*r^2/(r + 1/r) only where
+        # r^2 does (from 1.34e154 on), so the saturated maps, which contract
+        # far out, map every point whose square radius is finite to a
+        # finite one; at r = inf it is NaN, as today
+        psi = xp.radial(xp.mend(psi, _far_psi, k, r, mod), prof)
     return psi, 4.0 * xp.angle(c3, -s3) / n + TWO_PI * m / n, theta4
+
+
+def _far_psi(k: float, r, mod):
+    return k * (r * r) / (r + 1.0 / r) * mod
 
 
 def _matrix(a, b, c, d) -> np.ndarray:
@@ -681,18 +912,34 @@ def _polar_chain(xp, mat, r, theta, k: float, n: int):
 
 
 def _eval_h(p: Point, k: float, prof: RadialProfile, xp=_NUMPY) -> Point:
+    """h as f4's image scaled by u(s)/s, s = |f4(p)|; where s is not
+    finite (k*x^3 overflows from |x| ~ 5.6e102 on), through the polar form
+    of _sector_map, finite wherever k*|p| is."""
     w1, w2 = _eval_f4(p, k)
     if type(w1) is np.ndarray:
         s = xp.hypot(w1, w2)
         # u = s = 0 at the origin, where any finite scale will do; where
         # 0 < s <= r0 the scale is s/s = 1 exactly, as the float branch's identity
         scale = xp.radial(s, prof) / np.where(s > 0.0, s, 1.0)
-        return scale * w1, scale * w2
+        f1, f2 = scale * w1, scale * w2
+        far = ~np.isfinite(s)
+        if far.any():
+            x, y = np.broadcast_arrays(*p)
+            f1[far], f2[far] = _polar_h(xp, x[far], y[far], k, prof)
+        return f1, f2
     s = math.hypot(w1, w2)
     if s <= prof.r0:  # identity branch, exact
         return w1, w2
+    if not math.isfinite(s):
+        return _polar_h(_FLOAT, p[0], p[1], k, prof)
     scale = radial_u(s, prof) / s
     return scale * w1, scale * w2
+
+
+def _polar_h(xp, x, y, k: float, prof: RadialProfile) -> Point:
+    """h at (x, y) through _sector_map at n = 4, over the namespace xp."""
+    psi, theta_out, _ = _sector_map(xp, xp.hypot(x, y), xp.angle(y, x), k, 4, prof)
+    return psi * xp.cos(theta_out), psi * xp.sin(theta_out)
 
 
 def _step(spec: MapSpec, x, y, xp, polar=None) -> Point:

@@ -24,6 +24,7 @@ import pytest
 
 from znmap.analysis import classify_batch
 from znmap.maps import MapSpec
+from znmap.topology import basin_raster
 
 HALF_PI = 0.5 * math.pi
 TWO_PI = 2.0 * math.pi
@@ -137,3 +138,50 @@ def test_boundary_shape(family, k):
                                                                  rel=1e-12)
     radii = [boundary(family, k, t) for t in PROBES if t < 0.25 * math.pi]
     assert all(a < b for a, b in zip(radii, radii[1:]))
+
+
+# The raster half: basin_raster's own grids, 512^2 for f4/fn and 64^2 for
+# h/hn as in the benchmark, on (-5, 5)^2 and on a window shifted by a
+# fraction of a pixel.  2,000 seeded pixels of each (all of a 64^2 raster's
+# off the band) are checked against B with mu = 1e-6, leaving out chart
+# angles within 0.02 of the diagonal pi/4, where B grows without bound.
+RASTER_MU = 1e-6
+RASTER_BAND = 0.02
+RASTER_SPECS = [("f4", 4, 512), ("fn", 3, 512), ("fn", 5, 512), ("fn", 12, 512),
+                ("h", 4, 64), ("hn", 5, 64)]
+
+
+def raster_mismatches(family, n, res, k, shift, m=modulus):
+    window = (-5.0 + shift, 5.0 + shift, -5.0 + 0.6 * shift, 5.0 + 0.6 * shift)
+    kinds = basin_raster(MapSpec(family, k=k, n=n), window, res, res).kinds.ravel()
+    xs = window[0] + (np.arange(res) + 0.5) * 10.0 / res
+    ys = window[3] - (np.arange(res) + 0.5) * 10.0 / res
+    gx, gy = (g.ravel() for g in np.meshgrid(xs, ys))
+    rng = np.random.default_rng([res, n, int(k * 100)])
+    picks = rng.choice(gx.size, size=min(2_000, gx.size), replace=False)
+    outside = 0 if family in ("h", "hn") else 2
+    checked = bad = 0
+    for i in picks.tolist():
+        f = (math.atan2(gy[i], gx[i]) * n / TWO_PI) % 1.0
+        t = HALF_PI * min(f, 1.0 - f)  # the folded chart angle
+        if t > 0.25 * math.pi - RASTER_BAND:
+            continue
+        r, b = math.hypot(gx[i], gy[i]), boundary(family, k, t, m)
+        want = 1 if r < b * (1.0 - RASTER_MU) else outside if r > b * (1.0 + RASTER_MU) else None
+        if want is not None:
+            checked += 1
+            bad += int(kinds[i]) != want
+    return checked, bad
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.0037])
+@pytest.mark.parametrize("k", [1.1, 1.15])
+@pytest.mark.parametrize("family, n, res", RASTER_SPECS)
+def test_raster_pixels_take_their_side_of_the_boundary(family, n, res, k, shift):
+    checked, bad = raster_mismatches(family, n, res, k, shift)
+    assert checked > 1_500 and bad == 0
+
+
+@pytest.mark.parametrize("family, n, res", [("f4", 4, 512), ("hn", 5, 64)])
+def test_raster_oracle_with_unit_modulus_is_refuted(family, n, res):
+    assert raster_mismatches(family, n, res, 1.1, 0.0, m=lambda t: 1.0)[1] > 0

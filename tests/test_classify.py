@@ -391,10 +391,16 @@ def test_retirement_counts_at_the_default_k():
         entries = znmap.maps._retirements(spec, budget, 1e-8, r_escape)
         return [(kind, count) for _, kind, count in entries]
 
-    assert counts(FAMILIES["fn"], 10_000) == [(2, 235), (1, 74)]
-    assert counts(FAMILIES["fn"], 234) == [(1, 74)]
-    assert counts(FAMILIES["fn"], 10_000, math.inf) == [(1, 74)]  # r_escape is never passed
-    assert counts(FAMILIES["hn"], 10_000) == [(0, 0), (1, 74)]  # the trapping region first
+    # f4/fn: the cones, the disk, then outside and inside the basin boundary
+    assert counts(FAMILIES["fn"], 10_000) == [(2, 235), (1, 74), (2, 215), (1, 87)]
+    assert counts(FAMILIES["fn"], 234) == [(1, 74), (2, 215), (1, 87)]
+    assert counts(FAMILIES["fn"], 214) == [(1, 74), (1, 87)]
+    assert counts(FAMILIES["fn"], 86) == [(1, 74)]
+    # r_escape is never passed
+    assert counts(FAMILIES["fn"], 10_000, math.inf) == [(1, 74), (1, 87)]
+    # the trapping region first; outside the boundary h/hn stay undecided
+    assert counts(FAMILIES["hn"], 10_000) == [(0, 0), (1, 74), (0, 0), (1, 87)]
+    assert counts(FAMILIES["h"], 10_000) == [(0, 0), (1, 74), (0, 0), (1, 87)]
     # g4 with beta = 0.05: r_lo = 2.668 and disk radius 2.517
     assert counts(FAMILIES["g4"], 10_000) == [(2, 159), (1, 60)]
     assert counts(FAMILIES["g4"], 158) == [(1, 60)]
@@ -760,22 +766,28 @@ def test_scalar_starts():
 
 def test_region_retirements_take_the_step_of_entry():
     # f4 at k = 1.1: the disk (N = 74) holds (0.5, 0.5) from step 0 and
-    # (3, 3) from step 1; the cones (N = 235) hold (10, 0) from step 0 and
-    # (1, 4) from step 1.  The plain loop decides them at steps 3, 6, 122
-    # and 139.  A region retires a point at step t only if t + N <= budget.
+    # (3, 3) from step 1; the region outside the basin boundary (N = 215)
+    # holds (10, 0) and (1, 4) from step 0 (the cones, N = 235, hold (1, 4)
+    # only from step 1).  g4 with beta = 0.05 has no boundary regions: its
+    # disk (N = 60) and cones (N = 159) hold the same points from the same
+    # steps.  The plain loop decides them at steps 3, 6, 122 and 139 (f4)
+    # and 7, 10, 83 and 92 (g4).  A region retires a point at step t only
+    # if t + N <= budget.
     xs, ys = [0.5, 3.0, 10.0, 1.0], [0.5, 3.0, 0.0, 4.0]
-    f4 = FAMILIES["f4"]
-    for budget, kinds, steps in [(73, [1, 1, 0, 0], [3, 6, -1, -1]),
-                                 (74, [1, 1, 0, 0], [0, 6, -1, -1]),
-                                 (75, [1, 1, 0, 0], [0, 1, -1, -1]),
-                                 (234, [1, 1, 2, 2], [0, 1, 122, 139]),
-                                 (235, [1, 1, 2, 2], [0, 1, 0, 139]),
-                                 (236, [1, 1, 2, 2], [0, 1, 0, 1])]:
-        got = classify_batch(f4, xs, ys, budget)
-        assert (got[0].tolist(), got[1].tolist()) == (kinds, steps)
-        ref_kinds, ref_steps = plain_classify(f4, xs, ys, budget)
-        far = [122, 139] if budget >= 234 else [-1, -1]
-        assert (ref_kinds.tolist(), ref_steps.tolist()) == (kinds, [3, 6] + far)
+    for spec, near, far, cases in [
+            (FAMILIES["f4"], [3, 6], [122, 139],
+             [(73, [3, 6, -1, -1]), (74, [0, 6, -1, -1]), (75, [0, 1, -1, -1]),
+              (214, [0, 1, 122, 139]), (215, [0, 1, 0, 0]), (236, [0, 1, 0, 0])]),
+            (FAMILIES["g4"], [7, 10], [83, 92],
+             [(59, [7, 10, -1, -1]), (60, [0, 10, -1, -1]), (61, [0, 1, -1, -1]),
+              (158, [0, 1, 83, 92]), (159, [0, 1, 0, 92]), (160, [0, 1, 0, 1])])]:
+        for budget, steps in cases:
+            kinds = [1, 1, 2, 2] if budget >= far[-1] else [1, 1, 0, 0]
+            got = classify_batch(spec, xs, ys, budget)
+            assert (got[0].tolist(), got[1].tolist()) == (kinds, steps)
+            ref_kinds, ref_steps = plain_classify(spec, xs, ys, budget)
+            plain = near + (far if budget >= far[-1] else [-1, -1])
+            assert (ref_kinds.tolist(), ref_steps.tolist()) == (kinds, plain)
 
 
 @pytest.mark.parametrize("xs, ys", [([0.5, 9.0], [0.5, 0.0, 3.0]),
@@ -815,6 +827,15 @@ def test_overflowing_radius_is_decided_by_hypot():
         kinds, steps = classify_batch(h, [1e160], [1e160], budget=0, r_escape=r_escape)
         assert kinds.tolist() == [kind]
         assert steps.tolist() == [0 if kind else -1]
+
+
+def test_far_starts_of_saturated_maps_do_not_escape():
+    # k*x^3 overflowed at (1e120, 0), and the NaN image counted as escaped,
+    # although h and hn contract there
+    for spec in (FAMILIES["h"], FAMILIES["hn"]):
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
+            kinds, _ = classify_batch(spec, [1e120, 1e60], [0.0, 3e59], r_escape=1e300)
+        assert kinds.tolist() == [0, 0]
 
 
 @pytest.fixture

@@ -661,6 +661,21 @@ def test_evaluators_never_raise_or_warn_on_the_extended_domain(family, n, x, y):
         images, jacs = eval_points(spec, ax, ay), jac_points(spec, ax, ay)
     assert bits(one_nan(tuple(c[0] for c in images))) == bits(one_nan(image))
     assert bits(one_nan(jacs[0])) == bits(one_nan(jac))
+    if family in ("h", "hn") and math.isfinite(x * x + y * y):
+        # they contract far out: k*r^3 overflows from r ~ 5.6e102 on, but
+        # every point whose square radius is finite has a finite image
+        assert all(map(math.isfinite, image)), image
+
+
+def test_saturated_maps_are_finite_far_out():
+    # k*x^3 overflowed at (1e120, 0): h gave (nan, nan) and hn (inf, inf)
+    for spec in (MapSpec("h", k=K), MapSpec("hn", k=K, n=5)):
+        for p in [(1e120, 0.0), (1e60, 3e59), (-1e150, 1e150), (1e154, 1.0)]:
+            image = eval_map(spec, p)
+            assert all(map(math.isfinite, image)), (spec.family, p)
+            assert math.hypot(*image) < math.hypot(*p)
+            images = eval_points(spec, np.array([p[0]]), np.array([p[1]]))
+            assert bits(tuple(float(c[0]) for c in images)) == bits(image)
 
 
 @given(st.sampled_from((2, 3, 4, 5, 6, 7, 8, 23)), st.floats(1.0005, 1.1547),
