@@ -27,7 +27,7 @@ DEFAULT_SEED = 0x5EED
 # entered; longer cycles run to the budget.  Uncapped doubling spaces the
 # snapshots so far apart that a cycle entered late, such as the period-n
 # cycle of h/hn (repeated from step 134 on at k = 1.1 by the orbits that do
-# not retire earlier in its trapping region), is caught much later.
+# not retire earlier outside the basin boundary), is caught much later.
 _SNAPSHOT_GAP = 32
 
 # Fewest starts per thread when classify_batch splits a batch.  Smaller
@@ -151,20 +151,20 @@ def classify_batch(spec: MapSpec, xs, ys, budget: int = DEFAULT_BUDGET,
     A point is also retired as soon as it lies in a closed-form region
     whose fate is known, the entries of maps._retirements (built once per
     call from budget, eps_in and r_escape), the one owner of this rule:
-    the trapping region of the outer period-n cycle of h/hn (kind 0: it
-    maps into itself strictly between eps_in and r_escape), the escape
-    cones about the sector boundary rays (kind 2) of f4/fn and of g4 with
-    delta = 0, the contracting disk about the origin (kind 1) of
-    f4/fn/h/hn and of g4 with delta = 0, and the points outside (kind 2 for
-    f4/fn, 0 for h/hn) and inside (kind 1) the closed-form boundary of the
-    basin of f4/fn/h/hn.  A point in a region at step t is retired only
-    while t + N <= budget, where N is the number of steps the region's 1-D
-    radius bound takes from its edge to pass r_escape or eps_in (0 for the
-    trapping region and for the outside of h/hn): at k = 1.1, 235 for the
-    cones, 74 for the disk, 215 outside the boundary and 87 inside, where
-    nearly every pixel of a raster over (-5, 5)^2 retires at step 0.  So
-    the plain loop would decide it the same way within the budget.
-    Callables and g4 with delta != 0 get no region.  The loop tests membership on its coordinate arrays only.
+    the contracting disk about the origin (kind 1) of f4/fn/h/hn and of g4
+    with delta = 0, the points outside (kind 2 for f4/fn; 0 for h/hn, whose
+    outer period-n cycle keeps them strictly between eps_in and r_escape)
+    and inside (kind 1) the closed-form boundary of the basin of
+    f4/fn/h/hn, and the escape cones about the sector boundary rays
+    (kind 2) of g4 with delta = 0.  A point in a region at step t is
+    retired only while t + N <= budget, where N is the number of steps the
+    region's 1-D radius bound takes from its edge to pass r_escape or
+    eps_in (0 for the outside of h/hn): at k = 1.1, 74 for the disk, 215
+    outside the boundary and 87 inside, where nearly every pixel of a
+    raster over (-5, 5)^2 retires at step 0, and 159 for g4's cones with
+    beta = 0.05.  So the plain loop would decide it the same way within
+    the budget.  Callables and g4 with delta != 0 get no region.  The loop
+    tests membership on its coordinate arrays only.
 
     A batch of at least 2 * _MIN_PART starts is split into contiguous
     parts, one thread per CPU available to the process (at most one part

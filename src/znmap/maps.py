@@ -384,9 +384,8 @@ def sector_of(p: Point, n: int) -> int:
 
 
 # The relative margin of the closed-form regions below: on the radius, and
-# for g4's cones on the cone angle too (f4/fn's cones have the angular
-# margin a - atan(eps^3)).  It dwarfs the rounding of one computed step, so
-# computed orbits stay inside the regions as well.
+# for g4's cones on the cone angle too.  It dwarfs the rounding of one
+# computed step, so computed orbits stay inside the regions as well.
 _MARGIN = 1e-6
 # The margin of their membership tests and of the radius bounds behind the
 # retirement counts of _retirements: far above the rounding of a test, a
@@ -411,26 +410,26 @@ def _linear_modulus(spec):
     return math.hypot(spec.alpha, spec.beta) if spec.delta == 0.0 else None
 
 
-def _cone_edge(k: float, c: float = 0.0, phi: float = 0.0):
+def _cone_edge(k: float, c: float, phi: float):
     """(a, m_a, r_lo, c_par) of the cones about the sector boundary rays, or None.
 
     The cones hold the points with chart angle theta4 (see _namespace)
     within a = atan(eps), eps = min(0.1, sqrt((k-1)/(3k))), of 0 or pi/2.
-    One step of f4 or fn maps chart (r, theta4) to radius psi(r)*m(theta4)
-    and chart angle atan(tan^3 theta4), or its mirror image about pi/2,
-    where psi(r) = k r^3/(1+r^2) and m(t) = hypot(cos^3 t, sin^3 t).  On the
+    One step of f4 maps chart (r, theta4) to radius psi(r)*m(theta4) and
+    chart angle atan(tan^3 theta4), or its mirror image about pi/2, where
+    psi(r) = k r^3/(1+r^2) and m(t) = hypot(cos^3 t, sin^3 t).  On the
     cones m >= m_a = m(a) and the image angle is at most atan(eps^3) < a.
 
-    A term c*Rot(phi) p added to the step of f4 (see _linear_modulus) has
-    modulus c*r and, at a point of true angle theta within a of the x-axis,
-    angle theta + phi, while f4(p) has angle pi/2 + atan(tan^3 theta).  The
-    angle between them lies within w = a - atan(eps^3) of phi - pi/2, and
-    the same holds about every boundary ray, as the term commutes with the
-    quarter turn.  As |A + B| >= |A| + |B|*cos(angle), the image radius is
-    at least psi(r)*m_a + c_par*r, where c_par = c*cos(min(pi, |phi - pi/2|
-    + w)) with the angle taken in [-pi, pi]: c_par = c*cos(w) when the term
-    points straight outward (phi = pi/2), -c when it points straight inward
-    (phi = -pi/2).  The term turns
+    g4 with delta = 0 adds a term c*Rot(phi) p to the step of f4 (see
+    _linear_modulus), of modulus c*r and, at a point of true angle theta
+    within a of the x-axis, angle theta + phi, while f4(p) has angle pi/2 +
+    atan(tan^3 theta).  The angle between them lies within w = a -
+    atan(eps^3) of phi - pi/2, and the same holds about every boundary ray,
+    as the term commutes with the quarter turn.  As |A + B| >= |A| +
+    |B|*cos(angle), the image radius is at least psi(r)*m_a + c_par*r, where
+    c_par = c*cos(min(pi, |phi - pi/2| + w)) with the angle taken in [-pi,
+    pi]: c_par = c*cos(w) when the term points straight outward (phi =
+    pi/2), -c when it points straight inward (phi = -pi/2).  The term turns
     the image direction by at most asin(c/(g(r)*m_a)), g(r) = psi(r)/r =
     k r^2/(1+r^2).  r_lo is the least radius where g(r)*m_a >= 1 + margin -
     c_par, so that every radius r >= r_lo grows by at least the factor
@@ -461,35 +460,32 @@ def _cone_edge(k: float, c: float = 0.0, phi: float = 0.0):
 
 @dataclass(frozen=True)
 class ConeRegion:
-    """Annular cones about the sector boundary rays: r_lo <= |p| <= r_hi
-    with chart angle theta4 (see _namespace) within cone of 0 or of
-    pi/2, where m(theta4) >= m_a.  Built by trapping_region and
-    escape_cones; for escape cones one step maps radius r to at least
-    psi(r)*m_a + shift*r (shift = c_par of _cone_edge, signed)."""
+    """The escape cones of g4 about the sector boundary rays: |p| >= r_lo
+    with chart angle theta4 (see _namespace) within cone of 0 or of pi/2,
+    where m(theta4) >= m_a.  Built by escape_cones; one step maps radius r
+    to at least psi(r)*m_a + shift*r (shift = c_par of _cone_edge, signed)."""
 
     r_lo: float
-    r_hi: float
     cone: float
     m_a: float
-    n: int
-    shift: float = 0.0
+    shift: float
 
     def contains(self, x, y, r2):
         """Whether the points of arrays (x, y), r2 = x*x + y*y, lie in the
         region (arrays only; see _retirements), tested with no sector chart:
-        chart angle within cone of 0 or pi/2 is angle within 4*cone/n of a
-        boundary ray, so with t = atan2(y, x)*n/(2*pi) the test is
-        r_lo^2*(1+mu) <= r2 <= r_hi^2*(1-mu) and |t - rint(t)| <=
+        chart angle within cone of 0 or pi/2 is angle within cone of a
+        boundary ray, so with t = atan2(y, x)*2/pi the test is
+        r_lo^2*(1+mu) <= r2 <= max_float*(1-mu) and |t - rint(t)| <=
         (2*cone/pi)*(1-mu), mu = _BOUND_MARGIN.  The margin dwarfs the
         rounding of r2 and t, so every point accepted lies in the region;
         points within about mu of its edge may be missed.  A NaN or inf r2
         (a non-finite coordinate, or an overflowing square) lies outside.
         """
         t = np.arctan2(y, x)
-        t *= self.n / TWO_PI  # in place, sparing two large temporaries
+        t *= 4.0 / TWO_PI  # in place, sparing two large temporaries
         t -= np.rint(t)
         lo = self.r_lo * self.r_lo * (1.0 + _BOUND_MARGIN)
-        hi = min(self.r_hi * self.r_hi, np.finfo(float).max) * (1.0 - _BOUND_MARGIN)
+        hi = np.finfo(float).max * (1.0 - _BOUND_MARGIN)
         near_ray = abs(t) <= 2.0 * self.cone / math.pi * (1.0 - _BOUND_MARGIN)
         return (lo <= r2) & (r2 <= hi) & near_ray
 
@@ -505,59 +501,30 @@ class Disk:
         return r2 <= self.radius * self.radius
 
 
-def trapping_region(spec, eps_in: float, r_escape: float) -> ConeRegion | None:
-    """The trapping region of the outer period-n cycle of an h/hn map, or None.
-
-    The region holds the points of the cones of _cone_edge with radius in
-    [r_lo, r_hi].  One step of h/hn maps chart (r, theta4) to radius
-    u(psi(r)*m(theta4)), with u the radial response, and the chart angle
-    that f4 gives.  r_lo must lie below r0, where u is the identity;
-    r_hi = min(r_escape/2, 1e100) must satisfy u(psi(r_hi)) <=
-    (1-margin)*r_hi.  As psi and u increase, image radii lie in
-    [(1+margin)*r_lo, (1-margin)*r_hi], so with |eps_in| < r_lo orbits in
-    the region never converge and never escape.  At k = 1.1 r_lo = 3.456,
-    and the orbits the outer cycle catches enter it within 70 steps.  None
-    for callables and f4/g4/fn, and whenever one of these conditions fails.
-    """
-    if callable(spec) or spec.family not in ("h", "hn"):
-        return None
-    edge = _cone_edge(spec.k)
-    if edge is None:
-        return None
-    cone, m_a, r_lo, _ = edge
-    k, prof, d = spec.k, spec.profile, _MARGIN
-    # k*r^3 overflows near r = 5.6e102
-    r_hi = min(0.5 * r_escape, 1e100)
-    if not (r_lo * (1.0 + d) <= prof.r0 and abs(eps_in) < r_lo < r_hi
-            and ray_image_radius(k, r_hi, prof) <= (1.0 - d) * r_hi):
-        return None
-    return ConeRegion(r_lo, r_hi, cone, m_a, spec.n)
-
-
 def escape_cones(spec) -> ConeRegion | None:
-    """The escape cones of an f4/fn map or of g4 with delta = 0, or None.
+    """The escape cones of g4 with delta = 0, or None.
 
     The cones of _cone_edge with no upper radius: r >= r_lo, where r_lo
     accounts for g4's term c*Rot(phi) p, c = hypot(alpha, beta) and
-    phi = atan2(beta, alpha) (c = 0 for f4/fn), through its share c_par
-    along f4's image, kept as the region's shift.  One step maps them into
-    themselves, with image chart angle at most (1-margin)*a and image
-    radius at least psi(r)*m_a + c_par*r >= (1+margin)*r, so every orbit in
-    them escapes.  At k = 1.1, r_lo = 3.46 for f4/fn, 2.668 for g4 with
-    beta = 0.05 (the term points outward, c_par = 0.0498; its continued
-    period-4 orbit has radius sqrt((1-beta)/(k-1+beta)) = 2.517) and 5.58
-    with beta = -0.05 (inward, c_par = -c).  None for callables, for h/hn (they
-    contract far out), for g4 with delta != 0 (see _linear_modulus) and
-    when _cone_edge finds no r_lo.
+    phi = atan2(beta, alpha), through its share c_par along f4's image,
+    kept as the region's shift.  One step maps them into themselves, with
+    image chart angle at most (1-margin)*a and image radius at least
+    psi(r)*m_a + c_par*r >= (1+margin)*r, so every orbit in them escapes.
+    At k = 1.1, r_lo = 3.46 with alpha = beta = 0, 2.668 with beta = 0.05
+    (the term points outward, c_par = 0.0498; its continued period-4 orbit
+    has radius sqrt((1-beta)/(k-1+beta)) = 2.517) and 5.58 with beta =
+    -0.05 (inward, c_par = -c).  None for callables, for f4/fn/h/hn (the
+    regions of boundary_regions decide their far starts), for g4 with
+    delta != 0 (see _linear_modulus) and when _cone_edge finds no r_lo.
     """
     c = _linear_modulus(spec)
-    if c is None or spec.family in ("h", "hn"):
+    if c is None or spec.family != "g4":
         return None
     edge = _cone_edge(spec.k, c, math.atan2(spec.beta, spec.alpha))
     if edge is None:
         return None
     cone, m_a, r_lo, c_par = edge
-    return ConeRegion(r_lo, math.inf, cone, m_a, spec.n, c_par)
+    return ConeRegion(r_lo, cone, m_a, c_par)
 
 
 def contracting_disk(spec) -> Disk | None:
@@ -681,8 +648,8 @@ def boundary_regions(spec, eps_in: float, r_escape: float):
 
     One step maps chart (r, t) (t the chart angle, see _namespace) to radius
     u(psi(r)*m(t)) at chart angle T(t) = atan(tan^3 t), which commutes
-    with the mirror t -> pi/2 - t, with u the identity for f4/fn and the radial
-    response for h/hn (see _cone_edge): a skew product over T, increasing
+    with the mirror t -> pi/2 - t, with u the identity for f4/fn and the
+    radial response for h/hn (radial_u): a skew product over T, increasing
     in r.  So the basin of the origin is {r < B(t)}, where B(T(t)) =
     u(psi(B(t))*m(t)) and B = P on the axes, where T fixes t: B(t) is P
     pulled back along the angle orbit of t (_boundary_levels).  B is
@@ -697,12 +664,15 @@ def boundary_regions(spec, eps_in: float, r_escape: float):
     mu = _MARGIN from B, which dwarfs the rounding of a step, of B's table
     and of a chart angle: the inside holds r < B(t)*(1 - mu) and converges,
     the outside r > B(t)*(1 + mu) and escapes.  For h/hn, u increases, so
-    r > B(t) maps beyond B(T(t)), and the outside, held below r_hi of the
-    trapping region (whose conditions it takes), never converges and never
-    escapes (kind 0); near rho = 1, where u is not the identity (B above
-    r0, a few steps by the diagonal), 1 - rho shrinks by u's elasticity, at
-    least 1/2, per step, far from using up mu.  Their inside is f4's, as
-    u(s) <= s keeps an h/hn orbit below the f4 orbit of the same start.
+    r > B(t) maps beyond B(T(t)); near rho = 1, where u is not the
+    identity (B above r0, a few steps by the diagonal), 1 - rho shrinks by
+    u's elasticity, at least 1/2, per step, far from using up mu.  Their
+    outside is held below r_hi = min(r_escape/2, 1e100) (k*r^3 overflows
+    near r = 5.6e102), and exists only where u(psi(r_hi)) <= (1 - mu)*r_hi:
+    as m <= 1 and psi and u increase, every image radius is then at most
+    (1 - mu)*r_hi, so its orbits never converge and never escape (kind 0).
+    Their inside is f4's, as u(s) <= s keeps an h/hn orbit below the f4
+    orbit of the same start.
 
     The tables bracket B per cell of the folded chart angle: B increases on
     [0, pi/4), so the lower end of the cell below and the upper end of the
@@ -716,10 +686,14 @@ def boundary_regions(spec, eps_in: float, r_escape: float):
 
     The inside needs every orbit in it below r_escape: its radii stay below
     B(t_w).  The outside needs |eps_in| < P: its radii stay above
-    rho*P > P.  None for callables, g4 and fn/hn with n > 4096 (a chart
-    angle's rounding grows with n).
+    rho*P > P.  None for callables, g4 and fn/hn with n > 2^20: a chart
+    angle's rounding grows with n, to about n*3e-16 rad per step.  On the
+    tables, for k from 1.0005 to 1.15, |d ln B/dt| is at most 57 (96 on
+    the h/hn outer table), so at n = 2^20 the rounding moves B by at most
+    about 3e-8 of itself per step, far below mu, and the angle by far less
+    than a cell.
     """
-    if callable(spec) or spec.family == "g4" or spec.n > 4096:
+    if callable(spec) or spec.family == "g4" or spec.n > 2 ** 20:
         return None
     k, d = spec.k, _MARGIN
     p = orbit_radius(k)
@@ -732,13 +706,12 @@ def boundary_regions(spec, eps_in: float, r_escape: float):
         lo = np.full(cells + 1, p)
         lo[:edge - 1] = levels[0][np.maximum(clear - 1, 0)]
         inside = BoundaryRegion(np.full(cells + 1, -1.0), (lo * (1.0 - d)) ** 2, spec.n)
-    cap = math.inf
+    cap, outer = math.inf, levels[0]
     if spec.profile is not None:
-        trap = trapping_region(spec, eps_in, r_escape)
-        cap = -1.0 if trap is None else trap.r_hi
+        cap = min(0.5 * r_escape, 1e100)
+        if not ray_image_radius(k, cap, spec.profile) <= (1.0 - d) * cap:
+            cap = -1.0
         outer = _boundary_levels(k, spec.profile)[0]
-    else:
-        outer = levels[0]
     if abs(eps_in) < p and cap > 0.0:
         hi = np.full(cells + 1, math.inf)
         hi[:edge - 1] = outer[clear + 2]
@@ -750,29 +723,24 @@ def boundary_regions(spec, eps_in: float, r_escape: float):
 def _retirements(spec, budget, eps_in, r_escape):
     """The (region, kind, N) entries of analysis._classify_part: a live
     point in region at step t with t + N <= budget is retired with kind.
-    The h/hn trapping region decides kind 0 with N = 0.  The escape cones
-    (kind 2) and the contracting disk (kind 1) follow, with N from
-    _crossing_steps; for g4 their bounds carry its term of modulus c*r,
-    c = hypot(alpha, beta) (_linear_modulus): the disk's as +c, the cones'
-    as their signed shift c_par (escape_cones), which is -c only where the
-    term points straight inward.  Each bound starts from the region's edge
-    and must pass its threshold, both moved outward by the relative margin
-    mu = _BOUND_MARGIN, as are the bound's own factors (each shift moved
-    toward the side that slows the bound), so that the rounding of the
-    membership test, of the bound and of the plain loop's threshold test
-    cannot decide a point otherwise.  Then the regions outside and inside
-    the basin boundary of f4/fn/h/hn (boundary_regions): outside, kind 2
-    for f4/fn with N from _boundary_steps, kind 0 with N = 0 for h/hn, as
-    the trapping region; inside, kind 1 with N from _boundary_steps.
-    Entries with N > budget never retire and are left out.  At k = 1.1 and
-    the default eps_in and r_escape, N is 235 for the cones of f4/fn, 74
-    for the disk of f4/fn/h/hn, 215 outside and 87 inside the boundary of
-    f4/fn (87 inside for h/hn), 159 and 60 for g4 with beta = 0.05, and
-    530 and 60 with beta = -0.05."""
+    The escape cones of g4 (kind 2) and the contracting disk (kind 1) come
+    first, with N from _crossing_steps; for g4 their bounds carry its term
+    of modulus c*r, c = hypot(alpha, beta) (_linear_modulus): the disk's as
+    +c, the cones' as their signed shift c_par (escape_cones), which is -c
+    only where the term points straight inward.  Each bound starts from the
+    region's edge and must pass its threshold, both moved outward by the
+    relative margin mu = _BOUND_MARGIN, as are the bound's own factors
+    (each shift moved toward the side that slows the bound), so that the
+    rounding of the membership test, of the bound and of the plain loop's
+    threshold test cannot decide a point otherwise.  Then the regions
+    outside and inside the basin boundary of f4/fn/h/hn (boundary_regions):
+    outside, kind 2 for f4/fn with N from _boundary_steps, kind 0 with
+    N = 0 for h/hn; inside, kind 1 with N from _boundary_steps.  Entries
+    with N > budget never retire and are left out.  At k = 1.1 and the
+    default eps_in and r_escape, N is 74 for the disk of f4/fn/h/hn, 215
+    outside and 87 inside the boundary of f4/fn (87 inside for h/hn), 159
+    and 60 for g4 with beta = 0.05, and 530 and 60 with beta = -0.05."""
     entries = []
-    trap = trapping_region(spec, eps_in, r_escape)
-    if trap is not None:
-        entries.append((trap, 0, 0))
     mu = _BOUND_MARGIN
     beyond = r_escape * (1.0 + mu)
     within = abs(eps_in) * (1.0 - mu)
@@ -821,6 +789,8 @@ def _boundary_steps(k: float, chain, rho: float, lean: float, passed, budget: in
         b = (chain[t] if t < len(chain) else p) * (1.0 + _BOUND_MARGIN)
         if passed(rho, b):
             return t
+        if rho * rho == 0.0:  # leant below 1 and on toward 0: it never passes
+            break
         nxt = lean * rho * (1.0 + b * b) / (1.0 / (rho * rho) + b * b)
         if math.isnan(nxt) or (nxt == rho and t >= len(chain)):  # stuck
             break

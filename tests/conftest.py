@@ -10,10 +10,10 @@ import znmap.analysis
 @contextlib.contextmanager
 def undecided_retirements_only():
     """classify_batch retiring only where the kind stays 0: at repeats and
-    in the kind-0 entries of maps._retirements (the h/hn trapping region),
-    not in the escape cones or the contracting disk.  Every retirement then
-    leaves kind 0 and steps -1, so the steps are the plain loop's bitwise,
-    as well as the kinds."""
+    in the kind-0 entries of maps._retirements (the region outside the
+    basin boundary of h/hn), not in the regions that decide kind 1 or 2.
+    Every retirement then leaves kind 0 and steps -1, so the steps are the
+    plain loop's bitwise, as well as the kinds."""
     retirements = znmap.analysis._retirements
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(znmap.analysis, "_retirements",

@@ -97,7 +97,7 @@ def test_classify_orbit_callable_matches_spec(start, kind):
 
 @pytest.mark.parametrize("start", [(0.5, 0.5), (10.0, 0.0), P])
 def test_classify_orbit_callable_matches_spec_without_regions(start, undecided_retirements):
-    # without the cones and the disk the spec decides at the callable's step
+    # without the regions that decide a kind the spec decides at the callable's step
     by_callable = classify_one(lambda p: eval_map(F4, p), start, budget=300)
     assert classify_one(F4, start, budget=300) == by_callable
 

@@ -1,15 +1,17 @@
 """classify_batch against the plain stepping loop.
 
 classify_batch retires a point as undecided once its state repeats a
-floating-point state bit for bit or, for h/hn, once it enters the trapping
-region of the outer cycle; it also splits large batches across threads.
-All three may change only the work done, never the kinds or steps.  It also
-retires points in the escape cones and the contracting disk, at the step
+floating-point state bit for bit or, for h/hn, once it lies outside the
+basin boundary, a trapping region of the outer cycle; it also splits large
+batches across threads.  All three may change only the work done, never the
+kinds or steps.  It also retires points in the contracting disk, inside the
+basin boundary, outside it for f4/fn and in g4's escape cones, at the step
 they enter them, which may make their steps smaller but must never change a
 kind.  So the tests here compare against ``plain_classify``: the loop that
 steps every live point until it converges, escapes or uses the whole
-budget.  Under ``undecided_retirements_only`` (conftest.py) the cones and
-the disk retire nothing, and the steps too must be the plain loop's.
+budget.  Under ``undecided_retirements_only`` (conftest.py) the regions
+that decide a kind retire nothing, and the steps too must be the plain
+loop's.
 """
 
 import math
@@ -27,9 +29,8 @@ import znmap.analysis
 import znmap.maps
 from conftest import undecided_retirements_only
 from znmap.analysis import classify_batch
-from znmap.maps import (K_MAX, TWO_PI, ConeRegion, Disk, MapSpec, RadialProfile,
-                        contracting_disk, escape_cones, eval_map, step_batch,
-                        trapping_region)
+from znmap.maps import (K_MAX, TWO_PI, Disk, MapSpec, RadialProfile, contracting_disk,
+                        escape_cones, eval_map, step_batch)
 from znmap.topology import basin_raster
 
 K = 1.1
@@ -137,12 +138,14 @@ def step_calls(monkeypatch):
 @pytest.mark.parametrize("r_escape", [1e3, 1e6])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_matches_plain_loop_across_budgets(family, r_escape):
-    # The h/hn orbits caught by the outer cycle enter its trapping region
-    # within a few steps, and would repeat a state from step 134 to 217 on,
-    # so these budgets fall before, between and after the retirements; 74
-    # and 235 are the retirement counts of the disk and the cones, 60 and
-    # 159 those of g4 (158 and 160 straddle its cones' count), and 530 that
-    # of g4's cones with beta = -0.05.
+    # The h/hn orbits caught by the outer cycle lie outside the basin
+    # boundary, a trapping region of the cycle, within a few steps, and
+    # would repeat a state from step 134 to 217 on, so these budgets fall
+    # before, between and after the retirements; 74 is the retirement count
+    # of the disk, 60 and 159 those of g4 (158 and 160 straddle its cones'
+    # count), 235 that of g4's cones with alpha = beta = 0 and 530 with
+    # beta = -0.05 (test_boundary_region.py straddles the counts of the
+    # boundary's two sides).
     xs, ys = grid(WINDOW, 24)
     for budget in (0, 1, 60, 74, 133, 158, 159, 160, 235, 260, 261, 530, 600):
         kinds = assert_same(FAMILIES[family], xs, ys, budget, r_escape=r_escape)
@@ -153,7 +156,7 @@ def test_matches_plain_loop_across_budgets(family, r_escape):
 @pytest.mark.parametrize("eps_in, r_escape", [
     (1e-8, 1e3), (1e-8, 1e200), (1e-8, math.inf),
     (-1e7, 1e3),  # eps_in^2 > r_escape^2: escaping wins where both hold
-    (3.5, 1e6),  # eps_in beyond the contracting disk and r_lo
+    (3.5, 1e6),  # eps_in beyond the contracting disk, P and g4's r_lo
 ])
 def test_matches_plain_loop_on_edge_starts(eps_in, r_escape):
     xs, ys = edge_starts(eps_in, r_escape)
@@ -199,31 +202,34 @@ def test_hn_partition_invariance():
 
 def test_outer_cycle_retires_early(step_calls):
     # Without retirement every undecided pixel runs all 10,000 steps.
-    # Retiring repeats alone takes 142,064 point-steps here; the trapping
-    # region retires nearly all of them within a few steps.
+    # Retiring repeats alone takes 142,064 point-steps here; the region
+    # outside the basin boundary retires nearly all of them at step 0.
     raster = basin_raster(FAMILIES["hn"], WINDOW, 32, 32, budget=10_000)
     assert raster.counts()["undecided"] > 800
     assert step_calls[0] < 400
     assert step_calls[1] < 10_000
 
 
-@pytest.mark.parametrize("family, n, point_steps", [("h", 4, 183_880), ("hn", 5, 195_752)],
+@pytest.mark.parametrize("family, n, point_steps", [("h", 4, 138_348), ("hn", 5, 140_484)],
                          ids=["h", "hn"])
 def test_repeats_retire_where_there_is_no_trapping_region(family, n, point_steps, step_calls):
-    # With r0 = 3.3 below r_lo there is no trapping region, so only the
-    # repeat test retires the pixels caught by the outer cycle: 816 (h) and
-    # 862 (hn) end undecided.  Without it the counts are 8,160,392 and
-    # 8,620,242.  The bound allows 1% above the measured counts.
-    spec = MapSpec(family, n=n, profile=RadialProfile(3.3, 3.3))
-    assert trapping_region(spec, 1e-8, 1e6) is None
-    raster = basin_raster(spec, WINDOW, 32, 32)
+    # With r_escape = 20 the ceiling r_escape/2 = 10 of the region outside
+    # the basin boundary lies inside the outer cycle (r ~ 11.16), so there
+    # is no such region, and only the repeat test retires the pixels caught
+    # by the outer cycle: 864 (h) and 872 (hn) end undecided.  Without it
+    # each of them runs all 10,000 steps, more than 8.6 million point-steps.
+    # The bound allows 1% above the measured counts.
+    spec = MapSpec(family, n=n)
+    assert outer_cycle_region(spec, 1e-8, 20.0) is None
+    raster = basin_raster(spec, WINDOW, 32, 32, r_escape=20.0)
     assert raster.counts()["undecided"] > 800
     assert step_calls[1] <= 1.01 * point_steps
 
 
 # k near both ends of its range, four profiles (r0, r_half) in units of the
 # radius P of the inner orbit, and r_escape from 30 P up, cycled so that
-# each appears with every family.  r0 = 1.02 P lies below every r_lo.
+# each appears with every family.  Each has a region outside the basin
+# boundary, even r0 = 1.02 P, where u bends the radius just above P.
 PROFILES = [(2.0, 2.0), (1.02, 1.0), (1.5, 0.3), (4.0, 10.0)]
 SWEEP = [(k, family, n, PROFILES[i % 4], (30.0, 1e3, None)[i % 3])
          for i, (k, (family, n)) in enumerate(
@@ -236,7 +242,7 @@ def test_matches_plain_loop_across_trapping_regions(k, family, n, profile, escap
     p = 1.0 / math.sqrt(k - 1.0)
     spec = MapSpec(family, k=k, n=n, profile=RadialProfile(profile[0] * p, profile[1] * p))
     r_escape = 1e6 if escape is None else escape * p
-    assert (trapping_region(spec, 1e-8, r_escape) is None) == (profile[0] == 1.02)
+    assert outer_cycle_region(spec, 1e-8, r_escape) is not None
     # A grid over the inner orbit and the outer cycle, and rays from inside
     # P out past r_escape: on a boundary ray, at both sides of the cone edge
     # by either ray, and on the sector bisector (chart angles).
@@ -259,11 +265,19 @@ def inside_point(region, q):
     return bool(inside(region, np.array([q[0]]), np.array([q[1]]))[0])
 
 
-def _trap_start(trap, s, c, mirror, m):
+def outer_cycle_region(spec, eps_in, r_escape):
+    """The region that retires starts as undecided (kind 0), or None: for
+    h/hn the region outside the basin boundary, a trapping region of the
+    outer period-n cycle that never converges and never escapes."""
+    entries = znmap.maps._retirements(spec, 0, eps_in, r_escape)  # N = 0 fits any budget
+    return next((region for region, kind, _ in entries if kind == 0), None)
+
+
+def _cone_start(r_lo, r_hi, cone, n, s, c, mirror, m):
     # log-uniform radius in [r_lo, r_hi], chart angle within the cone
-    r = trap.r_lo * (trap.r_hi / trap.r_lo) ** s
-    theta4 = 0.5 * math.pi - c * trap.cone if mirror else c * trap.cone
-    theta = TWO_PI * (m % trap.n) / trap.n + 4.0 * theta4 / trap.n
+    r = r_lo * (r_hi / r_lo) ** s
+    theta4 = 0.5 * math.pi - c * cone if mirror else c * cone
+    theta = TWO_PI * (m % n) / n + 4.0 * theta4 / n
     return r * math.cos(theta), r * math.sin(theta)
 
 
@@ -274,13 +288,18 @@ def _trap_start(trap, s, c, mirror, m):
        starts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
                                  st.booleans(), st.integers(0, 7)), min_size=1, max_size=8))
 def test_trapping_region_is_forward_invariant(k, r0, r_half, n, saturate_base, starts):
+    # The region outside the basin boundary of h/hn, from P up to its
+    # ceiling r_escape/2 = 5e5, at any chart angle: one step maps every
+    # point it holds into it again, so its orbits never converge and never
+    # escape.
     p = 1.0 / math.sqrt(k - 1.0)
     family = "h" if saturate_base and n == 4 else "hn"
     spec = MapSpec(family, k=k, n=n, profile=RadialProfile(r0 * p, r_half * p))
-    trap = trapping_region(spec, 1e-8, 1e6)
+    trap = outer_cycle_region(spec, 1e-8, 1e6)
     assume(trap is not None)
-    pts = [_trap_start(trap, *start) for start in starts]
-    assume(all(inside_point(trap, q) for q in pts))
+    pts = [_cone_start(p, 5e5, 0.25 * math.pi, n, *start) for start in starts]
+    pts = [q for q in pts if inside_point(trap, q)]
+    assume(pts)
     x, y = np.array(pts).T
     for _ in range(50):
         pts = [eval_map(spec, q) for q in pts]
@@ -292,24 +311,27 @@ def test_trapping_region_is_forward_invariant(k, r0, r_half, n, saturate_base, s
 @pytest.mark.parametrize("spec, eps_in, r_escape", [
     (FAMILIES["f4"], 1e-8, 1e6), (FAMILIES["g4"], 1e-8, 1e6), (FAMILIES["fn"], 1e-8, 1e6),
     (lambda p: p, 1e-8, 1e6),
-    (MapSpec("h", k=1.000001), 1e-8, 1e6),  # k*m_a does not clear 1 + 1e-6
-    (MapSpec("hn", n=5, profile=RadialProfile(3.3, 3.3)), 1e-8, 1e6),  # r0 below r_lo
-    (FAMILIES["hn"], 3.5, 1e6),  # eps_in above r_lo
+    (MapSpec("hn", k=K, n=2 ** 20 + 1), 1e-8, 1e6),  # n above boundary_regions' cap
+    # u is near the identity up to r_escape/2: u(psi(5e5)) > 5e5
+    (MapSpec("hn", n=5, profile=RadialProfile(3.3, 1e7)), 1e-8, 1e6),
+    (FAMILIES["hn"], 3.5, 1e6),  # eps_in above P
     (FAMILIES["hn"], -3.5, 1e6),  # so is |eps_in|
-    (FAMILIES["h"], 1e-8, 20.0),  # r_hi = 10 lies inside the outer cycle
+    (FAMILIES["h"], 1e-8, 20.0),  # r_escape/2 = 10 lies inside the outer cycle
 ])
 def test_no_trapping_region(spec, eps_in, r_escape):
-    assert trapping_region(spec, eps_in, r_escape) is None
+    assert outer_cycle_region(spec, eps_in, r_escape) is None
 
 
 # Every region: one (k, family, n) per case, with r_escape cycled so that
 # each appears with every family.  The budgets fall on both sides of the
-# retirement counts at k = 1.1 (74 for the disk, 235 for the cones; 60 and
-# 159 for g4 with beta = 0.05, 530 for its cones with beta = -0.05).  The
-# plain loop runs lingering starts to the full budget of 10,000: starts near
-# r_lo below k = 1.1, where the counts run into the thousands, and starts
-# caught by the outer cycle of h/hn.  To keep that affordable, f4 runs it at
-# every k, fn, h and g4 from k = 1.1 on, and hn never.
+# retirement counts at k = 1.1 (74 for the disk; 60 and 159 for g4 with
+# beta = 0.05, 235 for its cones with alpha = beta = 0 and 530 with beta =
+# -0.05; test_boundary_region.py straddles those of the boundary's two
+# sides).  The plain loop runs lingering starts to the full budget of
+# 10,000: starts near r_lo below k = 1.1, where the counts run into the
+# thousands, and starts caught by the outer cycle of h/hn.  To keep that
+# affordable, f4 runs it at every k, fn, h and g4 from k = 1.1 on, and hn
+# never.
 KINDS_BUDGETS = (0, 1, 60, 74, 158, 159, 160, 200, 235, 530, 600, 10_000)
 KINDS_SWEEP = [(k, family, n, (1e3, 1e6, 1e200)[i % 3])
                for i, (k, (family, n)) in enumerate(
@@ -327,24 +349,38 @@ G4_SWEEP = [(k, alpha, beta, (1e3, 1e6, 1e200)[i % 3])
                 for ab in ((0.0, -0.05), (0.03, 0.04), (-0.04, -0.03)))]
 
 
+def _former_cone_r_lo(k):
+    """r_lo of the cones about the sector boundary rays that f4/fn (escape
+    cones) and h/hn (trapping region) had before the basin boundary's
+    regions: the r solving psi(r)*m_a = (1 + 1e-6)*r, or None."""
+    d, m_a = 1e-6, _m_a(k)
+    return math.sqrt((1.0 + d) / (k * m_a - 1.0 - d)) if k * m_a > 1.0 + d else None
+
+
 def _region_starts(spec, r_escape):
-    """Starts on both sides of the spec's disk edge, of its r_lo (of the
-    escape cones, else of the h/hn trapping region) and of the cone edges
-    (chart angles), in every sector, plus a few far out and past r_escape.
-    The starts 1e-12 from P on a boundary ray linger near the period-n orbit
-    of f4/fn/h/hn for about 80 steps and enter the disk or the cones late."""
+    """Starts on both sides of the spec's disk edge, of an r_lo (of g4's
+    escape cones, else of the former cones of f4/fn/h/hn) and of the cone
+    edges (chart angles), in every sector, plus a few far out and past
+    r_escape.  The starts 1e-12 from P on a boundary ray linger near the
+    period-n orbit of f4/fn/h/hn for about 80 steps and enter the disk
+    late."""
     k, n = spec.k, spec.n
     disk = contracting_disk(spec)
-    cones = escape_cones(spec) or trapping_region(spec, 1e-8, r_escape)
-    a = math.atan(min(0.1, math.sqrt((k - 1.0) / (3.0 * k))))
+    _, a = _cone_angles(k)
     p = 1.0 / math.sqrt(k - 1.0)
     radii = [p * (1.0 - 1e-12), p * (1.0 + 1e-12), 0.5 * disk.radius,
              disk.radius * (1.0 - 1e-12), disk.radius * (1.0 + 1e-12), 1.01 * disk.radius,
              0.5 * r_escape, 1.01 * r_escape]
-    if cones is not None:  # g4 with beta = 0.05 has none below k = 1.0076
-        assert cones.cone == a
-        radii += [0.99 * cones.r_lo, cones.r_lo * (1.0 - 1e-12), cones.r_lo * (1.0 + 1e-12),
-                  1.01 * cones.r_lo, 2.0 * cones.r_lo, 10.0 * cones.r_lo]
+    if spec.family == "g4":
+        cones = escape_cones(spec)
+        r_lo = None if cones is None else cones.r_lo  # none below k = 1.0076 at beta = 0.05
+        assert cones is None or cones.cone == a
+    else:
+        assert escape_cones(spec) is None
+        r_lo = _former_cone_r_lo(k)
+    if r_lo is not None:
+        radii += [0.99 * r_lo, r_lo * (1.0 - 1e-12), r_lo * (1.0 + 1e-12),
+                  1.01 * r_lo, 2.0 * r_lo, 10.0 * r_lo]
     chart = [0.0, 0.5 * a, a * (1.0 - 1e-9), a * (1.0 + 1e-9), 2.0 * a, 0.25 * math.pi,
              0.5 * math.pi - a * (1.0 + 1e-9), 0.5 * math.pi - a * (1.0 - 1e-9)]
     xs, ys = [], []
@@ -391,16 +427,16 @@ def test_retirement_counts_at_the_default_k():
         entries = znmap.maps._retirements(spec, budget, 1e-8, r_escape)
         return [(kind, count) for _, kind, count in entries]
 
-    # f4/fn: the cones, the disk, then outside and inside the basin boundary
-    assert counts(FAMILIES["fn"], 10_000) == [(2, 235), (1, 74), (2, 215), (1, 87)]
-    assert counts(FAMILIES["fn"], 234) == [(1, 74), (2, 215), (1, 87)]
+    # f4/fn: the disk, then outside and inside the basin boundary
+    assert counts(FAMILIES["fn"], 10_000) == [(1, 74), (2, 215), (1, 87)]
+    assert counts(FAMILIES["f4"], 215) == [(1, 74), (2, 215), (1, 87)]
     assert counts(FAMILIES["fn"], 214) == [(1, 74), (1, 87)]
     assert counts(FAMILIES["fn"], 86) == [(1, 74)]
     # r_escape is never passed
     assert counts(FAMILIES["fn"], 10_000, math.inf) == [(1, 74), (1, 87)]
-    # the trapping region first; outside the boundary h/hn stay undecided
-    assert counts(FAMILIES["hn"], 10_000) == [(0, 0), (1, 74), (0, 0), (1, 87)]
-    assert counts(FAMILIES["h"], 10_000) == [(0, 0), (1, 74), (0, 0), (1, 87)]
+    # outside the boundary h/hn stay undecided
+    assert counts(FAMILIES["hn"], 10_000) == [(1, 74), (0, 0), (1, 87)]
+    assert counts(FAMILIES["h"], 10_000) == [(1, 74), (0, 0), (1, 87)]
     # g4 with beta = 0.05: r_lo = 2.668 and disk radius 2.517
     assert counts(FAMILIES["g4"], 10_000) == [(2, 159), (1, 60)]
     assert counts(FAMILIES["g4"], 158) == [(1, 60)]
@@ -492,7 +528,7 @@ def _c_par(k, alpha, beta):
          starts=[(3.1087575336384035e-217, 0.0, False, 0)])
 def test_cones_and_disk_are_forward_invariant(k, r0, r_half, n, c_share, wide, phase, starts):
     # The bounds classify_batch counts with hold at every step: the radius at
-    # least m_a * psi(r) + c_par * r, and at least (1 + 1e-6) r, on the
+    # least m_a * psi(r) + c_par * r, and at least (1 + 1e-6) r, on g4's
     # cones, at most psi(r) + c * r on the disk, where c = hypot(alpha, beta)
     # for g4 (delta = 0) and 0 for the others, and c_par (_c_par) is the
     # part of g4's term that surely points along f4(p).  g4's c is drawn as
@@ -515,8 +551,8 @@ def test_cones_and_disk_are_forward_invariant(k, r0, r_half, n, c_share, wide, p
         if cones is not None:
             assert cones.shift == pytest.approx(c_par, rel=1e-12, abs=1e-300)
             # log-uniform radius in [r_lo, 1e30 r_lo], far below where f4 overflows
-            trap = ConeRegion(cones.r_lo, 1e30 * cones.r_lo, cones.cone, cones.m_a, spec.n)
-            regions.append((cones, [_trap_start(trap, *start) for start in starts],
+            regions.append((cones, [_cone_start(cones.r_lo, 1e30 * cones.r_lo, cones.cone, 4,
+                                                *start) for start in starts],
                             lambda r, r1: r1 >= max(cones.m_a * _psi(r, k) + c_par * r,
                                                     (1.0 + 1e-6) * r) * (1.0 - 1e-12)))
         for region, pts, bound in regions:
@@ -606,35 +642,38 @@ def test_g4_cones_depend_on_the_direction_of_the_term():
     assert escape_cones(MapSpec("g4", k=K, beta=-0.09)) is None
     assert K * _m_a(K) - 1.0 - 1e-6 < 0.09 < _angle_limit(K)
     # c = 0 and straight inward keep the bounds that ignore the direction
-    fn = escape_cones(FAMILIES["fn"])
-    assert (escape_cones(FAMILIES["f4"]).r_lo, fn.r_lo) == (3.456436920080992,) * 2
-    assert fn.shift == 0.0
+    plain = escape_cones(MapSpec("g4", k=K))
+    assert (plain.r_lo, plain.shift) == (3.456436920080992, 0.0)
+    assert plain.r_lo == _former_cone_r_lo(K)
     for alpha, beta in [(0.0, -0.05), (-0.0, -0.05), (0.0, -0.02)]:
         cones = escape_cones(MapSpec("g4", k=K, alpha=alpha, beta=beta))
         assert cones.shift == beta
 
 
 def _cone_regions():
-    return [escape_cones(FAMILIES["fn"]), escape_cones(FAMILIES["g4"]),
-            escape_cones(MapSpec("fn", k=1.0005, n=3)),
-            trapping_region(FAMILIES["hn"], 1e-8, 1e6)]
+    # g4's cones: the term pointing straight outward, no term (c = 0),
+    # straight inward, and near the angle limit
+    return [escape_cones(FAMILIES["g4"]), escape_cones(MapSpec("g4", k=1.0005)),
+            escape_cones(MapSpec("g4", k=K, beta=-0.05)),
+            escape_cones(MapSpec("g4", k=1.15, beta=0.11))]
 
 
-def chart_contains(region, x, y):
-    """The chart test of a ConeRegion, the oracle of its chart-free test:
-    r_lo <= hypot(x, y) <= r_hi with chart angle theta4 (see
-    maps._namespace) within cone of 0 or pi/2.  Also returns each
+def chart_contains(region, x, y, r_hi=math.inf, n=4):
+    """The chart test of g4's escape cones, the oracle of their chart-free
+    test, and of the former cones of f4/fn/h/hn (up to r_hi, in the sector
+    chart of order n): r_lo <= hypot(x, y) <= r_hi with chart angle theta4
+    (see maps._namespace) within cone of 0 or pi/2.  Also returns each
     point's clearance: its least relative distance to an edge, |r/r_lo - 1|,
     |r/r_hi - 1| and |theta4 - edge|/cone over both cone edges (NaN where a
     coordinate is not finite)."""
     xp = znmap.maps._NUMPY
-    r, theta4 = xp.hypot(x, y), xp.split(xp.angle(y, x), region.n)[1]
+    r, theta4 = xp.hypot(x, y), xp.split(xp.angle(y, x), n)[1]
     a = region.cone
     near_axis = (theta4 <= a) | (theta4 >= 0.5 * math.pi - a)
     with np.errstate(invalid="ignore"):  # inf/inf where r_hi = inf
-        clearance = np.minimum.reduce([abs(r / region.r_lo - 1.0), abs(r / region.r_hi - 1.0),
+        clearance = np.minimum.reduce([abs(r / region.r_lo - 1.0), abs(r / r_hi - 1.0),
                                        abs(theta4 - a) / a, abs(0.5 * math.pi - a - theta4) / a])
-    return (r >= region.r_lo) & (r <= region.r_hi) & near_axis, clearance
+    return (r >= region.r_lo) & (r <= r_hi) & near_axis, clearance
 
 
 # Relative offsets from the edges of a region: those of the chart test's
@@ -644,23 +683,22 @@ MARGIN_OFFSETS = ULP_OFFSETS + (1e-10, 5e-10, 1e-9, 1.5e-9, 2.5e-9, 1e-8, 1e-3)
 
 
 def _edge_points(region, offsets):
-    """Points at both sides of every edge of region, in every sector, at
-    the relative offsets from r_lo (and a finite r_hi) and from both cone
-    edges; also the origin, 1e200, inf and NaN radii, and non-finite and
-    overflowing coordinates."""
-    r_lo, a, n = region.r_lo, region.cone, region.n
+    """Points at both sides of every edge of region, in every quarter, at
+    the relative offsets from r_lo and from both cone edges; also the
+    origin, 1e200, inf and NaN radii, and non-finite and overflowing
+    coordinates."""
+    r_lo, a = region.r_lo, region.cone
     near = [s * e for s in (-1.0, 1.0) for e in offsets]
-    edges = [r_lo] + ([region.r_hi] if math.isfinite(region.r_hi) else [])
     radii = [0.0, 0.5 * r_lo, math.nextafter(r_lo, 0.0), math.nextafter(r_lo, math.inf),
              2.0 * r_lo, 1e200, math.inf, math.nan]
-    radii += [r * (1.0 + e) for r in edges for e in [0.0] + near]
+    radii += [r_lo * (1.0 + e) for e in [0.0] + near]
     chart = [0.0, 0.5 * a, 0.25 * math.pi, 0.5 * math.pi - 0.5 * a, 0.5 * math.pi - a * 1e-12]
     chart += [edge + a * e for edge in (a, 0.5 * math.pi - a) for e in [0.0] + near]
     xs, ys = [], []
     for r in radii:
         for theta4 in chart:
-            for m in range(n):
-                theta = TWO_PI * m / n + 4.0 * theta4 / n
+            for m in range(4):
+                theta = 0.5 * math.pi * m + theta4
                 xs.append(r * math.cos(theta))
                 ys.append(r * math.sin(theta))
     for x, y in [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (-math.inf, math.inf),
@@ -685,27 +723,27 @@ def _assert_shrunk_chart_test(region, x, y):
 @pytest.mark.parametrize("region", _cone_regions())
 def test_cone_test_is_the_chart_test_shrunk_by_mu(region):
     got, clear = _assert_shrunk_chart_test(region, *_edge_points(region, MARGIN_OFFSETS))
-    n = region.n
-    assert got.sum() > 50 * n and (~got & clear).sum() > 50 * n
-    assert (~clear).sum() > 50 * n  # points at the edges, whichever way they go
+    assert got.sum() > 200 and (~got & clear).sum() > 200
+    assert (~clear).sum() > 200  # points at the edges, whichever way they go
 
 
 @settings(max_examples=200, deadline=None)
-@given(k=st.floats(1.0, K_MAX, exclude_min=True, exclude_max=True), n=st.integers(2, 8),
-       trap=st.booleans(), s=st.floats(-0.5, 1.0), theta4=st.floats(0.0, 0.5 * math.pi),
-       m=st.integers(0, 7), raw=st.tuples(st.floats(-1e7, 1e7), st.floats(-1e7, 1e7)))
-@example(k=K, n=4, trap=False, s=0.0, theta4=0.0, m=0, raw=(3.5, 0.3))
-@example(k=1.15, n=3, trap=True, s=1.0, theta4=0.5 * math.pi, m=2, raw=(-1e6, 1e6))
-def test_cone_test_agrees_with_the_chart_test(k, n, trap, s, theta4, m, raw):
-    # Escape cones of fn or the trapping region of hn for any (k, n); a
-    # point by log-radius s (0 at r_lo, 1 just past r_hi or at 1e6 r_lo),
-    # chart angle and sector, and a point by raw coordinates.
-    spec = MapSpec("hn" if trap else "fn", k=k, n=n)
-    region = trapping_region(spec, 1e-8, 1e6) if trap else escape_cones(spec)
+@given(k=st.floats(1.0, K_MAX, exclude_min=True, exclude_max=True),
+       c_share=st.floats(0.0, 1.2), phase=st.floats(0.0, 1.0), s=st.floats(-0.5, 1.0),
+       theta4=st.floats(0.0, 0.5 * math.pi), m=st.integers(0, 3),
+       raw=st.tuples(st.floats(-1e7, 1e7), st.floats(-1e7, 1e7)))
+@example(k=K, c_share=0.0, phase=0.0, s=0.0, theta4=0.0, m=0, raw=(3.5, 0.3))
+@example(k=1.15, c_share=1.0, phase=0.25, s=1.0, theta4=0.5 * math.pi, m=2, raw=(-1e6, 1e6))
+def test_cone_test_agrees_with_the_chart_test(k, c_share, phase, s, theta4, m, raw):
+    # Escape cones of g4 for any k and a term of modulus c, a share of the
+    # angle limit, at any phase; a point by log-radius s (0 at r_lo, 1 at
+    # 1e6 r_lo), chart angle and quarter, and a point by raw coordinates.
+    c = c_share * max(_angle_limit(k), 0.0)
+    region = escape_cones(MapSpec("g4", k=k, alpha=c * math.cos(TWO_PI * phase),
+                                  beta=c * math.sin(TWO_PI * phase)))
     assume(region is not None)
-    top = 1.01 * region.r_hi if math.isfinite(region.r_hi) else 1e6 * region.r_lo
-    r = region.r_lo * (top / region.r_lo) ** s
-    theta = TWO_PI * (m % n) / n + 4.0 * theta4 / n
+    r = region.r_lo * 1e6 ** s
+    theta = 0.5 * math.pi * m + theta4
     _assert_shrunk_chart_test(region, np.array([r * math.cos(theta), raw[0]]),
                               np.array([r * math.sin(theta), raw[1]]))
 
@@ -719,7 +757,7 @@ def test_regions_leave_out_non_finite_points(region):
     # A point whose r2 = x*x + y*y is NaN or inf (a non-finite coordinate,
     # or a square that overflows) lies outside.  Each point tested on its
     # own as a 1-element array gets the answer of the whole array.
-    cones = escape_cones(FAMILIES["fn"]) if isinstance(region, Disk) else region
+    cones = escape_cones(FAMILIES["g4"]) if isinstance(region, Disk) else region
     x, y = _edge_points(cones, ULP_OFFSETS)
     with np.errstate(over="ignore", invalid="ignore"):
         r2 = x * x + y * y
@@ -731,23 +769,25 @@ def test_regions_leave_out_non_finite_points(region):
 
 
 def test_no_escape_cones_for_saturated_maps():
-    assert escape_cones(FAMILIES["h"]) is None and escape_cones(FAMILIES["hn"]) is None
+    # nor for f4/fn: the region outside the basin boundary decides their far starts
+    assert all(escape_cones(FAMILIES[family]) is None for family in ("f4", "fn", "h", "hn"))
     assert contracting_disk(FAMILIES["h"]) == contracting_disk(FAMILIES["f4"])
 
 
 @pytest.mark.parametrize("family", ["f4", "fn", "g4"])
 def test_escaping_pixels_retire_early(family, step_calls):
-    # 128^2 = 16,384 pixels stay on one thread.  Without the cones and the
-    # disk the escaping pixels run to r_escape, about 138 steps each: f4,
-    # fn and g4 take 857,064, 1,018,714 and 903,644 point-steps that way.
-    # g4's disk is smaller (radius 2.517) and its cones start closer in
-    # (r_lo = 2.668; 5.58 if its term is taken to point straight inward,
-    # which takes 71,492 point-steps).  With them the counts are 20,012,
-    # 17,760 and 20,892.  The bound allows 1% above those, so a change that
+    # 128^2 = 16,384 pixels stay on one thread.  Without the closed-form
+    # regions the escaping pixels run to r_escape, about 138 steps each:
+    # f4, fn and g4 take 857,064, 1,018,714 and 903,644 point-steps that
+    # way.  f4 and fn retire nearly every pixel at step 0 on either side of
+    # the basin boundary and take 404 and 190.  g4 has no such boundary:
+    # its disk (radius 2.517) and its cones (r_lo = 2.668; 5.58 if its term
+    # is taken to point straight inward, which takes 71,492 point-steps)
+    # take 20,892.  The bound allows 1% above those, so a change that
     # retires fewer pixels, or later, fails.
     raster = basin_raster(FAMILIES[family], (-5.0, 5.0, -5.0, 5.0), 128, 128)
     assert raster.counts()["escaped"] > 5_000
-    assert step_calls[1] <= 1.01 * {"f4": 20_012, "fn": 17_760, "g4": 20_892}[family]
+    assert step_calls[1] <= 1.01 * {"f4": 404, "fn": 190, "g4": 20_892}[family]
 
 
 def test_fixed_points_of_identity_retire_at_once(step_calls):
@@ -767,12 +807,11 @@ def test_scalar_starts():
 def test_region_retirements_take_the_step_of_entry():
     # f4 at k = 1.1: the disk (N = 74) holds (0.5, 0.5) from step 0 and
     # (3, 3) from step 1; the region outside the basin boundary (N = 215)
-    # holds (10, 0) and (1, 4) from step 0 (the cones, N = 235, hold (1, 4)
-    # only from step 1).  g4 with beta = 0.05 has no boundary regions: its
-    # disk (N = 60) and cones (N = 159) hold the same points from the same
-    # steps.  The plain loop decides them at steps 3, 6, 122 and 139 (f4)
-    # and 7, 10, 83 and 92 (g4).  A region retires a point at step t only
-    # if t + N <= budget.
+    # holds (10, 0) and (1, 4) from step 0.  g4 with beta = 0.05 has no
+    # boundary regions: its disk (N = 60) and cones (N = 159) hold the same
+    # points from steps 0, 1, 0 and 1.  The plain loop decides them at
+    # steps 3, 6, 122 and 139 (f4) and 7, 10, 83 and 92 (g4).  A region
+    # retires a point at step t only if t + N <= budget.
     xs, ys = [0.5, 3.0, 10.0, 1.0], [0.5, 3.0, 0.0, 4.0]
     for spec, near, far, cases in [
             (FAMILIES["f4"], [3, 6], [122, 139],

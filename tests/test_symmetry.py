@@ -5,9 +5,9 @@ If a map f commutes with an isometry T of the plane that fixes the origin,
 f(Tp) = T f(p), then f^t(Tp) = T f^t(p) for every t: the orbits of p and
 Tp have the same radii at every step.  The classifier decides a start by
 its radius (below eps_in, above r_escape) and by closed-form regions (the
-contracting disk, the escape cones and trapping region about the sector
-boundary rays) that the symmetries below map onto themselves, so p and Tp
-get the same kind after the same number of steps.
+contracting disk, the two sides of the basin boundary, and g4's escape
+cones about the sector boundary rays) that the symmetries below map onto
+themselves, so p and Tp get the same kind after the same number of steps.
 
 * The quarter turn R(x, y) = (-y, x) commutes with f4 and h, with g4 for
   every alpha, beta, delta (the term alpha*p + (beta + delta*|p|^2)*Jp,
